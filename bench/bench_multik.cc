@@ -43,6 +43,8 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
+#include "quality/tp.h"
 #include "rank/psr.h"
 #include "workload/synthetic.h"
 
@@ -148,34 +150,46 @@ Result<ArmResult> RunShared(const ProbabilisticDatabase& db,
   return arm;
 }
 
+/// One-shot PSR + TP quality at `k` over the cleaned view `current`.
+Result<double> RescanQuality(const DatabaseOverlay& current, size_t k) {
+  Result<ScanRequest> request = ScanRequest::ForK(k);
+  if (!request.ok()) return request.status();
+  request->overlay = &current;
+  Result<ScanResult> scan = ComputePsrLadder(current.base(), *request);
+  if (!scan.ok()) return scan.status();
+  Result<TpOutput> tp = ComputeTpQuality(current, scan->output());
+  if (!tp.ok()) return tp.status();
+  return tp->quality;
+}
+
 /// Per-k rerun arm (the literal status quo for a ladder of queries, and
 /// what bench_fig5_sharing measures per k): every round re-runs the full
 /// one-shot ComputePsr + TP pipeline once per rung over the current
-/// database.
+/// cleaned view.
 Result<ArmResult> RunPerKRescan(const ProbabilisticDatabase& db,
                                 const KLadder& ladder,
                                 const std::vector<Round>& schedule) {
   ArmResult arm;
   Stopwatch create;
-  ProbabilisticDatabase current(db);
+  DatabaseOverlay current(&db);
   for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    Result<TpOutput> tp = ComputeTpQuality(current, ladder[rung]);
-    if (!tp.ok()) return tp.status();
+    Result<double> quality = RescanQuality(current, ladder[rung]);
+    if (!quality.ok()) return quality.status();
   }
   arm.create_ms = create.ElapsedMillis();
 
   Stopwatch rounds;
   for (const Round& round : schedule) {
     for (const auto& [xtuple, resolved] : round) {
-      Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+      Result<DatabaseOverlay::CleanOutcomeDelta> delta =
           current.ApplyCleanOutcome(xtuple, resolved);
       if (!delta.ok()) return delta.status();
     }
     std::vector<double> qualities;
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      Result<TpOutput> tp = ComputeTpQuality(current, ladder[rung]);
-      if (!tp.ok()) return tp.status();
-      qualities.push_back(tp->quality);
+      Result<double> quality = RescanQuality(current, ladder[rung]);
+      if (!quality.ok()) return quality.status();
+      qualities.push_back(*quality);
     }
     arm.quality.push_back(std::move(qualities));
   }

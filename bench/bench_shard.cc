@@ -8,8 +8,9 @@
 //            cost every serving path pays, and the rank-range shards
 //            carry almost all of its work.
 //   ladder   a 4-rung ladder engine: checkpointed Create plus one
-//            batched suffix Replay after shallow cleans -- the
-//            incremental serving path, sharded end to end.
+//            batched suffix ReplaySession of its sole session after
+//            shallow cleans -- the incremental serving path, sharded end
+//            to end.
 //   pooled   a SessionPool with 8 dirty sessions brought forward by ONE
 //            RefreshAll -- the parallelism budget spent across whole
 //            sessions rather than within one scan.
@@ -42,6 +43,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
 #include "workload/synthetic.h"
@@ -169,21 +171,23 @@ Result<std::vector<Series>> RunLadder(const ProbabilisticDatabase& db,
   /// one batched suffix replay. Returns the final outputs.
   const auto cycle =
       [&](const ExecOptions& exec) -> Result<std::vector<PsrOutput>> {
-    ProbabilisticDatabase working(db);
     ScanRequest request;
     request.ladder = *ladder;
     request.exec = exec;
-    Result<PsrEngine> engine = PsrEngine::Create(working, request);
+    Result<PsrEngine> engine = PsrEngine::Create(db, request);
     if (!engine.ok()) return engine.status();
+    PsrEngine::SessionState state = engine->TakeSoleSession();
+    DatabaseOverlay working(&db);
     size_t first_changed = working.num_tuples();
     for (const auto& [xtuple, resolved] : cleans) {
-      Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+      Result<DatabaseOverlay::CleanOutcomeDelta> delta =
           working.ApplyCleanOutcome(xtuple, resolved);
       if (!delta.ok()) return delta.status();
       first_changed = std::min(first_changed, delta->first_changed_rank);
     }
-    UCLEAN_RETURN_IF_ERROR(engine->Replay(working, first_changed));
-    return engine->outputs();
+    UCLEAN_RETURN_IF_ERROR(
+        engine->ReplaySession(working, first_changed, &state));
+    return state.outputs();
   };
 
   Result<std::vector<PsrOutput>> reference = cycle(Threads(1));

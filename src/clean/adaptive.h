@@ -9,12 +9,14 @@
 // x-tuple can still improve the query. The ablation bench quantifies the
 // realized-quality advantage over one-shot planning.
 //
-// The loop runs on the incremental CleaningSession: the database is
-// mutated in place (no per-round copy or builder round-trip), each round
-// costs at most one partial PSR replay + delta TP pass, and that one
-// refreshed TP state feeds both the round's quality report and the next
-// round's CleaningProblem. bench_incremental measures the win over the
-// historical copy-rebuild-rescan loop.
+// The loop runs on the incremental CleaningSession: each round's
+// outcomes go into the session's copy-on-write overlay (no per-round copy
+// or builder round-trip), each round costs at most one partial PSR
+// replay + delta TP pass, and that one refreshed TP state feeds both the
+// round's quality report and the next round's CleaningProblem. The
+// cleaned database is materialized once, when the loop ends.
+// bench_incremental measures the win over the historical
+// copy-rebuild-rescan loop.
 //
 // Multi-k: with AdaptiveOptions::k_ladder the session serves a whole
 // ladder of top-k queries from one shared scan, the planner optimizes a

@@ -119,11 +119,9 @@ void RunFaultedProbes(const CleaningProfile& profile, XTupleId l,
 /// x-tuple's own members/probabilities -- state no other x-tuple's
 /// collapse can touch -- so the stream is identical whether outcomes are
 /// applied between probes (inline ExecutePlan) or all at the end
-/// (draw/commit, pipelined). `Db` is ProbabilisticDatabase or a pooled
-/// session's DatabaseOverlay view. Inputs must have passed
-/// ValidateProbeInputs.
-template <typename Db>
-Result<ProbeDraws> RunDraws(const Db& db, const CleaningProfile& profile,
+/// (draw/commit, pipelined). Inputs must have passed ValidateProbeInputs.
+Result<ProbeDraws> RunDraws(const DatabaseOverlay& db,
+                            const CleaningProfile& profile,
                             const std::vector<int64_t>& probes, Rng* rng,
                             const ProbeOptions& options) {
   ProbeDraws draws;
@@ -183,15 +181,6 @@ Status ApplyDraws(const ProbeDraws& draws, ApplyOutcomeFn apply) {
 }
 
 }  // namespace
-
-Result<ProbeDraws> DrawProbes(const ProbabilisticDatabase& db,
-                              const CleaningProfile& profile,
-                              const std::vector<int64_t>& probes, Rng* rng,
-                              const ProbeOptions& options) {
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(db.num_xtuples(), profile, probes, rng));
-  return RunDraws(db, profile, probes, rng, options);
-}
 
 Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
                               const CleaningProfile& profile,
@@ -288,22 +277,18 @@ Result<ExecutionReport> ExecutePlan(const ProbabilisticDatabase& db,
                                     const CleaningProfile& profile,
                                     const std::vector<int64_t>& probes,
                                     Rng* rng, const ProbeOptions& options) {
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(db.num_xtuples(), profile, probes, rng));
-  // Collapse outcomes on a copy in place: rank order is untouched by a
-  // collapse, so the historical DatabaseBuilder round-trip (re-validate +
-  // re-sort) is pure overhead.
-  Result<ProbeDraws> draws = RunDraws(db, profile, probes, rng, options);
+  // Record the outcomes in an overlay of `db` and materialize it once:
+  // rank order is untouched by a collapse, so the historical
+  // DatabaseBuilder round-trip (re-validate + re-sort) is pure overhead.
+  DatabaseOverlay view(&db);
+  Result<ProbeDraws> draws = DrawProbes(view, profile, probes, rng, options);
   if (!draws.ok()) return draws.status();
-  ExecutionReport report;
-  report.cleaned_db = db;
-  UCLEAN_RETURN_IF_ERROR(ApplyDraws(
-      *draws, [&report](XTupleId l, TupleId resolved_id) -> Status {
-        Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-            report.cleaned_db.ApplyCleanOutcome(l, resolved_id);
-        return delta.status();
+  UCLEAN_RETURN_IF_ERROR(
+      ApplyDraws(*draws, [&view](XTupleId l, TupleId resolved_id) -> Status {
+        return view.ApplyCleanOutcome(l, resolved_id).status();
       }));
-  report.cleaned_db.CompactTombstones();
+  ExecutionReport report;
+  report.cleaned_db = view.MaterializeCleaned();
   report.spent = draws->report.spent;
   report.leftover = draws->report.leftover;
   report.successes = draws->report.successes;
@@ -320,10 +305,8 @@ Result<SessionExecutionReport> ExecutePlan(CleaningSession* session,
   if (session == nullptr) {
     return Status::InvalidArgument("ExecutePlan requires a session");
   }
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(session->db().num_xtuples(), profile, probes, rng));
   Result<ProbeDraws> draws =
-      RunDraws(session->db(), profile, probes, rng, options);
+      DrawProbes(session->db(), profile, probes, rng, options);
   if (!draws.ok()) return draws.status();
   UCLEAN_RETURN_IF_ERROR(ApplyDraws(
       *draws, [session](XTupleId l, TupleId resolved_id) -> Status {

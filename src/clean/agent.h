@@ -10,13 +10,14 @@
 // leaving budget unspent (the leftovers adaptive re-planning reinvests).
 //
 // Synchronous and asynchronous forms. The ExecutePlan overloads run the
-// probe loop inline and apply outcomes to their target before returning.
+// probe loop inline and record outcomes in their target's overlay before
+// returning.
 // The async form splits a plan execution into two phases whose separation
 // is what makes probe batches overlappable (clean/pipeline.h):
 //
 //  * DRAW (SubmitProbes / DrawProbes): run the probe loop against a fixed
-//    read-only view of the session's database, recording successes instead
-//    of applying them. A draw touches only the view, the profile and the
+//    read-only overlay view of the session's database, recording
+//    successes instead of applying them. A draw touches only the view, the profile and the
 //    session's own Rng, so draws for DIFFERENT sessions of one pool are
 //    race-free by construction and run concurrently on an exec TaskGroup
 //    while the caller keeps planning.
@@ -114,8 +115,8 @@ struct ExecutionReport {
 };
 
 /// Outcome of executing a plan inside a cleaning session: like
-/// ExecutionReport, but the cleaned database lives in the session (no
-/// copy is made) and its PSR/TP refresh is deferred to
+/// ExecutionReport, but the outcomes live in the session's overlay (no
+/// database is materialized) and its PSR/TP refresh is deferred to
 /// CleaningSession::Refresh.
 struct SessionExecutionReport {
   int64_t spent = 0;
@@ -150,12 +151,7 @@ struct ProbeDraws {
 
 /// Runs the probe loop against a fixed view without applying anything.
 /// Pure except for `rng` (advanced) and the simulated latency; never
-/// touches the view. The overlay form is the pooled-session draw phase;
-/// the database form serves dedicated sessions and tests.
-Result<ProbeDraws> DrawProbes(const ProbabilisticDatabase& db,
-                              const CleaningProfile& profile,
-                              const std::vector<int64_t>& probes, Rng* rng,
-                              const ProbeOptions& options = {});
+/// touches the view. Every ExecutePlan form draws through it.
 Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
                               const CleaningProfile& profile,
                               const std::vector<int64_t>& probes, Rng* rng,
@@ -219,18 +215,19 @@ Result<ProbeBatch> SubmitProbes(const SessionPool& pool,
 
 /// Executes `plan.probes` on `db` with per-x-tuple costs/sc-probabilities
 /// from `profile`, drawing success and revealed values from `rng`. The
-/// cleaned database is an in-place-collapsed copy of `db` (compacted;
-/// identical to the historical builder round-trip, minus the rebuild).
+/// outcomes are recorded in an overlay of `db`, and the cleaned database
+/// is that overlay materialized (identical to the historical builder
+/// round-trip, minus the rebuild).
 Result<ExecutionReport> ExecutePlan(const ProbabilisticDatabase& db,
                                     const CleaningProfile& profile,
                                     const std::vector<int64_t>& probes,
                                     Rng* rng,
                                     const ProbeOptions& options = {});
 
-/// Session form: applies each successful outcome to `session` in place
-/// and leaves the state refresh to the caller. Draws the same random
-/// stream as the database overload, so a from-scratch and an incremental
-/// run with equal seeds execute identical probe sequences.
+/// Session form: records each successful outcome in `session` and leaves
+/// the state refresh to the caller. Draws the same random stream as the
+/// database overload, so a from-scratch and an incremental run with
+/// equal seeds execute identical probe sequences.
 Result<SessionExecutionReport> ExecutePlan(CleaningSession* session,
                                            const CleaningProfile& profile,
                                            const std::vector<int64_t>& probes,

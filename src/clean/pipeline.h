@@ -63,8 +63,8 @@ struct PipelineOptions {
   DpOptions dp_options;
 
   /// Per-session round cap; defaults to the adaptive loop's own cap
-  /// (read from it, not duplicated) so pooled and dedicated paths can
-  /// never drift apart.
+  /// (read from it, not duplicated) so the pooled driver and
+  /// RunAdaptiveCleaning can never drift apart.
   size_t max_rounds = AdaptiveOptions().max_rounds;
 
   /// Per-rung planning weights for the ladder aggregate (empty =

@@ -1,10 +1,35 @@
 #include "clean/session.h"
 
-#include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
 namespace uclean {
+
+Status SessionCore::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
+  Result<DatabaseOverlay::CleanOutcomeDelta> delta =
+      overlay.ApplyCleanOutcome(xtuple, resolved_id);
+  if (!delta.ok()) return delta.status();
+  if (delta->first_changed_rank >= overlay.num_tuples()) {
+    return Status::OK();  // outcome was already materialized
+  }
+  const size_t begin = delta->first_changed_rank;
+  if (pending_replay_begin == kNoPending || begin < pending_replay_begin) {
+    pending_replay_begin = begin;
+  }
+  return Status::OK();
+}
+
+Status SessionCore::Refresh(const PsrEngine& engine, const ExecOptions& exec) {
+  if (!dirty()) return Status::OK();
+  UCLEAN_RETURN_IF_ERROR(
+      engine.ReplaySession(overlay, pending_replay_begin, &scan));
+  UCLEAN_RETURN_IF_ERROR(UpdateTpQualityLadder(overlay, scan.outputs(),
+                                               pending_replay_begin, &tps,
+                                               exec));
+  pending_replay_begin = kNoPending;
+  return Status::OK();
+}
 
 Result<CleaningSession> CleaningSession::Start(ProbabilisticDatabase db,
                                                size_t k,
@@ -19,92 +44,46 @@ Result<CleaningSession> CleaningSession::Start(ProbabilisticDatabase db,
                                                const KLadder& ladder,
                                                const Options& options) {
   CleaningSession session;
-  session.options_ = options;
-  session.db_ = std::move(db);
+  session.base_ = std::make_unique<ProbabilisticDatabase>(std::move(db));
 
   ScanRequest request;
   request.ladder = ladder;
   request.psr = options.psr;
   request.exec = options.exec;
   request.checkpoint_interval = options.checkpoint_interval;
-  Result<PsrEngine> engine = PsrEngine::Create(session.db_, request);
+  Result<PsrEngine> engine = PsrEngine::Create(*session.base_, request);
   if (!engine.ok()) return engine.status();
   session.engine_ = std::move(engine).value();
+
+  // The only session of this engine: it takes the scan state over rather
+  // than forking a copy of it.
+  SessionCore& core = session.core_;
+  core.overlay = DatabaseOverlay(session.base_.get());
+  core.scan = session.engine_.TakeSoleSession();
 
   // The engine resolved the exec options (building the shared pool when
   // asked to); every TP pass fans over that same pool.
   Result<std::vector<TpOutput>> tps = ComputeTpQualityLadder(
-      session.db_, session.engine_.outputs(), session.engine_.exec());
+      *session.base_, core.scan.outputs(), session.engine_.exec());
   if (!tps.ok()) return tps.status();
-  session.tps_ = std::move(tps).value();
+  core.tps = std::move(tps).value();
   return session;
 }
 
 Status CleaningSession::ApplyCleanOutcome(XTupleId xtuple,
                                           TupleId resolved_id) {
   ScopedSerialCall guard(gate_);
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-      db_.ApplyCleanOutcome(xtuple, resolved_id);
-  if (!delta.ok()) return delta.status();
-  if (delta->first_changed_rank >= db_.num_tuples()) {
-    return Status::OK();  // outcome was already materialized
-  }
-  const size_t begin = delta->first_changed_rank;
-  if (pending_replay_begin_ == kNoPending || begin < pending_replay_begin_) {
-    pending_replay_begin_ = begin;
-  }
-  return Status::OK();
+  return core_.ApplyCleanOutcome(xtuple, resolved_id);
 }
 
 Status CleaningSession::Refresh() {
   ScopedSerialCall guard(gate_);
-  if (!dirty()) return Status::OK();
-  size_t replay_begin = pending_replay_begin_;
-
-  // Lazy compaction: reclaim tombstones before the replay so the scan
-  // never revisits them. Checkpoints past the replay boundary must be
-  // dropped BEFORE the remap: they hold pre-clean state, and compaction
-  // can move one onto the boundary itself when every slot in between was
-  // tombstoned, where the replay would wrongly resume from it.
-  engine_.InvalidateBelow(replay_begin);
-  if (db_.num_tombstones() >= options_.compact_min_tombstones &&
-      static_cast<double>(db_.num_tombstones()) >=
-          options_.compact_min_fraction *
-              static_cast<double>(db_.num_tuples())) {
-    const size_t old_n = db_.num_tuples();
-    std::vector<int32_t> old_to_new = db_.CompactTombstones();
-    UCLEAN_RETURN_IF_ERROR(engine_.ApplyCompaction(db_, old_to_new));
-    // Remap the replay boundary and every rung's omega prefix (the delta
-    // TP pass reuses it; suffix entries are about to be rewritten anyway).
-    // The per-rung TP scan ends equal the engine's pre-replay scan ends,
-    // which ApplyCompaction just remapped -- copy them across.
-    size_t new_begin = 0;
-    for (size_t i = 0; i < replay_begin && i < old_n; ++i) {
-      if (old_to_new[i] >= 0) ++new_begin;
-    }
-    for (size_t rung = 0; rung < tps_.size(); ++rung) {
-      TpOutput& tp = tps_[rung];
-      std::vector<double> omega(db_.num_tuples(), 0.0);
-      for (size_t i = 0; i < old_n; ++i) {
-        if (old_to_new[i] >= 0) omega[old_to_new[i]] = tp.omega[i];
-      }
-      tp.omega = std::move(omega);
-      tp.scan_end = engine_.output(rung).scan_end;
-    }
-    replay_begin = new_begin;
-  }
-
-  UCLEAN_RETURN_IF_ERROR(engine_.Replay(db_, replay_begin));
-  UCLEAN_RETURN_IF_ERROR(UpdateTpQualityLadder(
-      db_, engine_.outputs(), replay_begin, &tps_, engine_.exec()));
-  pending_replay_begin_ = kNoPending;
-  return Status::OK();
+  return core_.Refresh(engine_, engine_.exec());
 }
 
 ProbabilisticDatabase CleaningSession::TakeDatabase() && {
   ScopedSerialCall guard(gate_);
-  db_.CompactTombstones();
-  return std::move(db_);
+  return core_.overlay.MaterializeCleaned(std::move(*base_));
 }
 
 }  // namespace uclean

@@ -1,17 +1,28 @@
-// CleaningSession: the mutable view of a database under adaptive cleaning,
-// serving one k or a whole ladder of k values from one shared engine.
+// CleaningSession: one analyst's view of a database under adaptive
+// cleaning, serving one k or a whole ladder of k values from one shared
+// engine.
 //
 // The paper's adaptive loop (Section V-A extension) re-plans after every
 // round of probes. A naive round deep-copies the database, rebuilds it
 // through DatabaseBuilder (O(n log n)) and re-runs the full O(kn) PSR scan
 // twice -- once to build the next CleaningProblem and once for the quality
 // report. A successful pclean is however a tiny update: one x-tuple
-// collapses to a certain tuple and no other tuple's rank moves. The
-// session therefore owns one database mutated in place
-// (ApplyCleanOutcome, tombstone + lazy compaction), one PsrEngine whose
-// checkpointed scan replays only the suffix below the shallowest change,
-// and one TpOutput per rung brought forward by the delta pass
-// (UpdateTpQualityLadder).
+// collapses to a certain tuple and no other tuple's rank moves. A session
+// therefore keeps its state in a SessionCore over one checkpointed
+// PsrEngine:
+//
+//  * a copy-on-write DatabaseOverlay records the outcomes over the
+//    session's base database, which is never mutated;
+//  * the engine's scan state (PsrEngine::SessionState) replays only the
+//    suffix below the shallowest change;
+//  * one TpOutput per rung is brought forward by the delta pass
+//    (UpdateTpQualityLadder over the overlay).
+//
+// This is the same mechanism, and the same SessionCore, that every
+// SessionPool session runs on. A CleaningSession is simply the engine's
+// only session: Start moves the engine's outputs and checkpoints into
+// it instead of forking a copy (PsrEngine::TakeSoleSession), and
+// TakeDatabase materializes the overlay in the base's own storage.
 //
 // Multi-k: a session started with a KLadder maintains per-rung PSR and TP
 // state from ONE shared scan -- the count-vector recurrence is
@@ -21,7 +32,7 @@
 // rung index into ladder(); the rung-less accessors serve single-k
 // sessions (rung 0).
 //
-// Outcomes are applied eagerly to the database but state refresh is
+// Outcomes are recorded eagerly in the overlay but state refresh is
 // batched: a round of cleans costs one partial PSR replay + one shared
 // delta TP pass, however many x-tuples were cleaned and however many k's
 // are served. Call Refresh() after the round (the psr()/tp()/quality()
@@ -29,25 +40,25 @@
 // -- MakeCleaningProblem has overloads that consume one rung or an
 // aggregate over all of them, so the adaptive loop runs at most one
 // (partial) PSR pass per round. All maintained state is bitwise identical
-// to recomputing from scratch on the cleaned database at every rung.
+// to recomputing from scratch on the cleaned view at every rung.
 //
 // Threading: SERIALIZED CALLER. One thread drives a session at a time
 // (mutators and accessors alike); the session is not internally
 // synchronized. Options::exec parallelism stays INSIDE calls -- a
 // Start/Refresh may shard its scan over the pool, but the session's
-// public surface must still be entered by one thread. A whole session
-// may run on a pool worker (SessionPool::RefreshAll does this with its
-// per-session state), in which case its nested scans degrade to the
-// sequential path inline. The contract is enforced as a
-// common/serial_gate.h capability: every mutator opens a
+// public surface must still be entered by one thread. The contract is
+// enforced as a common/serial_gate.h capability: every mutator opens a
 // ScopedSerialCall window on gate_, so overlapping calls abort in debug
 // builds and reentrant entry fails the Clang -Wthread-safety build.
+// SessionCore itself carries no gate; its owner (CleaningSession,
+// SessionPool) serializes calls into it.
 
 #ifndef UCLEAN_CLEAN_SESSION_H_
 #define UCLEAN_CLEAN_SESSION_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -57,11 +68,42 @@
 #include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
 
 namespace uclean {
+
+/// One cleaning session's state over a shared PsrEngine: its overlay of
+/// the engine's base database, its scan state, its per-rung TP ladder,
+/// and the shallowest rank its unrefreshed outcomes changed. The sole
+/// session of a CleaningSession and every SessionPool session are one of
+/// these; the two front-ends differ only in who owns the base and the
+/// engine.
+struct SessionCore {
+  static constexpr size_t kNoPending = static_cast<size_t>(-1);
+
+  DatabaseOverlay overlay;
+  PsrEngine::SessionState scan;
+  std::vector<TpOutput> tps;  // one per rung, ladder order
+  size_t pending_replay_begin = kNoPending;
+
+  /// True when outcomes were applied since the last Refresh.
+  bool dirty() const { return pending_replay_begin != kNoPending; }
+
+  /// Records the collapse of `xtuple` to `resolved_id` (negative = entity
+  /// absent) in the overlay (see DatabaseOverlay::ApplyCleanOutcome) and
+  /// widens the pending replay range. State refresh is deferred.
+  Status ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id);
+
+  /// Brings the scan and TP state up to date for every outcome applied
+  /// since the last Refresh: one suffix replay through `engine`
+  /// (PsrEngine::ReplaySession) plus one shared delta TP pass over the
+  /// overlay (UpdateTpQualityLadder), fanned over `exec`. No-op when
+  /// clean; a failed refresh leaves the state dirty.
+  Status Refresh(const PsrEngine& engine, const ExecOptions& exec);
+};
 
 class CleaningSession {
  public:
@@ -76,13 +118,6 @@ class CleaningSession {
 
     /// Initial PSR checkpoint cadence (see PsrEngine::Create).
     size_t checkpoint_interval = PsrEngine::kInitialCheckpointInterval;
-
-    /// Lazy-compaction trigger: tombstoned slots are reclaimed during
-    /// Refresh once their count exceeds `compact_min_tombstones` AND the
-    /// fraction `compact_min_fraction` of all slots. Compaction is pure
-    /// bookkeeping (a monotone index remap); results are unaffected.
-    size_t compact_min_tombstones = 1024;
-    double compact_min_fraction = 0.25;
   };
 
   /// Starts a session over `db` (one full PSR + TP pass). Move the
@@ -102,10 +137,11 @@ class CleaningSession {
     return Start(std::move(db), ladder, Options());
   }
 
-  /// The session database. May contain tombstoned slots between rounds;
-  /// rank indices are stable until compaction (which only Refresh and
-  /// TakeDatabase perform).
-  const ProbabilisticDatabase& db() const { return db_; }
+  /// The session's view of the database: the base plus every applied
+  /// outcome. Rank indices are the base's and never move; cleaned-away
+  /// siblings read as tombstones. Scan it by passing it as
+  /// ScanRequest::overlay against view.base().
+  const DatabaseOverlay& db() const { return core_.overlay; }
 
   /// The served ladder (a single rung for single-k sessions).
   const KLadder& ladder() const { return engine_.ladder(); }
@@ -115,7 +151,7 @@ class CleaningSession {
   size_t k() const { return engine_.k(); }
 
   /// True when outcomes were applied since the last Refresh.
-  bool dirty() const { return pending_replay_begin_ != kNoPending; }
+  bool dirty() const { return core_.dirty(); }
 
   // Reading a dirty session is a HARD failure in every build type (not a
   // DCHECK): a dirty session holds pre-clean PSR/TP state, and serving it
@@ -126,53 +162,53 @@ class CleaningSession {
   /// Maintained PSR state of rung `rung`. Requires !dirty().
   const PsrOutput& psr(size_t rung = 0) const {
     UCLEAN_CHECK(!dirty());
-    return engine_.output(rung);
+    return core_.scan.output(rung);
   }
 
   /// Maintained TP quality state of rung `rung`. Requires !dirty().
   const TpOutput& tp(size_t rung = 0) const {
     UCLEAN_CHECK(!dirty());
-    UCLEAN_DCHECK(rung < tps_.size());
-    return tps_[rung];
+    UCLEAN_DCHECK(rung < core_.tps.size());
+    return core_.tps[rung];
   }
 
   /// All per-rung TP states, ladder order. Requires !dirty().
   const std::vector<TpOutput>& tps() const {
     UCLEAN_CHECK(!dirty());
-    return tps_;
+    return core_.tps;
   }
 
   /// Current PWS-quality S(D,Q) at rung `rung`. Requires !dirty().
   double quality(size_t rung = 0) const {
     UCLEAN_CHECK(!dirty());
-    UCLEAN_DCHECK(rung < tps_.size());
-    return tps_[rung].quality;
+    UCLEAN_DCHECK(rung < core_.tps.size());
+    return core_.tps[rung].quality;
   }
 
   /// Collapses `xtuple` to the certain outcome `resolved_id` (negative =
-  /// entity absent) in place; see ProbabilisticDatabase::ApplyCleanOutcome.
-  /// State refresh is deferred to Refresh().
+  /// entity absent) in the session's view; see DatabaseOverlay::
+  /// ApplyCleanOutcome. State refresh is deferred to Refresh().
   Status ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id)
       UCLEAN_EXCLUDES(gate_);
 
   /// Brings PSR + TP state up to date for every outcome applied since the
-  /// last Refresh: at most one compaction, one partial PSR replay and one
-  /// shared delta TP pass across all rungs. No-op when !dirty().
+  /// last Refresh: one partial PSR replay and one shared delta TP pass
+  /// across all rungs. No-op when !dirty().
   Status Refresh() UCLEAN_EXCLUDES(gate_);
 
-  /// Compacts and returns the database, ending the session.
+  /// Materializes the cleaned database in the base's own storage (no
+  /// copy) and ends the session. Works on dirty sessions: it needs only
+  /// the recorded outcomes.
   ProbabilisticDatabase TakeDatabase() && UCLEAN_EXCLUDES(gate_);
 
  private:
-  static constexpr size_t kNoPending = static_cast<size_t>(-1);
-
   CleaningSession() = default;
 
-  ProbabilisticDatabase db_;
+  // The base lives behind a stable pointer so the overlay's back-pointer
+  // survives moves of the session itself.
+  std::unique_ptr<ProbabilisticDatabase> base_;
   PsrEngine engine_;
-  std::vector<TpOutput> tps_;  // one per rung, ladder order
-  Options options_;
-  size_t pending_replay_begin_ = kNoPending;
+  SessionCore core_;
 
   // Serialized-caller capability (see the header comment): one window
   // per mutating call; overlap aborts in debug builds, reentrancy fails

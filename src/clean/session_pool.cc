@@ -18,11 +18,6 @@ Result<SessionPool> SessionPool::Create(ProbabilisticDatabase base, size_t k,
 Result<SessionPool> SessionPool::Create(ProbabilisticDatabase base,
                                         const KLadder& ladder,
                                         const Options& options) {
-  // Overlays key their copy-on-write state by rank index, so the shared
-  // base must not carry garbage slots that a later compaction would
-  // renumber under them.
-  base.CompactTombstones();
-
   SessionPool pool;
   pool.options_ = options;
   // Resolve the executor ONCE: the engine's sharded scans, every TP
@@ -77,7 +72,6 @@ SessionPool::SessionId SessionPool::OpenSession() {
     dst.xtuple_gain = src.xtuple_gain;
     dst.xtuple_topk_mass = src.xtuple_topk_mass;
   }
-  session.pending_replay_begin = kNoPending;
   ++num_open_;
   return id;
 }
@@ -94,31 +88,11 @@ Status SessionPool::ApplyCleanOutcome(SessionId id, XTupleId xtuple,
                                       TupleId resolved_id) {
   ScopedSerialCall guard(gate_);
   UCLEAN_RETURN_IF_ERROR(CheckOpen(id));
-  Session& session = sessions_[id];
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-      session.overlay.ApplyCleanOutcome(xtuple, resolved_id);
-  if (!delta.ok()) return delta.status();
-  if (delta->first_changed_rank >= base_->num_tuples()) {
-    return Status::OK();  // outcome was already materialized
-  }
-  const size_t begin = delta->first_changed_rank;
-  if (session.pending_replay_begin == kNoPending ||
-      begin < session.pending_replay_begin) {
-    session.pending_replay_begin = begin;
-  }
-  return Status::OK();
+  return sessions_[id].ApplyCleanOutcome(xtuple, resolved_id);
 }
 
 Status SessionPool::RefreshSession(Session* session) {
-  if (session->pending_replay_begin == kNoPending) return Status::OK();
-  const size_t replay_begin = session->pending_replay_begin;
-  UCLEAN_RETURN_IF_ERROR(
-      engine_.ReplaySession(session->overlay, replay_begin, &session->scan));
-  UCLEAN_RETURN_IF_ERROR(UpdateTpQualityLadder(
-      session->overlay, session->scan.outputs(), replay_begin, &session->tps,
-      options_.exec));
-  session->pending_replay_begin = kNoPending;
-  return Status::OK();
+  return session->Refresh(engine_, options_.exec);
 }
 
 Status SessionPool::Refresh(SessionId id) {
@@ -131,7 +105,7 @@ Status SessionPool::RefreshAll() {
   ScopedSerialCall guard(gate_);
   std::vector<Session*> pending;
   for (Session& session : sessions_) {
-    if (session.open && session.pending_replay_begin != kNoPending) {
+    if (session.open && session.dirty()) {
       pending.push_back(&session);
     }
   }

@@ -1,12 +1,12 @@
 // SessionPool: N concurrent cleaning sessions over ONE shared base
 // database and ONE ladder PsrEngine checkpoint set.
 //
-// A dedicated CleaningSession per analyst pays, per session, a full
-// database copy, a full O(k n) PSR scan, a checkpoint set and a full TP
-// pass before the first probe lands. The paper's cleaning loop assumes
-// one analyst per database (Sec. V); serving many concurrent users that
-// way multiplies the whole start-up cost by the user count. The pool
-// amortizes it instead:
+// A CleaningSession per analyst pays, per session, a full database copy,
+// a full O(k n) PSR scan, a checkpoint set and a full TP pass before the
+// first probe lands. The paper's cleaning loop assumes one analyst per
+// database (Sec. V); serving many concurrent users that way multiplies
+// the whole start-up cost by the user count. The pool amortizes it
+// instead:
 //
 //  * ONE base ProbabilisticDatabase, never mutated. Each session's clean
 //    outcomes live in its own copy-on-write DatabaseOverlay
@@ -23,11 +23,13 @@
 //    per-rung quality state forward. The shared prefix is never
 //    recomputed for anybody.
 //
-// Every session's maintained PSR/TP state is bitwise identical to a
-// dedicated CleaningSession fed the same outcomes (same scan arithmetic,
-// same restored snapshots -- pool_test.cc holds this to 1e-12 under
-// interleaved cleans, compaction and churn; bench_pool measures the
-// amortization win over N dedicated sessions).
+// Each session is a SessionCore (clean/session.h), the same state and
+// refresh a CleaningSession runs on; a CleaningSession is the one-session
+// case that moves the engine's scan state instead of forking it. Every
+// session's maintained PSR/TP state is bitwise identical to a
+// from-scratch ComputePsrLadder + ComputeTpQualityLadder over its
+// overlay (pool_test.cc holds this under interleaved cleans and churn;
+// bench_pool measures the amortization win over N CleaningSessions).
 //
 // Threading: SERIALIZED CALLER. Sessions are logically concurrent:
 // opens, applies, refreshes and closes interleave freely and never
@@ -73,6 +75,7 @@
 #include <utility>
 #include <vector>
 
+#include "clean/session.h"
 #include "common/check.h"
 #include "common/serial_gate.h"
 #include "common/status.h"
@@ -108,8 +111,8 @@ class SessionPool {
     size_t checkpoint_interval = PsrEngine::kInitialCheckpointInterval;
   };
 
-  /// Runs the one shared scan + TP pass over `base` (compacting it first
-  /// if it carries tombstones) and readies the pool for OpenSession.
+  /// Runs the one shared scan + TP pass over `base` and readies the pool
+  /// for OpenSession.
   static Result<SessionPool> Create(ProbabilisticDatabase base,
                                     const KLadder& ladder,
                                     const Options& options);
@@ -199,9 +202,7 @@ class SessionPool {
   Status RefreshAll() UCLEAN_EXCLUDES(gate_);
 
   /// True when outcomes were applied to `id` since its last Refresh.
-  bool dirty(SessionId id) const {
-    return Slot(id).pending_replay_begin != kNoPending;
-  }
+  bool dirty(SessionId id) const { return Slot(id).dirty(); }
 
   // Accessors mirror CleaningSession: reading a dirty session is a hard
   // failure in every build type (a dirty session would silently serve its
@@ -215,14 +216,14 @@ class SessionPool {
   /// Maintained PSR state of rung `rung`. Requires !dirty(id).
   const PsrOutput& psr(SessionId id, size_t rung = 0) const {
     const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
+    UCLEAN_CHECK(!s.dirty());
     return s.scan.output(rung);
   }
 
   /// Maintained TP quality state of rung `rung`. Requires !dirty(id).
   const TpOutput& tp(SessionId id, size_t rung = 0) const {
     const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
+    UCLEAN_CHECK(!s.dirty());
     UCLEAN_DCHECK(rung < s.tps.size());
     return s.tps[rung];
   }
@@ -230,22 +231,22 @@ class SessionPool {
   /// All per-rung TP states, ladder order. Requires !dirty(id).
   const std::vector<TpOutput>& tps(SessionId id) const {
     const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
+    UCLEAN_CHECK(!s.dirty());
     return s.tps;
   }
 
   /// Current PWS-quality S(D,Q) at rung `rung`. Requires !dirty(id).
   double quality(SessionId id, size_t rung = 0) const {
     const Session& s = Slot(id);
-    UCLEAN_CHECK(s.pending_replay_begin == kNoPending);
+    UCLEAN_CHECK(!s.dirty());
     UCLEAN_DCHECK(rung < s.tps.size());
     return s.tps[rung].quality;
   }
 
-  /// Materializes the session's outcomes into a standalone compacted
-  /// database (base + this session's cleans) and closes the session. The
-  /// pool and every other session are unaffected. Works on dirty sessions
-  /// (materialization needs only the recorded outcomes).
+  /// Materializes the session's outcomes into a standalone database
+  /// (base + this session's cleans, dead slots dropped) and closes the
+  /// session. The pool and every other session are unaffected. Works on
+  /// dirty sessions (materialization needs only the recorded outcomes).
   Result<ProbabilisticDatabase> CloseAndMerge(SessionId id)
       UCLEAN_EXCLUDES(gate_);
 
@@ -258,14 +259,8 @@ class SessionPool {
   // OpenFromSnapshot without touching the public (scanning) Create path.
   friend class SnapshotAccess;
 
-  static constexpr size_t kNoPending = static_cast<size_t>(-1);
-
-  struct Session {
+  struct Session : SessionCore {
     bool open = false;
-    DatabaseOverlay overlay;
-    PsrEngine::SessionState scan;
-    std::vector<TpOutput> tps;
-    size_t pending_replay_begin = kNoPending;
   };
 
   SessionPool() = default;

@@ -4,10 +4,10 @@
 // Several components are documented "serialized caller": one thread may
 // drive the object's mutating surface at a time, but the object carries
 // no lock of its own because legitimate use never contends (SessionPool,
-// CleaningSession, PsrEngine's replay entry points, FaultInjector). PR 4
-// enforced that contract dynamically with a debug-only atomic reentrancy
-// guard; this header promotes the guard into a first-class capability so
-// the Clang thread-safety build ALSO rejects misuse statically:
+// CleaningSession, FaultInjector). An earlier debug-only atomic
+// reentrancy guard enforced that contract dynamically; this header
+// promotes the guard into a first-class capability so the Clang
+// thread-safety build ALSO rejects misuse statically:
 //
 //  * every mutating public entry point opens a ScopedSerialCall window
 //    on the object's gate (and is annotated UCLEAN_EXCLUDES(gate_), so a

@@ -1,6 +1,7 @@
 // Execution subsystem: a small fixed-size worker pool shared by every
-// parallel path in the library (sharded PSR scans and replays, per-rung
-// TP fan-out, concurrent pooled-session refreshes).
+// parallel path in the library (sharded PSR scans and session replays,
+// per-rung TP fan-out, SessionPool::RefreshAll's concurrent session
+// refreshes).
 //
 // Design constraints, in order:
 //  * DETERMINISM. Every parallel consumer in this codebase writes results

@@ -20,88 +20,9 @@ double ProbabilisticDatabase::NumPossibleWorlds() const {
 
 Result<size_t> ProbabilisticDatabase::RankIndexOfTupleId(TupleId id) const {
   for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (tuples_[i].id == id && !is_tombstone(i)) return i;
+    if (tuples_[i].id == id) return i;
   }
   return Status::NotFound("no tuple with id " + std::to_string(id));
-}
-
-Result<ProbabilisticDatabase::CleanOutcomeDelta>
-ProbabilisticDatabase::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
-  if (xtuple < 0 || static_cast<size_t>(xtuple) >= members_.size()) {
-    return Status::OutOfRange("x-tuple id " + std::to_string(xtuple) +
-                              " does not exist");
-  }
-  const bool resolved_null = resolved_id < 0;
-  std::vector<int32_t>& members = members_[xtuple];
-
-  // Locate the surviving alternative among the x-tuple's live members.
-  int32_t resolved_rank = -1;
-  for (int32_t idx : members) {
-    const Tuple& t = tuples_[idx];
-    if (resolved_null ? t.is_null : (!t.is_null && t.id == resolved_id)) {
-      resolved_rank = idx;
-      break;
-    }
-  }
-  if (resolved_rank < 0) {
-    return Status::NotFound(
-        resolved_null
-            ? "x-tuple " + std::to_string(xtuple) +
-                  " has no null alternative (its null outcome has "
-                  "probability zero)"
-            : "tuple id " + std::to_string(resolved_id) +
-                  " is not a live alternative of x-tuple " +
-                  std::to_string(xtuple));
-  }
-
-  CleanOutcomeDelta delta;
-  delta.resolved_rank = static_cast<size_t>(resolved_rank);
-  delta.resolved_null = resolved_null;
-
-  const bool already_certain =
-      members.size() == 1 && tuples_[resolved_rank].prob == 1.0;
-  if (already_certain) {
-    delta.first_changed_rank = tuples_.size();  // nothing changed
-    return delta;
-  }
-
-  // Tombstone every sibling; the resolved tuple becomes certain in place.
-  // Rank order depends only on (is_null, score, id), so surviving rank
-  // indices do not move.
-  if (tombstones_.empty()) tombstones_.assign(tuples_.size(), 0);
-  delta.first_changed_rank = static_cast<size_t>(members.front());
-  for (int32_t idx : members) {
-    if (idx == resolved_rank) continue;
-    tombstones_[idx] = 1;
-    ++num_tombstones_;
-    if (!tuples_[idx].is_null) --num_real_;
-  }
-  tuples_[resolved_rank].prob = 1.0;
-  members.assign(1, resolved_rank);
-  real_mass_[xtuple] = resolved_null ? 0.0 : 1.0;
-  return delta;
-}
-
-std::vector<int32_t> ProbabilisticDatabase::CompactTombstones() {
-  if (num_tombstones_ == 0) return {};
-  std::vector<int32_t> old_to_new(tuples_.size(), -1);
-  size_t next = 0;
-  for (size_t i = 0; i < tuples_.size(); ++i) {
-    if (tombstones_[i] != 0) continue;
-    old_to_new[i] = static_cast<int32_t>(next);
-    if (next != i) tuples_[next] = std::move(tuples_[i]);
-    ++next;
-  }
-  tuples_.resize(next);
-  tombstones_.clear();
-  num_tombstones_ = 0;
-  for (std::vector<int32_t>& members : members_) {
-    for (int32_t& idx : members) {
-      idx = old_to_new[idx];
-      UCLEAN_DCHECK(idx >= 0);  // live members are never tombstoned
-    }
-  }
-  return old_to_new;
 }
 
 std::string ProbabilisticDatabase::DebugString(size_t max_rows) const {
@@ -114,9 +35,7 @@ std::string ProbabilisticDatabase::DebugString(size_t max_rows) const {
   for (size_t i = 0; i < rows; ++i) {
     const Tuple& t = tuples_[i];
     os << i + 1 << "\t" << t.id << "\t" << t.xtuple << "\t" << t.score << "\t"
-       << t.prob << "\t"
-       << (is_tombstone(i) ? "<tombstone>" : (t.is_null ? "<null>" : t.label))
-       << "\n";
+       << t.prob << "\t" << (t.is_null ? "<null>" : t.label) << "\n";
   }
   if (rows < tuples_.size()) {
     os << "... (" << tuples_.size() - rows << " more)\n";
@@ -230,7 +149,7 @@ DatabaseBuilder DatabaseBuilder::FromDatabase(const ProbabilisticDatabase& db) {
   }
   for (size_t i = 0; i < db.num_tuples(); ++i) {
     const Tuple& t = db.tuple(i);
-    if (t.is_null || db.is_tombstone(i)) continue;
+    if (t.is_null) continue;
     Status s = b.AddAlternative(t.xtuple, t.id, t.score, t.prob, t.label);
     UCLEAN_CHECK(s.ok());  // db was validated at construction
   }

@@ -1,16 +1,15 @@
 // ProbabilisticDatabase: rank-sorted x-tuple database, and
 // DatabaseBuilder, its validating constructor.
 //
-// The database is immutable under queries, with one carefully scoped
-// exception used by the incremental cleaning engine: ApplyCleanOutcome
-// collapses an x-tuple in place after a successful pclean (Definition 5).
-// Because the ranking function depends only on (is_null, score, id) -- never
-// on probabilities -- collapsing an x-tuple leaves every surviving tuple's
-// rank index unchanged, so the operation tombstones the dropped siblings
-// instead of rebuilding and re-sorting the whole database. Tombstones are
-// reclaimed lazily via CompactTombstones (the cleaning session triggers it
-// once enough garbage accumulates), which renumbers rank indices by a
-// monotone map that incremental consumers (PsrEngine) can replay.
+// The database is immutable once DatabaseBuilder::Finish returns. A
+// cleaning session never mutates it: each session records its pclean
+// outcomes (Definition 5) in a copy-on-write DatabaseOverlay
+// (model/database_overlay.h) over a shared base, and
+// DatabaseOverlay::MaterializeCleaned builds the cleaned database when a
+// session ends. Because the ranking function depends only on (is_null,
+// score, id) -- never on probabilities -- collapsing an x-tuple leaves
+// every surviving tuple's rank index unchanged, so an overlay over this
+// database keeps its rank indices for its whole life.
 //
 // Model recap (Section III-A): a database D holds m x-tuples; each x-tuple
 // is a set of mutually exclusive tuples whose existential probabilities sum
@@ -44,11 +43,10 @@ class ProbabilisticDatabase {
  public:
   ProbabilisticDatabase() = default;
 
-  /// Total number of tuple slots, including materialized null tuples and
-  /// (in a cleaning session) tombstoned entries awaiting compaction.
+  /// Total number of tuples, including materialized null tuples.
   size_t num_tuples() const { return tuples_.size(); }
 
-  /// Number of live user-supplied (non-null, non-tombstoned) tuples.
+  /// Number of user-supplied (non-null) tuples.
   size_t num_real_tuples() const { return num_real_; }
 
   /// Number of x-tuples (the paper's m).
@@ -74,74 +72,30 @@ class ProbabilisticDatabase {
   /// for realistic databases (product over x-tuples of alternative counts).
   double NumPossibleWorlds() const;
 
-  /// Rank index of the (live) tuple with the given user id, or NotFound.
+  /// Rank index of the tuple with the given user id, or NotFound.
   Result<size_t> RankIndexOfTupleId(TupleId id) const;
 
   /// Human-readable table of the first `max_rows` tuples in rank order.
   std::string DebugString(size_t max_rows = 32) const;
 
-  // ----- in-place cleaning support (incremental session engine) -----
-
-  /// True when `rank_index` holds a tuple dropped by ApplyCleanOutcome and
-  /// not yet compacted away. Tombstoned slots must be skipped by scans.
-  bool is_tombstone(size_t rank_index) const {
-    return !tombstones_.empty() && tombstones_[rank_index] != 0;
-  }
-
-  /// Number of tombstoned slots awaiting compaction.
-  size_t num_tombstones() const { return num_tombstones_; }
-
-  /// True when at least one slot is tombstoned.
-  bool has_tombstones() const { return num_tombstones_ > 0; }
-
-  /// What a successful ApplyCleanOutcome changed; consumed by incremental
-  /// state maintainers (PsrEngine / delta TP).
-  struct CleanOutcomeDelta {
-    /// First rank index whose tuple (existence or probability) changed;
-    /// every tuple ranked strictly above is untouched, so rank-probability
-    /// state is valid up to (excluding) this position. Equals num_tuples()
-    /// when the outcome was already materialized (no-op).
-    size_t first_changed_rank = 0;
-
-    /// Rank index of the surviving certain tuple (the resolved alternative,
-    /// or the x-tuple's null slot for an "entity absent" outcome).
-    size_t resolved_rank = 0;
-
-    /// True when the entity resolved to the null outcome.
-    bool resolved_null = false;
-  };
-
-  /// Collapses x-tuple `xtuple` to the certain outcome `resolved_id`
-  /// in place, mirroring a successful pclean (Definition 5): the resolved
-  /// alternative's probability becomes 1 and every sibling is tombstoned.
-  /// A negative `resolved_id` selects the null outcome (entity absent),
-  /// which requires a materialized null alternative. Surviving rank
-  /// indices are unchanged; call CompactTombstones to reclaim slots.
-  ///
-  /// Fails with OutOfRange/NotFound when `xtuple` or `resolved_id` does not
-  /// name a live alternative of the x-tuple.
-  Result<CleanOutcomeDelta> ApplyCleanOutcome(XTupleId xtuple,
-                                              TupleId resolved_id);
-
-  /// Erases tombstoned slots and renumbers rank indices. Returns the
-  /// old-to-new rank-index map (-1 for erased slots); the map is monotone
-  /// on surviving indices. No-op (identity-free empty vector) when there
-  /// are no tombstones.
-  std::vector<int32_t> CompactTombstones();
+  /// Always false: every slot of a database is live. The scan and TP
+  /// templates read slots through this one interface for a database and
+  /// for a DatabaseOverlay, whose cleaned-away siblings are dead.
+  bool is_tombstone(size_t /*rank_index*/) const { return false; }
 
  private:
   friend class DatabaseBuilder;
+  // Builds a session's cleaned database straight into this
+  // representation (DatabaseOverlay::MaterializeCleaned).
+  friend class DatabaseOverlay;
   // The snapshot store (store/snapshot.h) persists and reconstitutes the
-  // exact private representation -- including tombstone state -- so a
-  // reloaded database is bitwise the saved one without re-validating or
-  // re-sorting through the builder.
+  // exact private representation, so a reloaded database is bitwise the
+  // saved one without re-validating or re-sorting through the builder.
   friend class SnapshotAccess;
 
   std::vector<Tuple> tuples_;                 // descending rank order
   std::vector<std::vector<int32_t>> members_; // per-x-tuple rank indices
   std::vector<double> real_mass_;             // per-x-tuple s_l
-  std::vector<uint8_t> tombstones_;           // empty until first clean
-  size_t num_tombstones_ = 0;
   size_t num_real_ = 0;
 };
 
@@ -179,8 +133,7 @@ class DatabaseBuilder {
   Result<ProbabilisticDatabase> Finish() &&;
 
   /// Builds a new builder pre-loaded with the contents of `db` (real tuples
-  /// only; null completion is re-derived by Finish). Used by the cleaning
-  /// engine to derive cleaned databases.
+  /// only; null completion is re-derived by Finish).
   static DatabaseBuilder FromDatabase(const ProbabilisticDatabase& db);
 
   /// Drops every alternative of `xtuple` and replaces it with the single

@@ -6,8 +6,8 @@
 
 namespace uclean {
 
-Result<ProbabilisticDatabase::CleanOutcomeDelta>
-DatabaseOverlay::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
+Result<DatabaseOverlay::CleanOutcomeDelta> DatabaseOverlay::ApplyCleanOutcome(
+    XTupleId xtuple, TupleId resolved_id) {
   if (base_ == nullptr) {
     return Status::FailedPrecondition("overlay has no base database");
   }
@@ -19,8 +19,7 @@ DatabaseOverlay::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
 
   // Locate the surviving alternative among the x-tuple's live members, as
   // this overlay sees them (a previously collapsed x-tuple has a single
-  // certain member, so re-cleaning is a no-op or a NotFound, exactly like
-  // the in-place path).
+  // certain member, so re-cleaning is a no-op or a NotFound).
   const std::vector<int32_t>& members = xtuple_members(xtuple);
   int32_t resolved_rank = -1;
   for (int32_t idx : members) {
@@ -41,7 +40,7 @@ DatabaseOverlay::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
                   std::to_string(xtuple));
   }
 
-  ProbabilisticDatabase::CleanOutcomeDelta delta;
+  CleanOutcomeDelta delta;
   delta.resolved_rank = static_cast<size_t>(resolved_rank);
   delta.resolved_null = resolved_null;
 
@@ -58,17 +57,16 @@ DatabaseOverlay::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
   delta.first_changed_rank = static_cast<size_t>(members.front());
   const std::vector<int32_t> old_members = members;
 
-  if (tombstones_.empty()) tombstones_.assign(num_tuples(), 0);
-  if (patched_.empty()) patched_.assign(num_tuples(), 0);
+  if (slots_.empty()) slots_.assign(num_tuples(), kBase);
   for (int32_t idx : old_members) {
     if (idx == resolved_rank) continue;
-    tombstones_[idx] = 1;
+    slots_[idx] = kDead;
     ++num_tombstones_;
   }
   Tuple resolved = tuple(static_cast<size_t>(resolved_rank));
   resolved.prob = 1.0;
   patches_[static_cast<size_t>(resolved_rank)] = std::move(resolved);
-  patched_[resolved_rank] = 1;
+  slots_[resolved_rank] = kPatched;
   member_overrides_[xtuple] = {resolved_rank};
   mass_overrides_[xtuple] = resolved_null ? 0.0 : 1.0;
   outcomes_.emplace_back(xtuple, resolved_null ? TupleId{-1} : resolved_id);
@@ -80,16 +78,50 @@ DatabaseOverlay::ApplyCleanOutcome(XTupleId xtuple, TupleId resolved_id) {
 
 ProbabilisticDatabase DatabaseOverlay::MaterializeCleaned() const {
   UCLEAN_CHECK(base_ != nullptr);
-  ProbabilisticDatabase out = *base_;
-  for (const auto& [xtuple, resolved_id] : outcomes_) {
-    Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-        out.ApplyCleanOutcome(xtuple, resolved_id);
-    // Outcomes were validated when recorded, and replaying them in order
-    // reproduces the exact view the overlay served.
-    UCLEAN_CHECK(delta.ok());
+  return CompactInto(*base_);
+}
+
+ProbabilisticDatabase DatabaseOverlay::MaterializeCleaned(
+    ProbabilisticDatabase&& base) const {
+  UCLEAN_CHECK(&base == base_);
+  return CompactInto(std::move(base));
+}
+
+ProbabilisticDatabase DatabaseOverlay::CompactInto(
+    ProbabilisticDatabase db) const {
+  // Survivors keep their relative order (a collapse never moves a rank),
+  // so one forward sweep compacts in place: slot `next` is always at or
+  // below the slot it is filled from.
+  const size_t n = db.tuples_.size();
+  std::vector<int32_t> old_to_new(n, -1);
+  size_t next = 0;
+  size_t num_real = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (is_tombstone(i)) continue;
+    old_to_new[i] = static_cast<int32_t>(next);
+    if (!slots_.empty() && slots_[i] == kPatched) {
+      db.tuples_[next] = patches_.find(i)->second;
+    } else if (next != i) {
+      db.tuples_[next] = std::move(db.tuples_[i]);
+    }
+    if (!db.tuples_[next].is_null) ++num_real;
+    ++next;
   }
-  out.CompactTombstones();
-  return out;
+  db.tuples_.resize(next);
+  for (const auto& [xtuple, members] : member_overrides_) {
+    db.members_[xtuple] = members;
+  }
+  for (const auto& [xtuple, mass] : mass_overrides_) {
+    db.real_mass_[xtuple] = mass;
+  }
+  for (std::vector<int32_t>& members : db.members_) {
+    for (int32_t& idx : members) {
+      idx = old_to_new[idx];
+      UCLEAN_DCHECK(idx >= 0);  // live members are never tombstoned
+    }
+  }
+  db.num_real_ = num_real;
+  return db;
 }
 
 }  // namespace uclean

@@ -89,25 +89,84 @@ Result<std::vector<TpOutput>> ComputeImpl(const Db& db,
   return outs;
 }
 
-/// Shared implementation behind both Update forms: re-derives the omega
-/// suffix once and re-masks/re-accumulates per rung, fanning the
-/// per-rung suffix work over `exec` (disjoint outputs, bitwise equal).
+}  // namespace
+
+Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db,
+                                  const PsrOutput& psr) {
+  const PsrOutput* ptr = &psr;
+  Result<std::vector<TpOutput>> outs = ComputeImpl(db, &ptr, 1, {});
+  if (!outs.ok()) return outs.status();
+  return std::move((*outs)[0]);
+}
+
+Result<TpOutput> ComputeTpQuality(const DatabaseOverlay& db,
+                                  const PsrOutput& psr) {
+  const PsrOutput* ptr = &psr;
+  Result<std::vector<TpOutput>> outs = ComputeImpl(db, &ptr, 1, {});
+  if (!outs.ok()) return outs.status();
+  return std::move((*outs)[0]);
+}
+
+Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db, size_t k) {
+  Result<ScanRequest> request = ScanRequest::ForK(k);
+  if (!request.ok()) return request.status();
+  Result<ScanResult> scan = ComputePsrLadder(db, *request);
+  if (!scan.ok()) return scan.status();
+  return ComputeTpQuality(db, scan->output());
+}
+
+namespace {
+
+/// Shared ladder plumbing behind the database and overlay overloads.
 template <typename Db>
-Status UpdateImpl(const Db& db, const PsrOutput* const* psrs,
-                  TpOutput* const* tps, size_t rungs, size_t replay_begin,
-                  const ExecOptions& exec) {
+Result<std::vector<TpOutput>> ComputeLadderImpl(
+    const Db& db, const std::vector<PsrOutput>& psrs,
+    const ExecOptions& exec) {
+  if (psrs.empty()) {
+    return Status::InvalidArgument("quality ladder must not be empty");
+  }
+  std::vector<const PsrOutput*> ptrs;
+  ptrs.reserve(psrs.size());
+  for (const PsrOutput& psr : psrs) ptrs.push_back(&psr);
+  return ComputeImpl(db, ptrs.data(), ptrs.size(), exec);
+}
+
+}  // namespace
+
+Result<std::vector<TpOutput>> ComputeTpQualityLadder(
+    const ProbabilisticDatabase& db, const std::vector<PsrOutput>& psrs,
+    const ExecOptions& exec) {
+  return ComputeLadderImpl(db, psrs, exec);
+}
+
+Result<std::vector<TpOutput>> ComputeTpQualityLadder(
+    const DatabaseOverlay& db, const std::vector<PsrOutput>& psrs,
+    const ExecOptions& exec) {
+  return ComputeLadderImpl(db, psrs, exec);
+}
+
+Status UpdateTpQualityLadder(const DatabaseOverlay& db,
+                             const std::vector<PsrOutput>& psrs,
+                             size_t replay_begin, std::vector<TpOutput>* tps,
+                             const ExecOptions& exec) {
+  if (psrs.size() != tps->size() || psrs.empty()) {
+    return Status::InvalidArgument(
+        "PSR and TP ladders must be non-empty and the same length");
+  }
   const size_t n = db.num_tuples();
   size_t max_end = replay_begin;
-  for (size_t j = 0; j < rungs; ++j) {
-    if (psrs[j]->topk_prob.size() != n || tps[j]->omega.size() != n) {
+  for (size_t j = 0; j < psrs.size(); ++j) {
+    const PsrOutput& psr = psrs[j];
+    const TpOutput& tp = (*tps)[j];
+    if (psr.topk_prob.size() != n || tp.omega.size() != n) {
       return Status::InvalidArgument(
           "TP/PSR state does not match the database (tuple count mismatch)");
     }
-    if (tps[j]->xtuple_gain.size() != db.num_xtuples()) {
+    if (tp.xtuple_gain.size() != db.num_xtuples()) {
       return Status::InvalidArgument(
           "TP state does not match the database (x-tuple count mismatch)");
     }
-    max_end = std::max({max_end, psrs[j]->scan_end, tps[j]->scan_end});
+    max_end = std::max({max_end, psr.scan_end, tp.scan_end});
   }
 
   // Recompute the shared omega suffix. E_run for an x-tuple first seen
@@ -135,9 +194,11 @@ Status UpdateImpl(const Db& db, const PsrOutput* const* psrs,
     shared_omega[i] = Omega(t.prob, e_at_or_above);
   }
 
-  ExecParallelFor(exec, rungs, [&](size_t j) {
-    const PsrOutput& psr = *psrs[j];
-    TpOutput* tp = tps[j];
+  // Re-mask and re-accumulate per rung, fanned over `exec` (disjoint
+  // outputs, bitwise equal).
+  ExecParallelFor(exec, psrs.size(), [&](size_t j) {
+    const PsrOutput& psr = psrs[j];
+    TpOutput* tp = &(*tps)[j];
     // Every stored omega lives below the scan end it was computed under,
     // and a replay only rewrites [replay_begin, psr.scan_end), so work is
     // bounded by the deeper of the two ends. A rung whose scans never
@@ -162,89 +223,6 @@ Status UpdateImpl(const Db& db, const PsrOutput* const* psrs,
     AccumulateAggregates(db, psr, tp);
   });
   return Status::OK();
-}
-
-}  // namespace
-
-Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db,
-                                  const PsrOutput& psr) {
-  const PsrOutput* ptr = &psr;
-  Result<std::vector<TpOutput>> outs = ComputeImpl(db, &ptr, 1, {});
-  if (!outs.ok()) return outs.status();
-  return std::move((*outs)[0]);
-}
-
-Result<TpOutput> ComputeTpQuality(const DatabaseOverlay& db,
-                                  const PsrOutput& psr) {
-  const PsrOutput* ptr = &psr;
-  Result<std::vector<TpOutput>> outs = ComputeImpl(db, &ptr, 1, {});
-  if (!outs.ok()) return outs.status();
-  return std::move((*outs)[0]);
-}
-
-Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db, size_t k) {
-  Result<ScanRequest> request = ScanRequest::ForK(k);
-  if (!request.ok()) return request.status();
-  Result<ScanResult> scan = ComputePsrLadder(db, *request);
-  if (!scan.ok()) return scan.status();
-  return ComputeTpQuality(db, scan->output());
-}
-
-Result<std::vector<TpOutput>> ComputeTpQualityLadder(
-    const ProbabilisticDatabase& db, const std::vector<PsrOutput>& psrs,
-    const ExecOptions& exec) {
-  if (psrs.empty()) {
-    return Status::InvalidArgument("quality ladder must not be empty");
-  }
-  std::vector<const PsrOutput*> ptrs;
-  ptrs.reserve(psrs.size());
-  for (const PsrOutput& psr : psrs) ptrs.push_back(&psr);
-  return ComputeImpl(db, ptrs.data(), ptrs.size(), exec);
-}
-
-Status UpdateTpQuality(const ProbabilisticDatabase& db, const PsrOutput& psr,
-                       size_t replay_begin, TpOutput* tp) {
-  const PsrOutput* psr_ptr = &psr;
-  return UpdateImpl(db, &psr_ptr, &tp, 1, replay_begin, {});
-}
-
-namespace {
-
-/// Shared ladder plumbing behind the database and overlay overloads.
-template <typename Db>
-Status UpdateLadderImpl(const Db& db, const std::vector<PsrOutput>& psrs,
-                        size_t replay_begin, std::vector<TpOutput>* tps,
-                        const ExecOptions& exec) {
-  if (psrs.size() != tps->size() || psrs.empty()) {
-    return Status::InvalidArgument(
-        "PSR and TP ladders must be non-empty and the same length");
-  }
-  std::vector<const PsrOutput*> psr_ptrs;
-  std::vector<TpOutput*> tp_ptrs;
-  psr_ptrs.reserve(psrs.size());
-  tp_ptrs.reserve(psrs.size());
-  for (size_t j = 0; j < psrs.size(); ++j) {
-    psr_ptrs.push_back(&psrs[j]);
-    tp_ptrs.push_back(&(*tps)[j]);
-  }
-  return UpdateImpl(db, psr_ptrs.data(), tp_ptrs.data(), psrs.size(),
-                    replay_begin, exec);
-}
-
-}  // namespace
-
-Status UpdateTpQualityLadder(const ProbabilisticDatabase& db,
-                             const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
-                             const ExecOptions& exec) {
-  return UpdateLadderImpl(db, psrs, replay_begin, tps, exec);
-}
-
-Status UpdateTpQualityLadder(const DatabaseOverlay& db,
-                             const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
-                             const ExecOptions& exec) {
-  return UpdateLadderImpl(db, psrs, replay_begin, tps, exec);
 }
 
 }  // namespace uclean

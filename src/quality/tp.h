@@ -61,16 +61,15 @@ struct TpOutput {
 };
 
 /// Computes quality from a PSR pass. `psr` must have been produced from
-/// `db` (same tuple order) with the same k. Tombstoned slots (in-place
-/// cleaning sessions) are skipped.
+/// `db` (same tuple order) with the same k.
 Result<TpOutput> ComputeTpQuality(const ProbabilisticDatabase& db,
                                   const PsrOutput& psr);
 
-/// Overlay form for the serving front-end (src/serve/): quality of one
-/// session's copy-on-write view (base + its own outcomes) from a PSR
-/// pass over the same view. The TP pass is view-templated, so this is
-/// the exact arithmetic of the database form -- results are bitwise what
-/// the materialized cleaned database would produce.
+/// Overlay form: quality of one session's copy-on-write view (base + its
+/// own outcomes) from a PSR pass over the same view. The TP pass is
+/// view-templated, so this is the exact arithmetic of the database form
+/// -- results are bitwise what the materialized cleaned database would
+/// produce. Tombstoned slots are skipped.
 Result<TpOutput> ComputeTpQuality(const DatabaseOverlay& db,
                                   const PsrOutput& psr);
 
@@ -89,39 +88,32 @@ Result<std::vector<TpOutput>> ComputeTpQualityLadder(
     const ProbabilisticDatabase& db, const std::vector<PsrOutput>& psrs,
     const ExecOptions& exec = {});
 
-/// Delta overload for incremental cleaning sessions: brings `tp`
-/// (previously computed for `db` + the engine's PSR state) up to date
-/// after clean outcomes whose PSR replay started at rank `replay_begin`.
-/// The omega prefix [0, replay_begin) is reused as-is -- a clean never
-/// touches tuples ranked above the collapsed x-tuple's best member -- and
-/// only the suffix up to the deeper of the old and new scan ends is
-/// recomputed: each touched x-tuple's at-or-above mass E is re-seeded
+/// Overlay form of the ladder pass (the from-scratch reference a
+/// session's maintained TP ladder is held to).
+Result<std::vector<TpOutput>> ComputeTpQualityLadder(
+    const DatabaseOverlay& db, const std::vector<PsrOutput>& psrs,
+    const ExecOptions& exec = {});
+
+/// Delta pass for cleaning sessions: brings one TpOutput per rung
+/// (previously computed for the session's overlay `db` + its PSR state)
+/// up to date after clean outcomes whose PSR replay started at rank
+/// `replay_begin`, running the omega suffix recurrence once for all
+/// rungs. The omega prefix [0, replay_begin) is reused as-is -- a clean
+/// never touches tuples ranked above the collapsed x-tuple's best member
+/// -- and only the suffix up to the deeper of the old and new scan ends
+/// is recomputed: each touched x-tuple's at-or-above mass E is re-seeded
 /// from its (unchanged) members above the boundary and advanced across
 /// the suffix exactly as the full pass would. The per-x-tuple aggregates
 /// and the quality sum are then re-accumulated in scan order from the
 /// stored per-tuple state, so the result is bitwise identical to
-/// ComputeTpQuality(db, psr) at a fraction of the cost.
+/// ComputeTpQualityLadder(db, psrs) at a fraction of the cost. Rungs
+/// whose scan never reaches the replay boundary are untouched (a clean
+/// below a rung's stop point cannot change it). `exec` fans the per-rung
+/// wipe/mask/accumulate suffix work over a shared pool, bitwise equal to
+/// the inline default.
 ///
-/// `psr` must be the engine state already replayed for the same outcomes.
-Status UpdateTpQuality(const ProbabilisticDatabase& db, const PsrOutput& psr,
-                       size_t replay_begin, TpOutput* tp);
-
-/// Ladder form of the delta pass: updates one TpOutput per rung after a
-/// shared-engine replay, running the omega suffix recurrence once for all
-/// rungs. Rungs whose scan never reaches the replay boundary are
-/// untouched (a clean below a rung's stop point cannot change it).
-/// `exec` fans the per-rung wipe/mask/accumulate suffix work over a
-/// shared pool, bitwise equal to the inline default.
-Status UpdateTpQualityLadder(const ProbabilisticDatabase& db,
-                             const std::vector<PsrOutput>& psrs,
-                             size_t replay_begin, std::vector<TpOutput>* tps,
-                             const ExecOptions& exec = {});
-
-/// Pooled-session form: the same delta pass over one session's
-/// copy-on-write overlay of a shared base database (the PSR ladder being
-/// the session's replayed PsrEngine::SessionState outputs). Identical
-/// arithmetic, so a pooled session's TP state stays bitwise equal to a
-/// dedicated session's.
+/// `psrs` must be the session's PSR state already replayed for the same
+/// outcomes (PsrEngine::ReplaySession).
 Status UpdateTpQualityLadder(const DatabaseOverlay& db,
                              const std::vector<PsrOutput>& psrs,
                              size_t replay_begin, std::vector<TpOutput>* tps,

@@ -46,10 +46,6 @@ void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
 
 namespace {
 
-void ScaleScalar(double* dst, const double* src, std::size_t n, double e) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = e * src[i];
-}
-
 void UpdateArgmaxScalar(double* best_prob, int32_t* best_index,
                         const double* rho, std::size_t n, int32_t rank_index) {
   for (std::size_t i = 0; i < n; ++i) {
@@ -100,7 +96,6 @@ bool CpuHasAvx2() {
 const ScanKernel& ScalarScanKernel() {
   static const ScanKernel kernel = {
       KernelKind::kScalar, "scalar",          FoldFactorScalar,
-      DivideOutFwdScalar,  DivideOutBwdScalar, ScaleScalar,
       UpdateArgmaxScalar,  EmitSegmentScalar,
   };
   return kernel;

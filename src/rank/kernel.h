@@ -1,11 +1,12 @@
 // Compute kernels for the PSR scan core (rank/psr_scan_core.h): the
-// element-wise arithmetic of the three hot loops -- the Bernoulli
-// multiply-in (`fold_factor`, shared by Advance and RebuildCounts), the
-// stable divide-out pair (`divide_out_fwd` / `divide_out_bwd`, used by
-// BuildExclusion), and the emission passes (`scale` for the per-rank
-// rho buffer, `update_argmax` for the U-kRanks trackers) -- packaged as
-// a table of function pointers so the scan can be retargeted at runtime
-// between a portable scalar path and an AVX2 path.
+// element-wise arithmetic of the hot loops -- the Bernoulli multiply-in
+// (`fold_factor`, shared by Advance and RebuildCounts) and the emission
+// passes (`emit_segment` for the per-rank rho buffer and its prefix sum,
+// `update_argmax` for the U-kRanks trackers) -- packaged as a table of
+// function pointers so the scan can be retargeted at runtime between a
+// portable scalar path and an AVX2 path. The stable divide-out pair
+// BuildExclusion runs is not in the table: it is one scalar code path
+// for every kernel (see below).
 //
 // THE BITWISE CONTRACT. Every kernel computes the exact same IEEE-754
 // double operation sequence per element, so scalar and AVX2 outputs are
@@ -16,20 +17,22 @@
 // state, and a kernel that drifted by even one ulp would break those
 // guarantees. Concretely:
 //
-//  * `fold_factor` / `scale` / `update_argmax` are element-wise maps
-//    with no loop-carried rounding: each output lane is the same
-//    mul/add/compare sequence in both paths (AVX2 packs four lanes per
-//    instruction; per-lane IEEE semantics are identical to scalar).
+//  * `fold_factor` / `update_argmax` and emit_segment's scale are
+//    element-wise maps with no loop-carried rounding: each output lane
+//    is the same mul/add/compare sequence in both paths (AVX2 packs four
+//    lanes per instruction; per-lane IEEE semantics are identical to
+//    scalar).
 //    The kernel translation units are compiled with -ffp-contract=off
 //    and without -mfma, so no path ever fuses a multiply-add the other
 //    path rounds in two steps.
 //  * The divide-out recurrences are GENUINELY SEQUENTIAL: each element
 //    is a mul+sub+div chain on its predecessor, and any lane-parallel
 //    evaluation would necessarily re-associate those roundings --
-//    bitwise-exact vectorization is provably impossible there. Both
-//    kernels therefore run the SAME scalar divide-out code (the AVX2
-//    table points at the scalar functions), which keeps the contract
-//    exact instead of falling back to a tolerance gate.
+//    bitwise-exact vectorization is provably impossible there. Every
+//    scan therefore runs the SAME scalar divide-out code
+//    (DivideOutFwdScalar / DivideOutBwdScalar, called directly and
+//    compiled in kernel.cc under -ffp-contract=off), which keeps the
+//    contract exact instead of falling back to a tolerance gate.
 //
 // Runtime dispatch: the AVX2 path is compiled into its own translation
 // unit (kernel_avx2.cc) with -mavx2 applied to that file only -- the
@@ -96,8 +99,8 @@ using AlignedBuf =
     std::vector<double, AlignedAllocator<double, 32>>;
 
 /// One retargetable kernel table. All functions tolerate the degenerate
-/// sizes the scan produces (top >= 1 for fold, top >= 1 for divide-out,
-/// n == 0 for the emission ops).
+/// sizes the scan produces (top >= 1 for fold, n == 0 for the emission
+/// ops).
 struct ScanKernel {
   /// The concrete kind this table implements (never kAuto) and its
   /// display name ("scalar" / "avx2", announced by the CLI).
@@ -113,25 +116,6 @@ struct ScanKernel {
   /// happens before any write at or below it).
   void (*fold_factor)(double* c, const double* base, std::size_t top,
                       double q);
-
-  /// Stable divide-out, forward direction (for q <= 1/2): writes
-  /// excl[0..top-1] from c[0..top-1] via
-  ///     excl[0] = c[0] / (1-q)
-  ///     excl[j] = max(0, (c[j] - excl[j-1] * q) / (1-q))
-  /// Sequential by construction; identical scalar code in every kernel.
-  void (*divide_out_fwd)(double* excl, const double* c, std::size_t top,
-                         double q);
-
-  /// Stable divide-out, backward direction (for q > 1/2): writes
-  /// excl[0..top-1] from c[1..top] via the exact top seed
-  ///     excl[top-1] = c[top] / q
-  ///     excl[j-1]   = max(0, (c[j] - (1-q) * excl[j]) / q)
-  /// Sequential by construction; identical scalar code in every kernel.
-  void (*divide_out_bwd)(double* excl, const double* c, std::size_t top,
-                         double q);
-
-  /// dst[i] = e * src[i] for i in [0, n). dst and src must not overlap.
-  void (*scale)(double* dst, const double* src, std::size_t n, double e);
 
   /// Element-wise argmax update for the U-kRanks trackers: for each i in
   /// [0, n), when rho[i] > best_prob[i] (strict), set best_prob[i] =
@@ -156,13 +140,24 @@ struct ScanKernel {
                          int32_t* best_index, int32_t rank_index);
 };
 
-/// The shared scalar element ops (defined in kernel.cc; the AVX2 table
-/// reuses the divide-out pair verbatim -- see the header note on why
-/// the divide-out cannot vectorize bitwise).
+/// The scalar Bernoulli multiply-in (the scalar table's fold_factor).
 void FoldFactorScalar(double* c, const double* base, std::size_t top,
                       double q);
+
+/// Stable divide-out, forward direction (for q <= 1/2): writes
+/// excl[0..top-1] from c[0..top-1] via
+///     excl[0] = c[0] / (1-q)
+///     excl[j] = max(0, (c[j] - excl[j-1] * q) / (1-q))
+/// Sequential by construction: the one divide-out every kernel runs (see
+/// the header note on why it cannot vectorize bitwise).
 void DivideOutFwdScalar(double* excl, const double* c, std::size_t top,
                         double q);
+
+/// Stable divide-out, backward direction (for q > 1/2): writes
+/// excl[0..top-1] from c[1..top] via the exact top seed
+///     excl[top-1] = c[top] / q
+///     excl[j-1]   = max(0, (c[j] - (1-q) * excl[j]) / q)
+/// Sequential by construction, like the forward direction.
 void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
                         double q);
 

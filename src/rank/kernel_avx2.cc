@@ -102,14 +102,9 @@ double EmitSegmentAvx2(double* dst, const double* src, std::size_t n,
 }  // namespace
 
 const ScanKernel* Avx2ScanKernelImpl() {
-  // The divide-out recurrences are sequential mul+sub+div chains; a
-  // lane-parallel evaluation cannot reproduce their roundings, so the
-  // AVX2 table reuses the scalar pair verbatim (kernel.h explains why
-  // this is exact rather than a compromise).
   static const ScanKernel kernel = {
-      KernelKind::kAvx2,  "avx2",             FoldFactorAvx2,
-      DivideOutFwdScalar, DivideOutBwdScalar, ScaleAvx2,
-      UpdateArgmaxAvx2,   EmitSegmentAvx2,
+      KernelKind::kAvx2, "avx2",          FoldFactorAvx2,
+      UpdateArgmaxAvx2,  EmitSegmentAvx2,
   };
   return &kernel;
 }

@@ -40,8 +40,8 @@
 // checkpoint predates the x-tuple's activation), so no explicit divide-out
 // is needed and the replayed suffix is bitwise identical to a from-scratch
 // scan of the cleaned database. Tuples are addressed by rank index
-// throughout; tombstoned slots (ProbabilisticDatabase::ApplyCleanOutcome)
-// are skipped by both the one-shot scan and the engine.
+// throughout; a session's tombstoned slots (DatabaseOverlay::
+// ApplyCleanOutcome) are skipped by both the one-shot scan and the engine.
 
 #ifndef UCLEAN_RANK_PSR_H_
 #define UCLEAN_RANK_PSR_H_

@@ -235,52 +235,13 @@ void PsrEngine::FinalizeAggregates(const Db& db, size_t begin,
   });
 }
 
-void PsrEngine::InvalidateBelowLocked(size_t first_changed_rank) {
-  while (!checkpoints_.empty() &&
-         checkpoints_.back().pos > first_changed_rank) {
-    checkpoints_.pop_back();
-  }
-}
-
-void PsrEngine::InvalidateBelow(size_t first_changed_rank) {
-  ScopedSerialCall guard(gate_);
-  InvalidateBelowLocked(first_changed_rank);
-}
-
-Status PsrEngine::Replay(const ProbabilisticDatabase& db,
-                         size_t first_changed_rank) {
-  ScopedSerialCall guard(gate_);
-  if (outputs_.empty()) {
-    return Status::FailedPrecondition("PsrEngine was not initialized");
-  }
-  if (outputs_.front().topk_prob.size() != db.num_tuples()) {
-    return Status::FailedPrecondition(
-        "PsrEngine state does not match the database (was the engine "
-        "created from it, and ApplyCompaction called after compaction?)");
-  }
-  if (first_changed_rank >= db.num_tuples()) return Status::OK();  // no-op
-  // Snapshots past the change are stale.
-  InvalidateBelowLocked(first_changed_rank);
-  if (checkpoints_.empty()) {
-    return Status::FailedPrecondition("PsrEngine was not initialized");
-  }
-
-  // Resume from the last remaining checkpoint (the rank-0 one always
-  // survives, so the list is never empty here).
-  const size_t replay_begin = checkpoints_.back().pos;
-  RestoreInto(checkpoints_.back(), &core_);
-  ScanFrom(db, replay_begin, checkpoints_.back().live, options_, exec_,
-           &core_, &outputs_, &checkpoints_, &checkpoint_interval_);
-  return Status::OK();
-}
-
 PsrEngine::SessionState PsrEngine::ForkSession() const {
   SessionState state;
   // Copy only each rung's live prefix onto a zeroed buffer: every output
   // entry at or past scan_end is identically zero (scans never write past
   // their stop point), and for ranked data the stop leaves the bulk of
   // the array cold -- this is what keeps opening a pooled session an
-  // order of magnitude cheaper than a dedicated scan.
+  // order of magnitude cheaper than a scan of its own.
   state.outputs_.resize(outputs_.size());
   for (size_t j = 0; j < outputs_.size(); ++j) {
     const PsrOutput& src = outputs_[j];
@@ -308,15 +269,28 @@ PsrEngine::SessionState PsrEngine::ForkSession() const {
   return state;
 }
 
+PsrEngine::SessionState PsrEngine::TakeSoleSession() {
+  SessionState state;
+  state.outputs_ = std::move(outputs_);
+  state.checkpoints_ = std::move(checkpoints_);
+  state.core_ = std::move(core_);
+  state.checkpoint_interval_ = checkpoint_interval_;
+  outputs_.clear();
+  checkpoints_.clear();
+  return state;
+}
+
 Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
                                 size_t first_changed_rank,
                                 SessionState* state) const {
-  if (outputs_.empty() || checkpoints_.empty()) {
+  // Key off the ladder, not the engine's own outputs and checkpoints:
+  // after TakeSoleSession the session holds those.
+  if (ladder_.size() == 0) {
     return Status::FailedPrecondition("PsrEngine was not initialized");
   }
-  if (state == nullptr || state->outputs_.size() != outputs_.size()) {
+  if (state == nullptr || state->outputs_.size() != ladder_.size()) {
     return Status::FailedPrecondition(
-        "session state was not forked from this engine");
+        "session state was not obtained from this engine");
   }
   if (state->outputs_.front().topk_prob.size() != db.num_tuples()) {
     return Status::FailedPrecondition(
@@ -331,7 +305,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   const size_t divergence = db.divergence_rank();
 
   // The session's own snapshots taken past the change hold pre-clean
-  // state; drop them, same as InvalidateBelow on the single-session path.
+  // state; drop them.
   while (!state->checkpoints_.empty() &&
          state->checkpoints_.back().pos > first_changed_rank) {
     state->checkpoints_.pop_back();
@@ -341,7 +315,9 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   // snapshot is valid wherever the overlay still equals the base (at or
   // above the divergence rank -- a snapshot at pos depends only on tuples
   // ranked above pos); a surviving private snapshot is valid by the
-  // invalidation above. The shared rank-0 snapshot always qualifies.
+  // invalidation above. The rank-0 snapshot always qualifies: it is in
+  // the shared list, or in a sole session's private one, where no change
+  // ranks above it.
   const Checkpoint* restore = nullptr;
   for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
     if (it->pos <= divergence) {
@@ -360,54 +336,6 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   ScanFrom(db, replay_begin, restore->live, options_, exec_, &state->core_,
            &state->outputs_, &state->checkpoints_,
            &state->checkpoint_interval_);
-  return Status::OK();
-}
-
-Status PsrEngine::ApplyCompaction(const ProbabilisticDatabase& db,
-                                  const std::vector<int32_t>& old_to_new) {
-  ScopedSerialCall guard(gate_);
-  if (old_to_new.empty()) return Status::OK();  // compaction was a no-op
-  const size_t old_n = old_to_new.size();
-  if (outputs_.front().topk_prob.size() != old_n) {
-    return Status::FailedPrecondition(
-        "compaction map does not match the engine's tuple count");
-  }
-  const size_t new_n = db.num_tuples();
-
-  // new_pos[p] = number of surviving slots before old position p; the new
-  // index of a surviving slot, and the natural remap for scan positions
-  // (checkpoint pos, scan_end) which may sit on erased slots.
-  std::vector<size_t> new_pos(old_n + 1, 0);
-  for (size_t i = 0; i < old_n; ++i) {
-    new_pos[i + 1] = new_pos[i] + (old_to_new[i] >= 0 ? 1 : 0);
-  }
-  UCLEAN_DCHECK(new_pos[old_n] == new_n);
-
-  for (PsrOutput& out : outputs_) {
-    const size_t k = out.k;
-    std::vector<double> topk(new_n, 0.0);
-    for (size_t i = 0; i < old_n; ++i) {
-      if (old_to_new[i] >= 0) topk[old_to_new[i]] = out.topk_prob[i];
-    }
-    out.topk_prob = std::move(topk);
-    if (out.has_rank_probabilities) {
-      std::vector<double> matrix(new_n * k, 0.0);
-      for (size_t i = 0; i < old_n; ++i) {
-        if (old_to_new[i] < 0) continue;
-        std::copy(out.rank_prob.begin() + i * k,
-                  out.rank_prob.begin() + (i + 1) * k,
-                  matrix.begin() + static_cast<size_t>(old_to_new[i]) * k);
-      }
-      out.rank_prob = std::move(matrix);
-    }
-    for (int32_t& idx : out.best_rank_index) {
-      if (idx >= 0) idx = old_to_new[idx];  // may go stale (-1); Replay fixes
-    }
-    out.scan_end = new_pos[std::min(out.scan_end, old_n)];
-  }
-  for (Checkpoint& cp : checkpoints_) {
-    cp.pos = new_pos[std::min(cp.pos, old_n)];
-  }
   return Status::OK();
 }
 

@@ -1,18 +1,18 @@
-// PsrEngine: incrementally maintained PSR state for cleaning sessions,
+// PsrEngine: the checkpointed PSR scan behind every cleaning session,
 // serving a whole ladder of k values from one shared scan.
 //
 // A successful pclean collapses one x-tuple to a certain tuple and leaves
-// every other tuple's rank unchanged (ProbabilisticDatabase::
-// ApplyCleanOutcome). The engine keeps the Poisson-binomial scan state of
-// psr_scan_core.h checkpointed at intervals along the rank order; applying
-// a clean restores the last checkpoint at or before the first changed rank
-// and replays only the suffix of the scan, so a round of cleans costs
-// O(m + suffix * (k_max + T)) instead of a full database rebuild plus an
-// O(k n) rescan per served k. Replayed results are bitwise identical to
-// running ComputePsr from scratch for each rung over the same
-// (tombstoned) database: the restored state is the exact state a fresh
-// scan reaches at the checkpoint (the prefix is untouched by the clean),
-// and the suffix executes the same arithmetic.
+// every other tuple's rank unchanged (DatabaseOverlay::ApplyCleanOutcome).
+// The engine scans the base database once and keeps the Poisson-binomial
+// scan state of psr_scan_core.h checkpointed at intervals along the rank
+// order; refreshing a session after a round of cleans restores the last
+// checkpoint at or before the first changed rank and replays only the
+// suffix of the scan, so a round costs O(m + suffix * (k_max + T))
+// instead of a database rebuild plus an O(k n) rescan per served k.
+// Replayed results are bitwise identical to running ComputePsrLadder
+// from scratch over the session's overlay: the restored state is the
+// exact state a fresh scan reaches at the checkpoint (the prefix is
+// untouched by the clean), and the suffix executes the same arithmetic.
 //
 // Multi-k: the scan state (count vector, per-x-tuple masses) is
 // k-independent, so ONE checkpoint set serves every rung; only the
@@ -23,18 +23,17 @@
 // cannot change its output -- while deeper rungs re-emit only their own
 // reachable suffix.
 //
-// Multi-session: the same checkpoints are additionally k-independent of
-// WHO is asking -- a snapshot at rank p depends only on the tuples above
-// p. A SessionPool therefore forks one SessionState per concurrent
-// session (a copy of the base outputs, no scan) and replays each
-// session's DatabaseOverlay through ReplaySession: the shared base
-// checkpoints cover the prefix above the session's own divergence rank
-// (where its overlay still equals the base), and the session's private
-// checkpoint list covers its post-divergence suffix, exactly the way the
-// base list covers the single-session case. The shared checkpoints and
-// base outputs are never written after Create (Replay is the
-// single-session path and must not be mixed with ForkSession use), so any
-// number of interleaved sessions can replay against them.
+// Sessions: a checkpoint at rank p depends only on the tuples above p,
+// so it is valid for every session whose overlay still equals the base
+// above p. Each session owns a SessionState (per-rung outputs plus its
+// private checkpoints) and advances it through ReplaySession: the shared
+// base checkpoints cover the prefix above the session's divergence rank,
+// and the private list covers its post-divergence suffix. A SessionPool
+// forks one SessionState per session (ForkSession, a copy of the base
+// outputs). A CleaningSession is its engine's only session and takes the
+// engine's outputs and checkpoints instead (TakeSoleSession, a move):
+// its private list then holds every checkpoint, and the replay restores
+// from it alone.
 //
 // Aggregate caveats after a replay:
 //  * num_nonzero and scan_end are always maintained, per rung.
@@ -45,40 +44,26 @@
 //    never read them, query serving should keep the matrix on.
 //
 // Parallel execution: Create with ExecOptions{num_threads > 1} and every
-// scan the engine runs -- the initial full scan, Replay suffixes,
-// ReplaySession suffixes -- is sharded by rank range over the shared
-// ThreadPool (rank/sharded_scan.h) whenever the range justifies it, with
-// per-rung argmax recomputation fanned over the same pool. Results agree
-// with the sequential path to 1e-12 (bitwise wherever the shard boundary
-// state comes from a checkpoint; see sharded_scan.h on rebuilt
-// boundaries); checkpoint PLACEMENT may differ between the two paths,
-// which changes replay cost, never replay results. Scans triggered from
-// inside a pool worker (nested parallelism, e.g. SessionPool::RefreshAll
-// fanning sessions) degrade to the sequential loop on that worker.
+// scan the engine runs -- the initial full scan and every ReplaySession
+// suffix -- is sharded by rank range over the shared ThreadPool
+// (rank/sharded_scan.h) whenever the range justifies it, with per-rung
+// argmax recomputation fanned over the same pool. Results agree with the
+// sequential path to 1e-12 (bitwise wherever the shard boundary state
+// comes from a checkpoint; see sharded_scan.h on rebuilt boundaries);
+// checkpoint PLACEMENT may differ between the two paths, which changes
+// replay cost, never replay results. Scans triggered from inside a pool
+// worker (nested parallelism, e.g. SessionPool::RefreshAll fanning
+// sessions) degrade to the sequential loop on that worker.
 //
-// Lifecycle: Create -> [ApplyCleanOutcome on the db]* -> Replay, repeated;
-// interleave ApplyCompaction whenever the database compacts its
-// tombstones. The engine never owns the database; the caller (normally
-// CleaningSession) guarantees the db passed to Replay is the one the
-// engine last saw, mutated only through ApplyCleanOutcome.
-//
-// Threading contract, per entry point:
-//  * Replay / ApplyCompaction / InvalidateBelow MUTATE the engine:
-//    serialized caller, one thread at a time, never concurrently with
-//    any other engine call. Enforced as a common/serial_gate.h
-//    capability on gate_: each mutator opens a ScopedSerialCall window
-//    (overlap aborts in debug builds) and the Clang -Wthread-safety
-//    build rejects reentrant entry statically.
-//  * After Create, the shared state (checkpoints, base outputs, ladder)
-//    is read-only for the pooled path: ForkSession and ReplaySession are
-//    const and safe to call CONCURRENTLY from multiple threads as long
-//    as (a) each concurrent ReplaySession targets a DISTINCT
-//    (overlay, SessionState) pair and (b) no mutating call runs
-//    meanwhile. This is exactly SessionPool::RefreshAll's fan-out: many
-//    sessions replay on pool workers against one frozen engine.
-//  * Any scan-running call may itself execute ON a pool worker; its
-//    nested sharded scan then degrades to the sequential loop inline
-//    (exec/thread_pool.h's nesting rule), never deadlocking the pool.
+// Threading contract: the engine is read-only after Create. ForkSession
+// and ReplaySession are const and safe to call CONCURRENTLY from any
+// number of threads, as long as each concurrent ReplaySession targets a
+// DISTINCT (overlay, SessionState) pair -- SessionPool::RefreshAll's
+// fan-out. TakeSoleSession is the one exception: its caller owns the
+// engine and calls it once, right after Create, before any other call.
+// A scan-running call may itself execute ON a pool worker; its nested
+// sharded scan then degrades to the sequential loop inline
+// (exec/thread_pool.h's nesting rule), never deadlocking the pool.
 
 #ifndef UCLEAN_RANK_PSR_ENGINE_H_
 #define UCLEAN_RANK_PSR_ENGINE_H_
@@ -86,9 +71,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/serial_gate.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
 #include "model/database_overlay.h"
@@ -107,7 +90,7 @@ class PsrEngine {
     size_t pos = 0;
     /// Live-tuple ordinal of `pos` (count of live tuples above it):
     /// anchors the count-refresh grid across replays (see
-    /// psr_scan_core.h). Invariant under compaction by construction.
+    /// psr_scan_core.h).
     size_t live = 0;
     std::vector<double> c;
     size_t active = 0;
@@ -139,10 +122,10 @@ class PsrEngine {
 
   /// The ladder this engine serves (ascending).
   const KLadder& ladder() const { return ladder_; }
-  size_t num_rungs() const { return outputs_.size(); }
+  size_t num_rungs() const { return ladder_.size(); }
 
-  /// The maintained PSR state of rung `rung` (valid after Create and after
-  /// every Replay).
+  /// The base scan's PSR state of rung `rung` (empty after
+  /// TakeSoleSession).
   const PsrOutput& output(size_t rung) const {
     UCLEAN_DCHECK(rung < outputs_.size());
     return outputs_[rung];
@@ -156,49 +139,15 @@ class PsrEngine {
   /// The largest served k (the only one for single-k engines).
   size_t k() const { return ladder_.max_k(); }
 
-  /// Re-derives the PSR state after one or more ApplyCleanOutcome calls on
-  /// `db`. `first_changed_rank` is the minimum CleanOutcomeDelta::
-  /// first_changed_rank over the batch; pass num_tuples() for a batch of
-  /// no-ops (the call is then free). Only the scan suffix from the last
-  /// checkpoint at or before that rank is replayed, and only for the rungs
-  /// whose own scan reaches past it.
-  Status Replay(const ProbabilisticDatabase& db, size_t first_changed_rank)
-      UCLEAN_EXCLUDES(gate_);
-
-  /// Drops the checkpoints invalidated by cleans whose shallowest change
-  /// is `first_changed_rank` (their snapshots were taken below it and
-  /// include pre-clean state). Replay does this implicitly; call it
-  /// explicitly BEFORE compacting the database, because compaction can
-  /// remap a stale checkpoint onto the replay boundary itself when every
-  /// slot in between was tombstoned.
-  void InvalidateBelow(size_t first_changed_rank) UCLEAN_EXCLUDES(gate_);
-
-  /// Rewrites all rank indices held by the engine through the old-to-new
-  /// map returned by ProbabilisticDatabase::CompactTombstones. `db` is the
-  /// already-compacted database.
-  Status ApplyCompaction(const ProbabilisticDatabase& db,
-                         const std::vector<int32_t>& old_to_new)
-      UCLEAN_EXCLUDES(gate_);
-
-  /// The current checkpoint ranks, ascending (introspection: replay-cost
-  /// diagnostics and the shard cut-point equivalence tests restart scans
-  /// at every one of these).
-  std::vector<size_t> checkpoint_positions() const {
-    std::vector<size_t> positions;
-    positions.reserve(checkpoints_.size());
-    for (const Checkpoint& cp : checkpoints_) positions.push_back(cp.pos);
-    return positions;
-  }
-
   /// The execution options the engine was created with (the pool is
   /// shared with TP fan-out and session-refresh consumers).
   const ExecOptions& exec() const { return exec_; }
 
-  // ----- pooled sessions over the shared scan -----
+  // ----- sessions over the shared scan -----
 
-  /// One pooled session's scan state: a complete per-rung PsrOutput set
-  /// plus the session's private post-divergence checkpoints. Forked from
-  /// the engine, advanced only through ReplaySession. The session's
+  /// One session's scan state: a complete per-rung PsrOutput set plus the
+  /// session's private checkpoints. Obtained from ForkSession or
+  /// TakeSoleSession, advanced only through ReplaySession. The session's
   /// divergence rank -- the bound on shared-checkpoint validity -- is
   /// read from its overlay, the single source of truth for what the
   /// session changed.
@@ -212,6 +161,15 @@ class PsrEngine {
     }
     const std::vector<PsrOutput>& outputs() const { return outputs_; }
 
+    /// The private checkpoint ranks, ascending (introspection: replay-cost
+    /// diagnostics, and the restart tests replay from every one of them).
+    std::vector<size_t> checkpoint_positions() const {
+      std::vector<size_t> positions;
+      positions.reserve(checkpoints_.size());
+      for (const Checkpoint& cp : checkpoints_) positions.push_back(cp.pos);
+      return positions;
+    }
+
    private:
     friend class PsrEngine;
     friend class SnapshotAccess;  // store/snapshot.h persistence
@@ -223,18 +181,26 @@ class PsrEngine {
 
   /// Forks a pooled session's state: a copy of the base outputs (O(rungs
   /// * n) memcpy, NO scan -- this is why opening a pooled session is
-  /// orders of magnitude cheaper than starting a dedicated one).
+  /// orders of magnitude cheaper than a scan of its own).
   SessionState ForkSession() const;
 
-  /// Session form of Replay: re-derives `state` after ApplyCleanOutcome
-  /// calls on the session's overlay `db` (a view of the database this
-  /// engine was created from). Restores the deepest checkpoint still
-  /// valid for the session -- its own post-divergence snapshot when one
-  /// survives the change, the last shared base snapshot at or above the
-  /// overlay's divergence_rank() otherwise -- and replays only the
-  /// suffix, taking fresh private checkpoints along the way. Shared
-  /// engine state is untouched, so interleaved sessions never observe
-  /// each other.
+  /// Hands the base scan's outputs, checkpoint list and scan scratch to
+  /// the engine's only session, by move: the session then owns the sole
+  /// copy of its scan state, and the engine keeps only its ladder,
+  /// options and executor. Call once, right after Create, when no other
+  /// session will ever fork from this engine.
+  SessionState TakeSoleSession();
+
+  /// Re-derives `state` after ApplyCleanOutcome calls on the session's
+  /// overlay `db` (a view of the database this engine was created from).
+  /// Restores the deepest checkpoint still valid for the session -- its
+  /// own snapshot when one survives the change, the last shared base
+  /// snapshot at or above the overlay's divergence_rank() otherwise --
+  /// and replays only the suffix, taking fresh private checkpoints along
+  /// the way. `first_changed_rank` is the minimum CleanOutcomeDelta::
+  /// first_changed_rank over the batch; num_tuples() (a batch of no-ops)
+  /// makes the call free. Shared engine state is untouched, so
+  /// interleaved sessions never observe each other.
   Status ReplaySession(const DatabaseOverlay& db, size_t first_changed_rank,
                        SessionState* state) const;
 
@@ -267,18 +233,12 @@ class PsrEngine {
 
   static void RestoreInto(const Checkpoint& cp, psr_internal::ScanCore* core);
 
-  /// InvalidateBelow's body, inside an already-open gate window (Replay
-  /// opens one and must not re-enter the non-recursive gate).
-  void InvalidateBelowLocked(size_t first_changed_rank)
-      UCLEAN_REQUIRES(gate_);
-
   /// Zeroes `outputs` from `begin` on and runs the scan loop over `db` to
   /// its stop point, snapshotting into `cps` along the way -- sharded
   /// over `exec`'s pool when the range justifies it, sequentially
   /// otherwise. Rungs whose scan had already stopped at or before `begin`
-  /// are left untouched. `Db` is ProbabilisticDatabase (base/dedicated
-  /// path) or DatabaseOverlay (pooled-session path); both run identical
-  /// arithmetic.
+  /// are left untouched. `Db` is ProbabilisticDatabase (the base scan) or
+  /// DatabaseOverlay (session replays); both run identical arithmetic.
   template <typename Db>
   static void ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
                        const PsrOptions& options, const ExecOptions& exec,
@@ -301,11 +261,6 @@ class PsrEngine {
   psr_internal::ScanCore core_;
   std::vector<Checkpoint> checkpoints_;
   size_t checkpoint_interval_ = kInitialCheckpointInterval;
-
-  // Serialized-caller capability over the mutating surface (see the
-  // threading contract above). ForkSession/ReplaySession are const and
-  // deliberately outside it: they are safe concurrently.
-  mutable SerialGate gate_;
 };
 
 }  // namespace uclean

@@ -55,9 +55,9 @@
 //    0) is a multiple of kCountRefreshGridLive, the vector is
 //    reconstituted from the per-x-tuple masses (RebuildCounts, an exact
 //    product of the active factors). The grid is keyed to live ordinals,
-//    which are invariant under checkpoint replay, tombstone compaction
-//    and session overlays, so EVERY driver -- one-shot, engine replay,
-//    pooled session, and every shard of a sharded scan -- performs the
+//    which are invariant under checkpoint replay and session overlays,
+//    so EVERY driver -- one-shot, session replay, and every shard of a
+//    sharded scan -- performs the
 //    refresh at the same tuples and stays bitwise identical to every
 //    other. Rank-range sharding (rank/sharded_scan.h) leans on this:
 //    shard cut points are grid points, so a shard's boundary state
@@ -239,12 +239,12 @@ struct ScanCore {
         const size_t top = active;  // c has indices 0..top
         c_excl.resize(top);         // exclusion has indices 0..top-1
         // Stable direction choice (see the file comment); both
-        // directions are sequential recurrences and run the same scalar
-        // code in every kernel.
+        // directions are sequential recurrences, one scalar code path
+        // whatever the kernel (rank/kernel.h).
         if (ql <= 0.5) {
-          kernel->divide_out_fwd(c_excl.data(), c.data(), top, ql);
+          DivideOutFwdScalar(c_excl.data(), c.data(), top, ql);
         } else {
-          kernel->divide_out_bwd(c_excl.data(), c.data(), top, ql);
+          DivideOutBwdScalar(c_excl.data(), c.data(), top, ql);
         }
         ex.counts = &c_excl;
         break;
@@ -404,8 +404,8 @@ void InitLadderOutputs(size_t num_tuples, const KLadder& ladder,
 ///
 /// `Db` is ProbabilisticDatabase or any type exposing its read interface
 /// (num_tuples / tuple / is_tombstone) -- per-session DatabaseOverlay
-/// views run the exact same arithmetic, which keeps pooled sessions
-/// bitwise identical to dedicated ones.
+/// views run the exact same arithmetic, which keeps a session's replayed
+/// state bitwise identical to a from-scratch scan of its view.
 template <typename Db, typename CheckpointFn>
 inline void RunLadderScan(const Db& db, size_t begin, size_t live_at_begin,
                           bool early_termination, ScanCore& core,

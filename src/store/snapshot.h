@@ -47,12 +47,13 @@
 //    Status::DataLoss, which the CLI maps to its own exit code.
 //
 // WHAT IS CAPTURED: the base ProbabilisticDatabase (tuples, members,
-// masses, tombstone/compaction state), the PsrEngine's logical state
-// (ladder, PSR options, outputs, checkpoint list, cadence), the base TP
-// ladder, each session slot (overlay outcomes + SessionState + TP state;
-// pristine sessions are re-forked on load instead of stored), the free
-// list, and optionally a CampaignSnapshot (budgets, progress, probe
-// logs, Rng + FaultInjector states). WHAT IS NOT: runtime execution
+// masses; format v1's tombstone field is always written empty), the
+// PsrEngine's logical state (ladder, PSR options, outputs, checkpoint
+// list, cadence), the base TP ladder, each session slot (overlay
+// outcomes + SessionState + TP state; pristine sessions are re-forked on
+// load instead of stored), the free list, and optionally a
+// CampaignSnapshot (budgets, progress, probe logs, Rng + FaultInjector
+// states). WHAT IS NOT: runtime execution
 // knobs -- thread count, shared pool, kernel choice are the LOADER's
 // (SessionPool::Options::exec), because the machine opening a snapshot
 // need not be the machine that wrote it; the writer's resolved kernel

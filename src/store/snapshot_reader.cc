@@ -383,20 +383,28 @@ Status SnapshotAccess::DecodeDatabase(store::BinReader* r,
     }
   }
 
+  // Format v1's tombstone field. A database never holds dead slots, so
+  // the only valid contents are an empty bitmap, or an all-zero one over
+  // every tuple (an older writer allocated the bitmap on a clean that
+  // dropped nothing), with a zero count either way.
   std::string tombstones;
   UCLEAN_RETURN_IF_ERROR(r->GetString(&tombstones));
   if (!tombstones.empty() && tombstones.size() != num_tuples) {
     return Status::DataLoss("tombstone bitmap size mismatch");
   }
-  db->tombstones_.assign(tombstones.begin(), tombstones.end());
+  if (tombstones.find_first_not_of('\0') != std::string::npos) {
+    return Status::DataLoss("database carries tombstoned slots");
+  }
   uint64_t num_tombstones = 0;
   uint64_t num_real = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_tombstones));
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&num_real));
-  if (num_tombstones > num_tuples || num_real > num_tuples) {
+  if (num_tombstones != 0) {
+    return Status::DataLoss("database tombstone count must be zero");
+  }
+  if (num_real > num_tuples) {
     return Status::DataLoss("database tuple counters exceed the table");
   }
-  db->num_tombstones_ = static_cast<size_t>(num_tombstones);
   db->num_real_ = static_cast<size_t>(num_real);
   return Status::OK();
 }
@@ -569,7 +577,7 @@ Status SnapshotAccess::DecodeSessions(store::BinReader* r,
       if (xtuple < 0 || static_cast<uint64_t>(xtuple) >= num_xtuples) {
         return Status::DataLoss("session outcome x-tuple out of range");
       }
-      Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+      Result<DatabaseOverlay::CleanOutcomeDelta> delta =
           session.overlay.ApplyCleanOutcome(static_cast<XTupleId>(xtuple),
                                             resolved_id);
       if (!delta.ok()) {
@@ -634,7 +642,6 @@ Status SnapshotAccess::DecodeSessions(store::BinReader* r,
       session.scan = pool->engine_.ForkSession();
       session.tps = pool->base_tps_;
     }
-    session.pending_replay_begin = SessionPool::kNoPending;
     pool->sessions_.push_back(std::move(session));
   }
 

@@ -225,10 +225,11 @@ void SnapshotAccess::EncodeDatabase(const ProbabilisticDatabase& db,
     for (int32_t rank : members) w->PutVarint(static_cast<uint64_t>(rank));
     w->PutF64(db.real_mass_[l]);
   }
-  w->PutString(std::string_view(
-      reinterpret_cast<const char*>(db.tombstones_.data()),
-      db.tombstones_.size()));
-  w->PutVarint(db.num_tombstones_);
+  // Format v1's tombstone field: an empty bitmap and a zero count. A
+  // database has no dead slots, but the bytes stay so v1 readers (and
+  // files written when databases could carry tombstones) keep one layout.
+  w->PutString(std::string_view());
+  w->PutVarint(0);
   w->PutVarint(db.num_real_);
 }
 
@@ -332,8 +333,7 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
                                  std::string* bytes) {
   for (size_t id = 0; id < pool.sessions_.size(); ++id) {
     const SessionPool::Session& session = pool.sessions_[id];
-    if (session.open &&
-        session.pending_replay_begin != SessionPool::kNoPending) {
+    if (session.open && session.dirty()) {
       return Status::FailedPrecondition(
           "session " + std::to_string(id) +
           " is dirty; Refresh before WriteSnapshot (a snapshot must not "
@@ -379,18 +379,17 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
 
 std::vector<size_t> SnapshotAccess::EngineCheckpointPositions(
     const SessionPool& pool) {
-  return pool.engine_.checkpoint_positions();
+  std::vector<size_t> positions;
+  positions.reserve(pool.engine_.checkpoints_.size());
+  for (const PsrEngine::Checkpoint& cp : pool.engine_.checkpoints_) {
+    positions.push_back(cp.pos);
+  }
+  return positions;
 }
 
 std::vector<size_t> SnapshotAccess::SessionCheckpointPositions(
     const SessionPool& pool, SessionPool::SessionId id) {
-  const SessionPool::Session& session = pool.Slot(id);
-  std::vector<size_t> positions;
-  positions.reserve(session.scan.checkpoints_.size());
-  for (const PsrEngine::Checkpoint& cp : session.scan.checkpoints_) {
-    positions.push_back(cp.pos);
-  }
-  return positions;
+  return pool.Slot(id).scan.checkpoint_positions();
 }
 
 }  // namespace uclean

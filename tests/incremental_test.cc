@@ -1,19 +1,27 @@
 // Property tests for the incremental cleaning engine: random sequences of
-// clean outcomes applied through ProbabilisticDatabase::ApplyCleanOutcome +
-// PsrEngine + delta TP must match a from-scratch ComputePsr /
-// ComputeTpQuality of the same database to 1e-12 at every step, under
-// every compaction policy, and agree with the historical builder
-// round-trip.
+// clean outcomes recorded in a CleaningSession's overlay and brought
+// forward by PsrEngine::ReplaySession + delta TP must match a from-scratch
+// scan + ComputeTpQuality of the same view to 1e-12 at every step, and
+// agree with the historical builder round-trip. The pinned fingerprints
+// at the end hold the cleaned databases and quality trajectories to the
+// exact bits the former in-place implementation (tombstones and lazy
+// compaction inside ProbabilisticDatabase) produced.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
 #include <vector>
 
+#include "clean/adaptive.h"
 #include "clean/agent.h"
 #include "clean/session.h"
+#include "clean/session_pool.h"
 #include "common/rng.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
@@ -25,9 +33,9 @@ namespace {
 constexpr double kTol = 1e-12;
 
 /// Checks the session's maintained PSR + TP state against a from-scratch
-/// recomputation over the session's own database.
+/// recomputation over the session's own view.
 void ExpectMatchesFromScratch(const CleaningSession& session) {
-  const ProbabilisticDatabase& db = session.db();
+  const DatabaseOverlay& db = session.db();
   PsrOptions options;
   options.store_rank_probabilities = session.psr().has_rank_probabilities;
   Result<PsrOutput> psr = ScanPsr(db, session.k(), options);
@@ -73,7 +81,8 @@ void ExpectMatchesFromScratch(const CleaningSession& session) {
   // recompute. The rebuilt database has its own (compacted) indexing, so
   // compare the order-independent aggregates.
   Result<ProbabilisticDatabase> rebuilt =
-      std::move(DatabaseBuilder::FromDatabase(db)).Finish();
+      std::move(DatabaseBuilder::FromDatabase(db.MaterializeCleaned()))
+          .Finish();
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.status();
   Result<TpOutput> rebuilt_tp = ComputeTpQuality(*rebuilt, session.k());
   ASSERT_TRUE(rebuilt_tp.ok()) << rebuilt_tp.status();
@@ -86,7 +95,7 @@ void ExpectMatchesFromScratch(const CleaningSession& session) {
 /// Draws a random clean outcome for a random still-uncertain x-tuple;
 /// returns false when the database is fully certain.
 bool ApplyRandomOutcome(CleaningSession* session, Rng* rng) {
-  const ProbabilisticDatabase& db = session->db();
+  const DatabaseOverlay& db = session->db();
   std::vector<XTupleId> uncertain;
   for (size_t l = 0; l < db.num_xtuples(); ++l) {
     const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
@@ -110,7 +119,6 @@ struct SweepParam {
   int seed;
   size_t k;
   bool store_matrix;
-  size_t compact_min;  // 1 = compact every refresh, SIZE_MAX = never
 };
 
 TEST(IncrementalDense, MidScanCheckpointRestoreAndThinning) {
@@ -127,8 +135,6 @@ TEST(IncrementalDense, MidScanCheckpointRestoreAndThinning) {
 
   CleaningSession::Options options;
   options.checkpoint_interval = 1;
-  options.compact_min_tombstones = 16;
-  options.compact_min_fraction = 0.05;
   Result<CleaningSession> session =
       CleaningSession::Start(std::move(db), /*k=*/9, options);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -157,8 +163,6 @@ TEST_P(IncrementalSweep, MatchesFromScratchAtEveryStep) {
 
   CleaningSession::Options options;
   options.psr.store_rank_probabilities = param.store_matrix;
-  options.compact_min_tombstones = param.compact_min;
-  options.compact_min_fraction = 0.0;
   Result<CleaningSession> session =
       CleaningSession::Start(std::move(db), param.k, options);
   ASSERT_TRUE(session.ok()) << session.status();
@@ -178,120 +182,14 @@ TEST_P(IncrementalSweep, MatchesFromScratchAtEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, IncrementalSweep,
-    ::testing::Values(SweepParam{11, 3, true, 1},
-                      SweepParam{11, 3, true, static_cast<size_t>(-1)},
-                      SweepParam{22, 1, false, 1},
-                      SweepParam{22, 7, false, 4},
-                      SweepParam{33, 5, true, 4},
-                      SweepParam{44, 2, false, static_cast<size_t>(-1)}),
+    ::testing::Values(SweepParam{11, 3, true}, SweepParam{22, 1, false},
+                      SweepParam{22, 7, false}, SweepParam{33, 5, true},
+                      SweepParam{44, 2, false}),
     [](const auto& info) {
       const SweepParam& p = info.param;
       return "s" + std::to_string(p.seed) + "k" + std::to_string(p.k) +
-             (p.store_matrix ? "mat" : "nomat") +
-             (p.compact_min == 1
-                  ? std::string("eager")
-                  : (p.compact_min == static_cast<size_t>(-1)
-                         ? std::string("never")
-                         : "lazy" + std::to_string(p.compact_min)));
+             (p.store_matrix ? "mat" : "nomat");
     });
-
-TEST(Database, ApplyCleanOutcomeCollapsesInPlace) {
-  Rng maker(7);
-  RandomDbOptions opts;
-  opts.num_xtuples = 6;
-  opts.max_alternatives = 3;
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-
-  // Find an x-tuple with several alternatives and collapse it to its
-  // best-ranked real alternative.
-  XTupleId target = -1;
-  for (size_t l = 0; l < db.num_xtuples(); ++l) {
-    if (db.xtuple_members(static_cast<XTupleId>(l)).size() > 1) {
-      target = static_cast<XTupleId>(l);
-      break;
-    }
-  }
-  ASSERT_GE(target, 0);
-  const auto members_before = db.xtuple_members(target);
-  const size_t n_before = db.num_tuples();
-  const Tuple resolved = db.tuple(members_before.front());
-  ASSERT_FALSE(resolved.is_null);
-
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-      db.ApplyCleanOutcome(target, resolved.id);
-  ASSERT_TRUE(delta.ok()) << delta.status();
-  EXPECT_FALSE(delta->resolved_null);
-  EXPECT_EQ(delta->first_changed_rank,
-            static_cast<size_t>(members_before.front()));
-  EXPECT_EQ(delta->resolved_rank, static_cast<size_t>(members_before.front()));
-  EXPECT_TRUE(db.has_tombstones());
-  EXPECT_EQ(db.num_tombstones(), members_before.size() - 1);
-  ASSERT_EQ(db.xtuple_members(target).size(), 1u);
-  EXPECT_DOUBLE_EQ(db.tuple(db.xtuple_members(target)[0]).prob, 1.0);
-  EXPECT_DOUBLE_EQ(db.xtuple_real_mass(target), 1.0);
-
-  // Rank indices are stable until compaction.
-  EXPECT_EQ(db.num_tuples(), n_before);
-
-  // Collapsing the same x-tuple to the same outcome again is a no-op.
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> again =
-      db.ApplyCleanOutcome(target, resolved.id);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again->first_changed_rank, db.num_tuples());
-
-  // Compaction drops exactly the tombstones and renumbers monotonically.
-  std::vector<int32_t> map = db.CompactTombstones();
-  ASSERT_EQ(map.size(), n_before);
-  EXPECT_FALSE(db.has_tombstones());
-  EXPECT_EQ(db.num_tuples(), n_before - (members_before.size() - 1));
-  int32_t prev = -1;
-  for (int32_t m : map) {
-    if (m < 0) continue;
-    EXPECT_GT(m, prev);
-    prev = m;
-  }
-}
-
-TEST(Database, ApplyCleanOutcomeValidates) {
-  Rng maker(8);
-  RandomDbOptions opts;
-  opts.num_xtuples = 3;
-  opts.allow_subunit_mass = false;  // unit mass: no null alternatives
-  ProbabilisticDatabase db = MakeRandomDatabase(&maker, opts);
-  EXPECT_FALSE(db.ApplyCleanOutcome(-1, 0).ok());
-  EXPECT_FALSE(db.ApplyCleanOutcome(99, 0).ok());
-  EXPECT_FALSE(db.ApplyCleanOutcome(0, 123456).ok());
-  // Null outcome on a full-mass x-tuple is impossible (probability zero).
-  EXPECT_FALSE(db.ApplyCleanOutcome(0, -1).ok());
-}
-
-TEST(Database, NullOutcomeCollapsesToCertainNull) {
-  DatabaseBuilder b;
-  XTupleId x = b.AddXTuple("E");
-  ASSERT_TRUE(b.AddAlternative(x, 0, 9.0, 0.3).ok());
-  ASSERT_TRUE(b.AddAlternative(x, 1, 4.0, 0.3).ok());  // null mass 0.4
-  XTupleId y = b.AddXTuple("F");
-  ASSERT_TRUE(b.AddAlternative(y, 2, 6.0, 1.0).ok());
-  Result<ProbabilisticDatabase> db = std::move(b).Finish();
-  ASSERT_TRUE(db.ok());
-
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
-      db->ApplyCleanOutcome(x, -1);
-  ASSERT_TRUE(delta.ok()) << delta.status();
-  EXPECT_TRUE(delta->resolved_null);
-  ASSERT_EQ(db->xtuple_members(x).size(), 1u);
-  const Tuple& survivor = db->tuple(db->xtuple_members(x)[0]);
-  EXPECT_TRUE(survivor.is_null);
-  EXPECT_DOUBLE_EQ(survivor.prob, 1.0);
-  EXPECT_DOUBLE_EQ(db->xtuple_real_mass(x), 0.0);
-  EXPECT_EQ(db->num_real_tuples(), 1u);  // only F's alternative remains
-
-  // PSR on the collapsed database: F's tuple is now certain rank 1.
-  Result<PsrOutput> psr = ScanPsr(*db, 1);
-  ASSERT_TRUE(psr.ok());
-  const size_t f_rank = *db->RankIndexOfTupleId(2);
-  EXPECT_NEAR(psr->topk_prob[f_rank], 1.0, kTol);
-}
 
 TEST(PsrEngine, CreateMatchesComputePsr) {
   Rng maker(55);
@@ -335,17 +233,14 @@ TEST(PsrEngine, RejectsZeroK) {
 
 TEST(Session, TakeDatabaseOnDirtySessionReflectsOutcomes) {
   // TakeDatabase must hand back every applied outcome even when the
-  // session is still dirty (outcomes applied, no Refresh): the database
-  // mutations are eager, only the PSR/TP state refresh is deferred, and
+  // session is still dirty (outcomes applied, no Refresh): the outcomes
+  // are recorded eagerly, only the PSR/TP state refresh is deferred, and
   // ending a session is a legitimate reason never to pay for one.
   Rng maker(4242);
   RandomDbOptions opts;
   opts.num_xtuples = 12;
   opts.max_alternatives = 3;
-  ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
-
-  // Reference: the same outcomes collapsed directly on a copy.
-  ProbabilisticDatabase reference = base;
+  const ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
 
   Result<CleaningSession> session =
       CleaningSession::Start(ProbabilisticDatabase(base), /*k=*/3);
@@ -358,27 +253,35 @@ TEST(Session, TakeDatabaseOnDirtySessionReflectsOutcomes) {
   }
   ASSERT_GT(applied, 0u);
   ASSERT_TRUE(session->dirty());
-  for (size_t l = 0; l < reference.num_xtuples(); ++l) {
-    // Mirror the session's collapses onto the reference via its db view.
-    const auto& members =
-        session->db().xtuple_members(static_cast<XTupleId>(l));
-    if (members.size() != 1) continue;
-    const Tuple& survivor = session->db().tuple(members[0]);
-    if (survivor.prob < 1.0) continue;
-    ASSERT_TRUE(reference
-                    .ApplyCleanOutcome(static_cast<XTupleId>(l),
-                                       survivor.is_null ? -1 : survivor.id)
+
+  // Reference: the validating builder, with every x-tuple the session
+  // collapsed replaced by its certain survivor, re-sorted from scratch.
+  DatabaseBuilder builder = DatabaseBuilder::FromDatabase(base);
+  for (const auto& [xtuple, resolved_id] : session->db().outcomes()) {
+    const DatabaseOverlay& view = session->db();
+    const Tuple& survivor = view.tuple(view.xtuple_members(xtuple)[0]);
+    ASSERT_TRUE(builder
+                    .ReplaceWithCertain(xtuple, resolved_id < 0 ? nullptr
+                                                                : &survivor)
                     .ok());
   }
-  reference.CompactTombstones();
+  Result<ProbabilisticDatabase> reference = std::move(builder).Finish();
+  ASSERT_TRUE(reference.ok()) << reference.status();
 
   const ProbabilisticDatabase taken = std::move(*session).TakeDatabase();
-  EXPECT_FALSE(taken.has_tombstones());  // compacted on the way out
-  ASSERT_EQ(taken.num_tuples(), reference.num_tuples());
-  for (size_t i = 0; i < reference.num_tuples(); ++i) {
-    EXPECT_EQ(taken.tuple(i).id, reference.tuple(i).id) << "rank " << i;
-    EXPECT_DOUBLE_EQ(taken.tuple(i).prob, reference.tuple(i).prob)
+  ASSERT_EQ(taken.num_tuples(), reference->num_tuples());
+  EXPECT_EQ(taken.num_real_tuples(), reference->num_real_tuples());
+  for (size_t i = 0; i < reference->num_tuples(); ++i) {
+    EXPECT_EQ(taken.tuple(i).id, reference->tuple(i).id) << "rank " << i;
+    EXPECT_DOUBLE_EQ(taken.tuple(i).prob, reference->tuple(i).prob)
         << "rank " << i;
+  }
+  for (size_t l = 0; l < reference->num_xtuples(); ++l) {
+    const XTupleId x = static_cast<XTupleId>(l);
+    EXPECT_EQ(taken.xtuple_members(x), reference->xtuple_members(x))
+        << "x-tuple " << l;
+    EXPECT_DOUBLE_EQ(taken.xtuple_real_mass(x), reference->xtuple_real_mass(x))
+        << "x-tuple " << l;
   }
 }
 
@@ -422,6 +325,143 @@ TEST(Session, ExecutePlanOverloadsAgree) {
     Result<TpOutput> scratch_tp = ComputeTpQuality(scratch->cleaned_db, k);
     ASSERT_TRUE(scratch_tp.ok());
     EXPECT_NEAR(scratch_tp->quality, session->quality(), kTol);
+  }
+}
+
+// ------------------------------------------------- pinned fingerprints
+//
+// Bit-exact fingerprints recorded from the former in-place mechanism:
+// CleaningSession collapsed x-tuples inside its own ProbabilisticDatabase
+// with tombstones, compacted them lazily (>= 1,024 tombstones AND >= 25%
+// of slots), and remapped the engine through every compaction. The
+// overlay mechanism must reproduce its results to the last bit, which
+// also shows the compaction was pure bookkeeping.
+
+/// FNV-1a over the exact bits of everything a cleaning result holds.
+class BitHash {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ = (h_ ^ p[i]) * 0x100000001b3ULL;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof v); }
+  void I64(int64_t v) { Bytes(&v, sizeof v); }
+  void Double(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    U64(bits);
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+/// Every tuple's id, x-tuple, score and prob bits, null flag and label,
+/// then every x-tuple's members and real mass.
+uint64_t DatabaseFingerprint(const ProbabilisticDatabase& db) {
+  BitHash h;
+  h.U64(db.num_tuples());
+  h.U64(db.num_real_tuples());
+  for (size_t i = 0; i < db.num_tuples(); ++i) {
+    const Tuple& t = db.tuple(i);
+    h.I64(t.id);
+    h.I64(t.xtuple);
+    h.Double(t.score);
+    h.Double(t.prob);
+    h.U64(t.is_null ? 1 : 0);
+    h.U64(t.label.size());
+    h.Bytes(t.label.data(), t.label.size());
+  }
+  h.U64(db.num_xtuples());
+  for (size_t l = 0; l < db.num_xtuples(); ++l) {
+    const std::vector<int32_t>& members =
+        db.xtuple_members(static_cast<XTupleId>(l));
+    h.U64(members.size());
+    for (int32_t idx : members) h.I64(idx);
+    h.Double(db.xtuple_real_mass(static_cast<XTupleId>(l)));
+  }
+  return h.value();
+}
+
+struct PinnedInputs {
+  ProbabilisticDatabase db;
+  CleaningProfile profile;
+};
+
+PinnedInputs MakePinnedInputs(uint64_t seed, size_t num_xtuples) {
+  Rng maker(seed);
+  RandomDbOptions opts;
+  opts.num_xtuples = num_xtuples;
+  opts.max_alternatives = 8;
+  PinnedInputs in{MakeRandomDatabase(&maker, opts), {}};
+  for (size_t l = 0; l < in.db.num_xtuples(); ++l) {
+    in.profile.costs.push_back(1 + static_cast<int64_t>(l % 3));
+    in.profile.sc_probs.push_back(maker.Uniform(0.5, 0.95));
+  }
+  return in;
+}
+
+TEST(PinnedFingerprint, AdaptiveLadderCampaign) {
+  // ~3,000 slots: the first two rounds each tombstone over 1,024 of them
+  // and a quarter of the database, so the in-place session compacted
+  // twice mid-run (before the replays of rounds 1 and 2) and once more
+  // in TakeDatabase.
+  PinnedInputs in = MakePinnedInputs(20260601, 600);
+  ASSERT_EQ(in.db.num_tuples(), 2975u);
+  AdaptiveOptions options;
+  options.k_ladder = {20, 120, 400};
+  Rng rng(7);
+  Result<AdaptiveReport> report = RunAdaptiveCleaning(
+      std::move(in.db), in.profile, /*budget=*/4000, options, &rng);
+  ASSERT_TRUE(report.ok()) << report.status();
+  BitHash rounds;
+  rounds.U64(report->rounds.size());
+  for (const AdaptiveRound& round : report->rounds) {
+    rounds.I64(round.spent);
+    rounds.U64(round.successes);
+    for (double q : round.quality_after_per_k) rounds.Double(q);
+  }
+  EXPECT_EQ(report->rounds.size(), 3u);
+  EXPECT_EQ(rounds.value(), 0x4dd7bb9513ea62beULL);
+  EXPECT_EQ(DatabaseFingerprint(report->final_db), 0x90da7dadd7f03f1eULL);
+}
+
+TEST(PinnedFingerprint, ExecutePlanCleanedDatabase) {
+  const PinnedInputs in = MakePinnedInputs(20260602, 300);
+  std::vector<int64_t> probes(in.db.num_xtuples(), 0);
+  for (size_t l = 0; l < probes.size(); l += 2) probes[l] = 2;
+  Rng rng(11);
+  Result<ExecutionReport> executed =
+      ExecutePlan(in.db, in.profile, probes, &rng);
+  ASSERT_TRUE(executed.ok()) << executed.status();
+  EXPECT_EQ(executed->successes, 139u);
+  EXPECT_EQ(DatabaseFingerprint(executed->cleaned_db), 0x5e3b657a6cf0f0eeULL);
+}
+
+TEST(PinnedFingerprint, PoolCloseAndMerge) {
+  PinnedInputs in = MakePinnedInputs(20260603, 300);
+  Result<SessionPool> pool = SessionPool::Create(std::move(in.db), 40);
+  ASSERT_TRUE(pool.ok()) << pool.status();
+  const std::vector<SessionPool::SessionId> ids = {pool->OpenSession(),
+                                                   pool->OpenSession()};
+  for (size_t s = 0; s < ids.size(); ++s) {
+    Rng rng(100 + s);
+    for (int round = 0; round < 3; ++round) {
+      std::vector<int64_t> probes(pool->base().num_xtuples(), 0);
+      for (size_t l = s + round; l < probes.size(); l += 3) probes[l] = 1;
+      ASSERT_TRUE(
+          ExecutePlan(&*pool, ids[s], in.profile, probes, &rng).ok());
+      ASSERT_TRUE(pool->Refresh(ids[s]).ok());
+    }
+  }
+  const uint64_t expected[] = {0x7bd2892dcf4bf658ULL, 0x78908b5d9f935199ULL};
+  for (size_t s = 0; s < ids.size(); ++s) {
+    Result<ProbabilisticDatabase> merged = pool->CloseAndMerge(ids[s]);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    EXPECT_EQ(DatabaseFingerprint(*merged), expected[s]) << "session " << s;
   }
 }
 

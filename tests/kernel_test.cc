@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/kernel.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
@@ -247,19 +248,9 @@ TEST(KernelOps, FoldScaleArgmaxBitwiseEqual) {
       scalar.fold_factor(alias_s.data(), alias_s.data(), n, q);
       avx2->fold_factor(alias_v.data(), alias_v.data(), n, q);
       ExpectBitwiseEqual(alias_s, alias_v, "fold-alias " + label);
-
-      // The divide-out pair points at the same scalar code in both
-      // tables (sequential recurrences; see rank/kernel.h).
-      EXPECT_EQ(scalar.divide_out_fwd, avx2->divide_out_fwd);
-      EXPECT_EQ(scalar.divide_out_bwd, avx2->divide_out_bwd);
     }
 
-    // scale
-    std::vector<double> dst_s(n), dst_v(n);
     const double e = rng.Uniform(0.0, 1.0);
-    scalar.scale(dst_s.data(), src.data(), n, e);
-    avx2->scale(dst_v.data(), src.data(), n, e);
-    ExpectBitwiseEqual(dst_s, dst_v, "scale " + label);
 
     // update_argmax, including ties (strict compare: ties keep the
     // incumbent in both kernels).
@@ -281,7 +272,7 @@ TEST(KernelOps, FoldScaleArgmaxBitwiseEqual) {
     // neither kernel re-associates the accumulation).
     const double p0 = rng.Uniform(0.0, 2.0);
     std::vector<double> ref(n);
-    scalar.scale(ref.data(), src.data(), n, e);
+    for (size_t i = 0; i < n; ++i) ref[i] = e * src[i];
     double p_ref = p0;
     for (size_t i = 0; i < n; ++i) p_ref += ref[i];
     std::vector<double> emit_s(n), emit_v(n);
@@ -366,31 +357,39 @@ TEST(KernelScan, EngineReplayFromEveryCheckpointBitwiseEqual) {
   Result<PsrEngine> avx2 = make_engine(KernelKind::kAvx2);
   ASSERT_TRUE(scalar.ok()) << scalar.status();
   ASSERT_TRUE(avx2.ok()) << avx2.status();
+  // Each engine's sole session holds every checkpoint, as in a
+  // CleaningSession.
+  const PsrEngine::SessionState scalar_state = scalar->TakeSoleSession();
+  const PsrEngine::SessionState avx2_state = avx2->TakeSoleSession();
 
   // Identical checkpoint placement (same live ordinals, same cadence)
   // and bitwise-identical outputs from the initial scans.
-  ASSERT_EQ(scalar->checkpoint_positions(), avx2->checkpoint_positions());
+  ASSERT_EQ(scalar_state.checkpoint_positions(),
+            avx2_state.checkpoint_positions());
   for (size_t j = 0; j < ladder.size(); ++j) {
-    ExpectPsrBitwiseEqual(scalar->output(j), avx2->output(j),
+    ExpectPsrBitwiseEqual(scalar_state.output(j), avx2_state.output(j),
                           "create k=" + std::to_string(ladder[j]));
   }
 
-  // Replays restarted at EVERY checkpoint rank: the restored snapshot
-  // plus the replayed suffix must agree bitwise between kernels, and
-  // with the uninterrupted scan of either.
-  const std::vector<size_t> positions = scalar->checkpoint_positions();
+  // Replays restarted at EVERY checkpoint rank of an unchanged view: the
+  // restored snapshot plus the replayed suffix must agree bitwise between
+  // kernels, and with the uninterrupted scan of either.
+  const DatabaseOverlay unchanged(&db);
+  const std::vector<size_t> positions = scalar_state.checkpoint_positions();
   ASSERT_GT(positions.size(), 4u);
   for (const size_t pos : positions) {
-    PsrEngine scalar_restart = *scalar;
-    PsrEngine avx2_restart = *avx2;
-    ASSERT_TRUE(scalar_restart.Replay(db, pos).ok()) << "restart at " << pos;
-    ASSERT_TRUE(avx2_restart.Replay(db, pos).ok()) << "restart at " << pos;
+    PsrEngine::SessionState scalar_restart = scalar_state;
+    PsrEngine::SessionState avx2_restart = avx2_state;
+    ASSERT_TRUE(scalar->ReplaySession(unchanged, pos, &scalar_restart).ok())
+        << "restart at " << pos;
+    ASSERT_TRUE(avx2->ReplaySession(unchanged, pos, &avx2_restart).ok())
+        << "restart at " << pos;
     for (size_t j = 0; j < ladder.size(); ++j) {
       const std::string label = "restart at " + std::to_string(pos) +
                                 " k=" + std::to_string(ladder[j]);
       ExpectPsrBitwiseEqual(scalar_restart.output(j), avx2_restart.output(j),
                             label);
-      ExpectPsrBitwiseEqual(scalar->output(j), scalar_restart.output(j),
+      ExpectPsrBitwiseEqual(scalar_state.output(j), scalar_restart.output(j),
                             label + " vs full scan");
     }
   }

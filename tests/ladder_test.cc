@@ -1,8 +1,8 @@
 // Property tests for multi-k PSR sharing: a single ladder scan
 // (ComputePsrLadder, the ladder PsrEngine, the ladder CleaningSession)
 // must match independent single-k runs to 1e-12 at every rung -- at
-// creation, after random clean sequences, and across tombstone compaction
-// -- and the aggregated planning problem must reduce to the single-k one.
+// creation and after random clean sequences -- and the aggregated
+// planning problem must reduce to the single-k one.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include "clean/session.h"
 #include "common/rng.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
@@ -31,8 +32,9 @@ KLadder MakeLadder(std::vector<size_t> ks) {
 }
 
 /// Per-rung comparison of a ladder output against an independent single-k
-/// PSR run over the same database.
-void ExpectRungMatchesSingleK(const ProbabilisticDatabase& db,
+/// PSR run over the same database or session view.
+template <typename Db>
+void ExpectRungMatchesSingleK(const Db& db,
                               const PsrOutput& rung_out, size_t k,
                               const PsrOptions& options) {
   ASSERT_EQ(rung_out.k, k);
@@ -65,7 +67,8 @@ void ExpectRungMatchesSingleK(const ProbabilisticDatabase& db,
 
 /// Per-rung comparison of a ladder TP state against an independent
 /// single-k PSR + TP recomputation (with matching scan options).
-void ExpectTpMatchesSingleK(const ProbabilisticDatabase& db,
+template <typename Db>
+void ExpectTpMatchesSingleK(const Db& db,
                             const TpOutput& rung_tp, size_t k,
                             const PsrOptions& options = {}) {
   Result<PsrOutput> psr = ScanPsr(db, k, options);
@@ -178,7 +181,7 @@ TEST(ComputeTpQualityLadder, MatchesSingleKRuns) {
 /// Draws a random clean outcome for a random still-uncertain x-tuple;
 /// returns false when the database is fully certain.
 bool ApplyRandomOutcome(CleaningSession* session, Rng* rng) {
-  const ProbabilisticDatabase& db = session->db();
+  const DatabaseOverlay& db = session->db();
   std::vector<XTupleId> uncertain;
   for (size_t l = 0; l < db.num_xtuples(); ++l) {
     const auto& members = db.xtuple_members(static_cast<XTupleId>(l));
@@ -202,15 +205,13 @@ struct LadderSweepParam {
   int seed;
   std::vector<size_t> ks;
   bool store_matrix;
-  size_t compact_min;  // 1 = compact every refresh, SIZE_MAX = never
 };
 
 class LadderSweep : public ::testing::TestWithParam<LadderSweepParam> {};
 
 /// The core equivalence property: a ladder session under a random clean
-/// sequence (batched like adaptive rounds, with the parameterized
-/// compaction policy) matches a from-scratch single-k PSR + TP
-/// recomputation at EVERY rung after EVERY refresh.
+/// sequence (batched like adaptive rounds) matches a from-scratch
+/// single-k PSR + TP recomputation at EVERY rung after EVERY refresh.
 TEST_P(LadderSweep, MatchesSingleKFromScratchAtEveryStep) {
   const LadderSweepParam param = GetParam();
   Rng maker(static_cast<uint64_t>(param.seed));
@@ -221,8 +222,6 @@ TEST_P(LadderSweep, MatchesSingleKFromScratchAtEveryStep) {
 
   CleaningSession::Options options;
   options.psr.store_rank_probabilities = param.store_matrix;
-  options.compact_min_tombstones = param.compact_min;
-  options.compact_min_fraction = 0.0;
   const KLadder ladder = MakeLadder(param.ks);
   Result<CleaningSession> session =
       CleaningSession::Start(std::move(db), ladder, options);
@@ -251,22 +250,17 @@ TEST_P(LadderSweep, MatchesSingleKFromScratchAtEveryStep) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, LadderSweep,
-    ::testing::Values(
-        LadderSweepParam{101, {2, 5, 9}, true, 1},
-        LadderSweepParam{101, {2, 5, 9}, false, static_cast<size_t>(-1)},
-        LadderSweepParam{202, {1, 4}, false, 1},
-        LadderSweepParam{303, {3, 6, 10, 15}, false, 4},
-        LadderSweepParam{404, {1, 2, 3, 4, 5}, true, 4},
-        LadderSweepParam{505, {7}, false, static_cast<size_t>(-1)}),
+    ::testing::Values(LadderSweepParam{101, {2, 5, 9}, true},
+                      LadderSweepParam{101, {2, 5, 9}, false},
+                      LadderSweepParam{202, {1, 4}, false},
+                      LadderSweepParam{303, {3, 6, 10, 15}, false},
+                      LadderSweepParam{404, {1, 2, 3, 4, 5}, true},
+                      LadderSweepParam{505, {7}, false}),
     [](const auto& info) {
       const LadderSweepParam& p = info.param;
       std::string name = "s" + std::to_string(p.seed) + "L";
       for (size_t k : p.ks) name += std::to_string(k) + "_";
       name += p.store_matrix ? "mat" : "nomat";
-      name += p.compact_min == 1
-                  ? "eager"
-                  : (p.compact_min == static_cast<size_t>(-1) ? "never"
-                                                              : "lazy");
       return name;
     });
 
@@ -308,7 +302,7 @@ TEST(PsrEngineThinning, Rank0CheckpointSurvivesThinningAndFullReplay) {
 TEST(LadderSession, MatchesPerKSessionsUnderSharedOutcomeStream) {
   // One ladder session and one single-k session per rung consume the SAME
   // outcome stream; after every round each rung must agree with its
-  // dedicated session bitwise-to-1e-12.
+  // single-k session to 1e-12.
   Rng maker(90210);
   RandomDbOptions opts;
   opts.num_xtuples = 18;
@@ -331,7 +325,7 @@ TEST(LadderSession, MatchesPerKSessionsUnderSharedOutcomeStream) {
   for (int round = 0; round < 12; ++round) {
     // Draw the round's outcomes once, against the shared session's db.
     std::vector<std::pair<XTupleId, TupleId>> outcomes;
-    const ProbabilisticDatabase& db = shared->db();
+    const DatabaseOverlay& db = shared->db();
     for (int draw = 0; draw < 2; ++draw) {
       std::vector<XTupleId> uncertain;
       for (size_t l = 0; l < db.num_xtuples(); ++l) {
@@ -394,14 +388,12 @@ TEST(LadderSession, ShrinkingScanEndLeavesNoStaleOmega) {
   const ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
   const KLadder ladder = MakeLadder({2, 6});
 
-  CleaningSession::Options options;
-  options.compact_min_tombstones = static_cast<size_t>(-1);  // keep indices
   bool shrunk = false;
   for (size_t l = 0; l < base.num_xtuples() && !shrunk; ++l) {
     const auto& members = base.xtuple_members(static_cast<XTupleId>(l));
     if (members.size() < 2 || base.tuple(members.front()).is_null) continue;
-    Result<CleaningSession> session = CleaningSession::Start(
-        ProbabilisticDatabase(base), ladder, options);
+    Result<CleaningSession> session =
+        CleaningSession::Start(ProbabilisticDatabase(base), ladder);
     ASSERT_TRUE(session.ok()) << session.status();
     std::vector<size_t> old_ends;
     for (size_t rung = 0; rung < ladder.size(); ++rung) {

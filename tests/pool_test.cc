@@ -1,17 +1,17 @@
 // Property tests for the SessionPool: every pooled session -- a
 // copy-on-write DatabaseOverlay plus a forked PsrEngine::SessionState over
-// ONE shared base scan -- must match a dedicated CleaningSession fed the
-// same outcomes to 1e-12 at every rung after every refresh, under
-// interleaved cleans across sessions, dedicated-side compaction, and
-// open/close churn; close-and-merge must materialize exactly the
-// dedicated session's cleaned database; and dirty-state reads must be a
-// hard failure in EVERY build type (the Release-mode stale-read
-// regression).
+// ONE shared base scan -- must match a from-scratch scan of its own view
+// (ComputePsrLadder with ScanRequest::overlay + ComputeTpQualityLadder)
+// bit for bit at every rung after every refresh, under interleaved cleans
+// across sessions and open/close churn; close-and-merge must materialize
+// exactly the database the validating builder derives from the same
+// outcomes; the overlay's own outcome recording is validated case by
+// case; and dirty-state reads must be a hard failure in EVERY build type
+// (the Release-mode stale-read regression).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -38,81 +38,88 @@ KLadder MakeLadder(std::vector<size_t> ks) {
   return std::move(ladder).value();
 }
 
-/// Eager-compaction options for the dedicated arm: the pooled arm never
-/// compacts (overlays keep base rank indices), so agreement across
-/// compaction proves the comparison is representation-independent.
-CleaningSession::Options EagerCompaction() {
-  CleaningSession::Options options;
-  options.compact_min_tombstones = 1;
-  options.compact_min_fraction = 0.0;
-  return options;
-}
-
-/// Top-k probabilities keyed by tuple id (stable across compaction and
-/// overlay representation), live tuples only.
-std::map<TupleId, double> TopkById(const ProbabilisticDatabase& db,
-                                   const PsrOutput& psr) {
-  std::map<TupleId, double> out;
-  for (size_t i = 0; i < db.num_tuples(); ++i) {
-    if (db.is_tombstone(i)) continue;
-    out[db.tuple(i).id] = psr.topk_prob[i];
-  }
-  return out;
-}
-
-std::map<TupleId, double> TopkById(const DatabaseOverlay& view,
-                                   const PsrOutput& psr) {
-  std::map<TupleId, double> out;
-  for (size_t i = 0; i < view.num_tuples(); ++i) {
-    if (view.is_tombstone(i)) continue;
-    out[view.tuple(i).id] = psr.topk_prob[i];
-  }
-  return out;
-}
-
-/// The acceptance property: pooled session `id` agrees with `dedicated`
-/// (same outcome stream) at every rung -- qualities, per-x-tuple gain and
-/// mass tables, and per-tuple top-k probabilities -- to 1e-12.
-void ExpectMatchesDedicated(const SessionPool& pool, SessionPool::SessionId id,
-                            const CleaningSession& dedicated) {
-  ASSERT_EQ(pool.num_rungs(), dedicated.num_rungs());
+/// The acceptance property: pooled session `id` agrees with a from-scratch
+/// ladder scan + TP pass over its own view at every rung, bit for bit --
+/// qualities, per-x-tuple gain and mass tables, omegas, and per-tuple
+/// top-k probabilities.
+void ExpectMatchesFromScratch(const SessionPool& pool,
+                              SessionPool::SessionId id) {
+  const DatabaseOverlay& view = pool.overlay(id);
+  Result<std::vector<PsrOutput>> psrs = ScanPsrLadder(view, pool.ladder());
+  ASSERT_TRUE(psrs.ok()) << psrs.status();
+  Result<std::vector<TpOutput>> tps = ComputeTpQualityLadder(view, *psrs);
+  ASSERT_TRUE(tps.ok()) << tps.status();
   for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
-    EXPECT_NEAR(pool.quality(id, rung), dedicated.quality(rung), kTol)
+    const PsrOutput& psr = pool.psr(id, rung);
+    const PsrOutput& scratch_psr = (*psrs)[rung];
+    EXPECT_EQ(psr.scan_end, scratch_psr.scan_end) << "rung " << rung;
+    EXPECT_EQ(psr.num_nonzero, scratch_psr.num_nonzero) << "rung " << rung;
+    EXPECT_EQ(psr.topk_prob, scratch_psr.topk_prob) << "rung " << rung;
+
+    const TpOutput& tp = pool.tp(id, rung);
+    const TpOutput& scratch_tp = (*tps)[rung];
+    EXPECT_EQ(pool.quality(id, rung), scratch_tp.quality) << "rung " << rung;
+    EXPECT_EQ(tp.scan_end, scratch_tp.scan_end) << "rung " << rung;
+    EXPECT_EQ(tp.omega, scratch_tp.omega) << "rung " << rung;
+    EXPECT_EQ(tp.xtuple_gain, scratch_tp.xtuple_gain) << "rung " << rung;
+    EXPECT_EQ(tp.xtuple_topk_mass, scratch_tp.xtuple_topk_mass)
         << "rung " << rung;
-
-    const TpOutput& pool_tp = pool.tp(id, rung);
-    const TpOutput& ded_tp = dedicated.tp(rung);
-    ASSERT_EQ(pool_tp.xtuple_gain.size(), ded_tp.xtuple_gain.size());
-    for (size_t l = 0; l < ded_tp.xtuple_gain.size(); ++l) {
-      EXPECT_NEAR(pool_tp.xtuple_gain[l], ded_tp.xtuple_gain[l], kTol)
-          << "rung " << rung << " x-tuple " << l;
-      EXPECT_NEAR(pool_tp.xtuple_topk_mass[l], ded_tp.xtuple_topk_mass[l],
-                  kTol)
-          << "rung " << rung << " x-tuple " << l;
-    }
-
-    const PsrOutput& pool_psr = pool.psr(id, rung);
-    const PsrOutput& ded_psr = dedicated.psr(rung);
-    EXPECT_EQ(pool_psr.num_nonzero, ded_psr.num_nonzero) << "rung " << rung;
-    const std::map<TupleId, double> pool_topk =
-        TopkById(pool.overlay(id), pool_psr);
-    const std::map<TupleId, double> ded_topk =
-        TopkById(dedicated.db(), ded_psr);
-    ASSERT_EQ(pool_topk.size(), ded_topk.size()) << "rung " << rung;
-    for (const auto& [tuple_id, prob] : ded_topk) {
-      const auto it = pool_topk.find(tuple_id);
-      ASSERT_NE(it, pool_topk.end()) << "tuple " << tuple_id;
-      EXPECT_NEAR(it->second, prob, kTol)
-          << "rung " << rung << " tuple " << tuple_id;
-    }
   }
 }
 
-/// Draws up to `count` random clean outcomes against the dedicated
-/// session's database (ids are stable, so they apply verbatim to the
-/// pooled twin); empty when the database is fully certain.
-std::vector<std::pair<XTupleId, TupleId>> DrawOutcomes(
-    const ProbabilisticDatabase& db, int count, Rng* rng) {
+/// The cleaned database the validating builder derives from `base` and
+/// `outcomes` (negative resolved id = entity absent), re-sorted from
+/// scratch: an independent reference for materialization.
+ProbabilisticDatabase BuilderCleaned(
+    const ProbabilisticDatabase& base,
+    const std::vector<std::pair<XTupleId, TupleId>>& outcomes) {
+  DatabaseBuilder builder = DatabaseBuilder::FromDatabase(base);
+  for (const auto& [xtuple, resolved_id] : outcomes) {
+    const Tuple* survivor = nullptr;
+    if (resolved_id >= 0) {
+      Result<size_t> rank = base.RankIndexOfTupleId(resolved_id);
+      UCLEAN_CHECK(rank.ok());
+      survivor = &base.tuple(*rank);
+    }
+    UCLEAN_CHECK(builder.ReplaceWithCertain(xtuple, survivor).ok());
+  }
+  Result<ProbabilisticDatabase> db = std::move(builder).Finish();
+  UCLEAN_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+/// Tuple-by-tuple and x-tuple-by-x-tuple comparison of a materialized
+/// database against BuilderCleaned's reference. Probabilities and masses
+/// compare to a few ulps: the builder re-sums each x-tuple's mass in its
+/// own order.
+void ExpectSameCleanedDatabase(const ProbabilisticDatabase& merged,
+                               const ProbabilisticDatabase& reference) {
+  ASSERT_EQ(merged.num_tuples(), reference.num_tuples());
+  EXPECT_EQ(merged.num_real_tuples(), reference.num_real_tuples());
+  for (size_t i = 0; i < reference.num_tuples(); ++i) {
+    const Tuple& a = merged.tuple(i);
+    const Tuple& b = reference.tuple(i);
+    EXPECT_EQ(a.id, b.id) << "rank " << i;
+    EXPECT_EQ(a.xtuple, b.xtuple) << "rank " << i;
+    EXPECT_EQ(a.is_null, b.is_null) << "rank " << i;
+    EXPECT_DOUBLE_EQ(a.prob, b.prob) << "rank " << i;
+    EXPECT_DOUBLE_EQ(a.score, b.score) << "rank " << i;
+  }
+  ASSERT_EQ(merged.num_xtuples(), reference.num_xtuples());
+  for (size_t l = 0; l < reference.num_xtuples(); ++l) {
+    const XTupleId x = static_cast<XTupleId>(l);
+    EXPECT_EQ(merged.xtuple_members(x), reference.xtuple_members(x))
+        << "x-tuple " << l;
+    EXPECT_DOUBLE_EQ(merged.xtuple_real_mass(x), reference.xtuple_real_mass(x))
+        << "x-tuple " << l;
+  }
+}
+
+/// Draws up to `count` random clean outcomes against a database or a
+/// session's view; empty when it is fully certain.
+template <typename Db>
+std::vector<std::pair<XTupleId, TupleId>> DrawOutcomes(const Db& db,
+                                                       int count, Rng* rng) {
   std::vector<std::pair<XTupleId, TupleId>> outcomes;
   for (int draw = 0; draw < count; ++draw) {
     std::vector<XTupleId> uncertain;
@@ -136,7 +143,7 @@ std::vector<std::pair<XTupleId, TupleId>> DrawOutcomes(
   return outcomes;
 }
 
-TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
+TEST(SessionPool, SessionsMatchFromScratchUnderInterleavedCleans) {
   Rng maker(424242);
   RandomDbOptions opts;
   opts.num_xtuples = 24;
@@ -151,17 +158,10 @@ TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
   EXPECT_EQ(pool->ladder().ks, ladder.ks);
 
   std::vector<SessionPool::SessionId> ids;
-  std::vector<CleaningSession> dedicated;
-  for (size_t s = 0; s < kSessions; ++s) {
-    ids.push_back(pool->OpenSession());
-    Result<CleaningSession> single = CleaningSession::Start(
-        ProbabilisticDatabase(base), ladder, EagerCompaction());
-    ASSERT_TRUE(single.ok()) << single.status();
-    dedicated.push_back(std::move(single).value());
-  }
+  for (size_t s = 0; s < kSessions; ++s) ids.push_back(pool->OpenSession());
   EXPECT_EQ(pool->num_open(), kSessions);
   for (size_t s = 0; s < kSessions; ++s) {
-    ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+    ExpectMatchesFromScratch(*pool, ids[s]);
   }
 
   Rng rng(99999);
@@ -170,27 +170,26 @@ TEST(SessionPool, SessionsMatchDedicatedUnderInterleavedCleans) {
     // s+1 steps), so refreshes interleave with other sessions' applies.
     for (size_t s = 0; s < kSessions; ++s) {
       if (step % static_cast<int>(s + 1) != 0) continue;
-      const auto outcomes =
-          DrawOutcomes(dedicated[s].db(), 1 + static_cast<int>(s % 2), &rng);
+      const auto outcomes = DrawOutcomes(pool->overlay(ids[s]),
+                                         1 + static_cast<int>(s % 2), &rng);
       for (const auto& [xtuple, resolved] : outcomes) {
         ASSERT_TRUE(pool->ApplyCleanOutcome(ids[s], xtuple, resolved).ok());
-        ASSERT_TRUE(dedicated[s].ApplyCleanOutcome(xtuple, resolved).ok());
       }
     }
-    // Refresh pooled sessions in reverse order, dedicated in forward
-    // order: agreement despite the asymmetry shows refreshes are
-    // order-independent across sessions.
+    // Refresh in reverse order: agreement despite the asymmetry shows
+    // refreshes are order-independent across sessions.
     for (size_t s = kSessions; s-- > 0;) {
       ASSERT_TRUE(pool->Refresh(ids[s]).ok());
     }
     for (size_t s = 0; s < kSessions; ++s) {
-      ASSERT_TRUE(dedicated[s].Refresh().ok());
-      ExpectMatchesDedicated(*pool, ids[s], dedicated[s]);
+      ExpectMatchesFromScratch(*pool, ids[s]);
     }
   }
   // The shared base never absorbed anyone's cleans.
-  EXPECT_FALSE(pool->base().has_tombstones());
   EXPECT_EQ(pool->base().num_tuples(), base.num_tuples());
+  for (size_t i = 0; i < base.num_tuples(); ++i) {
+    EXPECT_EQ(pool->base().tuple(i).prob, base.tuple(i).prob) << "rank " << i;
+  }
 }
 
 TEST(SessionPool, ChurnReopensCleanSlots) {
@@ -224,25 +223,20 @@ TEST(SessionPool, ChurnReopensCleanSlots) {
     EXPECT_NEAR(pool->quality(reused, rung), pool->base_tp(rung).quality,
                 0.0);
   }
+  ExpectMatchesFromScratch(*pool, reused);
 
-  // A session opened mid-stream behaves exactly like a dedicated session
-  // started from the base now.
-  Result<CleaningSession> dedicated = CleaningSession::Start(
-      ProbabilisticDatabase(base), ladder, EagerCompaction());
-  ASSERT_TRUE(dedicated.ok());
+  // The recycled session keeps matching a from-scratch scan of its view.
   for (int round = 0; round < 4; ++round) {
     for (const auto& [xtuple, resolved] :
-         DrawOutcomes(dedicated->db(), 2, &rng)) {
+         DrawOutcomes(pool->overlay(reused), 2, &rng)) {
       ASSERT_TRUE(pool->ApplyCleanOutcome(reused, xtuple, resolved).ok());
-      ASSERT_TRUE(dedicated->ApplyCleanOutcome(xtuple, resolved).ok());
     }
     ASSERT_TRUE(pool->Refresh(reused).ok());
-    ASSERT_TRUE(dedicated->Refresh().ok());
-    ExpectMatchesDedicated(*pool, reused, *dedicated);
+    ExpectMatchesFromScratch(*pool, reused);
   }
 }
 
-TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
+TEST(SessionPool, CloseAndMergeMatchesTheBuilderRoundTrip) {
   Rng maker(2024);
   RandomDbOptions opts;
   opts.num_xtuples = 14;
@@ -253,14 +247,12 @@ TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
       SessionPool::Create(ProbabilisticDatabase(base), /*k=*/4);
   ASSERT_TRUE(pool.ok());
   const SessionPool::SessionId id = pool->OpenSession();
-  Result<CleaningSession> dedicated =
-      CleaningSession::Start(ProbabilisticDatabase(base), /*k=*/4);
-  ASSERT_TRUE(dedicated.ok());
 
   Rng rng(55);
-  for (const auto& [xtuple, resolved] : DrawOutcomes(base, 5, &rng)) {
+  const auto outcomes = DrawOutcomes(base, 5, &rng);
+  ASSERT_FALSE(outcomes.empty());
+  for (const auto& [xtuple, resolved] : outcomes) {
     ASSERT_TRUE(pool->ApplyCleanOutcome(id, xtuple, resolved).ok());
-    ASSERT_TRUE(dedicated->ApplyCleanOutcome(xtuple, resolved).ok());
   }
   // Merge the still-dirty session: materialization consumes the recorded
   // outcomes, not the (deliberately stale) scan state.
@@ -268,22 +260,10 @@ TEST(SessionPool, CloseAndMergeMaterializesTheDedicatedDatabase) {
   Result<ProbabilisticDatabase> merged = pool->CloseAndMerge(id);
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_EQ(pool->num_open(), 0u);
-
-  const ProbabilisticDatabase reference = std::move(*dedicated).TakeDatabase();
-  ASSERT_EQ(merged->num_tuples(), reference.num_tuples());
-  EXPECT_FALSE(merged->has_tombstones());
-  for (size_t i = 0; i < reference.num_tuples(); ++i) {
-    const Tuple& a = merged->tuple(i);
-    const Tuple& b = reference.tuple(i);
-    EXPECT_EQ(a.id, b.id) << "rank " << i;
-    EXPECT_EQ(a.xtuple, b.xtuple) << "rank " << i;
-    EXPECT_EQ(a.is_null, b.is_null) << "rank " << i;
-    EXPECT_DOUBLE_EQ(a.prob, b.prob) << "rank " << i;
-    EXPECT_DOUBLE_EQ(a.score, b.score) << "rank " << i;
-  }
+  ExpectSameCleanedDatabase(*merged, BuilderCleaned(base, outcomes));
 }
 
-TEST(SessionPool, ExecutePlanOverloadMatchesDedicatedSession) {
+TEST(SessionPool, ExecutePlanOverloadMatchesCleaningSession) {
   Rng maker(91);
   RandomDbOptions opts;
   opts.num_xtuples = 10;
@@ -322,9 +302,11 @@ TEST(SessionPool, ExecutePlanOverloadMatchesDedicatedSession) {
     for (size_t j = 0; j < single->log.size(); ++j) {
       EXPECT_EQ(pooled->log[j].resolved_id, single->log[j].resolved_id);
     }
+    EXPECT_EQ(pool->overlay(id).outcomes(), session->db().outcomes());
     ASSERT_TRUE(pool->Refresh(id).ok());
     ASSERT_TRUE(session->Refresh().ok());
-    ExpectMatchesDedicated(*pool, id, *session);
+    ExpectMatchesFromScratch(*pool, id);
+    EXPECT_EQ(pool->quality(id), session->quality());
   }
 }
 
@@ -382,15 +364,18 @@ TEST(DatabaseOverlay, RecordsOutcomesWithoutTouchingTheBase) {
   const Tuple resolved = base.tuple(members.front());
   ASSERT_FALSE(resolved.is_null);
 
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> delta =
+  Result<DatabaseOverlay::CleanOutcomeDelta> delta =
       overlay.ApplyCleanOutcome(target, resolved.id);
   ASSERT_TRUE(delta.ok()) << delta.status();
+  EXPECT_FALSE(delta->resolved_null);
   EXPECT_EQ(delta->first_changed_rank, static_cast<size_t>(members.front()));
+  EXPECT_EQ(delta->resolved_rank, static_cast<size_t>(members.front()));
   EXPECT_EQ(overlay.divergence_rank(), static_cast<size_t>(members.front()));
   EXPECT_EQ(overlay.num_outcomes(), 1u);
   EXPECT_EQ(overlay.num_tombstones(), members.size() - 1);
 
-  // The overlay view reflects the collapse...
+  // The overlay view reflects the collapse, rank indices unchanged...
+  EXPECT_EQ(overlay.num_tuples(), base.num_tuples());
   ASSERT_EQ(overlay.xtuple_members(target).size(), 1u);
   EXPECT_DOUBLE_EQ(overlay.tuple(static_cast<size_t>(members.front())).prob,
                    1.0);
@@ -400,36 +385,80 @@ TEST(DatabaseOverlay, RecordsOutcomesWithoutTouchingTheBase) {
     EXPECT_TRUE(overlay.is_tombstone(static_cast<size_t>(idx)));
   }
   // ...while the base is untouched.
-  EXPECT_FALSE(base.has_tombstones());
   EXPECT_EQ(base.xtuple_members(target).size(), members.size());
   EXPECT_LT(base.tuple(members.front()).prob, 1.0);
 
   // Re-cleaning: same outcome is a no-op, a dropped sibling is NotFound.
-  Result<ProbabilisticDatabase::CleanOutcomeDelta> again =
+  Result<DatabaseOverlay::CleanOutcomeDelta> again =
       overlay.ApplyCleanOutcome(target, resolved.id);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->first_changed_rank, base.num_tuples());
   EXPECT_EQ(overlay.num_outcomes(), 1u);
-  if (members.size() > 1) {
-    EXPECT_FALSE(
-        overlay.ApplyCleanOutcome(target, base.tuple(members[1]).id).ok());
-  }
+  EXPECT_EQ(overlay.ApplyCleanOutcome(target, base.tuple(members[1]).id)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
 
-  // Validation mirrors the in-place path.
-  EXPECT_FALSE(overlay.ApplyCleanOutcome(-1, 0).ok());
-  EXPECT_FALSE(overlay.ApplyCleanOutcome(999, 0).ok());
-  EXPECT_FALSE(overlay.ApplyCleanOutcome(target, 123456).ok());
-
-  // Materialization equals replaying the outcome on a copy.
-  ProbabilisticDatabase reference = base;
-  ASSERT_TRUE(reference.ApplyCleanOutcome(target, resolved.id).ok());
-  reference.CompactTombstones();
+  // Materialization drops exactly the dead slots and matches the builder
+  // round trip.
   const ProbabilisticDatabase merged = overlay.MaterializeCleaned();
-  ASSERT_EQ(merged.num_tuples(), reference.num_tuples());
-  for (size_t i = 0; i < reference.num_tuples(); ++i) {
-    EXPECT_EQ(merged.tuple(i).id, reference.tuple(i).id);
-    EXPECT_DOUBLE_EQ(merged.tuple(i).prob, reference.tuple(i).prob);
-  }
+  EXPECT_EQ(merged.num_tuples(), base.num_tuples() - (members.size() - 1));
+  ExpectSameCleanedDatabase(merged,
+                            BuilderCleaned(base, {{target, resolved.id}}));
+}
+
+TEST(DatabaseOverlay, ApplyCleanOutcomeValidates) {
+  Rng maker(8);
+  RandomDbOptions opts;
+  opts.num_xtuples = 3;
+  opts.allow_subunit_mass = false;  // unit mass: no null alternatives
+  const ProbabilisticDatabase base = MakeRandomDatabase(&maker, opts);
+  DatabaseOverlay overlay(&base);
+  EXPECT_EQ(overlay.ApplyCleanOutcome(-1, 0).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(overlay.ApplyCleanOutcome(99, 0).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(overlay.ApplyCleanOutcome(0, 123456).status().code(),
+            StatusCode::kNotFound);
+  // Null outcome on a full-mass x-tuple is impossible (probability zero).
+  EXPECT_EQ(overlay.ApplyCleanOutcome(0, -1).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(overlay.num_outcomes(), 0u);
+  EXPECT_EQ(DatabaseOverlay().ApplyCleanOutcome(0, 0).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(DatabaseOverlay, NullOutcomeCollapsesToCertainNull) {
+  DatabaseBuilder b;
+  XTupleId x = b.AddXTuple("E");
+  ASSERT_TRUE(b.AddAlternative(x, 0, 9.0, 0.3).ok());
+  ASSERT_TRUE(b.AddAlternative(x, 1, 4.0, 0.3).ok());  // null mass 0.4
+  XTupleId y = b.AddXTuple("F");
+  ASSERT_TRUE(b.AddAlternative(y, 2, 6.0, 1.0).ok());
+  Result<ProbabilisticDatabase> base = std::move(b).Finish();
+  ASSERT_TRUE(base.ok());
+  DatabaseOverlay overlay(&*base);
+
+  Result<DatabaseOverlay::CleanOutcomeDelta> delta =
+      overlay.ApplyCleanOutcome(x, -1);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  EXPECT_TRUE(delta->resolved_null);
+  ASSERT_EQ(overlay.xtuple_members(x).size(), 1u);
+  const Tuple& survivor = overlay.tuple(overlay.xtuple_members(x)[0]);
+  EXPECT_TRUE(survivor.is_null);
+  EXPECT_DOUBLE_EQ(survivor.prob, 1.0);
+  EXPECT_DOUBLE_EQ(overlay.xtuple_real_mass(x), 0.0);
+
+  // PSR on the view: F's tuple is now certain rank 1.
+  Result<PsrOutput> psr = ScanPsr(overlay, 1);
+  ASSERT_TRUE(psr.ok());
+  const size_t f_rank = *base->RankIndexOfTupleId(2);
+  EXPECT_NEAR(psr->topk_prob[f_rank], 1.0, kTol);
+
+  const ProbabilisticDatabase merged = overlay.MaterializeCleaned();
+  EXPECT_EQ(merged.num_real_tuples(), 1u);  // only F's alternative remains
+  EXPECT_EQ(merged.num_tuples(), 2u);       // F's tuple + E's certain null
+  ExpectSameCleanedDatabase(merged, BuilderCleaned(*base, {{x, -1}}));
 }
 
 TEST(SessionPoolDeathTest, DirtyReadsAreAHardFailureInEveryBuildType) {
@@ -512,7 +541,7 @@ TEST(SessionPoolDeathTest, ConcurrentUseTripsTheSerializedCallerGuard) {
       "serialized");
 }
 
-/// Same violated contract against a dedicated CleaningSession: its
+/// Same violated contract against a CleaningSession: its
 /// serialized-caller guard was promoted from documentation to a
 /// SerialGate capability alongside the pool's, so two threads driving
 /// one session must abort the same way.
@@ -532,7 +561,7 @@ TEST(SessionPoolDeathTest, ConcurrentSessionUseTripsTheSerializedGuard) {
         const auto hammer = [&session](uint64_t seed) {
           Rng rng(seed);
           for (int iter = 0; iter < 4000; ++iter) {
-            const ProbabilisticDatabase& view = session->db();
+            const DatabaseOverlay& view = session->db();
             const size_t rank = static_cast<size_t>(rng.UniformInt(
                 0, static_cast<int64_t>(view.num_tuples() - 1)));
             if (view.is_tombstone(rank)) continue;

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "exec/thread_pool.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "test_util.h"
@@ -296,9 +297,9 @@ TEST(ShardedScanTest, SessionReplaysMatchSequentialUnderCleans) {
 
 // ------------------------------------- checkpoint cut-point coverage
 
-/// The shard primitive, exercised at every restore point the engine has:
+/// The shard primitive, exercised at every restore point a session has:
 /// a scan restarted from the checkpoint at rank p (ScanFrom(p) via
-/// Replay with an unchanged database) must reproduce the full scan's
+/// ReplaySession over an unchanged view) must reproduce the full scan's
 /// output at every rung -- including checkpoints ranked past the
 /// shallow rung's Lemma-2 stop, where the restart must leave that
 /// rung's latched output untouched.
@@ -310,6 +311,7 @@ TEST(ShardedScanTest, ScanFromEveryCheckpointRankMatchesFullScan) {
   // covers every aggregate; without it a replay resets them by contract.
   PsrOptions options;
   options.store_rank_probabilities = true;
+  const DatabaseOverlay unchanged(&db);
   for (const size_t threads : {1u, 4u}) {
     ScanRequest request;
     request.ladder = ladder;
@@ -317,18 +319,22 @@ TEST(ShardedScanTest, ScanFromEveryCheckpointRankMatchesFullScan) {
     request.exec = Threads(threads);
     Result<PsrEngine> engine = PsrEngine::Create(db, request);
     ASSERT_TRUE(engine.ok()) << engine.status();
-    const std::vector<size_t> positions = engine->checkpoint_positions();
+    // The engine's sole session holds every checkpoint, as in a
+    // CleaningSession.
+    const PsrEngine::SessionState state = engine->TakeSoleSession();
+    const std::vector<size_t> positions = state.checkpoint_positions();
     ASSERT_GT(positions.size(), 4u);
     // The shallow rung stops early; the deep rung keeps checkpointing
     // past it, so restarts beyond a latched rung are really covered.
-    const size_t shallow_end = engine->output(0).scan_end;
-    ASSERT_LT(shallow_end, engine->output(1).scan_end);
+    const size_t shallow_end = state.output(0).scan_end;
+    ASSERT_LT(shallow_end, state.output(1).scan_end);
     ASSERT_GT(positions.back(), shallow_end);
     for (const size_t pos : positions) {
-      PsrEngine restarted = *engine;  // fresh copy per restart rank
-      ASSERT_TRUE(restarted.Replay(db, pos).ok()) << "restart at " << pos;
+      PsrEngine::SessionState restarted = state;  // fresh copy per rank
+      ASSERT_TRUE(engine->ReplaySession(unchanged, pos, &restarted).ok())
+          << "restart at " << pos;
       for (size_t j = 0; j < ladder.size(); ++j) {
-        ExpectPsrEqual(engine->output(j), restarted.output(j),
+        ExpectPsrEqual(state.output(j), restarted.output(j),
                        "threads=" + std::to_string(threads) + " restart at " +
                            std::to_string(pos) + " k=" +
                            std::to_string(ladder[j]));

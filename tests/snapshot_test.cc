@@ -9,7 +9,9 @@
 //    same refreshed state on the original and the reloaded pool;
 //  * every corruption mode -- a bit flip inside each section, truncation
 //    at every section boundary, unknown feature flags, future section
-//    versions, missing sections -- fails with Status::DataLoss;
+//    versions, missing sections, a database that claims tombstoned
+//    slots -- fails with Status::DataLoss, while the all-zero tombstone
+//    bitmap older writers could leave still loads;
 //  * a mid-campaign save (adaptive cleaning with faults, serial AND
 //    pipelined) resumes in a fresh pool and finishes with qualities,
 //    spend, probe logs, fault counters, Rng engines and FaultInjector
@@ -30,6 +32,7 @@
 #include "common/status.h"
 #include "model/database.h"
 #include "rank/psr.h"
+#include "store/binstream.h"
 #include "store/snapshot.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"
@@ -396,6 +399,88 @@ TEST(SnapshotCompatTest, UnknownSectionIsSkipped) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   // The reconstructed pool is the one the un-extended file describes.
   EXPECT_EQ(SerializedPool(loaded->pool), good);
+}
+
+// ------------------------------------------------ v1 tombstone field
+
+/// Re-encodes the trailing format-v1 tombstone field of `good`'s database
+/// section -- bitmap, then count, then the real-tuple counter that
+/// follows them -- with every CRC recomputed: how the tests craft the
+/// field contents an older writer could leave and a hostile file could
+/// carry. `good` must come from the current writer, which always writes
+/// an empty bitmap and a zero count.
+std::string WithTombstoneField(const std::string& good, const SessionPool& pool,
+                               const std::string& bitmap, uint64_t count) {
+  store::BinWriter written;
+  written.PutString(std::string_view());
+  written.PutVarint(0);
+  written.PutVarint(pool.base().num_real_tuples());
+  store::BinWriter crafted;
+  crafted.PutString(bitmap);
+  crafted.PutVarint(count);
+  crafted.PutVarint(pool.base().num_real_tuples());
+
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  UCLEAN_CHECK(file.ok());
+  store::SnapshotFileBuilder builder;
+  builder.set_feature_flags(file->feature_flags());
+  for (const store::SectionEntry& entry : file->sections()) {
+    std::string payload(file->payload(entry));
+    if (entry.id == store::kSectionDatabase) {
+      const std::string& tail = written.bytes();
+      UCLEAN_CHECK(payload.size() >= tail.size() &&
+                   payload.compare(payload.size() - tail.size(), tail.size(),
+                                   tail) == 0);
+      payload.replace(payload.size() - tail.size(), tail.size(),
+                      crafted.bytes());
+    }
+    builder.AddSection(entry.id, entry.version, std::move(payload));
+  }
+  return builder.Finish();
+}
+
+TEST(SnapshotCompatTest, AllZeroTombstoneBitmapLoads) {
+  TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  // The writer's own field is the empty bitmap with a zero count.
+  ASSERT_EQ(WithTombstoneField(good, built.pool, "", 0), good);
+
+  // An older writer left an all-zero bitmap over every tuple when a clean
+  // allocated it but dropped nothing. It loads, and the reloaded pool
+  // re-serializes to the current writer's bytes.
+  const std::string zeros =
+      WithTombstoneField(good, built.pool, std::string(n, '\0'), 0);
+  ASSERT_NE(zeros, good);
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(zeros, SessionPool::Options());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(SerializedPool(loaded->pool), good);
+}
+
+TEST(SnapshotCorruptionTest, TombstonedDatabaseIsDataLoss) {
+  TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  std::string one_set(n, '\0');
+  one_set[n / 2] = 1;
+  const struct {
+    const char* name;
+    std::string bitmap;
+    uint64_t count;
+  } cases[] = {
+      {"set byte", one_set, 0},
+      {"set byte and count", one_set, 1},
+      {"zero bitmap, nonzero count", std::string(n, '\0'), 1},
+      {"empty bitmap, nonzero count", "", 3},
+      {"short zero bitmap", std::string(n - 1, '\0'), 0},
+  };
+  for (const auto& c : cases) {
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        WithTombstoneField(good, built.pool, c.bitmap, c.count),
+        SessionPool::Options());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+  }
 }
 
 // ---------------------------------------------------------------- inspect

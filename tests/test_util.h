@@ -1,7 +1,8 @@
 // Shared helpers for randomized/property tests: small random databases with
 // controlled shape (so brute-force oracles stay tractable), plus
 // ScanRequest-based one-line scan wrappers so every test drives the
-// request API of rank/psr.h.
+// request API of rank/psr.h -- over a database, or over a session's
+// DatabaseOverlay view (ScanRequest::overlay).
 
 #ifndef UCLEAN_TESTS_TEST_UTIL_H_
 #define UCLEAN_TESTS_TEST_UTIL_H_
@@ -12,19 +13,10 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "model/database.h"
+#include "model/database_overlay.h"
 #include "rank/psr.h"
 
 namespace uclean {
-
-/// Single-k scan through the request API (the shape most tests want).
-inline Result<PsrOutput> ScanPsr(const ProbabilisticDatabase& db, size_t k,
-                                 const PsrOptions& options = {}) {
-  Result<ScanRequest> request = ScanRequest::ForK(k, options);
-  if (!request.ok()) return request.status();
-  Result<ScanResult> scan = ComputePsrLadder(db, *request);
-  if (!scan.ok()) return scan.status();
-  return std::move(scan->outputs[0]);
-}
 
 /// Ladder scan through the request API, unwrapped to the per-rung vector.
 inline Result<std::vector<PsrOutput>> ScanPsrLadder(
@@ -37,6 +29,34 @@ inline Result<std::vector<PsrOutput>> ScanPsrLadder(
   Result<ScanResult> scan = ComputePsrLadder(db, request);
   if (!scan.ok()) return scan.status();
   return std::move(scan->outputs);
+}
+
+/// From-scratch ladder scan of a session's view: the base scanned with
+/// the overlay applied.
+inline Result<std::vector<PsrOutput>> ScanPsrLadder(
+    const DatabaseOverlay& view, const KLadder& ladder,
+    const PsrOptions& options = {}, const ExecOptions& exec = {}) {
+  ScanRequest request;
+  request.ladder = ladder;
+  request.psr = options;
+  request.exec = exec;
+  request.overlay = &view;
+  Result<ScanResult> scan = ComputePsrLadder(view.base(), request);
+  if (!scan.ok()) return scan.status();
+  return std::move(scan->outputs);
+}
+
+/// Single-k scan through the request API (the shape most tests want),
+/// over a database or a session's view.
+template <typename Db>
+Result<PsrOutput> ScanPsr(const Db& db, size_t k,
+                          const PsrOptions& options = {}) {
+  if (k == 0) return Status::InvalidArgument("k must be positive");
+  KLadder ladder;
+  ladder.ks = {k};
+  Result<std::vector<PsrOutput>> scan = ScanPsrLadder(db, ladder, options);
+  if (!scan.ok()) return scan.status();
+  return std::move((*scan)[0]);
 }
 
 struct RandomDbOptions {
