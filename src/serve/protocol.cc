@@ -1,6 +1,7 @@
 #include "serve/protocol.h"
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -13,6 +14,41 @@ namespace {
 /// Largest accepted k: far above any useful rung, small enough that a
 /// hostile "topk 999999999999" cannot allocate per-rank arrays at will.
 constexpr int64_t kMaxK = 10'000'000;
+
+constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+/// kFnvPrime^m mod 2^64 by repeated squaring: FNV-1a folds a zero byte
+/// as `hash *= kFnvPrime`, so m zero bytes multiply the hash by this.
+uint64_t FnvPrimePower(uint64_t m) {
+  uint64_t power = 1;
+  uint64_t base = kFnvPrime;
+  for (; m != 0; m >>= 1) {
+    if ((m & 1) != 0) power *= base;
+    base *= base;
+  }
+  return power;
+}
+
+/// Start of a run of all-zero-bits entries that ends `values`: a
+/// backward OR scan over 8-entry (64-byte) blocks aligned to the end,
+/// stopping at the first block that holds a nonzero entry. The run is
+/// the whole zero tail less at most 7 entries.
+size_t ZeroTailStart(const std::vector<double>& values) {
+  constexpr size_t kBlock = 8;
+  size_t end = values.size();
+  while (end >= kBlock) {
+    uint64_t any = 0;
+    for (size_t i = end - kBlock; i < end; ++i) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &values[i], sizeof(bits));
+      any |= bits;
+    }
+    if (any != 0) break;
+    end -= kBlock;
+  }
+  return end;
+}
 
 /// Splits on runs of spaces/tabs (no empty tokens).
 std::vector<std::string_view> Tokenize(std::string_view line) {
@@ -169,16 +205,18 @@ std::string FormatReply(const Reply& reply) {
 
 uint64_t Fnv1a64(const void* data, size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = 1469598103934665603ULL;
+  uint64_t hash = kFnvOffsetBasis;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
-    hash *= 1099511628211ULL;
+    hash *= kFnvPrime;
   }
   return hash;
 }
 
 uint64_t HashDoubles(const std::vector<double>& values) {
-  return Fnv1a64(values.data(), values.size() * sizeof(double));
+  const size_t prefix = ZeroTailStart(values);
+  return Fnv1a64(values.data(), prefix * sizeof(double)) *
+         FnvPrimePower((values.size() - prefix) * sizeof(double));
 }
 
 }  // namespace serve

@@ -3,8 +3,9 @@
 // validation, ReadSnapshot/InspectSnapshot and the warm-start entry
 // point SessionPool::OpenFromSnapshot. Every malformed byte -- bad
 // magic, checksum mismatch, truncation, out-of-range value,
-// inconsistent cross-section shape -- surfaces as Status::DataLoss; the
-// reader never guesses and never reconstructs a pool it cannot prove
+// inconsistent cross-section shape, a top-k vector that is not +0.0
+// past its Lemma-2 stop -- surfaces as Status::DataLoss; the reader
+// never guesses and never reconstructs a pool it cannot prove
 // bitwise-faithful to the writer's.
 
 #include <cstring>
@@ -140,6 +141,32 @@ const SectionEntry* SnapshotFile::Find(uint32_t id) const {
 
 namespace {
 
+/// Lemma 2 on a decoded rung: a scan never writes at or past its stop
+/// point, so every top-k entry there is +0.0 bits, and num_nonzero counts
+/// the positive entries before it. The serving argmax, the engine's
+/// recounts and ForkSession's prefix copy all stop at scan_end on that
+/// promise; one pass over the array checks it.
+Status CheckZeroTail(const PsrOutput& out) {
+  size_t positive = 0;
+  for (size_t i = 0; i < out.scan_end; ++i) {
+    if (out.topk_prob[i] > 0.0) ++positive;
+  }
+  uint64_t tail_bits = 0;
+  for (size_t i = out.scan_end; i < out.topk_prob.size(); ++i) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &out.topk_prob[i], sizeof(bits));
+    tail_bits |= bits;
+  }
+  if (tail_bits != 0) {
+    return Status::DataLoss("PSR top-k entry at or past scan_end is not +0.0");
+  }
+  if (positive != out.num_nonzero) {
+    return Status::DataLoss(
+        "PSR nonzero count does not match its top-k vector");
+  }
+  return Status::OK();
+}
+
 Status DecodePsrOutput(BinReader* r, size_t num_tuples, PsrOutput* out) {
   uint64_t k = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&k));
@@ -158,6 +185,7 @@ Status DecodePsrOutput(BinReader* r, size_t num_tuples, PsrOutput* out) {
   }
   out->num_nonzero = static_cast<size_t>(num_nonzero);
   out->scan_end = static_cast<size_t>(scan_end);
+  UCLEAN_RETURN_IF_ERROR(CheckZeroTail(*out));
   UCLEAN_RETURN_IF_ERROR(r->GetF64Array(&out->best_rank_prob));
   uint64_t index_count = 0;
   UCLEAN_RETURN_IF_ERROR(r->GetVarint(&index_count));

@@ -6,12 +6,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstring>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "clean/session_pool.h"
+#include "common/rng.h"
 #include "gtest/gtest.h"
 #include "model/database.h"
 #include "serve/cost_model.h"
@@ -134,6 +136,106 @@ TEST(FormatReplyTest, ErrorRepliesAreOneSanitizedLine) {
   size_t quotes = 0;
   for (char c : line) quotes += c == '"';
   EXPECT_EQ(quotes, 2u) << line;
+}
+
+// ------------------------------------------------------------ fingerprint
+
+/// The definition HashDoubles must reproduce: FNV-1a 64 over every byte.
+uint64_t ByteWiseHash(const std::vector<double>& values) {
+  return Fnv1a64(values.data(), 8 * values.size());
+}
+
+double FromBits(uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+/// `prefix` positive words, then `tail` +0.0 words: a top-k vector's
+/// shape, with the Lemma-2 stop at `prefix`.
+std::vector<double> WithZeroTail(size_t prefix, size_t tail) {
+  std::vector<double> values(prefix + tail, 0.0);
+  for (size_t i = 0; i < prefix; ++i) values[i] = 1.0 / (i + 2.0);
+  return values;
+}
+
+TEST(HashDoublesTest, EdgeShapesMatchTheByteWiseHash) {
+  EXPECT_EQ(HashDoubles({}), ByteWiseHash({}));
+  for (size_t n : {1, 7, 8, 9, 64, 1000}) {
+    const std::vector<double> zeros(n, 0.0);
+    EXPECT_EQ(HashDoubles(zeros), ByteWiseHash(zeros)) << n << " zeros";
+  }
+  for (size_t prefix : {1, 7, 8, 9, 37}) {
+    const std::vector<double> no_tail = WithZeroTail(prefix, 0);
+    EXPECT_EQ(HashDoubles(no_tail), ByteWiseHash(no_tail)) << prefix;
+  }
+  // Tails on either side of the 8-word block the backward scan ORs, over
+  // prefixes that put the last nonzero word at every block offset.
+  for (size_t tail : {1, 7, 8, 9, 15, 16, 17}) {
+    for (size_t prefix = 1; prefix <= 17; ++prefix) {
+      const std::vector<double> values = WithZeroTail(prefix, tail);
+      EXPECT_EQ(HashDoubles(values), ByteWiseHash(values))
+          << "prefix " << prefix << " tail " << tail;
+    }
+  }
+  // One nonzero word among zeros, at every offset of three whole blocks
+  // and of a length with a partial block in front.
+  for (size_t n : {24, 27}) {
+    for (size_t at = 0; at < n; ++at) {
+      std::vector<double> values(n, 0.0);
+      values[at] = 0.5;
+      EXPECT_EQ(HashDoubles(values), ByteWiseHash(values))
+          << "n " << n << " nonzero at " << at;
+    }
+  }
+}
+
+TEST(HashDoublesTest, OddLastNonzeroWordsMatchTheByteWiseHash) {
+  const struct {
+    const char* name;
+    double value;
+  } words[] = {
+      {"-0.0, only the top byte set", -0.0},
+      {"denormal, only the low byte set", FromBits(1)},
+      {"NaN payload", FromBits(0x7ff80000deadbeefULL)},
+  };
+  for (const auto& word : words) {
+    for (size_t tail : {0, 1, 7, 8, 9, 17}) {
+      std::vector<double> values = WithZeroTail(11, tail);
+      values[10] = word.value;
+      EXPECT_EQ(HashDoubles(values), ByteWiseHash(values))
+          << word.name << " tail " << tail;
+    }
+  }
+}
+
+TEST(HashDoublesTest, RandomShapesMatchTheByteWiseHash) {
+  Rng rng(20261017);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto prefix = static_cast<size_t>(rng.UniformInt(0, 80));
+    const auto tail = static_cast<size_t>(rng.UniformInt(0, 80));
+    std::vector<double> values = WithZeroTail(prefix, tail);
+    // Interior zeros and odd words inside the prefix: only the trailing
+    // run of zero words may fold in closed form.
+    for (size_t i = 0; i < prefix; ++i) {
+      const int64_t kind = rng.UniformInt(0, 9);
+      if (kind < 2) values[i] = 0.0;
+      if (kind == 2) values[i] = -0.0;
+      if (kind == 3) values[i] = FromBits(1);  // the smallest denormal
+      if (kind >= 4) values[i] = rng.Uniform(0.0, 1.0);
+    }
+    ASSERT_EQ(HashDoubles(values), ByteWiseHash(values))
+        << "trial " << trial << " prefix " << prefix << " tail " << tail;
+  }
+}
+
+TEST(HashDoublesTest, PinnedValue) {
+  // A top-k-shaped vector: 263 positive entries with one interior zero,
+  // then a 3,836-entry zero tail. The value was captured from the plain
+  // byte loop, so the hash cannot drift with its reference.
+  std::vector<double> values = WithZeroTail(263, 3836);
+  values[100] = 0.0;
+  EXPECT_EQ(HashDoubles(values), 0xc8c75a29b5a33748ULL);
 }
 
 // ------------------------------------------------------------- the server

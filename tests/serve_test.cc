@@ -8,7 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -188,6 +190,18 @@ Reply OracleExecute(OracleClient* c, const Request& request,
     reply.num_nonzero = psr.num_nonzero;
     reply.scan_end = psr.scan_end;
     reply.fingerprint = HashDoubles(psr.topk_prob);
+    // The argmax over all n entries (first wins), blind to scan_end, so
+    // a wrong bound on the front-end's argmax shows up here.
+    for (size_t i = 0; i < psr.topk_prob.size(); ++i) {
+      if (psr.topk_prob[i] > reply.top_prob) {
+        reply.top_prob = psr.topk_prob[i];
+        reply.top_index = static_cast<int32_t>(i);
+      }
+    }
+    if (reply.top_index >= 0) {
+      const auto top = static_cast<size_t>(reply.top_index);
+      reply.top_id = c->pool.base().tuple(top).id;
+    }
   } else {
     Result<TpOutput> tp =
         dirty ? ComputeTpQuality(view, scan->output())
@@ -196,6 +210,12 @@ Reply OracleExecute(OracleClient* c, const Request& request,
     reply.quality = tp->quality;
   }
   return reply;
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
 }
 
 /// Bitwise comparison of the result-bearing fields (plan fields are
@@ -211,6 +231,9 @@ void ExpectSameAnswer(const Reply& got, const Reply& want,
       EXPECT_EQ(got.fingerprint, want.fingerprint) << label;
       EXPECT_EQ(got.num_nonzero, want.num_nonzero) << label;
       EXPECT_EQ(got.scan_end, want.scan_end) << label;
+      EXPECT_EQ(got.top_id, want.top_id) << label;
+      EXPECT_EQ(got.top_index, want.top_index) << label;
+      EXPECT_EQ(Bits(got.top_prob), Bits(want.top_prob)) << label;
       break;
     case Verb::kQuality:
       EXPECT_EQ(got.quality, want.quality) << label;  // exact, not approx
@@ -224,6 +247,37 @@ void ExpectSameAnswer(const Reply& got, const Reply& want,
       break;
     case Verb::kStats:
       break;
+  }
+}
+
+// The argmax stops at scan_end, so it must still reach scan_end - 1: a
+// certain tuple behind three unlikely ones takes the top-1 mass, and its
+// saturated x-tuple stops the k = 1 scan right after it (Lemma 2).
+TEST(ServeTopk, ArgmaxAtTheLastScannedTuple) {
+  DatabaseBuilder builder;
+  const double probs[] = {0.1, 0.1, 0.1, 1.0, 0.5, 0.5};
+  for (size_t i = 0; i < 6; ++i) {
+    const XTupleId l = builder.AddXTuple();
+    const auto id = static_cast<TupleId>(i);
+    ASSERT_TRUE(builder.AddAlternative(l, id, 100.0 - i, probs[i]).ok());
+  }
+  Result<ProbabilisticDatabase> db = std::move(builder).Finish();
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  Result<Frontend> frontend =
+      Frontend::Create(MakePool(*db, {1}, 1), std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const Frontend::ClientId client = frontend->Connect();
+  // Replay reads the pool's rung; seq runs a fresh one-shot scan.
+  for (PlanKind plan : {PlanKind::kReplay, PlanKind::kSequential}) {
+    Request request;
+    request.k = 1;
+    request.plan = plan;
+    const Reply reply = frontend->Execute(client, request);
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    EXPECT_EQ(reply.scan_end, 4u) << PlanKindName(plan);
+    EXPECT_EQ(reply.top_index, 3) << PlanKindName(plan);
+    EXPECT_EQ(reply.top_id, 3) << PlanKindName(plan);
+    EXPECT_NEAR(reply.top_prob, 0.729, 1e-12) << PlanKindName(plan);
   }
 }
 

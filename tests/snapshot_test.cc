@@ -10,8 +10,10 @@
 //  * every corruption mode -- a bit flip inside each section, truncation
 //    at every section boundary, unknown feature flags, future section
 //    versions, missing sections, a database that claims tombstoned
-//    slots -- fails with Status::DataLoss, while the all-zero tombstone
-//    bitmap older writers could leave still loads;
+//    slots, an engine or session rung that is not +0.0 past its Lemma-2
+//    stop or miscounts its nonzero entries -- fails with
+//    Status::DataLoss, while the all-zero tombstone bitmap older writers
+//    could leave still loads;
 //  * a mid-campaign save (adaptive cleaning with faults, serial AND
 //    pipelined) resumes in a fresh pool and finishes with qualities,
 //    spend, probe logs, fault counters, Rng engines and FaultInjector
@@ -480,6 +482,94 @@ TEST(SnapshotCorruptionTest, TombstonedDatabaseIsDataLoss) {
         WithTombstoneField(good, built.pool, c.bitmap, c.count),
         SessionPool::Options());
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+  }
+}
+
+// ------------------------------------------------------ Lemma-2 zero tail
+
+/// Re-encodes one rung's top-k vector and nonzero count -- the run
+/// `topk_prob, num_nonzero, scan_end` of `rung`, found exactly once in
+/// section `section_id` of `good` -- from `crafted`, with every CRC
+/// recomputed: a file whose checksums hold but whose rung breaks the
+/// zero tail the reader promises.
+std::string WithRung(const std::string& good, uint32_t section_id,
+                     const PsrOutput& rung, const PsrOutput& crafted) {
+  const auto encode = [](const PsrOutput& out) {
+    store::BinWriter w;
+    w.PutF64Array(out.topk_prob);
+    w.PutVarint(out.num_nonzero);
+    w.PutVarint(out.scan_end);
+    return w.bytes();
+  };
+  const std::string run = encode(rung);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  UCLEAN_CHECK(file.ok());
+  store::SnapshotFileBuilder builder;
+  builder.set_feature_flags(file->feature_flags());
+  for (const store::SectionEntry& entry : file->sections()) {
+    std::string payload(file->payload(entry));
+    if (entry.id == section_id) {
+      const size_t at = payload.find(run);
+      UCLEAN_CHECK(at != std::string::npos && payload.rfind(run) == at);
+      payload.replace(at, run.size(), encode(crafted));
+    }
+    builder.AddSection(entry.id, entry.version, std::move(payload));
+  }
+  return builder.Finish();
+}
+
+TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
+  TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
+  // The pool's cleans all rank past the k = 5 stop; nulling the top
+  // x-tuple gives session 0 a rung of its own, unlike any other.
+  const XTupleId top = built.pool.base().tuple(0).xtuple;
+  ASSERT_TRUE(built.pool.ApplyCleanOutcome(built.ids[0], top, -1).ok());
+  ASSERT_TRUE(built.pool.Refresh(built.ids[0]).ok());
+  ASSERT_NE(built.pool.psr(built.ids[0], 0).topk_prob,
+            built.pool.base_psr(0).topk_prob);
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  const struct {
+    const char* name;
+    uint32_t section;
+    const PsrOutput& rung;
+  } rungs[] = {
+      {"engine", store::kSectionEngine, built.pool.base_psr(0)},
+      {"session", store::kSectionSessions, built.pool.psr(built.ids[0], 0)},
+  };
+  for (const auto& r : rungs) {
+    SCOPED_TRACE(r.name);
+    const PsrOutput& rung = r.rung;
+    ASSERT_LT(rung.scan_end, n);  // the rung stopped early: a tail exists
+    ASSERT_GT(rung.num_nonzero, 0u);
+    // Re-encoding the rung unchanged reproduces the file.
+    ASSERT_EQ(WithRung(good, r.section, rung, rung), good);
+
+    PsrOutput positive_tail = rung;
+    positive_tail.topk_prob[rung.scan_end] = 1e-300;
+    PsrOutput negative_zero = rung;
+    negative_zero.topk_prob[n - 1] = -0.0;
+    PsrOutput one_high = rung;
+    ++one_high.num_nonzero;
+    PsrOutput one_low = rung;
+    --one_low.num_nonzero;
+    const struct {
+      const char* name;
+      const PsrOutput& crafted;
+      const char* message;
+    } cases[] = {
+        {"positive entry at scan_end", positive_tail, "past scan_end"},
+        {"-0.0 as the last entry", negative_zero, "past scan_end"},
+        {"num_nonzero one high", one_high, "nonzero count"},
+        {"num_nonzero one low", one_low, "nonzero count"},
+    };
+    for (const auto& c : cases) {
+      Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+          WithRung(good, r.section, rung, c.crafted), SessionPool::Options());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+      EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+          << c.name << ": " << loaded.status().message();
+    }
   }
 }
 
