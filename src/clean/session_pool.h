@@ -136,7 +136,7 @@ class SessionPool {
   /// later) is taken from `options`; the logical state -- ladder, PSR
   /// options, checkpoint contents -- comes from the file. Fails with
   /// DataLoss on a truncated, corrupt or version-mismatched file.
-  /// (Defined in src/store/snapshot_reader.cc; this declaration keeps the
+  /// (Defined in src/store/snapshot.cc; this declaration keeps the
   /// pool header free of store dependencies.)
   static Result<SessionPool> OpenFromSnapshot(const std::string& path,
                                               const Options& options);

@@ -124,12 +124,16 @@ struct SectionEntry {
   uint32_t crc = 0;
 };
 
-/// Appends the 28-byte wire form of `entry` (fixed-width, little-endian
-/// -- the table must be seekable, so no varints here).
-void AppendSectionEntry(BinWriter* w, const SectionEntry& entry);
-
-/// Parses one 28-byte entry; DataLoss on truncation.
-Status ParseSectionEntry(BinReader* r, SectionEntry* entry);
+/// The 28-byte wire form of `entry` on either codec side (fixed-width,
+/// little-endian -- the table must be seekable, so no varints here).
+template <typename Codec>
+void Transfer(Codec& c, Io<Codec, SectionEntry>& entry) {
+  c.U32(entry.id);
+  c.U32(entry.version);
+  c.U64(entry.offset);
+  c.U64(entry.size);
+  c.U32(entry.crc);
+}
 
 /// Assembles a snapshot container from raw section payloads. The
 /// production writer uses it for real sections; tests use it to craft
@@ -311,10 +315,6 @@ class SnapshotAccess {
   static Result<store::LoadedSnapshot> Deserialize(
       std::string bytes, const SessionPool::Options& options);
 
-  /// Decodes a meta-section payload (InspectSnapshot shares it).
-  static Status DecodeMeta(std::string_view payload,
-                           store::SnapshotMeta* meta);
-
   // ----- introspection the pool's public surface does not expose,
   //       for the bitwise round-trip asserts in tests and bench -----
 
@@ -327,32 +327,29 @@ class SnapshotAccess {
       const SessionPool& pool, SessionPool::SessionId id);
 
  private:
-  // Section payload codecs (writer half in snapshot_writer.cc, reader
-  // half in snapshot_reader.cc). Friendship covers naming the granting
+  // The section codec (store/snapshot.cc): one Transfer per private-state
+  // type, run over a store::BinWriter to write and a store::BinReader to
+  // read (see store/binstream.h). Friendship covers naming the granting
   // classes' private nested types in these declarations.
-  static void EncodeMeta(const SessionPool& pool,
-                         const store::CampaignSnapshot* campaign,
-                         store::BinWriter* w);
-  static void EncodeDatabase(const ProbabilisticDatabase& db,
-                             store::BinWriter* w);
-  static void EncodeEngine(const PsrEngine& engine, store::BinWriter* w);
-  static void EncodeCheckpoint(const PsrEngine::Checkpoint& cp,
-                               store::BinWriter* w);
-  static void EncodeSessions(const SessionPool& pool, store::BinWriter* w);
-  static void EncodeCampaign(const store::CampaignSnapshot& campaign,
-                             store::BinWriter* w);
-
-  static Status DecodeDatabase(store::BinReader* r,
-                               ProbabilisticDatabase* db);
-  static Status DecodeEngine(store::BinReader* r, const ExecOptions& exec,
-                             const ProbabilisticDatabase& db,
-                             PsrEngine* engine);
-  static Status DecodeCheckpoint(store::BinReader* r, size_t num_xtuples,
-                                 size_t num_tuples,
-                                 PsrEngine::Checkpoint* cp);
-  static Status DecodeSessions(store::BinReader* r, SessionPool* pool);
-  static Status DecodeCampaign(store::BinReader* r,
-                               store::CampaignSnapshot* campaign);
+  template <typename C>
+  static void Transfer(C& c, store::Io<C, ProbabilisticDatabase>& db);
+  template <typename C>
+  static void Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
+                       size_t num_tuples, size_t num_xtuples);
+  /// The scan state an engine and every session hold alike -- per-rung
+  /// outputs, checkpoints, cadence. `Scan` is PsrEngine or
+  /// PsrEngine::SessionState; the reader inits its scratch on `kernel`.
+  template <typename C, typename Scan>
+  static void TransferScan(C& c, Scan& scan, const KLadder& ladder,
+                           const ProbabilisticDatabase& db,
+                           const psr_internal::ScanKernel* kernel);
+  template <typename C>
+  static void Transfer(C& c, store::Io<C, PsrEngine>& engine,
+                       const ProbabilisticDatabase& db,
+                       const psr_internal::ScanKernel* kernel);
+  /// The sessions section: base TP ladder, slot table, free list.
+  template <typename C>
+  static void Transfer(C& c, store::Io<C, SessionPool>& pool);
 };
 
 }  // namespace uclean

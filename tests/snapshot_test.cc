@@ -21,8 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "model/database.h"
 #include "rank/psr.h"
 #include "store/binstream.h"
+#include "store/crc32.h"
 #include "store/snapshot.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"
@@ -249,6 +252,135 @@ TEST(SnapshotRoundTripTest, SurvivesClosedSlotsAndThreadedWriter) {
   EXPECT_EQ(SerializedPool(*loaded), SerializedPool(built.pool));
 }
 
+// ------------------------------------------------------------ format pin
+
+/// A pool plus campaign that reaches every branch of the section
+/// encoders: a session with rung state of its own (a real clean and a
+/// null clean of the top x-tuple), a session with one null clean, a
+/// pristine session and a closed slot; a campaign whose first session
+/// logs two probes and holds an injector with breakers and down entries,
+/// and whose second has no injector. Scalar kernel on one thread, which
+/// the meta section records.
+struct FormatPool {
+  SessionPool pool;
+  store::CampaignSnapshot campaign;
+};
+
+SessionPool::Options ScalarOptions() {
+  SessionPool::Options options;
+  options.exec.kernel = KernelKind::kScalar;
+  options.exec.num_threads = 1;
+  return options;
+}
+
+FormatPool MakeFormatPool(size_t xtuples) {
+  const ProbabilisticDatabase db = MakeDb(xtuples);
+  Result<SessionPool> created = SessionPool::Create(
+      ProbabilisticDatabase(db), MakeLadder({5, 20}), ScalarOptions());
+  UCLEAN_CHECK(created.ok());
+  FormatPool fp{std::move(created).value(), {}};
+  SessionPool& pool = fp.pool;
+  std::vector<SessionPool::SessionId> ids;
+  for (size_t s = 0; s < 4; ++s) ids.push_back(pool.OpenSession());
+  const XTupleId top = db.tuple(0).xtuple;
+  UCLEAN_CHECK(pool.ApplyCleanOutcome(ids[0], 3, FirstMemberId(db, 3)).ok());
+  UCLEAN_CHECK(pool.ApplyCleanOutcome(ids[0], top, -1).ok());
+  UCLEAN_CHECK(pool.ApplyCleanOutcome(ids[1], 7, -1).ok());
+  UCLEAN_CHECK(pool.RefreshAll().ok());
+  UCLEAN_CHECK(pool.Close(ids[3]).ok());
+
+  store::CampaignSnapshot& campaign = fp.campaign;
+  campaign.budget = 50;
+  store::CampaignSessionSnapshot probed;
+  probed.session_id = ids[0];
+  probed.spent = 9;
+  probed.leftover = 2;
+  probed.successes = 1;
+  probed.rounds = 2;
+  ProbeRecord hit;
+  hit.xtuple = 3;
+  hit.attempts = 2;
+  hit.spent = 6;
+  hit.success = true;
+  hit.resolved_id = FirstMemberId(db, 3);
+  hit.retries = 1;
+  ProbeRecord miss;
+  miss.xtuple = top;
+  miss.attempts = 1;
+  miss.spent = 3;
+  miss.failures = 2;
+  miss.retries = 2;
+  miss.last_error = StatusCode::kUnavailable;
+  probed.log = {hit, miss};
+  probed.faults.transient = 4;
+  probed.faults.timeouts = 1;
+  probed.faults.source_down = 2;
+  probed.faults.retries = 3;
+  probed.faults.failed_probes = 1;
+  probed.faults.breaker_skips = 1;
+  probed.faults.budget_unspent = 6;
+  Rng rng(kRngBase);
+  (void)rng.UniformUnit();
+  probed.rng_state = rng.SaveState();
+  probed.has_injector = true;
+  probed.injector.rng_state = Rng(71).SaveState();
+  probed.injector.now_us = 12500;
+  probed.injector.ever_opened = true;
+  probed.injector.breakers = {{3, 1, 5, 40000}, {top, 2, 1, 20000}};
+  probed.injector.down = {{3, true}, {top, false}};
+  campaign.sessions.push_back(probed);
+
+  store::CampaignSessionSnapshot plain;
+  plain.session_id = ids[1];
+  plain.spent = 4;
+  plain.rounds = 1;
+  plain.rng_state = Rng(kRngBase + 1).SaveState();
+  campaign.sessions.push_back(plain);
+  return fp;
+}
+
+TEST(SnapshotFormatTest, PinnedSectionTable) {
+  // Format-v1 bytes, captured from the store before its codec was
+  // rewritten: a field moved on the writer and the reader at once passes
+  // every round trip but fails here.
+  const FormatPool built = MakeFormatPool(120);
+  std::string bytes;
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(built.pool, &built.campaign, &bytes).ok());
+  EXPECT_EQ(bytes.size(), 107707u);
+  EXPECT_EQ(store::Crc32(bytes.data(), bytes.size()), 0xe44998a5u);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(bytes);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  const struct {
+    uint32_t id;
+    uint64_t size;
+    uint32_t crc;
+  } expected[] = {
+      {store::kSectionMeta, 22, 0xfab7c64bu},
+      {store::kSectionDatabase, 14631, 0x97c4f3ceu},
+      {store::kSectionEngine, 11725, 0xc7a11cdau},
+      {store::kSectionSessions, 62013, 0xaa7e9964u},
+      {store::kSectionCampaign, 19140, 0xf1c8c6bdu},
+  };
+  ASSERT_EQ(file->sections().size(), std::size(expected));
+  for (size_t i = 0; i < std::size(expected); ++i) {
+    const store::SectionEntry& entry = file->sections()[i];
+    EXPECT_EQ(entry.id, expected[i].id) << i;
+    EXPECT_EQ(entry.version, store::kSectionVersion) << i;
+    EXPECT_EQ(entry.size, expected[i].size) << i;
+    EXPECT_EQ(entry.crc, expected[i].crc) << i;
+  }
+
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(bytes, ScalarOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_TRUE(loaded->has_campaign);
+  std::string again;
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(loaded->pool, &loaded->campaign, &again).ok());
+  EXPECT_EQ(again, bytes);
+}
+
 TEST(SnapshotWriteTest, DirtySessionIsRejected) {
   const ProbabilisticDatabase db = MakeDb(120);
   TestPool built = MakeServingPool(db, MakeLadder({5}));
@@ -336,6 +468,34 @@ std::string RebuildContainer(const std::string& good, Fn mutate) {
   return builder.Finish();
 }
 
+/// `good` with the payload of section `section_id` passed through
+/// `edit`, every CRC recomputed: how the tests craft files whose
+/// checksums hold but whose contents the reader must judge.
+template <typename Fn>
+std::string WithPayload(const std::string& good, uint32_t section_id, Fn edit) {
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  UCLEAN_CHECK(file.ok());
+  store::SnapshotFileBuilder builder;
+  builder.set_feature_flags(file->feature_flags());
+  for (const store::SectionEntry& entry : file->sections()) {
+    std::string payload(file->payload(entry));
+    if (entry.id == section_id) payload = edit(std::move(payload));
+    builder.AddSection(entry.id, entry.version, std::move(payload));
+  }
+  return builder.Finish();
+}
+
+/// `good` with the one occurrence of `run` in section `section_id`
+/// replaced by `crafted`.
+std::string WithRun(const std::string& good, uint32_t section_id,
+                    const std::string& run, const std::string& crafted) {
+  return WithPayload(good, section_id, [&](std::string payload) {
+    const size_t at = payload.find(run);
+    UCLEAN_CHECK(at != std::string::npos && payload.rfind(run) == at);
+    return payload.replace(at, run.size(), crafted);
+  });
+}
+
 TEST(SnapshotCorruptionTest, UnknownFeatureFlagIsDataLoss) {
   TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
   const std::string bad = RebuildContainer(
@@ -414,31 +574,22 @@ TEST(SnapshotCompatTest, UnknownSectionIsSkipped) {
 std::string WithTombstoneField(const std::string& good, const SessionPool& pool,
                                const std::string& bitmap, uint64_t count) {
   store::BinWriter written;
-  written.PutString(std::string_view());
-  written.PutVarint(0);
-  written.PutVarint(pool.base().num_real_tuples());
+  written.String(std::string_view());
+  written.Varint(0);
+  written.Varint(pool.base().num_real_tuples());
   store::BinWriter crafted;
-  crafted.PutString(bitmap);
-  crafted.PutVarint(count);
-  crafted.PutVarint(pool.base().num_real_tuples());
+  crafted.String(bitmap);
+  crafted.Varint(count);
+  crafted.Varint(pool.base().num_real_tuples());
 
-  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
-  UCLEAN_CHECK(file.ok());
-  store::SnapshotFileBuilder builder;
-  builder.set_feature_flags(file->feature_flags());
-  for (const store::SectionEntry& entry : file->sections()) {
-    std::string payload(file->payload(entry));
-    if (entry.id == store::kSectionDatabase) {
-      const std::string& tail = written.bytes();
-      UCLEAN_CHECK(payload.size() >= tail.size() &&
-                   payload.compare(payload.size() - tail.size(), tail.size(),
-                                   tail) == 0);
-      payload.replace(payload.size() - tail.size(), tail.size(),
-                      crafted.bytes());
-    }
-    builder.AddSection(entry.id, entry.version, std::move(payload));
-  }
-  return builder.Finish();
+  return WithPayload(good, store::kSectionDatabase, [&](std::string payload) {
+    const std::string& tail = written.bytes();
+    UCLEAN_CHECK(payload.size() >= tail.size() &&
+                 payload.compare(payload.size() - tail.size(), tail.size(),
+                                 tail) == 0);
+    return payload.replace(payload.size() - tail.size(), tail.size(),
+                           crafted.bytes());
+  });
 }
 
 TEST(SnapshotCompatTest, AllZeroTombstoneBitmapLoads) {
@@ -496,26 +647,12 @@ std::string WithRung(const std::string& good, uint32_t section_id,
                      const PsrOutput& rung, const PsrOutput& crafted) {
   const auto encode = [](const PsrOutput& out) {
     store::BinWriter w;
-    w.PutF64Array(out.topk_prob);
-    w.PutVarint(out.num_nonzero);
-    w.PutVarint(out.scan_end);
+    w.F64Array(out.topk_prob);
+    w.Varint(out.num_nonzero);
+    w.Varint(out.scan_end);
     return w.bytes();
   };
-  const std::string run = encode(rung);
-  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
-  UCLEAN_CHECK(file.ok());
-  store::SnapshotFileBuilder builder;
-  builder.set_feature_flags(file->feature_flags());
-  for (const store::SectionEntry& entry : file->sections()) {
-    std::string payload(file->payload(entry));
-    if (entry.id == section_id) {
-      const size_t at = payload.find(run);
-      UCLEAN_CHECK(at != std::string::npos && payload.rfind(run) == at);
-      payload.replace(at, run.size(), encode(crafted));
-    }
-    builder.AddSection(entry.id, entry.version, std::move(payload));
-  }
-  return builder.Finish();
+  return WithRun(good, section_id, encode(rung), encode(crafted));
 }
 
 TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
@@ -569,6 +706,303 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
       EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
           << c.name << ": " << loaded.status().message();
+    }
+  }
+}
+
+// ------------------------------------------------ crafted semantic checks
+
+/// A pool whose TP ladders and checkpoint lists each occur once in its
+/// file: ladder {5} at a checkpoint cadence of 4 live tuples, session 0
+/// holding rung state of its own (the top x-tuple nulled) and session 1
+/// pristine, so stored without state.
+TestPool MakeCraftingPool() {
+  const ProbabilisticDatabase db = MakeDb(120);
+  SessionPool::Options options;
+  options.checkpoint_interval = 4;
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), MakeLadder({5}), options);
+  UCLEAN_CHECK(pool.ok());
+  TestPool tp{std::move(pool).value(), {}};
+  for (size_t s = 0; s < 2; ++s) tp.ids.push_back(tp.pool.OpenSession());
+  UCLEAN_CHECK(
+      tp.pool.ApplyCleanOutcome(tp.ids[0], db.tuple(0).xtuple, -1).ok());
+  UCLEAN_CHECK(tp.pool.Refresh(tp.ids[0]).ok());
+  return tp;
+}
+
+/// Deserializes `bytes` and expects DataLoss with `message` in it.
+void ExpectDataLoss(const std::string& bytes, const char* message) {
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(bytes, SessionPool::Options());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find(message), std::string::npos)
+      << loaded.status().message();
+}
+
+/// Re-encodes the run `quality, omega, scan_end` of TP rung `tp`, found
+/// once in the sessions section of `good`, from `crafted`.
+std::string WithTp(const std::string& good, const TpOutput& tp,
+                   const TpOutput& crafted) {
+  const auto encode = [](const TpOutput& t) {
+    store::BinWriter w;
+    w.F64(t.quality);
+    w.F64Array(t.omega);
+    w.Varint(t.scan_end);
+    return w.Take();
+  };
+  return WithRun(good, store::kSectionSessions, encode(tp), encode(crafted));
+}
+
+TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
+  TestPool built = MakeCraftingPool();
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  // A base TP rung pairs with its engine rung, a session's with its own.
+  const struct {
+    const char* name;
+    const TpOutput& tp;
+  } ladders[] = {
+      {"base", built.pool.base_tp(0)},
+      {"session", built.pool.tp(built.ids[0], 0)},
+  };
+  for (const auto& l : ladders) {
+    SCOPED_TRACE(l.name);
+    ASSERT_LT(l.tp.scan_end, n);
+    ASSERT_EQ(WithTp(good, l.tp, l.tp), good);
+    TpOutput nonzero_tail = l.tp;
+    nonzero_tail.omega[l.tp.scan_end] = -1e-300;
+    TpOutput negative_zero = l.tp;
+    negative_zero.omega[n - 1] = -0.0;
+    TpOutput one_deeper = l.tp;
+    ++one_deeper.scan_end;
+    ExpectDataLoss(WithTp(good, l.tp, nonzero_tail), "TP omega");
+    ExpectDataLoss(WithTp(good, l.tp, negative_zero), "TP omega");
+    ExpectDataLoss(WithTp(good, l.tp, one_deeper), "TP scan_end");
+  }
+}
+
+/// A checkpoint as the format spec lays it out: the test's own mirror of
+/// the engine's private Checkpoint, so a crafted file can re-encode one.
+struct WireCheckpoint {
+  uint64_t pos = 0;
+  uint64_t live = 0;
+  std::vector<double> c;
+  uint64_t active = 0;
+  uint64_t saturated = 0;
+  struct Entry {
+    int64_t xtuple = 0;
+    uint8_t state = 0;
+    double q = 0.0;
+  };
+  std::vector<Entry> xs;
+};
+
+template <typename Codec>
+void TransferWire(Codec& c, store::Io<Codec, WireCheckpoint>& cp) {
+  c.Varint(cp.pos);
+  c.Varint(cp.live);
+  c.F64Array(cp.c);
+  c.Varint(cp.active);
+  c.Varint(cp.saturated);
+  c.Size(cp.xs);
+  for (auto& x : cp.xs) {
+    c.Zigzag(x.xtuple);
+    c.U8(x.state);
+    c.F64(x.q);
+  }
+}
+
+/// Reads past one encoded PSR rung.
+void SkipRung(store::BinReader& r) {
+  uint64_t u = 0;
+  std::vector<double> v;
+  std::vector<int32_t> index;
+  bool b = false;
+  r.Varint(u);  // k
+  r.F64Array(v);
+  r.Varint(u);  // num_nonzero
+  r.Varint(u);  // scan_end
+  r.F64Array(v);
+  r.Size(index);
+  for (int32_t& i : index) r.Zigzag(i);
+  r.F64Array(v);
+  r.Bool(b);
+}
+
+/// `good` with checkpoint `index` of the engine's list, or of session
+/// slot 0's (which must hold state), passed through `mutate`.
+template <typename Fn>
+std::string WithCheckpoint(const std::string& good, uint32_t section_id,
+                           size_t index, Fn mutate) {
+  return WithPayload(good, section_id, [&](std::string payload) {
+    store::BinReader r(payload);
+    const auto skip_list = [&r](auto skip_one) {
+      uint64_t count = 0;
+      r.Varint(count);
+      for (uint64_t i = 0; i < count; ++i) skip_one();
+    };
+    bool flag = false;
+    if (section_id == store::kSectionEngine) {
+      std::vector<size_t> ladder;
+      r.Bool(flag);
+      r.Bool(flag);
+      r.VarintArray(ladder);
+    } else {
+      skip_list([&r] {  // the base TP ladder
+        double quality = 0.0;
+        uint64_t scan_end = 0;
+        std::vector<double> v;
+        r.F64(quality);
+        r.F64Array(v);
+        r.Varint(scan_end);
+        r.F64Array(v);
+        r.F64Array(v);
+      });
+      uint64_t slots = 0;
+      r.Varint(slots);
+      r.Bool(flag);  // slot 0 is open
+      skip_list([&r] {
+        int64_t id = 0;
+        r.Zigzag(id);
+        r.Zigzag(id);
+      });
+      r.Bool(flag);  // and holds state
+    }
+    skip_list([&r] { SkipRung(r); });
+    uint64_t count = 0;
+    r.Varint(count);
+    UCLEAN_CHECK(index < count);
+    WireCheckpoint cp;
+    size_t begin = 0;
+    for (size_t i = 0; i <= index; ++i) {
+      begin = r.offset();
+      TransferWire(r, cp);
+    }
+    UCLEAN_CHECK(r.ok());
+    const size_t end = r.offset();
+    mutate(cp);
+    store::BinWriter w;
+    TransferWire(w, cp);
+    return payload.replace(begin, end - begin, w.bytes());
+  });
+}
+
+TEST(SnapshotCorruptionTest, CraftedCheckpointIsDataLoss) {
+  TestPool built = MakeCraftingPool();
+  const std::string good = SerializedPool(built.pool);
+  const std::vector<size_t> session_cps =
+      SnapshotAccess::SessionCheckpointPositions(built.pool, built.ids[0]);
+  ASSERT_GE(SnapshotAccess::EngineCheckpointPositions(built.pool).size(), 2u);
+  ASSERT_GE(session_cps.size(), 2u);
+  const auto unchanged = [](WireCheckpoint&) {};
+  const auto one_more_saturated = [](WireCheckpoint& cp) { ++cp.saturated; };
+  const auto first_entry_flipped = [](WireCheckpoint& cp) {
+    UCLEAN_CHECK(!cp.xs.empty());
+    cp.xs[0].state = static_cast<uint8_t>(3 - cp.xs[0].state);
+  };
+  for (uint32_t section : {store::kSectionEngine, store::kSectionSessions}) {
+    SCOPED_TRACE(store::SectionName(section));
+    ASSERT_EQ(WithCheckpoint(good, section, 1, unchanged), good);
+    // A checkpoint's active and saturated counts are its x-tuple entries'.
+    ExpectDataLoss(WithCheckpoint(good, section, 1, one_more_saturated),
+                   "counts");
+    ExpectDataLoss(WithCheckpoint(good, section, 1, first_entry_flipped),
+                   "counts");
+  }
+  // An engine checkpoint's live rank is its position: the base database
+  // has no dead slots. (Session checkpoints run over an overlay.)
+  const auto one_less_live = [](WireCheckpoint& cp) { --cp.live; };
+  ExpectDataLoss(WithCheckpoint(good, store::kSectionEngine, 1, one_less_live),
+                 "live rank");
+}
+
+TEST(SnapshotCorruptionTest, OutOfRangeInjectorSourceIsDataLoss) {
+  const FormatPool built = MakeFormatPool(40);
+  std::string good;
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(built.pool, &built.campaign, &good).ok());
+  const FaultInjectorState& injector = built.campaign.sessions[0].injector;
+  // The breaker and down-source tables, with the first source of each
+  // widened to int64 so a crafted one can leave XTupleId's range.
+  const auto tables = [&injector](int64_t breaker_source, int64_t down_source) {
+    store::BinWriter w;
+    w.Size(injector.breakers);
+    for (const FaultInjectorState::BreakerEntry& b : injector.breakers) {
+      w.Zigzag(&b == &injector.breakers[0] ? breaker_source : b.source);
+      w.U8(b.state);
+      w.Zigzag(b.consecutive_failures);
+      w.Zigzag(b.open_until_us);
+    }
+    w.Size(injector.down);
+    for (const FaultInjectorState::DownEntry& d : injector.down) {
+      w.Zigzag(&d == &injector.down[0] ? down_source : d.source);
+      w.Bool(d.down);
+    }
+    return w.Take();
+  };
+  const int64_t breaker = injector.breakers[0].source;
+  const int64_t down = injector.down[0].source;
+  const std::string run = tables(breaker, down);
+  ASSERT_EQ(WithRun(good, store::kSectionCampaign, run, run), good);
+  // 2^31 narrowed to XTupleId would wrap to INT32_MIN, and -2^31 - 1 to
+  // INT32_MAX: each must be rejected, not resumed on another x-tuple.
+  const int64_t past_max = int64_t{1} << 31;
+  const int64_t past_min = -past_max - 1;
+  for (const std::string& crafted :
+       {tables(past_max, down), tables(breaker, past_min)}) {
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        WithRun(good, store::kSectionCampaign, run, crafted), ScalarOptions());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  }
+}
+
+TEST(SnapshotCorruptionTest, CrcValidPayloadCutsAndFlipsNeverCrash) {
+  // The sweeps above cut at section boundaries or flip bytes under a
+  // CRC. Here every section payload is rewrapped with valid CRCs after a
+  // cut inside it or a flipped byte, so the decoder's own bounds are the
+  // only line of defense: every cut is DataLoss, every flip loads or is
+  // DataLoss, and nothing crashes.
+  const FormatPool built = MakeFormatPool(40);
+  std::string good;
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(built.pool, &built.campaign, &good).ok());
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+  ASSERT_TRUE(file.ok());
+  Rng rng(20261017);
+  for (const store::SectionEntry& entry : file->sections()) {
+    SCOPED_TRACE(store::SectionName(entry.id));
+    const int64_t size = static_cast<int64_t>(entry.size);
+    std::vector<int64_t> cuts;
+    for (int64_t cut = 0; cut < std::min<int64_t>(size, 512); ++cut) {
+      cuts.push_back(cut);
+    }
+    for (int i = 0; i < 128 && size > 512; ++i) {
+      cuts.push_back(rng.UniformInt(512, size - 1));
+    }
+    for (int64_t cut : cuts) {
+      const std::string bad =
+          WithPayload(good, entry.id, [cut](std::string payload) {
+            payload.resize(static_cast<size_t>(cut));
+            return payload;
+          });
+      const Status status =
+          SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
+      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "cut at " << cut;
+    }
+    for (int i = 0; i < 600; ++i) {
+      const size_t at = static_cast<size_t>(rng.UniformInt(0, size - 1));
+      const char mask = static_cast<char>(rng.UniformInt(1, 255));
+      const std::string bad =
+          WithPayload(good, entry.id, [at, mask](std::string payload) {
+            payload[at] = static_cast<char>(payload[at] ^ mask);
+            return payload;
+          });
+      const Status status =
+          SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
+      EXPECT_TRUE(status.ok() || status.code() == StatusCode::kDataLoss)
+          << "byte " << at << " ^ " << int{static_cast<uint8_t>(mask)}
+          << ": " << status;
     }
   }
 }

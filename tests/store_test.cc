@@ -6,7 +6,8 @@
 //    values, IEEE-754 doubles -- so the format is host-endianness
 //    independent by construction, not by luck;
 //  * every malformed input (truncation, overlong varints, out-of-range
-//    bool bytes, trailing bytes) fails with Status::DataLoss;
+//    bool bytes or bounded values, trailing bytes) fails with
+//    Status::DataLoss, and the reader keeps that first failure;
 //  * CRC32 matches the IEEE reference vector and chains like zlib;
 //  * the section-table arithmetic survives >4 GiB offsets (u64
 //    round-trip on synthetic entries -- no file that size is built);
@@ -32,6 +33,14 @@ namespace {
 
 // ---------------------------------------------------------------- binstream
 
+/// The status a fresh reader over `bytes` holds after `read` runs on it.
+template <typename Fn>
+Status ReadStatus(std::string_view bytes, Fn read) {
+  BinReader r(bytes);
+  read(r);
+  return r.status();
+}
+
 TEST(BinStreamTest, VarintRoundTripEdgeValues) {
   const uint64_t values[] = {0,
                              1,
@@ -46,10 +55,11 @@ TEST(BinStreamTest, VarintRoundTripEdgeValues) {
                              std::numeric_limits<uint64_t>::max()};
   for (uint64_t v : values) {
     BinWriter w;
-    w.PutVarint(v);
+    w.Varint(v);
     BinReader r(w.bytes());
     uint64_t got = 0;
-    ASSERT_TRUE(r.GetVarint(&got).ok()) << v;
+    r.Varint(got);
+    ASSERT_TRUE(r.ok()) << v;
     EXPECT_EQ(got, v);
     EXPECT_TRUE(r.ExpectEnd("varint").ok());
   }
@@ -65,28 +75,28 @@ TEST(BinStreamTest, VarintWireLengths) {
                {1ull << 63, 10}, {std::numeric_limits<uint64_t>::max(), 10}};
   for (const auto& c : cases) {
     BinWriter w;
-    w.PutVarint(c.value);
+    w.Varint(c.value);
     EXPECT_EQ(w.size(), c.bytes) << c.value;
   }
 }
 
 TEST(BinStreamTest, VarintRejectsOverflowAndTruncation) {
+  uint64_t out = 0;
+  const auto varint = [&](BinReader& r) { r.Varint(out); };
   // 10 continuation bytes: longer than any u64 varint.
   std::string eleven(10, '\x80');
   eleven.push_back('\x01');
-  uint64_t out = 0;
-  EXPECT_EQ(BinReader(eleven).GetVarint(&out).code(), StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(eleven, varint).code(), StatusCode::kDataLoss);
 
   // The 10th byte may only carry the top single bit.
   std::string overflow(9, '\x80');
   overflow.push_back('\x02');
-  EXPECT_EQ(BinReader(overflow).GetVarint(&out).code(),
-            StatusCode::kDataLoss);
+  EXPECT_EQ(ReadStatus(overflow, varint).code(), StatusCode::kDataLoss);
 
   // Continuation bit set but the stream ends.
-  EXPECT_EQ(BinReader(std::string("\x80", 1)).GetVarint(&out).code(),
+  EXPECT_EQ(ReadStatus(std::string("\x80", 1), varint).code(),
             StatusCode::kDataLoss);
-  EXPECT_EQ(BinReader(std::string_view()).GetVarint(&out).code(),
+  EXPECT_EQ(ReadStatus(std::string_view(), varint).code(),
             StatusCode::kDataLoss);
 }
 
@@ -102,16 +112,17 @@ TEST(BinStreamTest, ZigzagRoundTripAndShortSmallMagnitudes) {
                             std::numeric_limits<int64_t>::max()};
   for (int64_t v : values) {
     BinWriter w;
-    w.PutZigzag(v);
+    w.Zigzag(v);
     BinReader r(w.bytes());
     int64_t got = 0;
-    ASSERT_TRUE(r.GetZigzag(&got).ok()) << v;
+    r.Zigzag(got);
+    ASSERT_TRUE(r.ok()) << v;
     EXPECT_EQ(got, v);
   }
   // Small magnitudes of either sign stay one byte -- the point of zigzag.
   for (int64_t v : {-64, -1, 0, 1, 63}) {
     BinWriter w;
-    w.PutZigzag(v);
+    w.Zigzag(v);
     EXPECT_EQ(w.size(), 1u) << v;
   }
 }
@@ -121,8 +132,8 @@ TEST(BinStreamTest, FixedWidthBytesAreLittleEndian) {
   // big-endian port taking a shortcut) fails here -- the
   // endianness-independence contract.
   BinWriter w;
-  w.PutU32(0x01020304u);
-  w.PutU64(0x0102030405060708ull);
+  w.U32(0x01020304u);
+  w.U64(0x0102030405060708ull);
   const std::string& b = w.bytes();
   ASSERT_EQ(b.size(), 12u);
   const unsigned char expect[12] = {0x04, 0x03, 0x02, 0x01, 0x08, 0x07,
@@ -133,15 +144,16 @@ TEST(BinStreamTest, FixedWidthBytesAreLittleEndian) {
   BinReader r(b);
   uint32_t u32 = 0;
   uint64_t u64 = 0;
-  ASSERT_TRUE(r.GetU32(&u32).ok());
-  ASSERT_TRUE(r.GetU64(&u64).ok());
+  r.U32(u32);
+  r.U64(u64);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(u32, 0x01020304u);
   EXPECT_EQ(u64, 0x0102030405060708ull);
 }
 
 TEST(BinStreamTest, DoubleIsIeeeBitPattern) {
   BinWriter w;
-  w.PutF64(1.0);
+  w.F64(1.0);
   const std::string& b = w.bytes();
   ASSERT_EQ(b.size(), 8u);
   // 1.0 = 0x3FF0000000000000, little-endian on the wire.
@@ -151,86 +163,167 @@ TEST(BinStreamTest, DoubleIsIeeeBitPattern) {
   }
   double got = 0.0;
   BinReader r(b);
-  ASSERT_TRUE(r.GetF64(&got).ok());
+  r.F64(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got, 1.0);
 }
 
 TEST(BinStreamTest, BoolRejectsOutOfRangeByte) {
   bool out = false;
-  EXPECT_EQ(BinReader(std::string("\x02", 1)).GetBool(&out).code(),
+  const auto read_bool = [&](BinReader& r) { r.Bool(out); };
+  EXPECT_EQ(ReadStatus(std::string("\x02", 1), read_bool).code(),
             StatusCode::kDataLoss);
   BinWriter w;
-  w.PutBool(true);
-  w.PutBool(false);
+  w.Bool(true);
+  w.Bool(false);
   BinReader r(w.bytes());
-  ASSERT_TRUE(r.GetBool(&out).ok());
+  r.Bool(out);
+  ASSERT_TRUE(r.ok());
   EXPECT_TRUE(out);
-  ASSERT_TRUE(r.GetBool(&out).ok());
+  r.Bool(out);
+  ASSERT_TRUE(r.ok());
   EXPECT_FALSE(out);
 }
 
 TEST(BinStreamTest, StringRoundTripAndTruncation) {
   BinWriter w;
-  w.PutString("");
-  w.PutString(std::string("a\0b", 3));  // embedded NUL survives
+  w.String("");
+  w.String(std::string("a\0b", 3));  // embedded NUL survives
   BinReader r(w.bytes());
   std::string got;
-  ASSERT_TRUE(r.GetString(&got).ok());
+  r.String(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got, "");
-  ASSERT_TRUE(r.GetString(&got).ok());
+  r.String(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got, std::string("a\0b", 3));
   EXPECT_TRUE(r.ExpectEnd("strings").ok());
 
   // Length says 5, body holds 2.
   BinWriter bad;
-  bad.PutVarint(5);
-  bad.PutU8('x');
-  bad.PutU8('y');
-  EXPECT_EQ(BinReader(bad.bytes()).GetString(&got).code(),
-            StatusCode::kDataLoss);
+  bad.Varint(5);
+  bad.U8('x');
+  bad.U8('y');
+  const auto read_string = [&](BinReader& r) { r.String(got); };
+  EXPECT_EQ(ReadStatus(bad.bytes(), read_string).code(), StatusCode::kDataLoss);
 }
 
 TEST(BinStreamTest, F64ArrayRoundTripAndCountGuard) {
   std::vector<double> values = {0.0, -1.5, 3.25e300, -0.0, 1e-300};
   BinWriter w;
-  w.PutF64Array(values);
-  w.PutF64Array({});
+  w.F64Array(values);
+  w.F64Array({});
   BinReader r(w.bytes());
   std::vector<double> got;
-  ASSERT_TRUE(r.GetF64Array(&got).ok());
+  r.F64Array(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got, values);
-  ASSERT_TRUE(r.GetF64Array(&got).ok());
+  r.F64Array(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_TRUE(got.empty());
   EXPECT_TRUE(r.ExpectEnd("double arrays").ok());
 
   // A count larger than the remaining bytes could hold must fail before
   // any attacker-sized resize.
   BinWriter bad;
-  bad.PutVarint(std::numeric_limits<uint64_t>::max() / 8);
-  EXPECT_EQ(BinReader(bad.bytes()).GetF64Array(&got).code(),
-            StatusCode::kDataLoss);
+  bad.Varint(std::numeric_limits<uint64_t>::max() / 8);
+  const auto read_array = [&](BinReader& r) { r.F64Array(got); };
+  EXPECT_EQ(ReadStatus(bad.bytes(), read_array).code(), StatusCode::kDataLoss);
 }
 
 TEST(BinStreamTest, VarintArrayRoundTrip) {
   std::vector<size_t> values = {0, 1, 127, 128, 1u << 20};
   BinWriter w;
-  w.PutVarintArray(values);
+  w.VarintArray(values);
   BinReader r(w.bytes());
   std::vector<size_t> got;
-  ASSERT_TRUE(r.GetVarintArray(&got).ok());
+  r.VarintArray(got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got, values);
 }
 
 TEST(BinStreamTest, ExpectEndReportsTrailingBytes) {
   BinWriter w;
-  w.PutU8(1);
-  w.PutU8(2);
+  w.U8(1);
+  w.U8(2);
   BinReader r(w.bytes());
   uint8_t v = 0;
-  ASSERT_TRUE(r.GetU8(&v).ok());
+  r.U8(v);
+  ASSERT_TRUE(r.ok());
   Status tail = r.ExpectEnd("payload");
   EXPECT_EQ(tail.code(), StatusCode::kDataLoss);
   EXPECT_NE(tail.message().find("payload"), std::string::npos);
+}
+
+TEST(BinStreamTest, FirstFailureIsSticky) {
+  BinWriter w;
+  w.Varint(7);
+  w.Varint(300);
+  w.Varint(9);
+  BinReader r(w.bytes());
+  uint64_t a = 0;
+  uint64_t b = 0;
+  uint64_t c = 0;
+  r.Varint(a, 10);
+  r.Varint(b, 10);  // out of range: the first failure
+  const Status first = r.status();
+  EXPECT_EQ(first.code(), StatusCode::kDataLoss);
+  // Later calls read and assign nothing, and the first failure stays.
+  const size_t stopped_at = r.offset();
+  r.Varint(c);
+  r.Check(false, "a later check");
+  EXPECT_EQ(a, 7u);
+  EXPECT_EQ(b, 0u);
+  EXPECT_EQ(c, 0u);
+  EXPECT_EQ(r.offset(), stopped_at);
+  EXPECT_EQ(r.status(), first);
+  EXPECT_EQ(r.ExpectEnd("payload"), first);
+}
+
+TEST(BinStreamTest, BoundsDefaultToTheDestinationRange) {
+  // A value past the destination type's range fails instead of wrapping.
+  BinWriter w;
+  w.Zigzag(int64_t{1} << 31);
+  w.Zigzag(-(int64_t{1} << 31) - 1);
+  w.Varint(uint64_t{1} << 31);
+  w.U8(3);
+  int32_t narrow = 0;
+  const auto read_narrow = [&](BinReader& r) { r.Zigzag(narrow); };
+  EXPECT_EQ(ReadStatus(w.bytes(), read_narrow).code(), StatusCode::kDataLoss);
+  BinReader r(w.bytes());
+  int64_t wide = 0;
+  r.Zigzag(wide);
+  r.Zigzag(narrow);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(narrow, 0);
+  BinReader unsigned_narrow(std::string_view(w.bytes()).substr(10));
+  unsigned_narrow.Varint(narrow);
+  EXPECT_EQ(unsigned_narrow.status().code(), StatusCode::kDataLoss);
+
+  // Explicit bounds: a max, a [min, max] range, an element count.
+  BinReader bounded(std::string_view(w.bytes()).substr(15));
+  uint8_t state = 0;
+  bounded.U8(state, 0, 2);
+  EXPECT_EQ(bounded.status().code(), StatusCode::kDataLoss);
+  // An empty signed range, as an id bound over zero x-tuples gives.
+  BinWriter zero;
+  zero.Zigzag(0);
+  BinReader empty_range(zero.bytes());
+  empty_range.Zigzag(narrow, 0, -1);
+  EXPECT_EQ(empty_range.status().code(), StatusCode::kDataLoss);
+  BinWriter counts;
+  counts.Varint(3);
+  counts.Varint(0);
+  std::vector<int> three;
+  BinReader exact(counts.bytes());
+  exact.Size(three, 2, 2);
+  EXPECT_EQ(exact.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(three.empty());
+  // A count past the bytes left fails before any resize.
+  BinReader short_list(counts.bytes());
+  short_list.Size(three);
+  EXPECT_EQ(short_list.status().code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(three.empty());
 }
 
 // ---------------------------------------------------------------- crc32
@@ -263,11 +356,12 @@ TEST(SectionTableTest, EntryRoundTripsPast4GiB) {
   entry.size = (6ull << 30) + 4095;  // > 4 GiB
   entry.crc = 0xDEADBEEFu;
   BinWriter w;
-  AppendSectionEntry(&w, entry);
+  Transfer(w, entry);
   EXPECT_EQ(w.size(), kSectionEntrySize);
   BinReader r(w.bytes());
   SectionEntry got;
-  ASSERT_TRUE(ParseSectionEntry(&r, &got).ok());
+  Transfer(r, got);
+  ASSERT_TRUE(r.ok());
   EXPECT_EQ(got.id, entry.id);
   EXPECT_EQ(got.version, entry.version);
   EXPECT_EQ(got.offset, entry.offset);
@@ -277,14 +371,15 @@ TEST(SectionTableTest, EntryRoundTripsPast4GiB) {
 }
 
 TEST(SectionTableTest, ParseEntryRejectsTruncation) {
-  SectionEntry entry;
+  const SectionEntry entry;
   BinWriter w;
-  AppendSectionEntry(&w, entry);
+  Transfer(w, entry);
   std::string bytes = w.bytes();
   bytes.resize(bytes.size() - 1);
   BinReader r(bytes);
   SectionEntry got;
-  EXPECT_EQ(ParseSectionEntry(&r, &got).code(), StatusCode::kDataLoss);
+  Transfer(r, got);
+  EXPECT_EQ(r.status().code(), StatusCode::kDataLoss);
 }
 
 TEST(SectionTableTest, SectionNames) {

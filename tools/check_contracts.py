@@ -32,8 +32,8 @@ codebase documents but no compiler flag enforces on its own:
  6. BINSTREAM CONTAINMENT. Raw binary serialization -- fwrite/fread,
     reinterpret_cast byte punning, std::ios::binary streams -- appears
     in src/ and tools/ only under src/store/, where binstream.h owns
-    the little-endian wire encoding and the snapshot reader/writer own
-    the file I/O. An ad-hoc binary writer anywhere else would bypass
+    the little-endian wire encoding and snapshot.cc owns the file
+    I/O. An ad-hoc binary writer anywhere else would bypass
     the format versioning, checksums, and endianness discipline that
     make snapshots portable and corruptions detectable.
     src/rank/kernel_avx2.cc is exempt for reinterpret_cast only: SIMD
