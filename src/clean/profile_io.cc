@@ -1,11 +1,15 @@
 #include "clean/profile_io.h"
 
+#include <algorithm>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 #include "common/strings.h"
+#include "model/tuple.h"
 
 namespace uclean {
 
@@ -38,11 +42,12 @@ Result<CleaningProfile> ReadProfileCsv(std::istream* is) {
   bool saw_header = false;
   size_t line_no = 0;
   struct Row {
+    XTupleId xtuple;
     int64_t cost;
     double sc;
   };
   std::vector<Row> rows;
-  std::vector<bool> seen;
+  std::unordered_set<XTupleId> seen;
   while (std::getline(*is, line)) {
     ++line_no;
     std::string_view stripped = StripWhitespace(line);
@@ -73,30 +78,35 @@ Result<CleaningProfile> ReadProfileCsv(std::istream* is) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": negative x-tuple id");
     }
-    const size_t l = static_cast<size_t>(*xtuple);
-    if (l >= rows.size()) {
-      rows.resize(l + 1, Row{0, 0.0});
-      seen.resize(l + 1, false);
+    if (*xtuple > std::numeric_limits<XTupleId>::max()) {
+      return Status::InvalidArgument(
+          "line " + std::to_string(line_no) + ": x-tuple id " +
+          std::to_string(*xtuple) + " past the largest x-tuple id " +
+          std::to_string(std::numeric_limits<XTupleId>::max()));
     }
-    if (seen[l]) {
+    const XTupleId id = static_cast<XTupleId>(*xtuple);
+    if (!seen.insert(id).second) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": duplicate x-tuple " +
-                                     std::to_string(l));
+                                     std::to_string(id));
     }
-    seen[l] = true;
-    rows[l] = Row{*cost, *sc};
+    rows.push_back(Row{id, *cost, *sc});
   }
   if (!saw_header) return Status::InvalidArgument("empty CSV: no header");
-  for (size_t l = 0; l < seen.size(); ++l) {
-    if (!seen[l]) {
+  // The rows must cover ids 0..n-1, n being the rows read: sort them
+  // rather than index a table sized by the largest id, which the file
+  // controls.
+  std::sort(rows.begin(), rows.end(),
+            [](const Row& a, const Row& b) { return a.xtuple < b.xtuple; });
+  CleaningProfile profile;
+  for (size_t l = 0; l < rows.size(); ++l) {
+    // Distinct ascending ids: the first one past its index marks a gap.
+    if (static_cast<size_t>(rows[l].xtuple) != l) {
       return Status::InvalidArgument("missing row for x-tuple " +
                                      std::to_string(l));
     }
-  }
-  CleaningProfile profile;
-  for (const Row& row : rows) {
-    profile.costs.push_back(row.cost);
-    profile.sc_probs.push_back(row.sc);
+    profile.costs.push_back(rows[l].cost);
+    profile.sc_probs.push_back(rows[l].sc);
   }
   UCLEAN_RETURN_IF_ERROR(profile.Validate(profile.costs.size()));
   return profile;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 
 #include "clean/profile_io.h"
 #include "model/csv_io.h"
@@ -47,6 +48,13 @@ class CliTest : public ::testing::Test {
   }
 
   std::string Path(const std::string& name) const { return dir_ + "/" + name; }
+
+  /// The bytes of the file at `path` (empty when it cannot be read).
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
 
   std::string cli_;
   std::string dir_;
@@ -323,13 +331,18 @@ TEST_F(CliTest, KLadderParsingAndNormalization) {
                 &out),
             0);
   EXPECT_NE(out.find("--adaptive"), std::string::npos) << out;
-  EXPECT_NE(Run("clean --db " + Path("ladder_db.csv") + " --profile " +
-                    Path("ladder_profile.csv") +
-                    " --k 5 --budget 10 --adaptive --probe-latency-us 10 "
-                    "--out " + Path("x.csv"),
+  // The latency is simulated wall time and moves no draw: with --adaptive
+  // alone it runs and writes the database the run without it writes.
+  const std::string adaptive_run =
+      "clean --db " + Path("ladder_db.csv") + " --profile " +
+      Path("ladder_profile.csv") + " --k 5 --budget 30 --adaptive --out ";
+  ASSERT_EQ(Run(adaptive_run + Path("no_latency.csv"), &out), 0) << out;
+  EXPECT_EQ(out.find("spent 0/"), std::string::npos) << out;
+  ASSERT_EQ(Run(adaptive_run + Path("latency.csv") + " --probe-latency-us 10",
                 &out),
-            0);
-  EXPECT_NE(out.find("--probe-latency-us"), std::string::npos) << out;
+            0)
+      << out;
+  EXPECT_EQ(ReadFile(Path("latency.csv")), ReadFile(Path("no_latency.csv")));
   EXPECT_NE(Run("clean --db " + Path("ladder_db.csv") + " --profile " +
                     Path("ladder_profile.csv") +
                     " --k 5 --budget 10 --adaptive --pipeline "
@@ -560,6 +573,18 @@ TEST_F(CliTest, SnapshotWorkflow) {
   EXPECT_NE(out.find("PT-6"), std::string::npos) << out;
   ASSERT_EQ(Run("quality --snapshot " + Path("pool.snap"), &out), 0) << out;
   EXPECT_NE(out.find("k = 3:"), std::string::npos) << out;
+  // One query format for every source: the warm answers print exactly
+  // the cold ones, apart from the warm-start note.
+  std::string cold_query;
+  ASSERT_EQ(Run("query --db " + Path("snap_db.csv") + " --k-ladder 3,6",
+                &cold_query),
+            0)
+      << cold_query;
+  ASSERT_EQ(Run("query --snapshot " + Path("pool.snap"), &out), 0) << out;
+  const size_t note = out.find("warm start: pool reconstructed");
+  ASSERT_NE(note, std::string::npos) << out;
+  EXPECT_EQ(out.erase(note, out.find('\n', note) + 1 - note), cold_query);
+  EXPECT_NE(cold_query.find("Pr[top-k] = "), std::string::npos) << cold_query;
   EXPECT_NE(Run("query --snapshot " + Path("pool.snap") + " --k 5", &out),
             0);
   EXPECT_NE(out.find("k-ladder"), std::string::npos) << out;
@@ -582,13 +607,24 @@ TEST_F(CliTest, SnapshotWorkflow) {
             std::string::npos)
       << "warm quality diverged from cold:\n" << out << "\nvs\n" << cold;
 
-  // clean --snapshot: warm-started pooled adaptive campaign.
-  EXPECT_NE(Run("clean --snapshot " + Path("pool.snap") + " --profile " +
-                    Path("snap_profile.csv") + " --budget 10 --out " +
-                    Path("snap_clean.csv"),
+  // One-shot clean --snapshot runs, and writes what the one-shot run on
+  // the database and ladder the snapshot was saved from writes.
+  ASSERT_EQ(Run("clean --snapshot " + Path("pool.snap") + " --profile " +
+                    Path("snap_profile.csv") + " --budget 10 --seed 4 --out " +
+                    Path("snap_once.csv"),
                 &out),
-            0);
-  EXPECT_NE(out.find("--adaptive"), std::string::npos) << out;
+            0)
+      << out;
+  EXPECT_EQ(out.find(" 0 successes"), std::string::npos) << out;
+  ASSERT_EQ(Run("clean --db " + Path("snap_db.csv") + " --k-ladder 3,6 " +
+                    "--profile " + Path("snap_profile.csv") +
+                    " --budget 10 --seed 4 --out " + Path("db_once.csv"),
+                &out),
+            0)
+      << out;
+  EXPECT_EQ(ReadFile(Path("snap_once.csv")), ReadFile(Path("db_once.csv")));
+
+  // clean --snapshot: warm-started pooled adaptive campaign.
   ASSERT_EQ(Run("clean --snapshot " + Path("pool.snap") + " --profile " +
                     Path("snap_profile.csv") +
                     " --budget 10 --adaptive --sessions 2 --out " +
@@ -666,6 +702,90 @@ TEST_F(CliTest, SnapshotCorruptionExitsWithDataLossCode) {
   // The pristine file still loads after all of the above.
   EXPECT_EQ(Run("snapshot load --snapshot " + Path("good.snap"), &out), 0)
       << out;
+}
+
+TEST_F(CliTest, CleanReportsTheQualityOfTheDatabaseItWrites) {
+  // The per-rung final qualities `clean --adaptive --k-ladder` prints for
+  // session 0 are the TP qualities of the database it writes: `quality`
+  // on the written CSV prints them again.
+  std::string out;
+  ASSERT_EQ(Run("generate --type synthetic --xtuples 150 --out " +
+                    Path("xc_db.csv") + " --seed 13",
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(Run("profile --xtuples 150 --out " + Path("xc_profile.csv"), &out),
+            0)
+      << out;
+  std::string cleaned;
+  ASSERT_EQ(Run("clean --db " + Path("xc_db.csv") + " --profile " +
+                    Path("xc_profile.csv") +
+                    " --k-ladder 5,10,20 --budget 80 --adaptive --sessions 2 "
+                    "--seed 5 --out " + Path("xc_clean.csv"),
+                &cleaned),
+            0)
+      << cleaned;
+  std::string requality;
+  ASSERT_EQ(Run("quality --db " + Path("xc_clean.csv") + " --k-ladder 5,10,20",
+                &requality),
+            0)
+      << requality;
+  const size_t session0 = cleaned.find("session 0:");
+  ASSERT_NE(session0, std::string::npos) << cleaned;
+  EXPECT_EQ(cleaned.find("spent 0/"), std::string::npos) << cleaned;
+  for (const char* k : {"5", "10", "20"}) {
+    // clean prints "k = K: quality A -> B" under session 0; quality
+    // prints "k = K: B".
+    const std::string rung = std::string("k = ") + k + ": ";
+    const size_t line = cleaned.find(rung + "quality ", session0);
+    ASSERT_NE(line, std::string::npos) << cleaned;
+    const size_t value = cleaned.find("-> ", line) + 3;
+    const std::string final_quality =
+        cleaned.substr(value, cleaned.find('\n', value) - value);
+    EXPECT_NE(requality.find(rung + final_quality + "\n"), std::string::npos)
+        << "clean reported " << rung << final_quality << ", quality on "
+        << "the written file printed:\n" << requality;
+  }
+}
+
+TEST_F(CliTest, OutOfRangeIntegerFlagsExitWithTheRange) {
+  // Cast to size_t or uint64_t unchecked, each negative count below would
+  // hang, abort on an uncaught length_error, print every row or run a
+  // negative budget. `timeout` turns a hang into a failure instead of a
+  // stalled suite.
+  std::string out;
+  ASSERT_EQ(Run("generate --type synthetic --xtuples 20 --out " +
+                    Path("range_db.csv"),
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(Run("profile --xtuples 20 --out " + Path("range_profile.csv"),
+                &out),
+            0)
+      << out;
+  const std::string db = " --db " + Path("range_db.csv");
+  const std::string profile = " --profile " + Path("range_profile.csv");
+  const std::string to = " --out " + Path("range_out.csv");
+  const std::pair<std::string, std::string> cases[] = {
+      {"generate --type synthetic --xtuples -1" + to, "--xtuples"},
+      {"generate --type mov --xtuples -1" + to, "--xtuples"},
+      {"generate --type synthetic --bars -2" + to, "--bars"},
+      {"profile --xtuples -1" + to, "--xtuples"},
+      {"quality" + db + " --k 3 --algo mc --samples -5", "--samples"},
+      {"plan" + db + profile + " --k -3 --budget 10", "--k"},
+      {"target" + db + profile + " --k -1 --target -1.0", "--k"},
+      {"inspect" + db + " --rows -1", "--rows"},
+      {"clean" + db + profile + " --k 3 --adaptive --budget -5" + to,
+       "--budget"},
+  };
+  cli_ = "timeout 10 " + cli_;
+  for (const auto& [args, flag] : cases) {
+    EXPECT_EQ(Run(args, &out), 1) << args << "\n" << out;
+    EXPECT_NE(out.find("bad " + flag + " '"), std::string::npos)
+        << args << "\n" << out;
+    EXPECT_NE(out.find("expected an integer in ["), std::string::npos)
+        << args << "\n" << out;
+  }
 }
 
 TEST_F(CliTest, ErrorPaths) {

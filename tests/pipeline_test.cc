@@ -7,8 +7,11 @@
 //  * under seeded shuffles of batch COMPLETION order (per-session latency
 //    jitter permutes which batch finishes first -- the schedule the
 //    determinism claim must be independent of),
-//  * and the draw/commit split itself must consume exactly the random
-//    stream the inline ExecutePlan forms consume.
+//  * the draw/commit split itself must consume exactly the random
+//    stream the inline ExecutePlan forms consume,
+//  * and a one-session campaign must commit what RunAdaptiveCleaning
+//    commits: the same final database, qualities, spend and fault
+//    counters (the CLI's `clean --adaptive` rests on this).
 //
 // The pipelined arms run on a real multi-thread executor, so this test is
 // also the TSan workload for the async probe path (CI runs it under
@@ -20,11 +23,14 @@
 #include <chrono>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "clean/adaptive.h"
 #include "clean/agent.h"
 #include "clean/pipeline.h"
+#include "clean/planners.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "model/database.h"
@@ -317,6 +323,91 @@ TEST(PipelineTest, DrawCommitMatchesInlineExecutePlan) {
   EXPECT_TRUE(inline_rng.engine() == split_rng.engine());
   EXPECT_EQ(pool->overlay(inline_id).outcomes(),
             pool->overlay(split_id).outcomes());
+}
+
+TEST(PipelineTest, OneSessionPoolMatchesRunAdaptiveCleaning) {
+  // `clean --adaptive` runs a one-session pipelined campaign, which must
+  // commit what RunAdaptiveCleaning (the single-analyst loop) commits for
+  // every planner, ladder shape and fault regime the CLI can ask for, at
+  // any thread count, inline or overlapped.
+  const ProbabilisticDatabase db = MakeDb(300);
+  const CleaningProfile profile = MakeProfile(db.num_xtuples());
+  FaultOptions faulted = TransientFaults(0.3);
+  faulted.breaker.threshold = 2;
+  size_t max_rounds_seen = 0;
+  FaultStats faults_seen;
+  for (const std::vector<size_t>& ks :
+       {std::vector<size_t>{10}, std::vector<size_t>{5, 20, 40}}) {
+    for (PlannerKind planner :
+         {PlannerKind::kGreedy, PlannerKind::kDp, PlannerKind::kRandP}) {
+      for (const FaultOptions& fault : {FaultOptions(), faulted}) {
+        for (int64_t budget : {40, 150, 400}) {
+          SCOPED_TRACE(MakeLadder(ks).ToString() + " " +
+                       PlannerKindName(planner) + " fail rate " +
+                       std::to_string(fault.profile.fail_rate) +
+                       " budget " + std::to_string(budget));
+          AdaptiveOptions adaptive;
+          adaptive.k_ladder = ks;
+          adaptive.planner = planner;
+          adaptive.fault = fault;
+          Rng rng(kRngBase);
+          Result<AdaptiveReport> expected =
+              RunAdaptiveCleaning(db, profile, budget, adaptive, &rng);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          max_rounds_seen = std::max(max_rounds_seen, expected->rounds.size());
+          faults_seen += expected->faults;
+
+          for (size_t threads : {1, 4}) {
+            for (bool overlap : {false, true}) {
+              SCOPED_TRACE(std::to_string(threads) + " threads, overlap " +
+                           std::to_string(overlap));
+              SessionPool::Options pool_options;
+              pool_options.exec.num_threads = threads;
+              Result<SessionPool> pool = SessionPool::Create(
+                  ProbabilisticDatabase(db), MakeLadder(ks), pool_options);
+              ASSERT_TRUE(pool.ok());
+              const std::vector<SessionPool::SessionId> ids = {
+                  pool->OpenSession()};
+              std::vector<Rng> rngs;
+              rngs.emplace_back(kRngBase);
+              PipelineOptions options;
+              options.planner = planner;
+              options.overlap = overlap;
+              options.fault = fault;
+              Result<PipelineReport> report = RunPipelinedCleaning(
+                  &*pool, ids, profile, budget, &rngs, options);
+              ASSERT_TRUE(report.ok()) << report.status();
+
+              const PipelineSessionReport& session = report->sessions[0];
+              EXPECT_EQ(session.spent, expected->total_spent);
+              EXPECT_EQ(session.final_quality, expected->final_quality_per_k);
+              EXPECT_TRUE(session.faults == expected->faults);
+              EXPECT_TRUE(rngs[0].engine() == rng.engine());
+              Result<ProbabilisticDatabase> merged =
+                  pool->CloseAndMerge(ids[0]);
+              ASSERT_TRUE(merged.ok());
+              ASSERT_EQ(merged->num_tuples(), expected->final_db.num_tuples());
+              for (size_t i = 0; i < merged->num_tuples(); ++i) {
+                const Tuple& a = merged->tuple(i);
+                const Tuple& b = expected->final_db.tuple(i);
+                EXPECT_EQ(a.id, b.id) << "rank " << i;
+                EXPECT_EQ(a.xtuple, b.xtuple) << "rank " << i;
+                EXPECT_EQ(a.score, b.score) << "rank " << i;
+                EXPECT_EQ(a.prob, b.prob) << "rank " << i;
+                EXPECT_EQ(a.is_null, b.is_null) << "rank " << i;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The budgets must drive multi-round campaigns and the faulted runs
+  // must fail probes and trip breakers, or this compares one-round,
+  // fault-free plans only.
+  EXPECT_GE(max_rounds_seen, 3u);
+  EXPECT_GT(faults_seen.failed_probes, 0);
+  EXPECT_GT(faults_seen.breaker_skips, 0);
 }
 
 TEST(PipelineTest, ProbeBatchFutureSemantics) {

@@ -6,6 +6,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "workload/cleaning_profile_gen.h"
 
@@ -54,6 +56,35 @@ TEST(ProfileIo, RejectsGaps) {
       "0,2,0.75\n"
       "2,3,0.5\n");
   EXPECT_FALSE(ReadProfileCsv(&in).ok());
+}
+
+TEST(ProfileIo, RejectsIdsPastTheRowsReadWithoutSizingByThem) {
+  // The table is sized by the rows read, never by the largest id: a
+  // crafted id must fail fast instead of allocating up to it.
+  for (const char* id : {"4000000000000", "2147483648"}) {
+    std::istringstream in(std::string("xtuple,cost,sc_prob\n0,2,0.75\n") +
+                          id + ",3,0.5\n1,1,0.25\n");
+    Result<CleaningProfile> profile = ReadProfileCsv(&in);
+    ASSERT_FALSE(profile.ok()) << id;
+    EXPECT_EQ(profile.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(profile.status().message().find("past the largest x-tuple id"),
+              std::string::npos)
+        << profile.status();
+  }
+  // In XTupleId range but past the row count: a gap. A repeated id is
+  // reported as a duplicate first, at the line that repeats it.
+  for (const auto& [rows, message] :
+       {std::pair<const char*, const char*>{"0,2,0.75\n300000000,3,0.5\n"
+                                            "1,1,0.25\n",
+                                            "missing row for x-tuple 2"},
+        {"0,2,0.75\n300000000,3,0.5\n300000000,3,0.5\n",
+         "line 4: duplicate x-tuple 300000000"}}) {
+    std::istringstream in(std::string("xtuple,cost,sc_prob\n") + rows);
+    Result<CleaningProfile> profile = ReadProfileCsv(&in);
+    ASSERT_FALSE(profile.ok()) << rows;
+    EXPECT_NE(profile.status().message().find(message), std::string::npos)
+        << profile.status();
+  }
 }
 
 TEST(ProfileIo, RejectsInvalidValues) {

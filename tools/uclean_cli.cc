@@ -14,16 +14,21 @@
 //   snapshot  save / load / inspect a binary pool snapshot (store/)
 //   serve     persistent request loop over a warm pool (serve/)
 //
-// query, quality and clean also accept --snapshot SNAP.bin in place of
-// --db: the pool warm-starts from the file with zero scans. A corrupt
-// or truncated snapshot exits with code 3 (data loss), not 1.
+// query, quality --algo tp, clean, snapshot save and serve all run on one
+// SessionPool, built in one place (OpenPool): a fresh Create over --db at
+// the --k/--k-ladder rungs, or a zero-scan warm start from --snapshot.
+// query prints one format for every source and flag set, read from the
+// pool's shared PSR state; quality reads the pool's TP ladder; clean runs
+// one pooled session (one-shot) or the pipelined session loop
+// (--adaptive). A corrupt or truncated snapshot exits with code 3 (data
+// loss), not 1.
 //
 // Run `uclean_cli help` or any subcommand with missing flags for usage.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -31,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "clean/adaptive.h"
 #include "clean/agent.h"
 #include "clean/pipeline.h"
 #include "clean/planners.h"
@@ -44,13 +48,12 @@
 #include "extend/monte_carlo.h"
 #include "model/csv_io.h"
 #include "pworld/pw_quality.h"
-#include "quality/evaluation.h"
+#include "quality/pwr.h"
+#include "query/topk_queries.h"
 #include "rank/kernel.h"
 #include "serve/frontend.h"
 #include "serve/server.h"
 #include "store/snapshot.h"
-#include "quality/pwr.h"
-#include "quality/tp.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/mov.h"
 #include "workload/synthetic.h"
@@ -71,47 +74,50 @@ commands:
            [--sc-pdf uniform|normal] [--sc-lo 0] [--sc-hi 1]
            [--sc-mean 0.5] [--sc-sigma 0.167] [--seed S]
   inspect  --db DB.csv [--rows 20]
-  query    --db DB.csv|--snapshot SNAP.bin
-           --k K [--k-ladder K1,K2,...] [--threads N|auto]
-           [--kernel scalar|avx2|auto]
-           [--semantics all|ptk|ukranks|global] [--threshold 0.1]
-  quality  --db DB.csv|--snapshot SNAP.bin
-           --k K [--k-ladder K1,K2,...] [--threads N|auto]
-           [--kernel scalar|avx2|auto]
-           [--algo tp|pwr|pw|mc] [--samples 100000] [--seed S]
+  query    POOL [--semantics all|ptk|ukranks|global] [--threshold 0.1]
+  quality  POOL [--algo tp]
+  quality  --db DB.csv --k K --algo pwr|pw|mc [--samples 100000] [--seed S]
   plan     --db DB.csv --profile PROFILE.csv --k K --budget C
            [--planner dp|greedy|randp|randu] [--seed S]
-  clean    --db DB.csv|--snapshot SNAP.bin
-           --profile PROFILE.csv --k K --budget C --out OUT.csv
+  clean    POOL --profile PROFILE.csv --budget C --out OUT.csv
            [--planner dp|greedy|randp|randu] [--seed S] [--adaptive]
-           [--k-ladder K1,K2,...] [--sessions N] [--threads N|auto]
-           [--kernel scalar|avx2|auto]
-           [--pipeline] [--probe-latency-us U]
+           [--sessions N] [--pipeline] [--probe-latency-us U]
            [--probe-fail-rate R] [--probe-timeout-us U] [--retry-max N]
            [--retry-backoff-us U] [--breaker-threshold N]
   target   --db DB.csv --profile PROFILE.csv --k K --target Q
            [--max-budget 100000]
-  snapshot save --db DB.csv --out SNAP.bin
-           [--k K | --k-ladder K1,K2,...] [--sessions N]
-           [--threads N|auto] [--kernel scalar|avx2|auto]
+  snapshot save POOL --out SNAP.bin [--sessions N]
   snapshot load --snapshot SNAP.bin
            [--threads N|auto] [--kernel scalar|avx2|auto]
   snapshot inspect --snapshot SNAP.bin
-  serve    --db DB.csv|--snapshot SNAP.bin [--profile PROFILE.csv]
-           [--k K | --k-ladder K1,K2,...] [--threads N|auto]
-           [--kernel scalar|avx2|auto]
+  serve    POOL [--profile PROFILE.csv]
            [--plan auto|seq|shard|ladder|replay] [--batch on|off]
            [--max-batch 64] [--calibrate on|off] [--seed S]
 
---k-ladder serves every listed k from ONE shared PSR scan (query and
-quality report per-k results; adaptive cleaning plans against the uniform
-ladder aggregate). Input that is not ascending and deduped is normalized
-with a printed note. --k is ignored when --k-ladder is given.
+POOL is the session pool a command runs on, opened the same way for
+every command that takes one:
+           --db DB.csv (--k K | --k-ladder K1,K2,...) | --snapshot SNAP.bin
+           [--threads N|auto] [--kernel scalar|avx2|auto]
+--db runs one shared PSR scan + TP pass over the database; --snapshot
+warm-starts from the file with zero scans and serves the file's ladder.
+query prints, per k: the count of tuples with nonzero top-k probability,
+then the PT-k, U-kRanks and Global-topk answers with their
+probabilities -- the same lines for every source and flag set. quality
+prints `k = K: Q` per k. An integer flag outside its range is an error
+that names the range.
 
---sessions N (with --adaptive) runs N concurrent cleaning sessions over
-ONE shared scan via the session pool: each session plans and probes its
-own copy-on-write view with the full budget; session 0's cleaned database
-is written to --out.
+--k-ladder serves every listed k from ONE shared PSR scan (query and
+quality report per-k results; cleaning plans against the uniform ladder
+aggregate). Input that is not ascending and deduped is normalized with a
+printed note. --k is ignored when --k-ladder is given.
+
+clean without --adaptive plans once, executes the plan and writes the
+result (the paper's one-shot campaign, in one pooled session). With
+--adaptive it re-plans each round from the refreshed state until the
+budget is spent; --sessions N runs N concurrent adaptive sessions over
+ONE shared scan: each session plans and probes its own copy-on-write
+view with the full budget; session 0's cleaned database is written to
+--out.
 
 --threads N runs the PSR scans, replays and TP passes on N threads
 (rank-range sharded over one fixed-size pool; results are identical to
@@ -124,13 +130,13 @@ is written to --out.
 to every other, so the choice -- like --threads -- never changes a
 result, only throughput.
 
---pipeline (with --adaptive --sessions) overlaps each round's probe
-batches with planning on the --threads executor: probes draw against each
-session's own view on workers while the caller plans the other sessions,
-then one concurrent RefreshAll commits the round. Per-session results are
-bitwise identical to the serial pool loop. --probe-latency-us simulates
-per-probe field latency (source lookups, sensors, people) -- the regime
-the pipeline is built for.
+--pipeline (with --adaptive) overlaps each round's probe batches with
+planning on the --threads executor: probes draw against each session's
+own view on workers while the caller plans the other sessions, then one
+concurrent RefreshAll commits the round. Per-session results are bitwise
+identical to the serial pool loop. --probe-latency-us (with --adaptive)
+simulates per-probe field latency (source lookups, sensors, people) --
+the regime the pipeline is built for; it moves no random draw.
 
 --probe-fail-rate R (with --adaptive) makes each probe attempt fail with
 probability R, drawn from a dedicated seeded fault stream (at R = 0 every
@@ -141,17 +147,15 @@ to --retry-max times with exponential backoff from --retry-backoff-us
 breaker the planner then routes around. Failed probes never spend budget
 -- the adaptive loop reinvests it in sources that still answer.
 
-snapshot save runs the one shared scan + TP pass and persists the whole
-serving pool (database, engine scan state, sessions) to a versioned,
-checksummed binary file. snapshot load -- and --snapshot SNAP.bin on
-query/quality/clean, in place of --db -- warm-starts from that file with
-ZERO scans and bitwise-identical state; the k-ladder comes from the
-file, so --k/--k-ladder are rejected there (and --snapshot clean runs
-the pooled adaptive loop: pass --adaptive). --threads/--kernel remain
-the LOADER's choice -- execution mode is never persisted. snapshot
-inspect prints the section table after verifying every checksum. Any
-corrupt, truncated or version-mismatched snapshot exits with code 3
-(data loss) instead of the generic 1.
+snapshot save persists the whole serving pool (database, engine scan
+state, sessions) to a versioned, checksummed binary file. snapshot load
+-- and --snapshot SNAP.bin in place of --db on every POOL command --
+warm-starts from that file with ZERO scans and bitwise-identical state;
+the k-ladder comes from the file, so --k/--k-ladder are rejected there.
+--threads/--kernel remain the LOADER's choice -- execution mode is never
+persisted. snapshot inspect prints the section table after verifying
+every checksum. Any corrupt, truncated or version-mismatched snapshot
+exits with code 3 (data loss) instead of the generic 1.
 
 serve turns stdin/stdout into one serving-protocol connection over a warm
 session pool: one request per line (`topk K`, `quality K`, `clean X`,
@@ -160,8 +164,7 @@ session pool: one request per line (`topk K`, `quality K`, `clean X`,
 picks the cheapest of the four bitwise-equal strategies per query
 (--calibrate on, the default, times its per-tuple constant on the served
 database); --plan pins one strategy globally, --batch off disables the
-admission batcher. With --db the pool ladder comes from --k/--k-ladder;
-with --snapshot it comes from the file. clean requests need --profile.
+admission batcher. clean requests need --profile.
 Flag-resolution notes print before the first reply; every reply line
 starts with `ok ` or `error `.
 )";
@@ -206,15 +209,22 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
 
-  Result<int64_t> GetInt(const std::string& key) const {
+  /// The one reader of integer flags: `key` must hold an integer in
+  /// [lo, hi], and an absent flag yields `fallback` (an error when there
+  /// is none). Callers cast the value to size_t or uint64_t, so a value
+  /// outside the range must fail here rather than wrap into a huge count.
+  Result<int64_t> GetInt(const std::string& key, int64_t lo, int64_t hi,
+                         std::optional<int64_t> fallback = std::nullopt) const {
+    if (!Has(key) && fallback.has_value()) return *fallback;
     Result<std::string> raw = GetString(key);
     if (!raw.ok()) return raw.status();
-    return ParseInt(*raw);
-  }
-
-  Result<int64_t> GetInt(const std::string& key, int64_t fallback) const {
-    if (!Has(key)) return fallback;
-    return GetInt(key);
+    Result<int64_t> value = ParseInt(*raw);
+    if (!value.ok() || *value < lo || *value > hi) {
+      return Status::InvalidArgument(
+          "bad --" + key + " '" + *raw + "': expected an integer in [" +
+          std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return value;
   }
 
   Result<double> GetDouble(const std::string& key) const {
@@ -239,18 +249,28 @@ class Flags {
   }                                           \
   auto decl = std::move(decl##_result).value()
 
+// Integer flag ranges (Flags::GetInt).
+constexpr int64_t kMinInt = std::numeric_limits<int64_t>::min();
+constexpr int64_t kMaxInt = std::numeric_limits<int64_t>::max();
+/// Bound on x-tuple counts (the range of XTupleId), reused for the other
+/// per-database counts: tuples per x-tuple and probe costs.
+constexpr int64_t kMaxCount = std::numeric_limits<XTupleId>::max();
+/// The serving protocol's bound on k: scans allocate O(k) per rung.
+constexpr int64_t kMaxK = 10'000'000;
+constexpr int64_t kMaxMicros = 60'000'000;
+constexpr int64_t kMaxSessions = 100'000;
+
 /// Parses "--k-ladder 5,10,25,50" (falling back to a one-rung ladder at
-/// --k when absent) into a validated KLadder. Every entry must be a
-/// positive integer -- empty entries (trailing or doubled commas),
-/// negatives and values past int64 are rejected with a pointed message
+/// --k when absent) into a validated KLadder. Every entry must be an
+/// integer in [1, kMaxK] -- empty entries (trailing or doubled commas),
+/// negatives and values past the bound are rejected with a pointed message
 /// instead of being wrapped or dropped. When KLadder::Of had to reorder
 /// or dedup the input, the normalization is announced: every downstream
 /// consumer serves the NORMALIZED ladder, and silently printing results
 /// in an order the user did not ask for misattributes every per-k line.
 Result<KLadder> ParseKLadder(const Flags& flags) {
   if (!flags.Has("k-ladder")) {
-    CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k"));
-    if (k <= 0) return Status::InvalidArgument("--k must be positive");
+    CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k", 1, kMaxK));
     return KLadder::Of({static_cast<size_t>(k)});
   }
   CLI_ASSIGN_OR_RETURN(raw, flags.GetString("k-ladder"));
@@ -263,10 +283,11 @@ Result<KLadder> ParseKLadder(const Flags& flags) {
           "': empty entry (trailing or doubled comma?)");
     }
     Result<int64_t> k = ParseInt(stripped);
-    if (!k.ok() || *k <= 0) {
+    if (!k.ok() || *k < 1 || *k > kMaxK) {
       return Status::InvalidArgument(
           "bad --k-ladder entry '" + std::string(stripped) +
-          "': every k must be a positive integer");
+          "': every k must be an integer in [1, " + std::to_string(kMaxK) +
+          "]");
     }
     ks.push_back(static_cast<size_t>(*k));
   }
@@ -346,41 +367,55 @@ Result<KernelKind> ParseKernel(const Flags& flags) {
   return kind;
 }
 
-/// The scan-facing flags shared by the query, quality and clean
-/// commands, parsed, validated and announced in ONE place: the
-/// --k/--k-ladder rungs, the --threads executor and the --kernel choice
-/// (folded into exec.kernel, where every scan driver picks it up).
-struct ScanCliOptions {
-  KLadder ladder;
-  ExecOptions exec;
-};
-
-Result<ScanCliOptions> BuildScanCliOptions(const Flags& flags) {
-  ScanCliOptions options;
-  CLI_ASSIGN_OR_RETURN(ladder, ParseKLadder(flags));
-  options.ladder = std::move(ladder);
+/// The --threads/--kernel pair: the executor every scan, replay and TP
+/// pass runs on, with the kernel folded into exec.kernel.
+Result<ExecOptions> ParseExec(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(exec, ParseThreads(flags));
-  options.exec = std::move(exec);
   CLI_ASSIGN_OR_RETURN(kernel, ParseKernel(flags));
-  options.exec.kernel = kernel;
-  return options;
+  exec.kernel = kernel;
+  return exec;
 }
 
-/// The --threads/--kernel pair WITHOUT the ladder flags: the execution
-/// options a snapshot loader picks for itself. The k-ladder is the one
-/// flag a snapshot consumer must NOT pass -- the ladder is logical state
-/// and comes from the file -- so the mismatch is rejected with a pointed
-/// message instead of being silently overridden.
-Result<ExecOptions> BuildSnapshotExec(const Flags& flags) {
+/// The execution options a snapshot loader picks for itself. The k-ladder
+/// is the one flag a snapshot consumer must NOT pass -- the ladder is
+/// logical state and comes from the file -- so the mismatch is rejected
+/// with a pointed message instead of being silently overridden.
+Result<ExecOptions> ParseSnapshotExec(const Flags& flags) {
   if (flags.Has("k") || flags.Has("k-ladder")) {
     return Status::InvalidArgument(
         "--snapshot serves the snapshot's own k-ladder; drop "
         "--k/--k-ladder (use `snapshot save` to build a different ladder)");
   }
-  CLI_ASSIGN_OR_RETURN(exec, ParseThreads(flags));
-  CLI_ASSIGN_OR_RETURN(kernel, ParseKernel(flags));
-  exec.kernel = kernel;
-  return exec;
+  return ParseExec(flags);
+}
+
+/// The one place the CLI builds or loads a SessionPool (POOL in the usage
+/// text). --db runs the one shared scan + TP pass at the --k/--k-ladder
+/// rungs; --snapshot reconstructs the saved pool, ladder included, with
+/// zero scans. --threads/--kernel are the executor either way. The
+/// warm-start note goes to stderr, so stdout is the same for both sources
+/// and stays protocol-only under `serve`.
+Result<SessionPool> OpenPool(const Flags& flags) {
+  SessionPool::Options options;
+  if (flags.Has("snapshot")) {
+    CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
+    CLI_ASSIGN_OR_RETURN(exec, ParseSnapshotExec(flags));
+    options.exec = std::move(exec);
+    Result<SessionPool> pool = SessionPool::OpenFromSnapshot(path, options);
+    if (pool.ok()) {
+      std::fprintf(stderr,
+                   "warm start: pool reconstructed from %s (zero scans)\n",
+                   path.c_str());
+    }
+    return pool;
+  }
+  CLI_ASSIGN_OR_RETURN(path, flags.GetString("db"));
+  CLI_ASSIGN_OR_RETURN(ladder, ParseKLadder(flags));
+  CLI_ASSIGN_OR_RETURN(exec, ParseExec(flags));
+  options.exec = std::move(exec);
+  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(path);
+  if (!db.ok()) return db.status();
+  return SessionPool::Create(std::move(*db), ladder, options);
 }
 
 /// "{5, 20}" for a raw meta ladder (KLadder::ToString's format, without
@@ -413,31 +448,13 @@ Result<FaultOptions> ParseFaultOptions(const Flags& flags, uint64_t seed) {
         "bad --probe-fail-rate '" + flags.GetString("probe-fail-rate", "") +
         "': expected a probability in [0, 1]");
   }
-  CLI_ASSIGN_OR_RETURN(timeout_us, flags.GetInt("probe-timeout-us", 0));
-  if (timeout_us < 0 || timeout_us > 60000000) {
-    return Status::InvalidArgument(
-        "bad --probe-timeout-us '" + flags.GetString("probe-timeout-us", "") +
-        "': expected microseconds in [0, 60000000]");
-  }
-  CLI_ASSIGN_OR_RETURN(retry_max, flags.GetInt("retry-max", 3));
-  if (retry_max < 1 || retry_max > 1000) {
-    return Status::InvalidArgument(
-        "bad --retry-max '" + flags.GetString("retry-max", "") +
-        "': expected attempts in [1, 1000] (1 = no retries)");
-  }
-  CLI_ASSIGN_OR_RETURN(backoff_us, flags.GetInt("retry-backoff-us", 100));
-  if (backoff_us < 0 || backoff_us > 60000000) {
-    return Status::InvalidArgument(
-        "bad --retry-backoff-us '" + flags.GetString("retry-backoff-us", "") +
-        "': expected microseconds in [0, 60000000]");
-  }
-  CLI_ASSIGN_OR_RETURN(threshold, flags.GetInt("breaker-threshold", 5));
-  if (threshold < 1 || threshold > 1000000) {
-    return Status::InvalidArgument(
-        "bad --breaker-threshold '" +
-        flags.GetString("breaker-threshold", "") +
-        "': expected consecutive failures in [1, 1000000]");
-  }
+  CLI_ASSIGN_OR_RETURN(timeout_us,
+                       flags.GetInt("probe-timeout-us", 0, kMaxMicros, 0));
+  CLI_ASSIGN_OR_RETURN(retry_max, flags.GetInt("retry-max", 1, 1000, 3));
+  CLI_ASSIGN_OR_RETURN(backoff_us,
+                       flags.GetInt("retry-backoff-us", 0, kMaxMicros, 100));
+  CLI_ASSIGN_OR_RETURN(threshold,
+                       flags.GetInt("breaker-threshold", 1, 1000000, 5));
 
   fault.profile.fail_rate = fail_rate;
   fault.retry.probe_deadline_us = timeout_us;
@@ -468,12 +485,13 @@ void PrintFaultStats(const char* prefix, const FaultStats& f) {
 Status RunGenerate(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(type, flags.GetString("type"));
   CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 42));
+  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 42));
   Result<ProbabilisticDatabase> db = ProbabilisticDatabase();
   if (type == "synthetic") {
     SyntheticOptions opts;
-    CLI_ASSIGN_OR_RETURN(xtuples, flags.GetInt("xtuples", 5000));
-    CLI_ASSIGN_OR_RETURN(bars, flags.GetInt("bars", 10));
+    CLI_ASSIGN_OR_RETURN(xtuples,
+                         flags.GetInt("xtuples", 1, kMaxCount, 5000));
+    CLI_ASSIGN_OR_RETURN(bars, flags.GetInt("bars", 1, kMaxCount, 10));
     CLI_ASSIGN_OR_RETURN(sigma, flags.GetDouble("sigma", 100.0));
     CLI_ASSIGN_OR_RETURN(mass_lo, flags.GetDouble("mass-lo", 1.0));
     CLI_ASSIGN_OR_RETURN(mass_hi, flags.GetDouble("mass-hi", 1.0));
@@ -492,7 +510,8 @@ Status RunGenerate(const Flags& flags) {
     db = GenerateSynthetic(opts);
   } else if (type == "mov") {
     MovOptions opts;
-    CLI_ASSIGN_OR_RETURN(xtuples, flags.GetInt("xtuples", 4999));
+    CLI_ASSIGN_OR_RETURN(xtuples,
+                         flags.GetInt("xtuples", 1, kMaxCount, 4999));
     opts.num_xtuples = static_cast<size_t>(xtuples);
     opts.seed = static_cast<uint64_t>(seed);
     db = GenerateMov(opts);
@@ -507,12 +526,12 @@ Status RunGenerate(const Flags& flags) {
 }
 
 Status RunProfile(const Flags& flags) {
-  CLI_ASSIGN_OR_RETURN(xtuples, flags.GetInt("xtuples"));
+  CLI_ASSIGN_OR_RETURN(xtuples, flags.GetInt("xtuples", 0, kMaxCount));
   CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
   CleaningProfileOptions opts;
-  CLI_ASSIGN_OR_RETURN(cost_min, flags.GetInt("cost-min", 1));
-  CLI_ASSIGN_OR_RETURN(cost_max, flags.GetInt("cost-max", 10));
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 99));
+  CLI_ASSIGN_OR_RETURN(cost_min, flags.GetInt("cost-min", 1, kMaxCount, 1));
+  CLI_ASSIGN_OR_RETURN(cost_max, flags.GetInt("cost-max", 1, kMaxCount, 10));
+  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 99));
   opts.cost_min = cost_min;
   opts.cost_max = cost_max;
   opts.seed = static_cast<uint64_t>(seed);
@@ -539,7 +558,7 @@ Status RunProfile(const Flags& flags) {
 
 Status RunInspect(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(path, flags.GetString("db"));
-  CLI_ASSIGN_OR_RETURN(rows, flags.GetInt("rows", 20));
+  CLI_ASSIGN_OR_RETURN(rows, flags.GetInt("rows", 0, kMaxInt, 20));
   Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(path);
   if (!db.ok()) return db.status();
   std::printf("%s", db->DebugString(static_cast<size_t>(rows)).c_str());
@@ -555,216 +574,86 @@ Status RunInspect(const Flags& flags) {
   return Status::OK();
 }
 
-/// Prints the requested per-k answers for a served ladder; `psr_at`
-/// yields rung `j`'s PSR output (a fresh scan for `query --db`, the
-/// reconstructed engine state for `query --snapshot`).
-Status PrintLadderAnswers(
-    const ProbabilisticDatabase& db, const KLadder& ladder,
-    const std::function<const PsrOutput&(size_t)>& psr_at,
-    const std::string& semantics, double threshold) {
+/// `query`: the requested answers for every rung of the pool's ladder,
+/// read from the shared engine state (for a --snapshot pool, a zero-scan
+/// read of what the writer scanned).
+Status RunQuery(const Flags& flags) {
+  CLI_ASSIGN_OR_RETURN(threshold, flags.GetDouble("threshold", 0.1));
+  const std::string semantics = flags.GetString("semantics", "all");
   const bool ukranks = semantics == "all" || semantics == "ukranks";
   const bool ptk = semantics == "all" || semantics == "ptk";
   const bool global_topk = semantics == "all" || semantics == "global";
   if (!ukranks && !ptk && !global_topk) {
     return Status::InvalidArgument("unknown --semantics '" + semantics + "'");
   }
-  for (size_t rung = 0; rung < ladder.size(); ++rung) {
-    const PsrOutput& psr = psr_at(rung);
-    std::printf("-- k = %zu (%zu tuples with nonzero top-k probability)\n",
-                ladder[rung], psr.num_nonzero);
+  CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
+  const ProbabilisticDatabase& db = pool.base();
+  std::printf("k-ladder %s from one shared PSR scan:\n",
+              pool.ladder().ToString().c_str());
+  for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+    const size_t k = pool.ladder()[rung];
+    const PsrOutput& psr = pool.base_psr(rung);
+    std::printf("-- k = %zu (%zu tuples with nonzero top-k probability)\n", k,
+                psr.num_nonzero);
     if (ptk) {
       Result<PtkAnswer> answer = EvaluatePtk(db, psr, threshold);
       if (!answer.ok()) return answer.status();
-      std::printf("  PT-%zu (T = %.3f): %zu tuples %s\n", ladder[rung],
-                  threshold, answer->tuples.size(),
-                  AnswerToString(db, answer->tuples).c_str());
+      std::printf("PT-%zu (T = %.3f): %zu tuples\n", k, threshold,
+                  answer->tuples.size());
+      for (const AnswerEntry& e : answer->tuples) {
+        std::printf("  tuple %lld  score %.4f  Pr[top-k] = %.4f\n",
+                    static_cast<long long>(e.tuple_id),
+                    db.tuple(e.rank_index).score, e.probability);
+      }
     }
     if (ukranks) {
       const UkRanksAnswer answer = EvaluateUkRanks(db, psr);
-      std::printf("  U-kRanks: %s\n",
-                  AnswerToString(db, answer.per_rank).c_str());
+      std::printf("U-kRanks:\n");
+      for (size_t h = 1; h <= answer.per_rank.size(); ++h) {
+        const AnswerEntry& e = answer.per_rank[h - 1];
+        std::printf("  rank %zu: tuple %lld (Pr = %.4f)\n", h,
+                    static_cast<long long>(e.tuple_id), e.probability);
+      }
     }
     if (global_topk) {
       const GlobalTopkAnswer answer = EvaluateGlobalTopk(db, psr);
-      std::printf("  Global-top%zu: %s\n", ladder[rung],
-                  AnswerToString(db, answer.tuples).c_str());
+      std::printf("Global-topk:\n");
+      for (const AnswerEntry& e : answer.tuples) {
+        std::printf("  tuple %lld  Pr[top-k] = %.4f\n",
+                    static_cast<long long>(e.tuple_id), e.probability);
+      }
     }
   }
   return Status::OK();
 }
 
-/// Prints the requested per-k answers from one shared ladder scan.
-Status RunQueryLadder(const ProbabilisticDatabase& db, const KLadder& ladder,
-                      const std::string& semantics, double threshold,
-                      const ExecOptions& exec) {
-  ScanRequest request;
-  request.ladder = ladder;
-  request.exec = exec;
-  Result<ScanResult> scan = ComputePsrLadder(db, request);
-  if (!scan.ok()) return scan.status();
-  std::printf("k-ladder %s from one shared PSR scan:\n",
-              ladder.ToString().c_str());
-  return PrintLadderAnswers(
-      db, ladder, [&scan](size_t rung) -> const PsrOutput& {
-        return scan->output(rung);
-      },
-      semantics, threshold);
-}
-
-/// `query --snapshot`: serves the snapshot's ladder from the
-/// reconstructed pool -- zero scans, answers bitwise identical to the
-/// pool the writer saved. The served PSR state is a pristine session's
-/// fork (a memcpy of the engine state, still no scan).
-Status RunQueryFromSnapshot(const Flags& flags) {
-  CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
-  CLI_ASSIGN_OR_RETURN(exec, BuildSnapshotExec(flags));
-  CLI_ASSIGN_OR_RETURN(threshold, flags.GetDouble("threshold", 0.1));
-  const std::string semantics = flags.GetString("semantics", "all");
-  SessionPool::Options options;
-  options.exec = exec;
-  Result<SessionPool> pool = SessionPool::OpenFromSnapshot(path, options);
-  if (!pool.ok()) return pool.status();
-  const SessionPool::SessionId sid = pool->OpenSession();
-  std::printf("k-ladder %s served warm from %s (zero scans):\n",
-              pool->ladder().ToString().c_str(), path.c_str());
-  return PrintLadderAnswers(
-      pool->base(), pool->ladder(),
-      [&pool, sid](size_t rung) -> const PsrOutput& {
-        return pool->psr(sid, rung);
-      },
-      semantics, threshold);
-}
-
-Status RunQuery(const Flags& flags) {
-  if (flags.Has("snapshot")) return RunQueryFromSnapshot(flags);
-  CLI_ASSIGN_OR_RETURN(path, flags.GetString("db"));
-  CLI_ASSIGN_OR_RETURN(scan_options, BuildScanCliOptions(flags));
-  CLI_ASSIGN_OR_RETURN(threshold, flags.GetDouble("threshold", 0.1));
-  const KLadder& ladder = scan_options.ladder;
-  const ExecOptions& exec = scan_options.exec;
-  const std::string semantics = flags.GetString("semantics", "all");
-  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(path);
-  if (!db.ok()) return db.status();
-  if (flags.Has("k-ladder") || exec.parallel() || flags.Has("kernel")) {
-    // The shared-scan pipeline carries the parallel and explicit-kernel
-    // paths; a plain --k query with --threads/--kernel runs it as a
-    // one-rung ladder.
-    return RunQueryLadder(*db, ladder, semantics, threshold, exec);
-  }
-  const size_t k = ladder.max_k();
-
-  EvaluationOptions options;
-  options.k = k;
-  options.ptk_threshold = threshold;
-  options.ukranks = semantics == "all" || semantics == "ukranks";
-  options.ptk = semantics == "all" || semantics == "ptk";
-  options.global_topk = semantics == "all" || semantics == "global";
-  options.quality = false;
-  if (!options.ukranks && !options.ptk && !options.global_topk) {
-    return Status::InvalidArgument("unknown --semantics '" + semantics + "'");
-  }
-  Result<EvaluationReport> report = EvaluateTopk(*db, options);
-  if (!report.ok()) return report.status();
-
-  if (options.ptk) {
-    std::printf("PT-%lld (T = %.3f): %zu tuples\n",
-                static_cast<long long>(k), threshold,
-                report->ptk.tuples.size());
-    for (const AnswerEntry& e : report->ptk.tuples) {
-      std::printf("  tuple %lld  score %.4f  Pr[top-k] = %.4f\n",
-                  static_cast<long long>(e.tuple_id),
-                  db->tuple(e.rank_index).score, e.probability);
-    }
-  }
-  if (options.ukranks) {
-    std::printf("U-kRanks:\n");
-    for (size_t h = 1; h <= report->ukranks.per_rank.size(); ++h) {
-      const AnswerEntry& e = report->ukranks.per_rank[h - 1];
-      std::printf("  rank %zu: tuple %lld (Pr = %.4f)\n", h,
-                  static_cast<long long>(e.tuple_id), e.probability);
-    }
-  }
-  if (options.global_topk) {
-    std::printf("Global-topk:\n");
-    for (const AnswerEntry& e : report->global_topk.tuples) {
-      std::printf("  tuple %lld  Pr[top-k] = %.4f\n",
-                  static_cast<long long>(e.tuple_id), e.probability);
-    }
-  }
-  std::printf("timing: PSR %.3f ms, answer derivation %.3f ms\n",
-              report->psr_seconds * 1e3, report->query_seconds * 1e3);
-  return Status::OK();
-}
-
-/// `quality --snapshot`: the base TP ladder is part of the snapshot, so
-/// this is a pure read -- no scan, no TP pass.
-Status RunQualityFromSnapshot(const Flags& flags) {
-  CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
-  const std::string algo = flags.GetString("algo", "tp");
-  if (algo != "tp") {
-    return Status::InvalidArgument(
-        "--snapshot quality requires --algo tp (the snapshot persists the "
-        "TP ladder; other algorithms recompute from a database)");
-  }
-  CLI_ASSIGN_OR_RETURN(exec, BuildSnapshotExec(flags));
-  SessionPool::Options options;
-  options.exec = exec;
-  Result<SessionPool> pool = SessionPool::OpenFromSnapshot(path, options);
-  if (!pool.ok()) return pool.status();
-  std::printf("PWS-quality (TP, served warm from %s, zero scans):\n",
-              path.c_str());
-  for (size_t rung = 0; rung < pool->num_rungs(); ++rung) {
-    std::printf("  k = %zu: %.6f\n", pool->ladder()[rung],
-                pool->base_tp(rung).quality);
-  }
-  return Status::OK();
-}
-
+/// `quality`: --algo tp reads the pool's base TP ladder (one shared scan,
+/// or none for --snapshot); pwr, pw and mc recompute from --db at --k.
 Status RunQuality(const Flags& flags) {
-  if (flags.Has("snapshot")) return RunQualityFromSnapshot(flags);
-  CLI_ASSIGN_OR_RETURN(path, flags.GetString("db"));
-  CLI_ASSIGN_OR_RETURN(scan_options, BuildScanCliOptions(flags));
-  const KLadder& ladder = scan_options.ladder;
-  const ExecOptions& exec = scan_options.exec;
   const std::string algo = flags.GetString("algo", "tp");
-  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(path);
-  if (!db.ok()) return db.status();
-  const size_t kk = ladder.max_k();
-
-  if (algo != "tp" &&
-      (flags.Has("k-ladder") || exec.parallel() || flags.Has("kernel"))) {
-    return Status::InvalidArgument(
-        (flags.Has("k-ladder")
-             ? std::string("--k-ladder")
-             : (flags.Has("kernel") ? std::string("--kernel")
-                                    : std::string("--threads"))) +
-        " quality requires --algo tp (the shared-scan pipeline)");
-  }
-  ScanRequest request;
-  request.ladder = ladder;
-  request.exec = exec;
-  if (flags.Has("k-ladder")) {
-    Result<ScanResult> scan = ComputePsrLadder(*db, request);
-    if (!scan.ok()) return scan.status();
-    Result<std::vector<TpOutput>> tps =
-        ComputeTpQualityLadder(*db, scan->outputs, exec);
-    if (!tps.ok()) return tps.status();
+  if (algo == "tp") {
+    CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
     std::printf("PWS-quality (TP, one shared scan for k-ladder %s):\n",
-                ladder.ToString().c_str());
-    for (size_t rung = 0; rung < ladder.size(); ++rung) {
-      std::printf("  k = %zu: %.6f\n", ladder[rung], (*tps)[rung].quality);
+                pool.ladder().ToString().c_str());
+    for (size_t rung = 0; rung < pool.num_rungs(); ++rung) {
+      std::printf("  k = %zu: %.6f\n", pool.ladder()[rung],
+                  pool.base_tp(rung).quality);
     }
     return Status::OK();
   }
-
-  if (algo == "tp") {
-    Result<ScanResult> scan = ComputePsrLadder(*db, request);
-    if (!scan.ok()) return scan.status();
-    Result<std::vector<TpOutput>> tps =
-        ComputeTpQualityLadder(*db, scan->outputs, exec);
-    if (!tps.ok()) return tps.status();
-    std::printf("PWS-quality (TP): %.6f\n", tps->front().quality);
-  } else if (algo == "pwr") {
+  for (const char* pool_only : {"snapshot", "k-ladder", "threads", "kernel"}) {
+    if (flags.Has(pool_only)) {
+      return Status::InvalidArgument(
+          "--" + std::string(pool_only) +
+          " quality requires --algo tp (the shared-scan pool)");
+    }
+  }
+  CLI_ASSIGN_OR_RETURN(path, flags.GetString("db"));
+  CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k", 1, kMaxK));
+  const size_t kk = static_cast<size_t>(k);
+  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(path);
+  if (!db.ok()) return db.status();
+  if (algo == "pwr") {
     PwrOptions options;
     options.collect_results = false;
     Result<PwrOutput> pwr = ComputePwrQuality(*db, kk, options);
@@ -779,8 +668,8 @@ Status RunQuality(const Flags& flags) {
                 pw->quality, pw->results.size(), pw->num_worlds);
   } else if (algo == "mc") {
     MonteCarloOptions options;
-    CLI_ASSIGN_OR_RETURN(samples, flags.GetInt("samples", 100000));
-    CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
+    CLI_ASSIGN_OR_RETURN(samples, flags.GetInt("samples", 1, kMaxInt, 100000));
+    CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 1));
     options.samples = static_cast<uint64_t>(samples);
     options.seed = static_cast<uint64_t>(seed);
     Result<MonteCarloOutput> mc = EstimateQualityMonteCarlo(*db, kk, options);
@@ -806,9 +695,9 @@ Result<PlannerKind> ParsePlanner(const std::string& name) {
 Status RunPlan(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(db_path, flags.GetString("db"));
   CLI_ASSIGN_OR_RETURN(profile_path, flags.GetString("profile"));
-  CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k"));
-  CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget"));
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
+  CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k", 1, kMaxK));
+  CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget", 0, kMaxInt));
+  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 1));
   CLI_ASSIGN_OR_RETURN(planner, ParsePlanner(flags.GetString("planner", "dp")));
   Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(db_path);
   if (!db.ok()) return db.status();
@@ -839,255 +728,161 @@ Status RunPlan(const Flags& flags) {
   return Status::OK();
 }
 
-/// `clean --adaptive --sessions N [--pipeline]`: N concurrent adaptive
-/// cleaning sessions over ONE shared scan (SessionPool). The pool is the
-/// caller's -- built by a fresh Create for `clean --db`, reconstructed
-/// with zero scans for `clean --snapshot`. Each session is
-/// an independent analyst running the plan/execute/re-plan loop with the
-/// full budget against their own copy-on-write view; the pool amortizes
-/// the database copy, PSR scan, checkpoint set and TP pass a dedicated
-/// session would pay per analyst. The round loop itself lives in
-/// clean/pipeline.h: serial (probe batches drawn inline) by default,
-/// overlapped (batches on the --threads executor while the caller keeps
-/// planning) with --pipeline -- per-session results are bitwise equal
-/// either way. Session 0's merged database is written to --out (the
-/// others are what-if runs that close unmaterialized).
-Status RunCleanPool(SessionPool* pool, const CleaningProfile& profile,
-                    int64_t budget, size_t num_sessions, PlannerKind planner,
-                    uint64_t seed, bool pipeline, int64_t probe_latency_us,
-                    const FaultOptions& fault, const std::string& out) {
-  const ExecOptions& exec = pool->exec();
-  const size_t rungs = pool->num_rungs();
-  double initial = 0.0;
+/// The uniform ladder aggregate of per-rung qualities, the objective the
+/// planners optimize (LadderRungWeight is its one definition): session
+/// `id`'s current qualities, or the pool's base qualities without an id.
+double AggregateQuality(const SessionPool& pool,
+                        std::optional<SessionPool::SessionId> id) {
+  const size_t rungs = pool.num_rungs();
+  double total = 0.0;
   for (size_t j = 0; j < rungs; ++j) {
-    initial += LadderRungWeight({}, rungs, j) * pool->base_tp(j).quality;
+    total += LadderRungWeight({}, rungs, j) *
+             (id ? pool.quality(*id, j) : pool.base_tp(j).quality);
   }
+  return total;
+}
 
+/// `k = K: quality A -> B` for every rung of a ladder pool; a single-k
+/// pool's aggregate line already says it.
+void PrintRungQualities(const SessionPool& pool, SessionPool::SessionId id,
+                        const char* indent) {
+  if (pool.num_rungs() == 1) return;
+  for (size_t j = 0; j < pool.num_rungs(); ++j) {
+    std::printf("%sk = %zu: quality %.6f -> %.6f\n", indent, pool.ladder()[j],
+                pool.base_tp(j).quality, pool.quality(id, j));
+  }
+}
+
+/// One-shot `clean`: the paper's plan-once campaign in one pooled session
+/// -- plan against the session's TP state (the uniform aggregate for a
+/// ladder), execute the plan, refresh. Returns the session to write.
+Result<SessionPool::SessionId> RunCleanOnce(SessionPool* pool,
+                                            const CleaningProfile& profile,
+                                            int64_t budget,
+                                            PlannerKind planner,
+                                            uint64_t seed) {
+  const SessionPool::SessionId id = pool->OpenSession();
+  Rng rng(seed);
+  Result<CleaningProblem> problem =
+      MakeCleaningProblem(pool->tps(id), {}, profile, budget);
+  if (!problem.ok()) return problem.status();
+  Result<CleaningPlan> plan = RunPlanner(planner, *problem, &rng);
+  if (!plan.ok()) return plan.status();
+  Result<SessionExecutionReport> executed =
+      ExecutePlan(pool, id, profile, plan->probes, &rng);
+  if (!executed.ok()) return executed.status();
+  UCLEAN_RETURN_IF_ERROR(pool->Refresh(id));
+  const double before = AggregateQuality(*pool, std::nullopt);
+  std::printf("one-shot cleaning (%s): %zu successes, spent %lld "
+              "(leftover %lld), quality %.6f -> %.6f (predicted %.6f)\n",
+              PlannerKindName(planner), executed->successes,
+              static_cast<long long>(executed->spent),
+              static_cast<long long>(executed->leftover), before,
+              AggregateQuality(*pool, id),
+              before + plan->expected_improvement);
+  PrintRungQualities(*pool, id, "  ");
+  return id;
+}
+
+/// `clean --adaptive`: --sessions N concurrent adaptive sessions over the
+/// pool's one shared scan, each an independent analyst running the
+/// plan/execute/re-plan loop with the full budget against their own
+/// copy-on-write view. The round loop lives in clean/pipeline.h: serial
+/// by default, probe batches overlapped with planning on the --threads
+/// executor with --pipeline; per-session results are bitwise equal either
+/// way, and a lone session's equal the single-analyst loop of
+/// clean/adaptive.h (pipeline_test.cc). Returns session 0, the one to
+/// write; the others are what-if runs that close unmaterialized.
+Result<SessionPool::SessionId> RunCleanPool(SessionPool* pool,
+                                            const CleaningProfile& profile,
+                                            int64_t budget,
+                                            size_t num_sessions,
+                                            uint64_t seed,
+                                            const PipelineOptions& options) {
+  const double initial = AggregateQuality(*pool, std::nullopt);
   std::vector<SessionPool::SessionId> ids;
   std::vector<Rng> rngs;
   for (size_t s = 0; s < num_sessions; ++s) {
     ids.push_back(pool->OpenSession());
     rngs.emplace_back(seed + s);
   }
-
-  PipelineOptions pipeline_options;
-  pipeline_options.planner = planner;
-  pipeline_options.overlap = pipeline;
-  pipeline_options.probe.latency =
-      std::chrono::microseconds(probe_latency_us);
-  pipeline_options.fault = fault;
-  if (pipeline) {
+  if (options.overlap) {
     // Honest note: a 1-thread executor has no workers, so SubmitProbes
     // draws inline and the "pipelined" loop is the serial wall clock.
-    if (exec.num_threads > 1) {
+    if (pool->exec().num_threads > 1) {
       std::printf("note: --pipeline overlaps probe batches with planning "
                   "on %zu threads; per-session results are identical to "
                   "the serial pool loop\n",
-                  exec.num_threads);
+                  pool->exec().num_threads);
     } else {
       std::printf("note: --pipeline with 1 thread runs probe batches "
                   "inline (no overlap); pass --threads N|auto to overlap "
                   "them with planning\n");
     }
   }
-  Result<PipelineReport> report = RunPipelinedCleaning(
-      pool, ids, profile, budget, &rngs, pipeline_options);
+  Result<PipelineReport> report =
+      RunPipelinedCleaning(pool, ids, profile, budget, &rngs, options);
   if (!report.ok()) return report.status();
 
-  std::printf("session pool: %zu adaptive sessions over one shared scan, "
-              "k-ladder %s, initial quality %.6f\n",
-              num_sessions, pool->ladder().ToString().c_str(), initial);
+  std::printf("adaptive cleaning, session pool: %zu adaptive session%s over "
+              "one shared scan, k-ladder %s, initial quality %.6f\n",
+              num_sessions, num_sessions == 1 ? "" : "s",
+              pool->ladder().ToString().c_str(), initial);
   for (size_t s = 0; s < num_sessions; ++s) {
-    double final_quality = 0.0;
-    for (size_t j = 0; j < rungs; ++j) {
-      final_quality +=
-          LadderRungWeight({}, rungs, j) * pool->quality(ids[s], j);
-    }
-    std::printf("  session %zu: spent %lld/%lld (%zu cleans), quality "
-                "%.6f -> %.6f\n",
-                s, static_cast<long long>(report->sessions[s].spent),
+    const PipelineSessionReport& session = report->sessions[s];
+    std::printf("  session %zu: %zu rounds, spent %lld/%lld (%zu cleans), "
+                "quality %.6f -> %.6f\n",
+                s, session.rounds, static_cast<long long>(session.spent),
                 static_cast<long long>(budget),
-                pool->overlay(ids[s]).num_outcomes(), initial, final_quality);
-    if (fault.enabled) {
-      PrintFaultStats("    ", report->sessions[s].faults);
-    }
-    if (rungs > 1) {
-      for (size_t j = 0; j < rungs; ++j) {
-        std::printf("    k = %zu: quality %.6f -> %.6f\n",
-                    pool->ladder()[j], pool->base_tp(j).quality,
-                    pool->quality(ids[s], j));
-      }
-    }
+                pool->overlay(ids[s]).num_outcomes(), initial,
+                AggregateQuality(*pool, ids[s]));
+    if (options.fault.enabled) PrintFaultStats("    ", session.faults);
+    PrintRungQualities(*pool, ids[s], "    ");
   }
-  Result<ProbabilisticDatabase> merged = pool->CloseAndMerge(ids[0]);
-  if (!merged.ok()) return merged.status();
-  return WriteDatabaseCsvFile(*merged, out);
-}
-
-/// `clean --snapshot`: warm-starts the serving pool from a snapshot file
-/// (zero scans) and runs the pooled adaptive loop against it. The ladder
-/// is the snapshot's; the executor, planner, budget and fault knobs are
-/// this run's. Sessions saved in the snapshot stay open untouched --
-/// the campaign here drives --sessions N freshly opened forks.
-Status RunCleanFromSnapshot(const Flags& flags) {
-  CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
-  CLI_ASSIGN_OR_RETURN(profile_path, flags.GetString("profile"));
-  CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
-  CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget"));
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
-  CLI_ASSIGN_OR_RETURN(planner,
-                       ParsePlanner(flags.GetString("planner", "greedy")));
-  if (!flags.Has("adaptive")) {
-    return Status::InvalidArgument(
-        "--snapshot cleaning runs the pooled adaptive loop; pass "
-        "--adaptive");
-  }
-  CLI_ASSIGN_OR_RETURN(exec, BuildSnapshotExec(flags));
-  CLI_ASSIGN_OR_RETURN(sessions, flags.GetInt("sessions", 1));
-  if (sessions < 1) {
-    return Status::InvalidArgument("--sessions must be >= 1");
-  }
-  CLI_ASSIGN_OR_RETURN(probe_latency_us, flags.GetInt("probe-latency-us", 0));
-  if (probe_latency_us < 0 || probe_latency_us > 60000000) {
-    return Status::InvalidArgument(
-        "bad --probe-latency-us '" + flags.GetString("probe-latency-us", "") +
-        "': expected microseconds in [0, 60000000]");
-  }
-  CLI_ASSIGN_OR_RETURN(fault,
-                       ParseFaultOptions(flags, static_cast<uint64_t>(seed)));
-
-  Result<CleaningProfile> profile = ReadProfileCsvFile(profile_path);
-  if (!profile.ok()) return profile.status();
-  SessionPool::Options pool_options;
-  pool_options.exec = exec;
-  Result<SessionPool> pool = SessionPool::OpenFromSnapshot(path, pool_options);
-  if (!pool.ok()) return pool.status();
-  std::printf("warm start: pool reconstructed from %s (zero scans)\n",
-              path.c_str());
-  UCLEAN_RETURN_IF_ERROR(RunCleanPool(
-      &*pool, *profile, budget, static_cast<size_t>(sessions), planner,
-      static_cast<uint64_t>(seed), flags.Has("pipeline"), probe_latency_us,
-      fault, out));
-  std::printf("cleaned database written to %s\n", out.c_str());
-  return Status::OK();
+  return ids[0];
 }
 
 Status RunClean(const Flags& flags) {
-  if (flags.Has("snapshot")) return RunCleanFromSnapshot(flags);
-  CLI_ASSIGN_OR_RETURN(db_path, flags.GetString("db"));
   CLI_ASSIGN_OR_RETURN(profile_path, flags.GetString("profile"));
   CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
-  CLI_ASSIGN_OR_RETURN(scan_options, BuildScanCliOptions(flags));
-  const KLadder& cli_ladder = scan_options.ladder;
-  const ExecOptions& exec = scan_options.exec;
-  CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget"));
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 1));
+  CLI_ASSIGN_OR_RETURN(budget, flags.GetInt("budget", 0, kMaxInt));
+  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 1));
   CLI_ASSIGN_OR_RETURN(planner,
                        ParsePlanner(flags.GetString("planner", "greedy")));
-  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(db_path);
-  if (!db.ok()) return db.status();
-  Result<CleaningProfile> profile = ReadProfileCsvFile(profile_path);
-  if (!profile.ok()) return profile.status();
-  const size_t kk = cli_ladder.max_k();
-  Rng rng(static_cast<uint64_t>(seed));
-
-  CLI_ASSIGN_OR_RETURN(sessions, flags.GetInt("sessions", 1));
-  if (sessions < 1) {
-    return Status::InvalidArgument("--sessions must be >= 1");
-  }
+  CLI_ASSIGN_OR_RETURN(sessions,
+                       flags.GetInt("sessions", 1, kMaxSessions, 1));
   CLI_ASSIGN_OR_RETURN(probe_latency_us,
-                       flags.GetInt("probe-latency-us", 0));
-  if (probe_latency_us < 0 || probe_latency_us > 60000000) {
-    return Status::InvalidArgument(
-        "bad --probe-latency-us '" +
-        flags.GetString("probe-latency-us", "") +
-        "': expected microseconds in [0, 60000000]");
-  }
-  const bool pipeline = flags.Has("pipeline");
-  const bool pooled = sessions > 1 || pipeline;
-  if ((pooled || probe_latency_us > 0) && !flags.Has("adaptive")) {
-    return Status::InvalidArgument(
-        "--sessions/--pipeline/--probe-latency-us require --adaptive "
-        "(pooled cleaning sessions run the adaptive loop)");
-  }
-  if (probe_latency_us > 0 && !pooled) {
-    return Status::InvalidArgument(
-        "--probe-latency-us requires the pooled loop (--sessions N "
-        "and/or --pipeline)");
-  }
+                       flags.GetInt("probe-latency-us", 0, kMaxMicros, 0));
   CLI_ASSIGN_OR_RETURN(
       fault, ParseFaultOptions(flags, static_cast<uint64_t>(seed)));
-  if (fault.enabled && !flags.Has("adaptive")) {
+  const bool adaptive = flags.Has("adaptive");
+  if (!adaptive && (sessions > 1 || flags.Has("pipeline") ||
+                    probe_latency_us > 0 || fault.enabled)) {
     return Status::InvalidArgument(
-        "--probe-fail-rate/--probe-timeout-us/--retry-max/"
-        "--retry-backoff-us/--breaker-threshold require --adaptive (fault "
-        "tolerance lives in the adaptive probe loop)");
+        "--sessions/--pipeline/--probe-latency-us and the fault flags "
+        "(--probe-fail-rate/--probe-timeout-us/--retry-max/"
+        "--retry-backoff-us/--breaker-threshold) require --adaptive (they "
+        "drive the adaptive probe loop)");
   }
-  if (pooled) {
-    SessionPool::Options pool_options;
-    pool_options.exec = exec;
-    Result<SessionPool> pool = SessionPool::Create(
-        ProbabilisticDatabase(*db), cli_ladder, pool_options);
-    if (!pool.ok()) return pool.status();
-    UCLEAN_RETURN_IF_ERROR(RunCleanPool(
-        &*pool, *profile, budget, static_cast<size_t>(sessions), planner,
-        static_cast<uint64_t>(seed), pipeline, probe_latency_us, fault, out));
-    std::printf("cleaned database written to %s\n", out.c_str());
-    return Status::OK();
-  }
+  CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
+  Result<CleaningProfile> profile = ReadProfileCsvFile(profile_path);
+  if (!profile.ok()) return profile.status();
 
-  if (flags.Has("adaptive")) {
-    AdaptiveOptions options;
-    options.k = kk;
-    if (flags.Has("k-ladder")) options.k_ladder = cli_ladder.ks;
-    options.planner = planner;
-    options.exec = exec;
-    options.fault = fault;
-    Result<AdaptiveReport> report =
-        RunAdaptiveCleaning(*db, *profile, budget, options, &rng);
-    if (!report.ok()) return report.status();
-    std::printf("adaptive cleaning: %zu rounds, spent %lld/%lld, quality "
-                "%.6f -> %.6f\n",
-                report->rounds.size(),
-                static_cast<long long>(report->total_spent),
-                static_cast<long long>(budget), report->initial_quality,
-                report->final_quality);
-    if (fault.enabled) PrintFaultStats("  ", report->faults);
-    if (report->ladder.size() > 1) {
-      for (size_t rung = 0; rung < report->ladder.size(); ++rung) {
-        std::printf("  k = %zu: quality %.6f -> %.6f\n",
-                    report->ladder[rung],
-                    report->initial_quality_per_k[rung],
-                    report->final_quality_per_k[rung]);
-      }
-    }
-    UCLEAN_RETURN_IF_ERROR(WriteDatabaseCsvFile(report->final_db, out));
-  } else {
-    if (flags.Has("k-ladder")) {
-      return Status::InvalidArgument(
-          "--k-ladder cleaning requires --adaptive (the ladder session)");
-    }
-    Result<TpOutput> before = ComputeTpQuality(*db, kk);
-    if (!before.ok()) return before.status();
-    Result<CleaningProblem> problem =
-        MakeCleaningProblem(*db, kk, *profile, budget);
-    if (!problem.ok()) return problem.status();
-    Result<CleaningPlan> plan = RunPlanner(planner, *problem, &rng);
-    if (!plan.ok()) return plan.status();
-    Result<ExecutionReport> executed =
-        ExecutePlan(*db, *profile, plan->probes, &rng);
-    if (!executed.ok()) return executed.status();
-    Result<TpOutput> after = ComputeTpQuality(executed->cleaned_db, kk);
-    if (!after.ok()) return after.status();
-    std::printf("one-shot cleaning (%s): %zu successes, spent %lld "
-                "(leftover %lld), quality %.6f -> %.6f (predicted %.6f)\n",
-                PlannerKindName(planner), executed->successes,
-                static_cast<long long>(executed->spent),
-                static_cast<long long>(executed->leftover), before->quality,
-                after->quality,
-                before->quality + plan->expected_improvement);
-    UCLEAN_RETURN_IF_ERROR(WriteDatabaseCsvFile(executed->cleaned_db, out));
-  }
+  PipelineOptions options;
+  options.planner = planner;
+  options.overlap = flags.Has("pipeline");
+  options.probe.latency = std::chrono::microseconds(probe_latency_us);
+  options.fault = fault;
+  Result<SessionPool::SessionId> written =
+      adaptive ? RunCleanPool(&pool, *profile, budget,
+                              static_cast<size_t>(sessions),
+                              static_cast<uint64_t>(seed), options)
+               : RunCleanOnce(&pool, *profile, budget, planner,
+                              static_cast<uint64_t>(seed));
+  if (!written.ok()) return written.status();
+  Result<ProbabilisticDatabase> merged = pool.CloseAndMerge(*written);
+  if (!merged.ok()) return merged.status();
+  UCLEAN_RETURN_IF_ERROR(WriteDatabaseCsvFile(*merged, out));
   std::printf("cleaned database written to %s\n", out.c_str());
   return Status::OK();
 }
@@ -1095,9 +890,10 @@ Status RunClean(const Flags& flags) {
 Status RunTarget(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(db_path, flags.GetString("db"));
   CLI_ASSIGN_OR_RETURN(profile_path, flags.GetString("profile"));
-  CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k"));
+  CLI_ASSIGN_OR_RETURN(k, flags.GetInt("k", 1, kMaxK));
   CLI_ASSIGN_OR_RETURN(target, flags.GetDouble("target"));
-  CLI_ASSIGN_OR_RETURN(max_budget, flags.GetInt("max-budget", 100000));
+  CLI_ASSIGN_OR_RETURN(max_budget,
+                       flags.GetInt("max-budget", 0, kMaxInt, 100000));
   Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(db_path);
   if (!db.ok()) return db.status();
   Result<CleaningProfile> profile = ReadProfileCsvFile(profile_path);
@@ -1122,34 +918,22 @@ Status RunTarget(const Flags& flags) {
   return Status::OK();
 }
 
-/// `snapshot save`: builds a serving pool (one shared scan + TP pass),
-/// opens --sessions pristine forks, and persists the whole thing.
+/// `snapshot save`: opens the pool, adds --sessions pristine forks, and
+/// persists the whole thing.
 Status RunSnapshotSave(const Flags& flags) {
-  CLI_ASSIGN_OR_RETURN(db_path, flags.GetString("db"));
   CLI_ASSIGN_OR_RETURN(out, flags.GetString("out"));
-  CLI_ASSIGN_OR_RETURN(scan_options, BuildScanCliOptions(flags));
-  CLI_ASSIGN_OR_RETURN(sessions, flags.GetInt("sessions", 0));
-  if (sessions < 0 || sessions > 100000) {
-    return Status::InvalidArgument(
-        "bad --sessions '" + flags.GetString("sessions", "") +
-        "': expected a count in [0, 100000]");
-  }
-  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(db_path);
-  if (!db.ok()) return db.status();
-  SessionPool::Options pool_options;
-  pool_options.exec = scan_options.exec;
-  Result<SessionPool> pool = SessionPool::Create(
-      std::move(*db), scan_options.ladder, pool_options);
-  if (!pool.ok()) return pool.status();
-  for (int64_t s = 0; s < sessions; ++s) pool->OpenSession();
-  UCLEAN_RETURN_IF_ERROR(store::WriteSnapshot(*pool, out));
+  CLI_ASSIGN_OR_RETURN(sessions,
+                       flags.GetInt("sessions", 0, kMaxSessions, 0));
+  CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
+  for (int64_t s = 0; s < sessions; ++s) pool.OpenSession();
+  UCLEAN_RETURN_IF_ERROR(store::WriteSnapshot(pool, out));
   Result<store::SnapshotInfo> info = store::InspectSnapshot(out);
   if (!info.ok()) return info.status();
   std::printf("wrote snapshot %s: %llu bytes, %zu sections, k-ladder %s, "
-              "%lld open sessions\n",
+              "%zu open sessions\n",
               out.c_str(), static_cast<unsigned long long>(info->file_size),
-              info->sections.size(), pool->ladder().ToString().c_str(),
-              static_cast<long long>(sessions));
+              info->sections.size(), pool.ladder().ToString().c_str(),
+              pool.num_open());
   return Status::OK();
 }
 
@@ -1157,7 +941,7 @@ Status RunSnapshotSave(const Flags& flags) {
 /// what came back -- the smoke test for "can this file serve".
 Status RunSnapshotLoad(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
-  CLI_ASSIGN_OR_RETURN(exec, BuildSnapshotExec(flags));
+  CLI_ASSIGN_OR_RETURN(exec, ParseSnapshotExec(flags));
   SessionPool::Options options;
   options.exec = exec;
   Result<store::LoadedSnapshot> loaded = store::ReadSnapshot(path, options);
@@ -1210,31 +994,6 @@ Status RunSnapshotInspect(const Flags& flags) {
   return Status::OK();
 }
 
-/// Builds the warm pool `serve` fronts: a fresh Create (one shared scan)
-/// for --db, an OpenFromSnapshot warm start (zero scans) for --snapshot.
-Result<SessionPool> BuildServePool(const Flags& flags) {
-  SessionPool::Options pool_options;
-  if (flags.Has("snapshot")) {
-    CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
-    CLI_ASSIGN_OR_RETURN(exec, BuildSnapshotExec(flags));
-    pool_options.exec = std::move(exec);
-    Result<SessionPool> pool = SessionPool::OpenFromSnapshot(path,
-                                                             pool_options);
-    if (pool.ok()) {
-      std::fprintf(stderr, "serve: pool warm-started from %s (zero scans)\n",
-                   path.c_str());
-    }
-    return pool;
-  }
-  CLI_ASSIGN_OR_RETURN(db_path, flags.GetString("db"));
-  CLI_ASSIGN_OR_RETURN(scan_options, BuildScanCliOptions(flags));
-  Result<ProbabilisticDatabase> db = ReadDatabaseCsvFile(db_path);
-  if (!db.ok()) return db.status();
-  pool_options.exec = scan_options.exec;
-  return SessionPool::Create(std::move(*db), scan_options.ladder,
-                             pool_options);
-}
-
 /// `serve`: the persistent serving loop. stdin/stdout become one
 /// protocol connection (serve/protocol.h) on the LineServer; the
 /// admission batcher and cost model live in serve/frontend.h. Tests and
@@ -1243,14 +1002,9 @@ Result<SessionPool> BuildServePool(const Flags& flags) {
 /// client sees only notes and reply lines.
 Status RunServe(const Flags& flags) {
   serve::FrontendOptions options;
-  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", 2026));
+  CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 2026));
   options.seed = static_cast<uint64_t>(seed);
-  CLI_ASSIGN_OR_RETURN(max_batch, flags.GetInt("max-batch", 64));
-  if (max_batch < 1 || max_batch > 1000000) {
-    return Status::InvalidArgument(
-        "bad --max-batch '" + flags.GetString("max-batch", "") +
-        "': expected a batch bound in [1, 1000000]");
-  }
+  CLI_ASSIGN_OR_RETURN(max_batch, flags.GetInt("max-batch", 1, 1000000, 64));
   options.max_batch = static_cast<size_t>(max_batch);
   const std::string batch = flags.GetString("batch", "on");
   if (batch == "off") {
@@ -1279,7 +1033,7 @@ Status RunServe(const Flags& flags) {
     if (!read.ok()) return read.status();
     profile = std::move(*read);
   }
-  CLI_ASSIGN_OR_RETURN(pool, BuildServePool(flags));
+  CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
   if (calibrate == "on") {
     options.cost = serve::CostModel::Measure(pool.base());
   }
