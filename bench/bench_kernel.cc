@@ -8,11 +8,13 @@
 //                 RebuildCounts) and emission scale -- exactly the loops
 //                 the AVX2 kernel vectorizes. The >= 1.5x acceptance
 //                 gate applies here.
-//   alternatives  Gaussian-histogram x-tuples (many bars each): every
-//                 tuple's BuildExclusion runs the divide-out recurrence,
-//                 which is PROVABLY sequential and stays scalar in every
-//                 kernel (rank/kernel.h) -- so the honest expectation is
-//                 parity, not speedup, and the gate is only a >= 0.95
+//   alternatives  Gaussian-histogram x-tuples (many bars each): nearly
+//                 every tuple runs the divide-out recurrence, which is
+//                 sequential within a tuple and runs as one scalar
+//                 chained kernel (DivideOutChain, up to kMaxChain
+//                 consecutive tuples in lockstep) in every kernel table
+//                 (rank/kernel.h) -- so the honest expectation is parity
+//                 between the arms, and the gate is only a >= 0.95
 //                 no-regression floor.
 //
 // A third arm, `reference`, re-implements the pre-refactor FUSED scalar
@@ -56,7 +58,7 @@ constexpr size_t kAlternativesXTuples = 800;
 constexpr size_t kTopK = 2048;
 
 /// Singleton x-tuples (one alternative each) with sub-unit masses:
-/// nothing ever saturates, BuildExclusion is a no-op (the tuple's
+/// nothing ever saturates, there is nothing to divide out (the tuple's
 /// x-tuple is inactive at its only rank), and the per-tuple cost is the
 /// fold plus emission -- the vectorized loops, undiluted.
 ProbabilisticDatabase MakeIndependentDb() {
@@ -221,7 +223,8 @@ int main() {
       "Vectorized scan kernel",
       "single-thread scalar vs AVX2 scan throughput on a fold-bound "
       "independent workload (the vectorized loops) and a divide-out-bound "
-      "alternatives workload (provably sequential; parity expected), plus "
+      "alternatives workload (one scalar chained divide-out in every "
+      "kernel; parity expected), plus "
       "the fused pre-refactor scalar loop as the SoA overhead baseline; "
       "all arms must stay bitwise equal");
   std::printf("# hardware_concurrency: %u, avx2: %s\n", cores,

@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/check.h"
+
 namespace uclean {
 namespace psr_internal {
 
@@ -25,23 +27,124 @@ void FoldFactorScalar(double* c, const double* base, std::size_t top,
   c[0] = base[0] * h;
 }
 
-void DivideOutFwdScalar(double* excl, const double* c, std::size_t top,
-                        double q) {
-  const double headroom = 1.0 - q;
-  excl[0] = c[0] / headroom;
+namespace {
+
+// The chained recurrences below run member m's element j right after
+// member m-1's, so the division chains of the members are independent
+// within one element and the CPU overlaps them. `prev[m]` holds member
+// m's exclusion at the element before the current one, `fresh` the
+// element just computed for the member before m; every expression is
+// the width-1 recurrence's (or FoldFactorScalar's) with its operands in
+// the same order.
+
+template <std::size_t W>
+void DivideOutChainFwd(const double* c, std::size_t top, const double* q,
+                       const double* q_next, double* const* excl,
+                       double* const* counts) {
+  double headroom[W];
+  double fold_h[W];
+  double prev[W];
+  for (std::size_t m = 0; m < W; ++m) {
+    headroom[m] = 1.0 - q[m];
+    fold_h[m] = m + 1 < W ? 1.0 - q_next[m] : 0.0;
+  }
+  double in = c[0];
+  for (std::size_t m = 0; m < W; ++m) {
+    if (m > 0) {
+      in = prev[m - 1] * fold_h[m - 1];
+      counts[m][0] = in;
+    }
+    prev[m] = in / headroom[m];
+    excl[m][0] = prev[m];
+  }
   for (std::size_t j = 1; j < top; ++j) {
-    const double v = (c[j] - excl[j - 1] * q) / headroom;
-    excl[j] = v < 0.0 ? 0.0 : v;
+    in = c[j];
+    double fresh = 0.0;
+    for (std::size_t m = 0; m < W; ++m) {
+      if (m > 0) {
+        in = fresh * fold_h[m - 1] + prev[m - 1] * q_next[m - 1];
+        counts[m][j] = in;
+        prev[m - 1] = fresh;
+      }
+      const double v = (in - prev[m] * q[m]) / headroom[m];
+      fresh = v < 0.0 ? 0.0 : v;
+      excl[m][j] = fresh;
+    }
+    prev[W - 1] = fresh;
+  }
+  for (std::size_t m = 1; m < W; ++m) {
+    counts[m][top] = prev[m - 1] * q_next[m - 1];
   }
 }
 
-void DivideOutBwdScalar(double* excl, const double* c, std::size_t top,
-                        double q) {
-  excl[top - 1] = c[top] / q;
-  for (std::size_t j = top - 1; j > 0; --j) {
-    const double v = (c[j] - (1.0 - q) * excl[j]) / q;
-    excl[j - 1] = v < 0.0 ? 0.0 : v;
+template <std::size_t W>
+void DivideOutChainBwd(const double* c, std::size_t top, const double* q,
+                       const double* q_next, double* const* excl,
+                       double* const* counts) {
+  double headroom[W];
+  double fold_h[W];
+  double prev[W];
+  for (std::size_t m = 0; m < W; ++m) {
+    headroom[m] = 1.0 - q[m];
+    fold_h[m] = m + 1 < W ? 1.0 - q_next[m] : 0.0;
   }
+  double in = c[top];
+  for (std::size_t m = 0; m < W; ++m) {
+    if (m > 0) {
+      in = prev[m - 1] * q_next[m - 1];
+      counts[m][top] = in;
+    }
+    prev[m] = in / q[m];
+    excl[m][top - 1] = prev[m];
+  }
+  for (std::size_t j = top - 1; j > 0; --j) {
+    in = c[j];
+    double fresh = 0.0;
+    for (std::size_t m = 0; m < W; ++m) {
+      if (m > 0) {
+        in = prev[m - 1] * fold_h[m - 1] + fresh * q_next[m - 1];
+        counts[m][j] = in;
+        prev[m - 1] = fresh;
+      }
+      const double v = (in - headroom[m] * prev[m]) / q[m];
+      fresh = v < 0.0 ? 0.0 : v;
+      excl[m][j - 1] = fresh;
+    }
+    prev[W - 1] = fresh;
+  }
+  for (std::size_t m = 1; m < W; ++m) {
+    counts[m][0] = prev[m - 1] * fold_h[m - 1];
+  }
+}
+
+template <std::size_t W>
+void DivideOutChainOf(const double* c, std::size_t top, bool forward,
+                      const double* q, const double* q_next,
+                      double* const* excl, double* const* counts) {
+  if (forward) {
+    DivideOutChainFwd<W>(c, top, q, q_next, excl, counts);
+  } else {
+    DivideOutChainBwd<W>(c, top, q, q_next, excl, counts);
+  }
+}
+
+}  // namespace
+
+void DivideOutChain(const double* c, std::size_t top, std::size_t width,
+                    bool forward, const double* q, const double* q_next,
+                    double* const* excl, double* const* counts) {
+  static_assert(kMaxChain == 4, "DivideOutChain dispatches widths 1..4");
+  switch (width) {
+    case 1:
+      return DivideOutChainOf<1>(c, top, forward, q, q_next, excl, counts);
+    case 2:
+      return DivideOutChainOf<2>(c, top, forward, q, q_next, excl, counts);
+    case 3:
+      return DivideOutChainOf<3>(c, top, forward, q, q_next, excl, counts);
+    case 4:
+      return DivideOutChainOf<4>(c, top, forward, q, q_next, excl, counts);
+  }
+  UCLEAN_CHECK(false && "DivideOutChain width outside 1..kMaxChain");
 }
 
 namespace {

@@ -42,37 +42,35 @@ void FoldFactorAvx2(double* c, const double* base, std::size_t top,
   c[0] = base[0] * h;
 }
 
-void ScaleAvx2(double* dst, const double* src, std::size_t n, double e) {
-  const __m256d ve = _mm256_set1_pd(e);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_mul_pd(ve, _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = e * src[i];
+// The argmax update of the 4-element chunk at best_prob/best_index from
+// the candidates `r`, tagging winners with `vi` (rank_index in every
+// lane).
+inline void ArgmaxChunk(double* best_prob, int32_t* best_index, __m256d r,
+                        __m128i vi) {
+  // Compresses the four 64-bit compare-mask lanes into four 32-bit
+  // lanes (low dword of each) so the int32 index array can blend on the
+  // same predicate as the double array.
+  const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
+  const __m256d b = _mm256_loadu_pd(best_prob);
+  // Strict greater-than, ordered: the exact predicate of the scalar
+  // tracker (NaNs never occur; probabilities are finite).
+  const __m256d gt = _mm256_cmp_pd(r, b, _CMP_GT_OQ);
+  if (_mm256_movemask_pd(gt) == 0) return;
+  _mm256_storeu_pd(best_prob, _mm256_blendv_pd(b, r, gt));
+  const __m128i m32 = _mm256_castsi256_si128(
+      _mm256_permutevar8x32_epi32(_mm256_castpd_si256(gt), pick));
+  const __m128i cur =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(best_index));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(best_index),
+                   _mm_blendv_epi8(cur, vi, m32));
 }
 
 void UpdateArgmaxAvx2(double* best_prob, int32_t* best_index,
                       const double* rho, std::size_t n, int32_t rank_index) {
   const __m128i vi = _mm_set1_epi32(rank_index);
-  // Compresses the four 64-bit compare-mask lanes into four 32-bit
-  // lanes (low dword of each) so the int32 index array can blend on the
-  // same predicate as the double array.
-  const __m256i pick = _mm256_setr_epi32(0, 2, 4, 6, 0, 0, 0, 0);
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d r = _mm256_loadu_pd(rho + i);
-    const __m256d b = _mm256_loadu_pd(best_prob + i);
-    // Strict greater-than, ordered: the exact predicate of the scalar
-    // tracker (NaNs never occur; probabilities are finite).
-    const __m256d gt = _mm256_cmp_pd(r, b, _CMP_GT_OQ);
-    if (_mm256_movemask_pd(gt) == 0) continue;
-    _mm256_storeu_pd(best_prob + i, _mm256_blendv_pd(b, r, gt));
-    const __m128i m32 = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_castpd_si256(gt), pick));
-    const __m128i cur =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(best_index + i));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(best_index + i),
-                     _mm_blendv_epi8(cur, vi, m32));
+    ArgmaxChunk(best_prob + i, best_index + i, _mm256_loadu_pd(rho + i), vi);
   }
   for (; i < n; ++i) {
     if (rho[i] > best_prob[i]) {
@@ -85,16 +83,37 @@ void UpdateArgmaxAvx2(double* best_prob, int32_t* best_index,
 double EmitSegmentAvx2(double* dst, const double* src, std::size_t n,
                        double e, double p, double* best_prob,
                        int32_t* best_index, int32_t rank_index) {
-  // Vectorized scale, then the prefix accumulation as the same strictly
-  // sequential scalar sum the fused scalar sweep performs (a packed
-  // horizontal reduction would re-associate it), then the vectorized
-  // argmax over the freshly written window. Three passes where the
-  // scalar kernel makes one -- but each element sees the exact same
-  // mul, add and compare, so the results are bitwise equal.
-  ScaleAvx2(dst, src, n, e);
-  for (std::size_t i = 0; i < n; ++i) p += dst[i];
-  if (best_prob != nullptr) {
-    UpdateArgmaxAvx2(best_prob, best_index, dst, n, rank_index);
+  // One sweep, like the scalar kernel: a packed scale, the prefix
+  // accumulation as the same strictly sequential scalar sum (lane by
+  // lane, ascending -- a packed horizontal reduction would re-associate
+  // it), and the packed argmax, all per 4-element chunk. The sequential
+  // sum is the sweep's latency chain; the packed work hides under it.
+  // Each element sees the exact mul, add and compare of the scalar
+  // kernel, so the results are bitwise equal.
+  const __m256d ve = _mm256_set1_pd(e);
+  const __m128i vi = _mm_set1_epi32(rank_index);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d v = _mm256_mul_pd(ve, _mm256_loadu_pd(src + i));
+    _mm256_storeu_pd(dst + i, v);
+    const __m128d lo = _mm256_castpd256_pd128(v);
+    const __m128d hi = _mm256_extractf128_pd(v, 1);
+    p += _mm_cvtsd_f64(lo);
+    p += _mm_cvtsd_f64(_mm_unpackhi_pd(lo, lo));
+    p += _mm_cvtsd_f64(hi);
+    p += _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi));
+    if (best_prob != nullptr) {
+      ArgmaxChunk(best_prob + i, best_index + i, v, vi);
+    }
+  }
+  for (; i < n; ++i) {
+    const double v = e * src[i];
+    dst[i] = v;
+    p += v;
+    if (best_prob != nullptr && v > best_prob[i]) {
+      best_prob[i] = v;
+      best_index[i] = rank_index;
+    }
   }
   return p;
 }

@@ -134,10 +134,12 @@ Result<ScanResult> ScanRequested(const Db& db, const ScanRequest& request,
         no_checkpoints);
   }
   if (!sharded) {
-    size_t first_active = 0;
-    psr_internal::RunLadderScan(db, 0, 0, request.psr.early_termination, core,
-                                outs, first_active, /*track_best=*/true,
-                                [](size_t, size_t) {});
+    psr_internal::RunLadderScan(
+        db, 0, db.num_tuples(), 0, /*emit_base=*/0,
+        request.psr.early_termination, core, outs, /*first_active=*/0,
+        /*track_best=*/true,
+        [&outs](size_t rung, size_t at) { outs[rung]->scan_end = at; },
+        [](const psr_internal::ScanCore&, size_t, size_t) {});
   }
   ExecParallelFor(resolved, result.outputs.size(), [&result](size_t j) {
     PsrOutput& out = result.outputs[j];

@@ -15,12 +15,17 @@
 // rho_i(h) = e_i * c_excl[h-1]. After emitting t_i, q_l grows by e_i and
 // the factor is multiplied back in.
 //
-// Numerically, the divide-out is performed in a provably stable direction
-// (forward for q_l <= 1/2, backward from an exact untruncated top seed for
-// q_l > 1/2), and x-tuples whose above-mass reaches 1 are folded into an
-// exact integer shift; see the implementation notes in psr_scan_core.h.
-// Results therefore hold to ~ulp precision for arbitrarily skewed
-// alternative masses and arbitrarily large k.
+// Numerically, each divide-out runs in the direction whose per-index
+// error ratio is at most 1 (forward for q_l <= 1/2, backward from an
+// exact untruncated top seed for q_l > 1/2), x-tuples whose above-mass
+// reaches 1 are folded into an exact integer shift, and the count vector
+// is rebuilt from the masses at a fixed grid of scan positions; see the
+// implementation notes in psr_scan_core.h. That bounds the error of each
+// step, not of the scan: between rebuilds rounding error grows with scan
+// depth, and near q_l = 1/2 neither direction leaves any margin. The MOV
+// stand-in keeps sum_i p_i = k up to k = 2000, but on the paper's default
+// shape (5,000 x-tuples x 10 Gaussian bars, unit mass) sum_i p_i exceeds
+// k from k ~ 90 (293.5 at k = 100) -- an open defect, ROADMAP.md item 1.
 //
 // Early termination (Lemma 2): once at least k x-tuples are saturated
 // (q_l = 1, i.e. they certainly contribute a higher-ranked tuple), every

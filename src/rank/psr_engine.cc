@@ -68,14 +68,13 @@ void PsrEngine::SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
   cps->push_back(std::move(cp));
 }
 
-void PsrEngine::RestoreInto(const Checkpoint& cp,
+void PsrEngine::RestoreInto(const Checkpoint& cp, size_t num_xtuples,
                             psr_internal::ScanCore* core) {
   core->c.assign(cp.c.begin(), cp.c.end());
   core->active = cp.active;
   core->saturated = cp.saturated;
-  std::fill(core->q.begin(), core->q.end(), 0.0);
-  std::fill(core->state.begin(), core->state.end(),
-            psr_internal::XTupleState::kInactive);
+  core->q.assign(num_xtuples, 0.0);
+  core->state.assign(num_xtuples, psr_internal::XTupleState::kInactive);
   for (const Checkpoint::XEntry& x : cp.xs) {
     core->q[x.xtuple] = x.q;
     core->state[x.xtuple] = x.state;
@@ -180,11 +179,13 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
   if (!sharded) {
     size_t since_checkpoint = 0;
     psr_internal::RunLadderScan(
-        db, begin, live_at_begin, options.early_termination, *core, outs,
-        first_active, track_best,
-        [core, cps, interval, &since_checkpoint](size_t i, size_t live) {
+        db, begin, db.num_tuples(), live_at_begin, /*emit_base=*/0,
+        options.early_termination, *core, outs, first_active, track_best,
+        [&outs](size_t rung, size_t at) { outs[rung]->scan_end = at; },
+        [cps, interval, &since_checkpoint](
+            const psr_internal::ScanCore& scanned, size_t i, size_t live) {
           if (since_checkpoint >= *interval) {
-            SnapshotInto(*core, i, live, cps, interval);
+            SnapshotInto(scanned, i, live, cps, interval);
             since_checkpoint = 0;
           }
           ++since_checkpoint;
@@ -263,8 +264,10 @@ PsrEngine::SessionState PsrEngine::ForkSession() const {
     }
   }
   // Sessions inherit the engine's kernel: mixing kernels would be safe
-  // (they are bitwise equal) but pointless.
-  state.core_.Init(core_.q.size(), core_.kernel);
+  // (they are bitwise equal) but pointless. The replay scratch itself is
+  // left empty: a session's first replay sizes it (RestoreInto), and a
+  // pristine session never replays.
+  state.core_.kernel = core_.kernel;
   state.checkpoint_interval_ = checkpoint_interval_;
   return state;
 }
@@ -332,7 +335,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   UCLEAN_CHECK(restore != nullptr);
 
   const size_t replay_begin = restore->pos;
-  RestoreInto(*restore, &state->core_);
+  RestoreInto(*restore, db.num_xtuples(), &state->core_);
   ScanFrom(db, replay_begin, restore->live, options_, exec_, &state->core_,
            &state->outputs_, &state->checkpoints_,
            &state->checkpoint_interval_);

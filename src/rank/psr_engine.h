@@ -175,7 +175,8 @@ class PsrEngine {
     friend class SnapshotAccess;  // store/snapshot.h persistence
     std::vector<PsrOutput> outputs_;       // one per rung, ascending k
     std::vector<Checkpoint> checkpoints_;  // private suffix snapshots
-    psr_internal::ScanCore core_;          // session replay scratch
+    psr_internal::ScanCore core_;          // replay scratch; empty until
+                                           // the session's first replay
     size_t checkpoint_interval_ = kInitialCheckpointInterval;
   };
 
@@ -231,7 +232,11 @@ class PsrEngine {
   /// and the sharded-scan checkpoint merge.
   static void ThinCheckpoints(std::vector<Checkpoint>* cps, size_t* interval);
 
-  static void RestoreInto(const Checkpoint& cp, psr_internal::ScanCore* core);
+  /// Sets `core` to the scan state `cp` holds, sizing its per-x-tuple
+  /// arrays to `num_xtuples` (a forked session's first replay allocates
+  /// its scratch here).
+  static void RestoreInto(const Checkpoint& cp, size_t num_xtuples,
+                          psr_internal::ScanCore* core);
 
   /// Zeroes `outputs` from `begin` on and runs the scan loop over `db` to
   /// its stop point, snapshotting into `cps` along the way -- sharded

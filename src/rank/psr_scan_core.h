@@ -44,7 +44,11 @@
 //        c_excl[j-1] = (c[j] - (1-q) * c_excl[j]) / q
 //    seeded exactly from the top (c_excl[T-1] = c[T] / q) when q > 1/2
 //    (error ratio (1-q)/q < 1, division by q >= 1/2). Both directions are
-//    non-amplifying, so results hold to ~ulp for any mass skew and any k.
+//    non-amplifying per index, but near q = 1/2 the ratio is ~1 either
+//    way, with no margin: this bounds each step's error, not the
+//    scan's. On the paper's default shape (unit mass, 10 Gaussian bars)
+//    the error between refreshes drives sum p past k from k ~ 90
+//    (ROADMAP.md item 1).
 //  * The divide/multiply error is non-amplifying in ABSOLUTE terms (at
 //    the scale of the vector's bulk, ~1), not relative to the smallest
 //    coefficients: across thousands of positions the tail entries --
@@ -68,7 +72,17 @@
 // overlap the scan position (bounded by the tuples scanned so far, which
 // the Lemma-2 stop keeps small for ranked data), plus O(k_max) for
 // emission across the whole ladder, plus an amortized O(T^2 /
-// kCountRefreshGridLive) per tuple for the refresh grid.
+// kCountRefreshGridLive) per tuple for the refresh grid. The O(T)
+// divide-out dominates: each of its elements waits on the one before,
+// so it runs at the latency of one division chain per element. The scan
+// loop therefore divides out up to kMaxChain consecutive tuples in one
+// lockstep pass (ExclusionChain), overlapping their chains. On 5,000
+// x-tuples x 10 Gaussian bars with existence mass U[0.5, 0.9], a
+// single-thread ladder {20, 100, 500} scan (8,727 tuples deep) takes
+// 25 ms where one chain per tuple took 42 ms (4-vCPU AVX2 host, GCC 12,
+// the AVX2 emission's one-sweep form included); at mass U[0.2, 0.6] it
+// is 2.1x faster, while unit-mass scans, where saturations and
+// direction changes cut most chains, gain ~15%.
 //
 // Kernel layout.
 //
@@ -78,8 +92,9 @@
 // per-x-tuple states. All element arithmetic on those buffers is routed
 // through a runtime-selected ScanKernel (rank/kernel.h): the multiply-in
 // fold and the emission scale/argmax passes vectorize under AVX2, the
-// divide-out recurrences stay scalar in every kernel (sequential by
-// construction), and every kernel is bitwise equal to every other -- so
+// divide-out is one scalar chained kernel in every kernel (sequential
+// within a tuple, overlapped across consecutive tuples; see
+// ExclusionChain), and every kernel is bitwise equal to every other -- so
 // the kernel choice, like the thread count, never changes a result. The
 // emission loop is split accordingly: a vectorizable pass materializes
 // rho[h-1] for the whole ladder into `rho`, the prefix/latch pass stays
@@ -143,7 +158,7 @@ struct ScanCore {
   // x-tuples, where T is the current unsaturated-active count. Saturated
   // x-tuples add `saturated` contributors deterministically.
   AlignedBuf c;
-  AlignedBuf c_excl;
+  AlignedBuf c_excl;  // BuildExclusion's exclusion scratch
   // Emission scratch: rho[h-1] for h = 1..k_max, materialized per tuple
   // by EmitLadder (sized lazily to the ladder's largest k).
   AlignedBuf rho;
@@ -176,7 +191,6 @@ struct ScanCore {
     kernel = k;
     c.assign(1, 1.0);
     c_excl.clear();
-    c_excl.reserve(num_xtuples + 1);
     active = 0;
     saturated = 0;
     q.assign(num_xtuples, 0.0);
@@ -220,7 +234,10 @@ struct ScanCore {
 
   /// Builds the exclusion view for tuple `t` (others = all x-tuples except
   /// t's own tau_l), dividing tau_l's Bernoulli factor out of the count
-  /// vector when it is active.
+  /// vector when it is active. The single-tuple step: the scan loop's
+  /// ExclusionChain computes the same view, bit for bit, for chains of
+  /// consecutive tuples, and calls this only when there is nothing to
+  /// divide out.
   Exclusion BuildExclusion(const Tuple& t) {
     const int32_t l = t.xtuple;
     Exclusion ex;
@@ -238,14 +255,12 @@ struct ScanCore {
         const double ql = q[l];
         const size_t top = active;  // c has indices 0..top
         c_excl.resize(top);         // exclusion has indices 0..top-1
-        // Stable direction choice (see the file comment); both
-        // directions are sequential recurrences, one scalar code path
-        // whatever the kernel (rank/kernel.h).
-        if (ql <= 0.5) {
-          DivideOutFwdScalar(c_excl.data(), c.data(), top, ql);
-        } else {
-          DivideOutBwdScalar(c_excl.data(), c.data(), top, ql);
-        }
+        // Stable direction choice (see the file comment): a chain of
+        // one, the one scalar divide-out whatever the kernel
+        // (rank/kernel.h).
+        double* out = c_excl.data();
+        DivideOutChain(c.data(), top, 1, ql <= 0.5, &ql, nullptr, &out,
+                       nullptr);
         ex.counts = &c_excl;
         break;
       }
@@ -389,54 +404,169 @@ void InitLadderOutputs(size_t num_tuples, const KLadder& ladder,
                        const PsrOptions& options,
                        std::vector<PsrOutput>* outputs);
 
-/// The scan loop shared by the one-shot drivers and the engine: runs
-/// positions [begin, n) of `db` through `core`, emitting into the ladder
-/// `outs` (ascending k; rungs before `first_active` are already stopped
-/// and keep their scan_end). `live_at_begin` is the live-tuple ordinal of
-/// position `begin` (0 for full scans; checkpoints record it for
-/// replays): the count vector refreshes at every live ordinal that is a
-/// multiple of kCountRefreshGridLive, BEFORE that position's stop checks,
-/// so every driver makes the same stop decisions from the same refreshed
-/// state. `maybe_checkpoint(i, live)` is invoked for every live position
-/// before it is processed -- the engine snapshots there, the one-shot
-/// drivers pass a no-op. On return `first_active` reflects the rungs
-/// still unstopped (scan_end == n).
+/// The chained divide-out of one scan call (rank/kernel.h): up to
+/// kMaxChain consecutive live tuples whose exclusions, and the count
+/// vectors before each of them, one lockstep DivideOutChain pass
+/// computes. Build serves them position by position and Advance swaps
+/// the precomputed vectors in, so between members the scan loop runs
+/// every per-position step -- refresh, stop checks, checkpoint,
+/// emission -- on exactly the state the single-tuple path
+/// (ScanCore::BuildExclusion / Advance) has there. A chain starts at a
+/// tuple whose x-tuple is active and adds the next live tuple only
+/// while:
+///  * the previous member's advance does not saturate (a saturating
+///    advance changes the vector's length);
+///  * the new member's live ordinal is off the refresh grid, so no
+///    RebuildCounts falls inside a chain;
+///  * the new member's x-tuple is active, or is already in the chain
+///    (its mass is then the chain's post-advance value);
+///  * its divide-out runs in the first member's direction;
+///  * it lies before the scan's end.
+/// Owned by the scan call, never by a core: the buffers are scratch, and
+/// a scan that stops mid-chain leaves the core in the state the
+/// single-tuple path leaves.
+class ExclusionChain {
+ public:
+  /// The exclusion view for live position `i` of `db`, whose live
+  /// ordinal is `live`: the chain's next member when `i` is one,
+  /// otherwise the first member of a chain formed at `i` over positions
+  /// before `end`. Valid until the next Build or Advance call.
+  template <typename Db>
+  ScanCore::Exclusion Build(const Db& db, size_t i, size_t live, size_t end,
+                            ScanCore& core) {
+    if (member_ + 1 < width_) {
+      ++member_;
+      UCLEAN_DCHECK(pos_[member_] == i);
+      return {core.saturated, &excl_[member_]};
+    }
+    width_ = 0;
+    member_ = 0;
+    const Tuple& first = db.tuple(i);
+    if (core.state[first.xtuple] != XTupleState::kActive) {
+      return core.BuildExclusion(first);  // nothing to divide out
+    }
+    int32_t xtuple[kMaxChain];
+    double q[kMaxChain];       // mass each member divides out
+    double q_next[kMaxChain];  // its mass after its advance
+    xtuple[0] = first.xtuple;
+    q[0] = core.q[first.xtuple];
+    q_next[0] = q[0] + first.prob;
+    pos_[0] = i;
+    const bool forward = q[0] <= 0.5;
+    size_t width = 1;
+    size_t p = i;
+    while (width < kMaxChain && q_next[width - 1] < kSaturationThreshold) {
+      do {
+        ++p;
+      } while (p < end && db.is_tombstone(p));
+      if (p >= end || (live + width) % kCountRefreshGridLive == 0) break;
+      const Tuple& t = db.tuple(p);
+      size_t m = width;
+      while (m > 0 && xtuple[m - 1] != t.xtuple) --m;
+      double qt = 0.0;
+      if (m > 0) {
+        qt = q_next[m - 1];  // already in the chain: its advanced mass
+      } else if (core.state[t.xtuple] == XTupleState::kActive) {
+        qt = core.q[t.xtuple];
+      } else {
+        break;
+      }
+      if ((qt <= 0.5) != forward) break;
+      xtuple[width] = t.xtuple;
+      q[width] = qt;
+      q_next[width] = qt + t.prob;
+      pos_[width] = p;
+      ++width;
+    }
+    const size_t top = core.active;
+    double* excl[kMaxChain];
+    double* counts[kMaxChain] = {};
+    for (size_t m = 0; m < width; ++m) {
+      excl_[m].resize(top);
+      excl[m] = excl_[m].data();
+      if (m > 0) {
+        counts_[m].resize(top + 1);
+        counts[m] = counts_[m].data();
+      }
+    }
+    DivideOutChain(core.c.data(), top, width, forward, q, q_next, excl,
+                   counts);
+    width_ = width;
+    return {core.saturated, &excl_[0]};
+  }
+
+  /// Advances `core` past `t`, the tuple the last Build served `ex` for.
+  /// A member with a successor only adds its mass: the chain already
+  /// folded its advanced factor into the successor's count vector.
+  void Advance(const Tuple& t, const ScanCore::Exclusion& ex,
+               ScanCore& core) {
+    if (member_ + 1 < width_) {
+      core.q[t.xtuple] += t.prob;
+      core.c.swap(counts_[member_ + 1]);
+      return;
+    }
+    core.Advance(t, ex);
+  }
+
+ private:
+  size_t width_ = 0;   // members of the current chain (0: none)
+  size_t member_ = 0;  // the member Build served last
+  size_t pos_[kMaxChain] = {};
+  AlignedBuf excl_[kMaxChain];
+  AlignedBuf counts_[kMaxChain];  // [m]: the vector before member m >= 1
+};
+
+/// The one per-position scan loop, shared by the one-shot drivers, the
+/// engine and every shard of a sharded scan: runs positions [begin, end)
+/// of `db` through `core`, emitting position i at index i - emit_base of
+/// the ladder `outs` (ascending k; rungs before `first_active` are
+/// already stopped and receive nothing). `live_at_begin` is the
+/// live-tuple ordinal of position `begin` (0 for full scans; checkpoints
+/// and shard cuts record it): the count vector refreshes at every live
+/// ordinal that is a multiple of kCountRefreshGridLive, BEFORE that
+/// position's stop checks, so every driver makes the same stop decisions
+/// from the same refreshed state. `record_stop(j, i)` is called when
+/// rung j's stop rule first fires at position i, and with i == end for
+/// every rung still running at the end. `maybe_checkpoint(core, i,
+/// live)` is invoked for every live position before it is processed --
+/// the engine snapshots there, the one-shot drivers pass a no-op.
 ///
 /// `Db` is ProbabilisticDatabase or any type exposing its read interface
 /// (num_tuples / tuple / is_tombstone) -- per-session DatabaseOverlay
 /// views run the exact same arithmetic, which keeps a session's replayed
 /// state bitwise identical to a from-scratch scan of its view.
-template <typename Db, typename CheckpointFn>
-inline void RunLadderScan(const Db& db, size_t begin, size_t live_at_begin,
+template <typename Db, typename StopFn, typename CheckpointFn>
+inline void RunLadderScan(const Db& db, size_t begin, size_t end,
+                          size_t live_at_begin, size_t emit_base,
                           bool early_termination, ScanCore& core,
                           const std::vector<PsrOutput*>& outs,
-                          size_t& first_active, bool track_best,
+                          size_t first_active, bool track_best,
+                          StopFn&& record_stop,
                           CheckpointFn&& maybe_checkpoint) {
-  const size_t n = db.num_tuples();
   const size_t rungs = outs.size();
+  ExclusionChain chain;
   size_t live = live_at_begin;
-  size_t i = begin;
-  for (; i < n; ++i) {
+  for (size_t i = begin; i < end; ++i) {
     const bool is_live = !db.is_tombstone(i);
     if (is_live && live % kCountRefreshGridLive == 0) core.RebuildCounts();
     if (early_termination) {
       // The stop rule fires smallest-k first (head mass grows with k).
       while (first_active < rungs &&
              core.ShouldStop(outs[first_active]->k)) {
-        outs[first_active]->scan_end = i;
+        record_stop(first_active, i);
         ++first_active;
       }
       if (first_active == rungs) return;
     }
     if (!is_live) continue;  // cleaning-session garbage slot
-    maybe_checkpoint(i, live);
+    maybe_checkpoint(core, i, live);
     const Tuple& t = db.tuple(i);
-    const ScanCore::Exclusion ex = core.BuildExclusion(t);
-    EmitLadder(t, i, core, ex, outs, first_active, track_best);
-    core.Advance(t, ex);
+    const ScanCore::Exclusion ex = chain.Build(db, i, live, end, core);
+    EmitLadder(t, i - emit_base, core, ex, outs, first_active, track_best);
+    chain.Advance(t, ex, core);
     ++live;
   }
-  for (size_t j = first_active; j < rungs; ++j) outs[j]->scan_end = n;
+  for (size_t j = first_active; j < rungs; ++j) record_stop(j, end);
 }
 
 }  // namespace psr_internal

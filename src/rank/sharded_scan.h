@@ -198,51 +198,6 @@ inline void InitShardOutputs(const std::vector<PsrOutput*>& outs,
   }
 }
 
-/// Scans positions [result->begin, result->end) of `db` from `core` (the
-/// mass bookkeeping at begin; for every shard but the first the count
-/// vector is stale and reconstituted by the grid refresh at the first
-/// position, which IS a grid point by construction): the same
-/// per-position operation sequence as RunLadderScan, with emission
-/// indices shifted by -begin and stop ranks recorded instead of applied
-/// to scan_end. `maybe_checkpoint(core, i, live)` is invoked for every
-/// live position before it is processed.
-template <typename Db, typename CheckpointFn>
-void ScanShard(const Db& db, const PsrOptions& options, ScanCore& core,
-               bool track_best, ShardResult* result,
-               CheckpointFn&& maybe_checkpoint) {
-  const size_t begin = result->begin;
-  const size_t end = result->end;
-  const size_t rungs = result->rungs.size();
-  std::vector<PsrOutput*> outs;
-  outs.reserve(rungs);
-  for (PsrOutput& out : result->rungs) outs.push_back(&out);
-  result->stop_rank.assign(rungs, end);
-  size_t first_active = 0;
-  size_t live = result->live_at_begin;
-  for (size_t i = begin; i < end; ++i) {
-    const bool is_live = !db.is_tombstone(i);
-    if (is_live && live % kCountRefreshGridLive == 0) core.RebuildCounts();
-    if (options.early_termination) {
-      // Same pop order as the sequential loop: the stop rule fires
-      // smallest-k first, so each rung's recorded rank is exactly the
-      // first position where its own stop condition holds.
-      while (first_active < rungs &&
-             core.ShouldStop(outs[first_active]->k)) {
-        result->stop_rank[first_active] = i;
-        ++first_active;
-      }
-      if (first_active == rungs) return;
-    }
-    if (!is_live) continue;
-    maybe_checkpoint(core, i, live);
-    const Tuple& t = db.tuple(i);
-    const ScanCore::Exclusion ex = core.BuildExclusion(t);
-    EmitLadder(t, i - begin, core, ex, outs, first_active, track_best);
-    core.Advance(t, ex);
-    ++live;
-  }
-}
-
 /// The sharded counterpart of RunLadderScan over the ACTIVE rungs `outs`
 /// (full-size shared outputs whose scan_end fields still hold the
 /// pre-scan values; arrays already wiped over the rescanned range as the
@@ -298,8 +253,24 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
       group.Run([&db, &options, track_best, &result, core = walk,
                  checkpoint = make_checkpoint_fn(s, num_shards),
                  &outs]() mutable {
+        // The sequential loop over the shard's range from the mass
+        // bookkeeping at its cut (for every shard but the first the
+        // count vector is stale; the cut is a grid point, so the loop's
+        // first refresh reconstitutes it), emitting into the compact
+        // outputs and recording stop ranks instead of scan_end.
         InitShardOutputs(outs, &result);
-        ScanShard(db, options, core, track_best, &result, checkpoint);
+        std::vector<PsrOutput*> shard_outs;
+        shard_outs.reserve(result.rungs.size());
+        for (PsrOutput& out : result.rungs) shard_outs.push_back(&out);
+        result.stop_rank.resize(shard_outs.size());
+        RunLadderScan(
+            db, result.begin, result.end, result.live_at_begin,
+            /*emit_base=*/result.begin, options.early_termination, core,
+            shard_outs, /*first_active=*/0, track_best,
+            [&result](size_t rung, size_t at) {
+              result.stop_rank[rung] = at;
+            },
+            checkpoint);
       });
     }
     group.Wait();

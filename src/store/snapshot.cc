@@ -511,9 +511,10 @@ void SnapshotAccess::TransferScan(C& c, Scan& scan, const KLadder& ladder,
   }
   c.Varint(scan.checkpoint_interval_, 1, SIZE_MAX);
   // The logical state above is the file's; the scratch that executes
-  // future replays is the loader's (every replay restores a checkpoint
-  // first, so Init is the complete reconstruction).
-  if constexpr (C::kReads) scan.core_.Init(db.num_xtuples(), kernel);
+  // future replays is the loader's. Every replay restores a checkpoint
+  // first, which sizes and fills that scratch, so only its kernel is set
+  // here.
+  if constexpr (C::kReads) scan.core_.kernel = kernel;
 }
 
 template <typename C>

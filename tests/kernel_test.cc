@@ -7,6 +7,10 @@
 // grid (kCountRefreshGridLive live ordinals) is where it is load-bearing:
 // the workloads here cross the grid so RebuildCounts runs under both
 // kernels, and the engine comparisons restart scans at every checkpoint.
+// The chained divide-out is held to the single-tuple path the same way:
+// DivideOutChain against a literal single-tuple recurrence, and every
+// chained scan driver against the single-tuple scan loop, on inputs that
+// reach every rule that cuts a chain.
 // Also covers the runtime dispatch: kAuto honors UCLEAN_DISABLE_AVX2
 // (the forced-scalar CI leg's switch), an explicit kAvx2 ignores it, and
 // impossible asks fail fast.
@@ -16,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -32,6 +37,7 @@
 #include "rank/psr_engine.h"
 #include "rank/psr_scan_core.h"
 #include "test_util.h"
+#include "workload/mov.h"
 #include "workload/synthetic.h"
 
 namespace uclean {
@@ -449,6 +455,456 @@ TEST(KernelScan, PooledSessionOverlaysBitwiseEqualUnderCleans) {
         ASSERT_EQ(scalar->quality(scalar_ids[s], j),
                   avx2->quality(avx2_ids[s], j))
             << label;
+      }
+    }
+  }
+}
+
+// -------------------------------------------------- chained divide-out
+
+/// The single-tuple divide-out as it ran before chaining, written out
+/// literally: the independent reference DivideOutChain is held to. This
+/// file is compiled with -ffp-contract=off, like kernel.cc, so the
+/// reference rounds every op as written. `clamps` counts the elements
+/// the max(0, .) clamp zeroed.
+void ReferenceDivideOut(double* excl, const double* c, size_t top, double q,
+                        size_t* clamps) {
+  if (q <= 0.5) {
+    const double headroom = 1.0 - q;
+    excl[0] = c[0] / headroom;
+    for (size_t j = 1; j < top; ++j) {
+      const double v = (c[j] - excl[j - 1] * q) / headroom;
+      *clamps += v < 0.0;
+      excl[j] = v < 0.0 ? 0.0 : v;
+    }
+  } else {
+    excl[top - 1] = c[top] / q;
+    for (size_t j = top - 1; j > 0; --j) {
+      const double v = (c[j] - (1.0 - q) * excl[j]) / q;
+      *clamps += v < 0.0;
+      excl[j - 1] = v < 0.0 ? 0.0 : v;
+    }
+  }
+}
+
+TEST(KernelOps, ChainedDivideOutEqualsSingleTupleSteps) {
+  using psr_internal::kMaxChain;
+  Rng rng(20261017);
+  size_t clamps = 0;
+  size_t repeats = 0;
+  for (const size_t top : {1, 2, 3, 4, 5, 9, 33, 200}) {
+    for (size_t width = 1; width <= kMaxChain; ++width) {
+      for (const bool forward : {true, false}) {
+        for (int trial = 0; trial < 8; ++trial) {
+          // A genuine count vector: the product of `top` Bernoulli
+          // factors, so the divide-outs cancel as in a scan.
+          std::vector<double> c(1, 1.0);
+          for (size_t f = 0; f < top; ++f) {
+            c.resize(f + 2);
+            psr_internal::FoldFactorScalar(c.data(), c.data(), f + 1,
+                                           rng.Uniform(0.001, 0.999));
+          }
+          // Member masses in the chain's direction; a member repeats the
+          // previous member's x-tuple (dividing out its advanced mass)
+          // whenever that mass is still in the direction.
+          std::vector<double> q(width), q_next(width);
+          for (size_t m = 0; m < width; ++m) {
+            const bool repeat = m > 0 && rng.Bernoulli(0.4) &&
+                                (q_next[m - 1] <= 0.5) == forward;
+            repeats += repeat;
+            if (repeat) {
+              q[m] = q_next[m - 1];
+            } else if (forward) {
+              q[m] = rng.Uniform(0.001, 0.5);
+            } else {
+              q[m] = rng.Uniform(0.5001, 0.98);
+            }
+            q_next[m] = q[m] + rng.Uniform(0.0, 0.999 - q[m]);
+          }
+
+          // Reference: `width` single-tuple divide-out + fold steps.
+          std::vector<std::vector<double>> ref_excl(
+              width, std::vector<double>(top));
+          std::vector<std::vector<double>> ref_counts(width);
+          ref_counts[0] = c;
+          for (size_t m = 0; m < width; ++m) {
+            ReferenceDivideOut(ref_excl[m].data(), ref_counts[m].data(), top,
+                               q[m], &clamps);
+            if (m + 1 < width) {
+              ref_counts[m + 1].resize(top + 1);
+              psr_internal::FoldFactorScalar(ref_counts[m + 1].data(),
+                                             ref_excl[m].data(), top,
+                                             q_next[m]);
+            }
+          }
+
+          std::vector<std::vector<double>> excl(width,
+                                                std::vector<double>(top));
+          std::vector<std::vector<double>> counts(
+              width, std::vector<double>(top + 1));
+          double* excl_ptr[kMaxChain] = {};
+          double* counts_ptr[kMaxChain] = {};
+          for (size_t m = 0; m < width; ++m) {
+            excl_ptr[m] = excl[m].data();
+            if (m > 0) counts_ptr[m] = counts[m].data();
+          }
+          psr_internal::DivideOutChain(c.data(), top, width, forward, q.data(),
+                                       q_next.data(), excl_ptr, counts_ptr);
+          const std::string label =
+              "top=" + std::to_string(top) + " width=" +
+              std::to_string(width) + (forward ? " fwd" : " bwd") +
+              " trial=" + std::to_string(trial);
+          for (size_t m = 0; m < width; ++m) {
+            ExpectBitwiseEqual(ref_excl[m], excl[m],
+                               label + " excl " + std::to_string(m));
+            if (m > 0) {
+              ExpectBitwiseEqual(ref_counts[m], counts[m],
+                                 label + " counts " + std::to_string(m));
+            }
+          }
+        }
+      }
+    }
+  }
+  // The inputs reached the clamp and the repeated-x-tuple case.
+  EXPECT_GT(clamps, 0u);
+  EXPECT_GT(repeats, 0u);
+}
+
+/// The scan loop as it ran before chaining: ScanCore::BuildExclusion ->
+/// EmitLadder -> ScanCore::Advance at every live position, one tuple at
+/// a time, over the whole of `db`. Every chained driver is held to it
+/// bitwise. `observe(core, i, live)` runs where a scan checkpoints.
+template <typename Db, typename ObserveFn>
+std::vector<PsrOutput> SingleTupleScan(const Db& db, const KLadder& ladder,
+                                       const PsrOptions& options,
+                                       const ScanKernel& kernel,
+                                       ObserveFn&& observe) {
+  std::vector<PsrOutput> outputs;
+  psr_internal::InitLadderOutputs(db.num_tuples(), ladder, options, &outputs);
+  std::vector<PsrOutput*> outs;
+  for (PsrOutput& out : outputs) outs.push_back(&out);
+  psr_internal::ScanCore core;
+  core.Init(db.num_xtuples(), &kernel);
+  const size_t n = db.num_tuples();
+  size_t first_active = 0;
+  size_t live = 0;
+  for (size_t i = 0; i < n && first_active < outs.size(); ++i) {
+    const bool is_live = !db.is_tombstone(i);
+    if (is_live && live % psr_internal::kCountRefreshGridLive == 0) {
+      core.RebuildCounts();
+    }
+    if (options.early_termination) {
+      while (first_active < outs.size() &&
+             core.ShouldStop(outs[first_active]->k)) {
+        outs[first_active]->scan_end = i;
+        ++first_active;
+      }
+      if (first_active == outs.size()) break;
+    }
+    if (!is_live) continue;
+    observe(core, i, live);
+    const Tuple& t = db.tuple(i);
+    const psr_internal::ScanCore::Exclusion ex = core.BuildExclusion(t);
+    psr_internal::EmitLadder(t, i, core, ex, outs, first_active,
+                             /*track_best=*/true);
+    core.Advance(t, ex);
+    ++live;
+  }
+  for (size_t j = first_active; j < outs.size(); ++j) outs[j]->scan_end = n;
+  for (PsrOutput& out : outputs) {
+    out.num_nonzero = 0;
+    for (const double p : out.topk_prob) out.num_nonzero += p > 0.0;
+  }
+  return outputs;
+}
+
+/// The chains a full chained scan of a view forms, re-derived from the
+/// single-tuple scan's state by restating ExclusionChain's rules, with
+/// a tally of the rules that cut them: the inputs of each chain test
+/// must reach every rule. Feed Observe every live position in order.
+struct ChainCoverage {
+  size_t forward = 0;     // chains of two or more members, by direction
+  size_t backward = 0;
+  size_t repeated = 0;    // chains holding one x-tuple twice
+  size_t saturating = 0;  // chains cut by their last member saturating
+  size_t saturating_chained = 0;  // ... that have two or more members
+  size_t grid = 0;        // chains the refresh grid alone cut
+  size_t tombstone = 0;   // chains with a tombstone between two members
+  std::vector<size_t> inner;  // positions of every member but the first
+  size_t chain_end = 0;   // positions below it belong to the last chain
+
+  bool IsInner(size_t pos) const {
+    return std::binary_search(inner.begin(), inner.end(), pos);
+  }
+
+  template <typename Db>
+  void Observe(const Db& db, const psr_internal::ScanCore& core, size_t i,
+               size_t live) {
+    using psr_internal::XTupleState;
+    if (i < chain_end) return;  // a member of the last chain
+    chain_end = i + 1;
+    const Tuple& first = db.tuple(i);
+    if (core.state[first.xtuple] != XTupleState::kActive) return;
+    std::vector<int32_t> xs = {first.xtuple};
+    std::vector<double> advanced = {core.q[first.xtuple] + first.prob};
+    const bool fwd = core.q[first.xtuple] <= 0.5;
+    bool repeat = false;
+    bool skipped_tombstone = false;
+    size_t p = i;
+    while (xs.size() < psr_internal::kMaxChain) {
+      if (advanced.back() >= psr_internal::kSaturationThreshold) {
+        ++saturating;
+        saturating_chained += xs.size() >= 2;
+        break;
+      }
+      size_t next = p + 1;
+      bool skipped = false;
+      while (next < db.num_tuples() && db.is_tombstone(next)) {
+        ++next;
+        skipped = true;
+      }
+      if (next >= db.num_tuples()) break;
+      const Tuple& t = db.tuple(next);
+      const auto seen = std::find(xs.rbegin(), xs.rend(), t.xtuple);
+      double qt = 0.0;
+      if (seen != xs.rend()) {
+        qt = advanced[xs.rend() - seen - 1];
+      } else if (core.state[t.xtuple] == XTupleState::kActive) {
+        qt = core.q[t.xtuple];
+      } else {
+        break;
+      }
+      if ((qt <= 0.5) != fwd) break;
+      if ((live + xs.size()) % psr_internal::kCountRefreshGridLive == 0) {
+        ++grid;  // every other rule admits this member
+        break;
+      }
+      repeat |= seen != xs.rend();
+      skipped_tombstone |= skipped;
+      xs.push_back(t.xtuple);
+      advanced.push_back(qt + t.prob);
+      inner.push_back(next);
+      p = next;
+    }
+    chain_end = p + 1;
+    if (xs.size() < 2) return;
+    ++(fwd ? forward : backward);
+    repeated += repeat;
+    tombstone += skipped_tombstone;
+  }
+};
+
+/// The kernels to hold to the single-tuple loop: scalar always, AVX2
+/// where this host runs it.
+std::vector<KernelKind> KernelsHere() {
+  std::vector<KernelKind> kinds = {KernelKind::kScalar};
+  if (Avx2Available()) kinds.push_back(KernelKind::kAvx2);
+  return kinds;
+}
+
+const ScanKernel& KernelOf(KernelKind kind) {
+  Result<const ScanKernel*> kernel = SelectScanKernel(kind);
+  UCLEAN_CHECK(kernel.ok());
+  return **kernel;
+}
+
+ProbabilisticDatabase MakeMovDb(size_t num_xtuples) {
+  MovOptions opts;
+  opts.num_xtuples = num_xtuples;
+  Result<ProbabilisticDatabase> db = GenerateMov(opts);
+  UCLEAN_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+TEST(ChainScan, OneShotAndShardedScansMatchTheSingleTupleLoop) {
+  struct Case {
+    std::string name;
+    ProbabilisticDatabase db;
+    KLadder ladder;
+    bool early_termination;
+  };
+  Rng rng(20261017);
+  RandomDbOptions mixed;
+  mixed.num_xtuples = 400;
+  mixed.max_alternatives = 6;
+  std::vector<Case> cases;
+  // Sub-unit mass: wide vectors, both directions, deep enough to cross
+  // the refresh grid (chains cut there; shards cut there).
+  cases.push_back(
+      {"subunit", MakeDb(/*subunit=*/true), MakeLadder({8, 97, 250}), true});
+  // Unit mass: x-tuples saturate on their last bar mid-chain and the
+  // Lemma-2 stop fires. The deepest rung of each of these two ladders
+  // stops at a non-first chain member, so the scan ends mid-chain.
+  cases.push_back(
+      {"unit", MakeDb(/*subunit=*/false), MakeLadder({5, 61, 117}), true});
+  // The MOV stand-in (about two alternatives, some of unit mass) and a
+  // mixed unit/sub-unit database, scanned through their null tails
+  // (every null completion saturates its x-tuple).
+  cases.push_back({"mov", MakeMovDb(1500), MakeLadder({10, 40}), false});
+  cases.push_back(
+      {"mixed", MakeRandomDatabase(&rng, mixed), MakeLadder({3, 20}), false});
+
+  ChainCoverage total;
+  size_t stops = 0;      // rung stops at a non-first chain member
+  size_t scan_ends = 0;  // ... of a ladder's deepest rung: the scan ends
+  for (const Case& test : cases) {
+    PsrOptions options;
+    options.early_termination = test.early_termination;
+    ChainCoverage coverage;
+    for (const KernelKind kind : KernelsHere()) {
+      const bool first_kernel = kind == KernelKind::kScalar;
+      const std::vector<PsrOutput> reference = SingleTupleScan(
+          test.db, test.ladder, options, KernelOf(kind),
+          [&](const psr_internal::ScanCore& core, size_t i, size_t live) {
+            if (first_kernel) coverage.Observe(test.db, core, i, live);
+          });
+      for (const size_t threads : {1u, 2u, 4u}) {
+        Result<std::vector<PsrOutput>> chained = ScanPsrLadder(
+            test.db, test.ladder, options, ExecWith(kind, threads));
+        ASSERT_TRUE(chained.ok()) << chained.status();
+        for (size_t j = 0; j < test.ladder.size(); ++j) {
+          ExpectPsrBitwiseEqual(
+              reference[j], (*chained)[j],
+              test.name + " " + KernelKindName(kind) + " threads=" +
+                  std::to_string(threads) +
+                  " k=" + std::to_string(test.ladder[j]));
+        }
+      }
+      if (!first_kernel) continue;
+      for (size_t j = 0; j < test.ladder.size(); ++j) {
+        if (!coverage.IsInner(reference[j].scan_end)) continue;
+        ++stops;
+        scan_ends += j + 1 == test.ladder.size();
+      }
+    }
+    total.forward += coverage.forward;
+    total.backward += coverage.backward;
+    total.repeated += coverage.repeated;
+    total.saturating_chained += coverage.saturating_chained;
+    total.grid += coverage.grid;
+    if (!test.early_termination) {
+      EXPECT_GT(coverage.saturating, 0u) << test.name;  // the null tail
+    }
+    if (test.name == "subunit") {
+      EXPECT_GT(coverage.grid, 0u) << test.name;
+    }
+  }
+  EXPECT_GT(total.forward, 0u);
+  EXPECT_GT(total.backward, 0u);
+  EXPECT_GT(total.repeated, 0u);
+  EXPECT_GT(total.saturating_chained, 0u);
+  EXPECT_GT(total.grid, 0u);
+  EXPECT_GT(stops, 0u);
+  EXPECT_GT(scan_ends, 0u);
+}
+
+TEST(ChainScan, EngineReplaysFromEveryCheckpointMatchTheSingleTupleLoop) {
+  const KLadder ladder = MakeLadder({4, 50, 160});
+  PsrOptions options;
+  options.store_rank_probabilities = true;
+  size_t inside = 0;  // checkpoints at a non-first chain member
+  for (const bool subunit : {true, false}) {
+    const ProbabilisticDatabase db = MakeDb(subunit, 500);
+    const DatabaseOverlay unchanged(&db);
+    for (const KernelKind kind : KernelsHere()) {
+      ChainCoverage coverage;
+      const std::vector<PsrOutput> reference = SingleTupleScan(
+          db, ladder, options, KernelOf(kind),
+          [&](const psr_internal::ScanCore& core, size_t i, size_t live) {
+            coverage.Observe(db, core, i, live);
+          });
+      for (const size_t threads : {1u, 4u}) {
+        ScanRequest request;
+        request.ladder = ladder;
+        request.psr = options;
+        request.exec = ExecWith(kind, threads);
+        request.checkpoint_interval = 7;  // checkpoints inside chains
+        Result<PsrEngine> engine = PsrEngine::Create(db, request);
+        ASSERT_TRUE(engine.ok()) << engine.status();
+        const PsrEngine::SessionState state = engine->TakeSoleSession();
+        const std::string label = std::string(subunit ? "subunit " : "unit ") +
+                                  KernelKindName(kind) +
+                                  " threads=" + std::to_string(threads);
+        for (size_t j = 0; j < ladder.size(); ++j) {
+          ExpectPsrBitwiseEqual(reference[j], state.output(j),
+                                label + " create k=" +
+                                    std::to_string(ladder[j]));
+        }
+        if (threads > 1) continue;  // the sharded Create is the check
+        const std::vector<size_t> positions = state.checkpoint_positions();
+        ASSERT_GT(positions.size(), 4u) << label;
+        for (const size_t pos : positions) {
+          inside += coverage.IsInner(pos);
+          PsrEngine::SessionState restart = state;
+          ASSERT_TRUE(engine->ReplaySession(unchanged, pos, &restart).ok());
+          for (size_t j = 0; j < ladder.size(); ++j) {
+            ExpectPsrBitwiseEqual(reference[j], restart.output(j),
+                                  label + " replay from " +
+                                      std::to_string(pos) + " k=" +
+                                      std::to_string(ladder[j]));
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(inside, 0u);
+}
+
+TEST(ChainScan, OverlayScansWithTombstonesMatchTheSingleTupleLoop) {
+  const ProbabilisticDatabase db = MakeDb(/*subunit=*/true, 1200);
+  const KLadder ladder = MakeLadder({6, 48});
+  PsrOptions options;
+  options.store_rank_probabilities = true;
+
+  // Collapse every third x-tuple met in the top 1,500 ranks to one of its
+  // alternatives (or to absent): their siblings become tombstones
+  // between the surviving tuples, inside would-be chains.
+  DatabaseOverlay view(&db);
+  Rng rng(20261017);
+  size_t first_changed = db.num_tuples();
+  for (size_t rank = 0; rank < 1500; rank += 3) {
+    if (view.is_tombstone(rank)) continue;
+    const Tuple& t = view.tuple(rank);
+    const TupleId resolved = rng.Bernoulli(0.2) ? TupleId{-1} : t.id;
+    Result<DatabaseOverlay::CleanOutcomeDelta> delta =
+        view.ApplyCleanOutcome(t.xtuple, resolved);
+    if (!delta.ok()) continue;  // e.g. absent without a null alternative
+    first_changed = std::min(first_changed, delta->first_changed_rank);
+  }
+  ASSERT_LT(first_changed, db.num_tuples());
+
+  for (const KernelKind kind : KernelsHere()) {
+    ChainCoverage coverage;
+    const std::vector<PsrOutput> reference = SingleTupleScan(
+        view, ladder, options, KernelOf(kind),
+        [&](const psr_internal::ScanCore& core, size_t i, size_t live) {
+          coverage.Observe(view, core, i, live);
+        });
+    EXPECT_GT(coverage.tombstone, 0u) << KernelKindName(kind);
+    for (const size_t threads : {1u, 2u, 4u}) {
+      const std::string label = std::string(KernelKindName(kind)) +
+                                " threads=" + std::to_string(threads);
+      Result<std::vector<PsrOutput>> chained =
+          ScanPsrLadder(view, ladder, options, ExecWith(kind, threads));
+      ASSERT_TRUE(chained.ok()) << chained.status();
+      // A pooled session's replay of the same view, from the engine's
+      // pristine fork.
+      ScanRequest request;
+      request.ladder = ladder;
+      request.psr = options;
+      request.exec = ExecWith(kind, threads);
+      request.checkpoint_interval = 5;
+      Result<PsrEngine> engine = PsrEngine::Create(db, request);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      PsrEngine::SessionState session = engine->ForkSession();
+      ASSERT_TRUE(engine->ReplaySession(view, first_changed, &session).ok());
+      for (size_t j = 0; j < ladder.size(); ++j) {
+        const std::string rung = " k=" + std::to_string(ladder[j]);
+        ExpectPsrBitwiseEqual(reference[j], (*chained)[j],
+                              label + " scan" + rung);
+        ExpectPsrBitwiseEqual(reference[j], session.output(j),
+                              label + " replay" + rung);
       }
     }
   }

@@ -142,8 +142,8 @@ FAULTS_SERIES = {
 #    the machine reports AVX2 -- the forced-scalar leg and non-x86 hosts
 #    skip it.
 #  * AVX2 parity on the divide-out-bound alternatives workload: the
-#    divide-out recurrences are provably sequential (both kernel tables
-#    run the same scalar code there), so AVX2 must merely not LOSE --
+#    divide-out is sequential within a tuple (both kernel tables run the
+#    same scalar chained code there), so AVX2 must merely not LOSE --
 #    floor 0.95x.
 #  * bitwise equality: every arm (reference, scalar, avx2) must agree
 #    exactly -- max_abs_diff 0.0, not a tolerance. This is the kernel
