@@ -14,9 +14,9 @@
 // work removed, not work parallelized.
 //
 // Correctness is gated in-bench: reply lines, normalized by dropping the
-// PlanRecord tokens (plan=/exec=/forced=/batch=/threads= -- the plan MAY
-// differ across arms, the answer MAY NOT), must be identical per client
-// across every arm and repetition. `bitwise_equal` lands in
+// PlanRecord tokens (exec=/batch=/threads= -- what ran MAY differ across
+// arms, the answer MAY NOT), must be identical per client across every
+// arm and repetition. `bitwise_equal` lands in
 // BENCH_serve.json and tools/check_bench.py fails CI when it is false,
 // alongside cores-aware floors on the batched speedup.
 //
@@ -92,7 +92,7 @@ std::vector<Stream> DrawStreams() {
   return streams;
 }
 
-/// Drops the PlanRecord tokens from a reply line: the plan may legally
+/// Drops the PlanRecord tokens from a reply line: what ran may legally
 /// differ across arms, the answer may not.
 std::string StripPlanTokens(const std::string& line) {
   std::string out;
@@ -101,10 +101,9 @@ std::string StripPlanTokens(const std::string& line) {
     size_t end = line.find(' ', begin);
     if (end == std::string::npos) end = line.size();
     const std::string token = line.substr(begin, end - begin);
-    const bool plan_token =
-        token.rfind("plan=", 0) == 0 || token.rfind("exec=", 0) == 0 ||
-        token.rfind("forced=", 0) == 0 || token.rfind("batch=", 0) == 0 ||
-        token.rfind("threads=", 0) == 0;
+    const bool plan_token = token.rfind("exec=", 0) == 0 ||
+                            token.rfind("batch=", 0) == 0 ||
+                            token.rfind("threads=", 0) == 0;
     if (!plan_token && !token.empty()) {
       if (!out.empty()) out += ' ';
       out += token;

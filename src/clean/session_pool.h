@@ -158,8 +158,7 @@ class SessionPool {
   /// engine's maintained PSR output for rung `rung`. For a pristine
   /// session this IS the session's state (ForkSession is a memcpy), so
   /// replay-from-checkpoint serving reads base queries straight from
-  /// here with zero scans; the rung scan_ends also anchor the cost
-  /// model's ScanDepthProbe. Read-only after Create/OpenFromSnapshot.
+  /// here with zero scans. Read-only after Create/OpenFromSnapshot.
   const PsrOutput& base_psr(size_t rung = 0) const {
     return engine_.output(rung);
   }

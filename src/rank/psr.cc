@@ -172,58 +172,4 @@ Result<ScanResult> ComputePsrLadder(const ProbabilisticDatabase& db,
   return ScanRequested(db, request, *resolved, *kernel);
 }
 
-ScanDepthProbe ScanDepthProbe::FromOutputs(
-    const KLadder& ladder, const std::vector<const PsrOutput*>& outputs,
-    size_t num_tuples) {
-  UCLEAN_CHECK(ladder.size() == outputs.size());
-  ScanDepthProbe probe;
-  probe.num_tuples = num_tuples;
-  probe.rungs.reserve(ladder.size());
-  for (size_t j = 0; j < ladder.size(); ++j) {
-    probe.rungs.emplace_back(ladder[j], outputs[j]->scan_end);
-  }
-  return probe;
-}
-
-size_t ScanDepthProbe::EstimateDepth(size_t k) const {
-  if (rungs.empty()) return num_tuples;  // no anchors: assume a full scan
-  const auto interpolate = [](size_t k0, size_t d0, size_t k1, size_t d1,
-                              size_t k) -> double {
-    if (k1 <= k0) return static_cast<double>(d1);
-    const double t = static_cast<double>(k - k0) /
-                     static_cast<double>(k1 - k0);
-    return static_cast<double>(d0) +
-           t * (static_cast<double>(d1) - static_cast<double>(d0));
-  };
-  double depth = 0.0;
-  if (k <= rungs.front().first) {
-    // Below the first anchor: a k = 0 scan touches nothing.
-    depth = interpolate(0, 0, rungs.front().first, rungs.front().second, k);
-  } else if (k >= rungs.back().first) {
-    // Above the top anchor: extend the last segment's slope (a single
-    // anchor extends flat -- the only depth signal there is).
-    const auto [k1, d1] = rungs.back();
-    const auto [k0, d0] =
-        rungs.size() > 1 ? rungs[rungs.size() - 2] : std::make_pair(k1, d1);
-    const double slope = k1 > k0 ? (static_cast<double>(d1) -
-                                    static_cast<double>(d0)) /
-                                       static_cast<double>(k1 - k0)
-                                 : 0.0;
-    depth = static_cast<double>(d1) +
-            slope * static_cast<double>(k - k1);
-  } else {
-    for (size_t j = 1; j < rungs.size(); ++j) {
-      if (k <= rungs[j].first) {
-        depth = interpolate(rungs[j - 1].first, rungs[j - 1].second,
-                            rungs[j].first, rungs[j].second, k);
-        break;
-      }
-    }
-  }
-  if (depth < 0.0) depth = 0.0;
-  const double cap = static_cast<double>(num_tuples);
-  if (depth > cap) depth = cap;
-  return static_cast<size_t>(depth);
-}
-
 }  // namespace uclean

@@ -222,30 +222,6 @@ struct ScanResult {
 Result<ScanResult> ComputePsrLadder(const ProbabilisticDatabase& db,
                                     const ScanRequest& request);
 
-/// Cost probe for the serving front-end's plan selection
-/// (serve/cost_model.h): predicts the live prefix depth -- the Lemma-2
-/// stop point, i.e. how many rank positions a top-k scan would actually
-/// touch -- for an arbitrary k, from the measured stop points of rungs an
-/// engine or pool has already scanned. Depth is monotone in k, so the
-/// probe interpolates piecewise-linearly between the known (k, scan_end)
-/// anchors, pins depth(0) = 0 below the first rung, extrapolates the last
-/// segment's slope above the top rung, and clamps to [0, num_tuples].
-/// Pure value; safe to copy and read from any thread.
-struct ScanDepthProbe {
-  size_t num_tuples = 0;
-  /// (k, measured scan_end) anchors, strictly ascending in k.
-  std::vector<std::pair<size_t, size_t>> rungs;
-
-  /// Anchors from an already-scanned ladder's outputs. `outputs[j]` must
-  /// be rung j of `ladder` (PsrEngine / ScanResult order).
-  static ScanDepthProbe FromOutputs(const KLadder& ladder,
-                                    const std::vector<const PsrOutput*>& outputs,
-                                    size_t num_tuples);
-
-  /// Estimated scan depth for a top-k scan at `k`.
-  size_t EstimateDepth(size_t k) const;
-};
-
 }  // namespace uclean
 
 #endif  // UCLEAN_RANK_PSR_H_

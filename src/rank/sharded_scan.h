@@ -198,6 +198,16 @@ inline void InitShardOutputs(const std::vector<PsrOutput*>& outs,
   }
 }
 
+/// Whether a scan that stops within `depth` rank positions can be cut:
+/// RunShardedLadderScan cuts only at count-refresh grid points, the first
+/// kCountRefreshGridLive live tuples deep, so a shallower scan runs whole
+/// on one thread whatever its exec width, and a wider exec only adds the
+/// parallel path's fixed costs. Callers that know a depth bound issue
+/// such scans at width 1.
+inline bool ScanDepthCanShard(size_t depth) {
+  return depth > kCountRefreshGridLive;
+}
+
 /// The sharded counterpart of RunLadderScan over the ACTIVE rungs `outs`
 /// (full-size shared outputs whose scan_end fields still hold the
 /// pre-scan values; arrays already wiped over the rescanned range as the

@@ -6,6 +6,7 @@
 #include "clean/agent.h"
 #include "common/check.h"
 #include "quality/tp.h"
+#include "rank/sharded_scan.h"
 
 namespace uclean {
 namespace serve {
@@ -28,101 +29,35 @@ Result<Frontend> Frontend::Create(SessionPool pool,
   return Frontend(std::move(pool), std::move(profile), options);
 }
 
-Frontend::Frontend(SessionPool pool, std::optional<CleaningProfile> profile,
-                   FrontendOptions options)
-    : pool_(std::move(pool)),
-      profile_(std::move(profile)),
-      options_(options) {
-  std::vector<const PsrOutput*> outputs;
-  outputs.reserve(pool_.num_rungs());
-  for (size_t j = 0; j < pool_.num_rungs(); ++j) {
-    outputs.push_back(&pool_.base_psr(j));
-  }
-  depth_probe_ = ScanDepthProbe::FromOutputs(pool_.ladder(), outputs,
-                                             pool_.base().num_tuples());
-}
-
 uint64_t Frontend::ClientSeed(uint64_t seed, size_t client_index) {
   return seed ^ (kSeedStride * (static_cast<uint64_t>(client_index) + 1));
 }
 
 Frontend::ClientId Frontend::Connect() {
-  ClientId id = clients_.size();
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    if (!clients_[i].open) {
-      id = i;
-      break;
-    }
-  }
-  if (id == clients_.size()) clients_.emplace_back();
-  Client& client = clients_[id];
-  client.open = true;
-  client.session = pool_.OpenSession();
-  client.rng =
+  const ClientId client = pool_.OpenSession();
+  if (client >= rngs_.size()) rngs_.resize(client + 1);
+  rngs_[client] =
       std::make_unique<Rng>(ClientSeed(options_.seed, num_connects_++));
-  client.dirty_view = false;
-  ++num_open_;
-  return id;
+  return client;
 }
 
 Status Frontend::Disconnect(ClientId client) {
-  if (client >= clients_.size() || !clients_[client].open) {
+  if (client >= rngs_.size() || rngs_[client] == nullptr) {
     return Status::InvalidArgument("no open client " + std::to_string(client));
   }
-  UCLEAN_RETURN_IF_ERROR(pool_.Close(clients_[client].session));
-  clients_[client].open = false;
-  clients_[client].rng.reset();
-  --num_open_;
+  UCLEAN_RETURN_IF_ERROR(pool_.Close(client));
+  rngs_[client].reset();
   return Status::OK();
 }
 
-const Frontend::Client& Frontend::Slot(ClientId client) const {
-  UCLEAN_CHECK(client < clients_.size() && clients_[client].open);
-  return clients_[client];
+Rng& Frontend::ClientRng(ClientId client) const {
+  UCLEAN_CHECK(client < rngs_.size() && rngs_[client] != nullptr);
+  return *rngs_[client];
 }
 
 uint64_t Frontend::RngFingerprint(ClientId client) const {
-  const std::string state = Slot(client).rng->SaveState();
+  const std::string state = ClientRng(client).SaveState();
   return Fnv1a64(state.data(), state.size());
-}
-
-CostInputs Frontend::InputsFor(size_t k, size_t rung_count) const {
-  CostInputs inputs;
-  inputs.num_tuples = pool_.base().num_tuples();
-  inputs.scan_depth = depth_probe_.EstimateDepth(k);
-  inputs.rung_count = rung_count;
-  inputs.pool_occupancy = pool_.num_open();
-  inputs.num_threads = pool_.exec().num_threads;
-  inputs.replay_available = pool_.ladder().IndexOf(k) != KLadder::npos;
-  return inputs;
-}
-
-Result<PlanRecord> Frontend::DecidePlan(const Request& request,
-                                        size_t rung_count) {
-  const CostInputs inputs = InputsFor(request.k, rung_count);
-  PlanRecord record;
-  std::optional<PlanKind> forced =
-      request.plan.has_value() ? request.plan : options_.forced_plan;
-  if (forced.has_value()) {
-    record.forced = true;
-    record.chosen = *forced;
-    // Forced strategies must be mechanically executable; an impossible
-    // pin is a structured error, not a silent fallback.
-    if (*forced == PlanKind::kReplay && !inputs.replay_available) {
-      return Status::FailedPrecondition(
-          "plan=replay: k=" + std::to_string(request.k) +
-          " is not on the warm ladder " + pool_.ladder().ToString());
-    }
-    if (*forced == PlanKind::kSharded && inputs.num_threads <= 1) {
-      return Status::FailedPrecondition(
-          "plan=shard: the pool is running single-threaded");
-    }
-  } else {
-    record.chosen = options_.cost.Choose(inputs);
-  }
-  record.executed = record.chosen;
-  record.estimate_ns = options_.cost.Estimate(record.chosen, inputs);
-  return record;
 }
 
 void Frontend::FillTopk(const PsrOutput& psr, Reply* reply) const {
@@ -145,63 +80,66 @@ void Frontend::FillTopk(const PsrOutput& psr, Reply* reply) const {
   }
 }
 
-void Frontend::ExecuteReplay(const Client& client, const Request& request,
-                             PlanRecord record, Reply* reply) {
-  const size_t rung = pool_.ladder().IndexOf(request.k);
-  UCLEAN_CHECK(rung != KLadder::npos);
-  record.threads = 1;
-  reply->plan = record;
-  if (request.verb == Verb::kTopk) {
-    FillTopk(pool_.psr(client.session, rung), reply);
-  } else {
-    reply->quality = pool_.quality(client.session, rung);
+void Frontend::ExecuteScan(const Round& round,
+                           const std::vector<size_t>& members,
+                           std::vector<Reply>* replies) const {
+  const ClientId client = round[members.front()].first;
+  const DatabaseOverlay* view =
+      Pristine(client) ? nullptr : &pool_.overlay(client);
+  std::vector<size_t> ks;
+  ks.reserve(members.size());
+  for (size_t i : members) ks.push_back(round[i].second.k);
+  Result<ScanRequest> request = ScanRequest::ForLadder(std::move(ks));
+  UCLEAN_CHECK(request.ok());  // ks are validated, non-empty
+  request->overlay = view;
+  request->exec = pool_.exec();
+  // The view's rung at or above the top k bounds the scan's depth.
+  const std::vector<size_t>& rungs = pool_.ladder().ks;
+  const auto above =
+      std::lower_bound(rungs.begin(), rungs.end(), request->ladder.max_k());
+  if (above != rungs.end() && !pool_.dirty(client) &&
+      !psr_internal::ScanDepthCanShard(
+          pool_.psr(client, static_cast<size_t>(above - rungs.begin()))
+              .scan_end)) {
+    request->exec = ExecOptions();
+    request->exec.kernel = pool_.exec().kernel;
+  }
+  const Result<ScanResult> scan = ComputePsrLadder(pool_.base(), *request);
+  PlanRecord record;
+  record.batch_size = members.size();
+  record.threads = request->exec.num_threads;
+  if (members.size() > 1) {
+    record.executed = PlanKind::kLadderShared;
+  } else if (record.threads > 1) {
+    record.executed = PlanKind::kSharded;
+  }
+  for (size_t i : members) {
+    const Request& query = round[i].second;
+    Reply* reply = &(*replies)[i];
+    if (!scan.ok()) {
+      reply->status = scan.status();
+      continue;
+    }
+    reply->plan = record;
+    const PsrOutput& psr = scan->output(request->ladder.IndexOf(query.k));
+    if (query.verb == Verb::kTopk) {
+      FillTopk(psr, reply);
+      continue;
+    }
+    Result<TpOutput> tp = view != nullptr ? ComputeTpQuality(*view, psr)
+                                          : ComputeTpQuality(pool_.base(), psr);
+    if (!tp.ok()) {
+      reply->status = tp.status();
+      continue;
+    }
+    reply->quality = tp->quality;
   }
 }
 
-void Frontend::ExecuteSingle(const Client& client, const Request& request,
-                             PlanRecord record, Reply* reply) {
-  Result<ScanRequest> scan_request = ScanRequest::ForK(request.k);
-  if (!scan_request.ok()) {
-    reply->status = scan_request.status();
-    return;
-  }
-  if (record.executed == PlanKind::kSharded ||
-      record.executed == PlanKind::kLadderShared) {
-    scan_request->exec = pool_.exec();
-  } else {
-    scan_request->exec.num_threads = 1;
-    scan_request->exec.kernel = pool_.exec().kernel;
-  }
-  record.threads = scan_request->exec.num_threads;
-  if (client.dirty_view) {
-    scan_request->overlay = &pool_.overlay(client.session);
-  }
-  Result<ScanResult> scan = ComputePsrLadder(pool_.base(), *scan_request);
-  if (!scan.ok()) {
-    reply->status = scan.status();
-    return;
-  }
-  reply->plan = record;
-  if (request.verb == Verb::kTopk) {
-    FillTopk(scan->output(), reply);
-    return;
-  }
-  Result<TpOutput> tp =
-      client.dirty_view
-          ? ComputeTpQuality(pool_.overlay(client.session), scan->output())
-          : ComputeTpQuality(pool_.base(), scan->output());
-  if (!tp.ok()) {
-    reply->status = tp.status();
-    return;
-  }
-  reply->quality = tp->quality;
-}
-
-Reply Frontend::ExecuteClean(ClientId client_id, const Request& request) {
+Reply Frontend::ExecuteClean(ClientId client, const Request& request) {
   Reply reply;
   reply.verb = Verb::kClean;
   reply.xtuple = request.xtuple;
-  const Client& client = Slot(client_id);
   if (!profile_.has_value()) {
     reply.status = Status::FailedPrecondition(
         "clean: no cleaning profile loaded (serve --profile)");
@@ -216,24 +154,23 @@ Reply Frontend::ExecuteClean(ClientId client_id, const Request& request) {
   }
   std::vector<int64_t> probes(num_xtuples, 0);
   probes[static_cast<size_t>(request.xtuple)] = 1;
-  Result<ProbeDraws> draws = DrawProbes(pool_.overlay(client.session),
-                                        *profile_, probes, client.rng.get());
+  Result<ProbeDraws> draws = DrawProbes(pool_.overlay(client), *profile_,
+                                        probes, &ClientRng(client));
   if (!draws.ok()) {
     reply.status = draws.status();
     return reply;
   }
   if (!draws->outcomes.empty()) {
-    Status commit = CommitProbeDraws(&pool_, client.session, *draws);
+    Status commit = CommitProbeDraws(&pool_, client, *draws);
     if (!commit.ok()) {
       reply.status = commit;
       return reply;
     }
-    Status refresh = pool_.Refresh(client.session);
+    Status refresh = pool_.Refresh(client);
     if (!refresh.ok()) {
       reply.status = refresh;
       return reply;
     }
-    clients_[client_id].dirty_view = true;
   }
   if (!draws->report.log.empty()) {
     const ProbeRecord& record = draws->report.log.front();
@@ -241,8 +178,8 @@ Reply Frontend::ExecuteClean(ClientId client_id, const Request& request) {
     reply.resolved_id = record.resolved_id;
     reply.spent = record.spent;
   }
-  reply.quality = pool_.quality(client.session, pool_.num_rungs() - 1);
-  reply.rng_fingerprint = RngFingerprint(client_id);
+  reply.quality = pool_.quality(client, pool_.num_rungs() - 1);
+  reply.rng_fingerprint = RngFingerprint(client);
   return reply;
 }
 
@@ -259,132 +196,42 @@ Reply Frontend::Execute(ClientId client, const Request& request) {
   return ExecuteRound({{client, request}}).front();
 }
 
-std::vector<Reply> Frontend::ExecuteRound(
-    const std::vector<std::pair<ClientId, Request>>& round) {
+std::vector<Reply> Frontend::ExecuteRound(const Round& round) {
   std::vector<Reply> replies(round.size());
-  std::vector<size_t> queries;
-  queries.reserve(round.size());
-
-  // Pass 1: immediate verbs (cleans mutate only the issuing client's
-  // session, so executing them before the round's queries cannot change
-  // any OTHER request's view; per-client order is the caller's queue).
-  for (size_t i = 0; i < round.size(); ++i) {
-    const auto& [client_id, request] = round[i];
-    (void)Slot(client_id);  // hard check: ids are owned capabilities
-    switch (request.verb) {
-      case Verb::kStats:
-        replies[i] = ExecuteStats();
-        break;
-      case Verb::kClean:
-        replies[i] = ExecuteClean(client_id, request);
-        break;
-      case Verb::kTopk:
-      case Verb::kQuality:
-        replies[i].verb = request.verb;
-        replies[i].k = request.k;
-        queries.push_back(i);
-        break;
-    }
-  }
-
-  // Pass 2: batch candidacy. Compatible = same database view (pristine
-  // session = the shared base) and not pinned away from ladder sharing.
-  std::vector<char> candidate(round.size(), 0);
-  std::vector<size_t> candidate_ks;
-  if (options_.batching) {
-    size_t admitted = 0;
-    for (size_t i : queries) {
-      const auto& [client_id, request] = round[i];
-      if (admitted >= options_.max_batch) break;
-      if (Slot(client_id).dirty_view) continue;
-      std::optional<PlanKind> forced =
-          request.plan.has_value() ? request.plan : options_.forced_plan;
-      if (forced.has_value() && *forced != PlanKind::kLadderShared) continue;
-      candidate[i] = 1;
-      candidate_ks.push_back(request.k);
-      ++admitted;
-    }
-  }
-  std::sort(candidate_ks.begin(), candidate_ks.end());
-  candidate_ks.erase(std::unique(candidate_ks.begin(), candidate_ks.end()),
-                     candidate_ks.end());
-  const size_t rung_count = std::max<size_t>(candidate_ks.size(), 1);
-
-  // Pass 3: plan each query; ladder-chosen candidates pool into the
-  // merged scan, everything else executes now.
+  // The round's one shared scan: pristine views' requests off the ladder.
   std::vector<size_t> batch;
-  std::vector<PlanRecord> batch_records;
-  for (size_t i : queries) {
-    const auto& [client_id, request] = round[i];
-    Result<PlanRecord> record =
-        DecidePlan(request, candidate[i] != 0 ? rung_count : 1);
-    if (!record.ok()) {
-      replies[i].status = record.status();
+  for (size_t i = 0; i < round.size(); ++i) {
+    const auto& [client, request] = round[i];
+    (void)ClientRng(client);  // hard check: ids are owned capabilities
+    Reply& reply = replies[i];
+    if (request.verb == Verb::kStats) {
+      reply = ExecuteStats();
       continue;
     }
-    if (record->chosen == PlanKind::kLadderShared && candidate[i] != 0) {
-      batch.push_back(i);
-      batch_records.push_back(*record);
+    if (request.verb == Verb::kClean) {
+      // Touches only this client's overlay; no other request of the
+      // round reads it.
+      reply = ExecuteClean(client, request);
       continue;
     }
-    const Client& client = Slot(client_id);
-    if (record->chosen == PlanKind::kReplay) {
-      ExecuteReplay(client, request, *record, &replies[i]);
-    } else {
-      ExecuteSingle(client, request, *record, &replies[i]);
-    }
-  }
-
-  // Pass 4: the merged scan. A batch of one degrades to a per-request
-  // scan (recorded: chosen=ladder, executed=seq/shard) -- the model
-  // promised sharing the round did not deliver.
-  if (batch.size() == 1) {
-    const size_t i = batch.front();
-    const auto& [client_id, request] = round[i];
-    PlanRecord record = batch_records.front();
-    const CostInputs inputs = InputsFor(request.k, 1);
-    record.executed =
-        options_.cost.Estimate(PlanKind::kSharded, inputs) <
-                options_.cost.Estimate(PlanKind::kSequential, inputs)
-            ? PlanKind::kSharded
-            : PlanKind::kSequential;
-    ExecuteSingle(Slot(client_id), request, record, &replies[i]);
-  } else if (batch.size() > 1) {
-    std::vector<size_t> ks;
-    ks.reserve(batch.size());
-    for (size_t i : batch) ks.push_back(round[i].second.k);
-    Result<ScanRequest> scan_request = ScanRequest::ForLadder(std::move(ks));
-    UCLEAN_CHECK(scan_request.ok());  // ks are validated, non-empty
-    scan_request->exec = pool_.exec();
-    Result<ScanResult> scan = ComputePsrLadder(pool_.base(), *scan_request);
-    for (size_t b = 0; b < batch.size(); ++b) {
-      const size_t i = batch[b];
-      const auto& [client_id, request] = round[i];
-      Reply* reply = &replies[i];
-      if (!scan.ok()) {
-        reply->status = scan.status();
-        continue;
-      }
-      PlanRecord record = batch_records[b];
-      record.executed = PlanKind::kLadderShared;
-      record.batch_size = batch.size();
-      record.threads = pool_.exec().num_threads;
-      reply->plan = record;
-      const size_t rung = scan_request->ladder.IndexOf(request.k);
-      UCLEAN_CHECK(rung != KLadder::npos);
-      const PsrOutput& psr = scan->output(rung);
+    reply.verb = request.verb;
+    reply.k = request.k;
+    const size_t rung = pool_.ladder().IndexOf(request.k);
+    if (rung != KLadder::npos) {
+      reply.plan.executed = PlanKind::kReplay;
       if (request.verb == Verb::kTopk) {
-        FillTopk(psr, reply);
+        FillTopk(pool_.psr(client, rung), &reply);
       } else {
-        Result<TpOutput> tp = ComputeTpQuality(pool_.base(), psr);
-        if (!tp.ok()) {
-          reply->status = tp.status();
-          continue;
-        }
-        reply->quality = tp->quality;
+        reply.quality = pool_.quality(client, rung);
       }
+    } else if (options_.batching && batch.size() < options_.max_batch &&
+               Pristine(client)) {
+      batch.push_back(i);
+    } else {
+      ExecuteScan(round, {i}, &replies);
     }
   }
+  if (!batch.empty()) ExecuteScan(round, batch, &replies);
   return replies;
 }
 

@@ -1,5 +1,5 @@
-// Serving front-end: admission, batching, cost-based plan selection and
-// execution of top-k / quality / clean requests over one warm SessionPool.
+// Serving front-end: admission, batching and execution of top-k /
+// quality / clean requests over one warm SessionPool.
 //
 // Every connected client owns one pooled cleaning session (its private
 // copy-on-write view of the shared base) plus one seeded Rng for its
@@ -12,23 +12,22 @@
 // one-shot APIs -- the determinism keystone tests/serve_test.cc holds
 // across thread counts and batching modes.
 //
-// The ADMISSION BATCHER generalizes multi-k ladder sharing to strangers:
-// all compatible top-k/quality requests of a round -- same database view,
-// i.e. clients whose sessions are still pristine -- merge their distinct
-// ks into one on-the-fly KLadder and share a single scan; each request
-// then reads its own rung. A rung of a merged scan is bitwise the output
-// of a dedicated single-k scan (the count-vector recurrence is
-// k-independent and untruncated, emission latches per rung, the Lemma-2
-// stop fires per rung), so batching never changes an answer, only its
-// latency.
+// One serving rule. A top-k / quality request whose k is on the pool
+// ladder replays the client's maintained rung: no scan. Any other k on a
+// pristine view (no clean outcomes yet) joins the round's ONE shared
+// scan, up to max_batch requests: their ks form an on-the-fly KLadder, a
+// lone request is a one-rung ladder and same-k requests share a rung. A
+// rung of a merged scan is bitwise the output of a dedicated single-k
+// scan (the count-vector recurrence is k-independent and untruncated,
+// emission latches per rung, the Lemma-2 stop fires per rung), so
+// batching never changes an answer, only its latency. A request on a
+// dirty view scans its own overlay alone.
 //
-// Plan selection (serve/cost_model.h) picks per request between the four
-// bitwise-equal strategies -- sequential, sharded, ladder-shared, replay
-// from the pool's checkpointed state -- and records the decision in the
-// reply's PlanRecord. FrontendOptions::forced_plan / a request's "plan="
-// token pin a strategy (the testing seam); a forced strategy the request
-// cannot execute (replay off the warm ladder, sharding without threads)
-// yields a kFailedPrecondition reply.
+// Scan width. The view's own rung at or above a scan's top k bounds its
+// depth (scan_end ascends with k). A scan the rank layer says cannot
+// shard at that depth (psr_internal::ScanDepthCanShard) runs at width 1;
+// every other scan runs at the pool's exec, and the sharded driver
+// decides whether to split. Each reply's PlanRecord says what ran.
 //
 // Threading: SERIALIZED CALLER, like the pool it drives. One I/O loop
 // thread calls Connect/Disconnect/Execute*; hardware parallelism is
@@ -50,35 +49,28 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "rank/psr.h"
-#include "serve/cost_model.h"
 #include "serve/protocol.h"
 
 namespace uclean {
 namespace serve {
 
 struct FrontendOptions {
-  /// Merge compatible same-view top-k/quality requests of a round into
-  /// one shared ladder scan. Off = every request executes alone (the
-  /// bench's per-request baseline). Answers are identical either way.
+  /// Let a round's pristine-view requests off the pool ladder share one
+  /// scan. Off = each scans alone (the bench's per-request baseline).
+  /// Answers are identical either way.
   bool batching = true;
 
   /// Upper bound on requests sharing one merged scan.
   size_t max_batch = 64;
 
-  /// Pin every query to one strategy (CLI --plan); per-request "plan="
-  /// tokens override this. Empty = cost model decides.
-  std::optional<PlanKind> forced_plan;
-
   /// Base seed of the per-client probe Rngs (ClientSeed below).
   uint64_t seed = 2026;
-
-  /// Calibration constants; see CostModel::Measure for measured ones.
-  CostModel cost;
 };
 
 class Frontend {
  public:
-  using ClientId = size_t;
+  /// A client is its pooled session: the id is its SessionPool id.
+  using ClientId = SessionPool::SessionId;
 
   /// Takes ownership of a warm pool (Create or OpenFromSnapshot).
   /// `profile` supplies probe costs/sc-probabilities for clean requests;
@@ -95,15 +87,17 @@ class Frontend {
   /// ClientSeed(options.seed, <number of connects so far>).
   ClientId Connect();
 
-  /// Closes a client's session. Requires an open id.
+  /// Closes a client's session. Fails on an id Connect did not hand out
+  /// or that is already closed (a snapshot's own sessions included).
   Status Disconnect(ClientId client);
+
+  using Round = std::vector<std::pair<ClientId, Request>>;
 
   /// Executes one admission round: at most one request per client (the
   /// caller's per-connection queues guarantee per-client order), replies
   /// in `round` order. Never fails as a whole -- per-request problems
   /// come back as error replies.
-  std::vector<Reply> ExecuteRound(
-      const std::vector<std::pair<ClientId, Request>>& round);
+  std::vector<Reply> ExecuteRound(const Round& round);
 
   /// Single-request convenience (a round of one).
   Reply Execute(ClientId client, const Request& request);
@@ -113,40 +107,31 @@ class Frontend {
   /// Requires an open id (hard check).
   uint64_t RngFingerprint(ClientId client) const;
 
-  size_t num_clients() const { return num_open_; }
   const SessionPool& pool() const { return pool_; }
-  const FrontendOptions& options() const { return options_; }
 
  private:
-  struct Client {
-    bool open = false;
-    SessionPool::SessionId session = 0;
-    std::unique_ptr<Rng> rng;
-    /// True once any clean outcome landed in this client's overlay; its
-    /// queries then run over the overlay view and leave the batcher.
-    bool dirty_view = false;
-  };
-
   Frontend(SessionPool pool, std::optional<CleaningProfile> profile,
-           FrontendOptions options);
+           FrontendOptions options)
+      : pool_(std::move(pool)),
+        profile_(std::move(profile)),
+        options_(options) {}
 
-  const Client& Slot(ClientId client) const;
-  CostInputs InputsFor(size_t k, size_t rung_count) const;
+  /// The client's probe Rng; hard check that Connect handed `client` out.
+  Rng& ClientRng(ClientId client) const;
 
-  /// Decides the plan for one query (forced seam included). Not-OK means
-  /// an infeasible forced plan.
-  Result<PlanRecord> DecidePlan(const Request& request, size_t rung_count);
+  /// No clean outcome has landed in the client's overlay: its view is
+  /// the shared base.
+  bool Pristine(ClientId client) const {
+    return pool_.overlay(client).num_outcomes() == 0;
+  }
 
-  /// Executes one query alone (kSequential / kSharded / 1-rung forced
-  /// ladder) over `client`'s view and fills `reply`.
-  void ExecuteSingle(const Client& client, const Request& request,
-                     PlanRecord record, Reply* reply);
+  /// Runs ONE scan serving the queries round[i] for i in `members`, all
+  /// over the view of round[members.front()]'s client, and fills their
+  /// replies.
+  void ExecuteScan(const Round& round, const std::vector<size_t>& members,
+                   std::vector<Reply>* replies) const;
 
-  /// Serves a query from the pool's maintained rung state (kReplay).
-  void ExecuteReplay(const Client& client, const Request& request,
-                     PlanRecord record, Reply* reply);
-
-  Reply ExecuteClean(ClientId client_id, const Request& request);
+  Reply ExecuteClean(ClientId client, const Request& request);
   Reply ExecuteStats() const;
 
   void FillTopk(const PsrOutput& psr, Reply* reply) const;
@@ -154,9 +139,9 @@ class Frontend {
   SessionPool pool_;
   std::optional<CleaningProfile> profile_;
   FrontendOptions options_;
-  ScanDepthProbe depth_probe_;
-  std::vector<Client> clients_;
-  size_t num_open_ = 0;
+  /// Probe Rng per pool session id, non-null exactly for the sessions
+  /// Connect opened and Disconnect has not closed.
+  std::vector<std::unique_ptr<Rng>> rngs_;
   size_t num_connects_ = 0;  ///< total ever, drives ClientSeed
 };
 

@@ -73,25 +73,37 @@ Result<size_t> ParseK(Verb verb, std::string_view token) {
   return static_cast<size_t>(*k);
 }
 
-/// Consumes an optional trailing "plan=<name>" token.
-Status ParsePlanToken(const std::vector<std::string_view>& tokens,
-                      size_t index, Request* request) {
-  if (tokens.size() <= index) return Status::OK();
-  std::string_view token = tokens[index];
-  constexpr std::string_view kPrefix = "plan=";
-  if (tokens.size() > index + 1 || token.substr(0, kPrefix.size()) != kPrefix) {
-    return Status::InvalidArgument(
-        std::string(VerbName(request->verb)) +
-        ": unexpected trailing arguments (only 'plan=<seq|shard|ladder|"
-        "replay>' may follow)");
+}  // namespace
+
+const char* PlanKindName(PlanKind kind) {
+  switch (kind) {
+    case PlanKind::kSequential:
+      return "seq";
+    case PlanKind::kSharded:
+      return "shard";
+    case PlanKind::kLadderShared:
+      return "ladder";
+    case PlanKind::kReplay:
+      return "replay";
   }
-  Result<PlanKind> plan = ParsePlanKind(token.substr(kPrefix.size()));
-  if (!plan.ok()) return plan.status();
-  request->plan = *plan;
-  return Status::OK();
+  UCLEAN_CHECK(false);
+  return "";
 }
 
-}  // namespace
+Result<PlanKind> ParsePlanKind(std::string_view name) {
+  if (name == "seq") return PlanKind::kSequential;
+  if (name == "shard") return PlanKind::kSharded;
+  if (name == "ladder") return PlanKind::kLadderShared;
+  if (name == "replay") return PlanKind::kReplay;
+  return Status::InvalidArgument("unknown plan '" + std::string(name) +
+                                 "' (want seq|shard|ladder|replay)");
+}
+
+std::string PlanRecord::ToString() const {
+  return std::string("exec=") + PlanKindName(executed) +
+         " batch=" + std::to_string(batch_size) +
+         " threads=" + std::to_string(threads);
+}
 
 const char* VerbName(Verb verb) {
   switch (verb) {
@@ -117,13 +129,13 @@ Result<Request> ParseRequest(std::string_view line) {
   const std::string_view verb = tokens[0];
   if (verb == "topk" || verb == "quality") {
     request.verb = verb == "topk" ? Verb::kTopk : Verb::kQuality;
-    if (tokens.size() < 2) {
-      return Status::InvalidArgument(std::string(verb) + ": missing k");
+    if (tokens.size() != 2) {
+      return Status::InvalidArgument(std::string(verb) +
+                                     ": want exactly one k");
     }
     Result<size_t> k = ParseK(request.verb, tokens[1]);
     if (!k.ok()) return k.status();
     request.k = *k;
-    UCLEAN_RETURN_IF_ERROR(ParsePlanToken(tokens, 2, &request));
     return request;
   }
   if (verb == "clean") {

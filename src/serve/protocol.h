@@ -3,14 +3,14 @@
 // One request per line, space-separated tokens, replies one line per
 // request in admission order on the client's connection:
 //
-//   topk <k> [plan=seq|shard|ladder|replay]
-//   quality <k> [plan=seq|shard|ladder|replay]
+//   topk <k>
+//   quality <k>
 //   clean <xtuple>
 //   stats
 //
 // Successful replies start with "ok", errors with "error":
 //
-//   ok verb=topk k=25 plan=ladder exec=ladder forced=0 batch=4 threads=2
+//   ok verb=topk k=25 exec=ladder batch=4 threads=2
 //      nonzero=37 scan_end=412 fp=9a1b... top=t17@3:0.9931...
 //   ok verb=quality k=25 ... quality=-12.345678901234567
 //   ok verb=clean xtuple=12 success=1 resolved=t123 spent=3
@@ -33,17 +33,41 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/status.h"
 #include "model/tuple.h"
-#include "serve/cost_model.h"
 
 namespace uclean {
 namespace serve {
+
+/// How a top-k / quality request ran. Every execution returns the same
+/// bits (a merged scan's rungs are bitwise the solo scans), so this is a
+/// record of latency choices, never of answers.
+enum class PlanKind : uint8_t {
+  kSequential = 0,    ///< the request's own scan at width 1
+  kSharded = 1,       ///< the request's own scan at the pool's width
+  kLadderShared = 2,  ///< one scan shared with other requests of the round
+  kReplay = 3,        ///< no scan: the client's maintained pool rung
+};
+
+/// Short wire name: "seq", "shard", "ladder", "replay".
+const char* PlanKindName(PlanKind kind);
+
+/// Parses a PlanKindName spelling; InvalidArgument on anything else.
+Result<PlanKind> ParsePlanKind(std::string_view name);
+
+/// What ran for one reply, carried on its wire line.
+struct PlanRecord {
+  PlanKind executed = PlanKind::kSequential;
+  size_t batch_size = 1;  ///< requests sharing the executed scan
+  size_t threads = 1;     ///< exec width the scan was issued at
+
+  /// "exec=ladder batch=4 threads=2".
+  std::string ToString() const;
+};
 
 /// The request shapes the front-end serves.
 enum class Verb : uint8_t {
@@ -61,8 +85,6 @@ struct Request {
   Verb verb = Verb::kTopk;
   size_t k = 0;            ///< topk / quality
   XTupleId xtuple = 0;     ///< clean
-  /// Forced execution strategy ("plan=" token); empty = cost model.
-  std::optional<PlanKind> plan;
 };
 
 /// Parses one protocol line (without the trailing newline). Fails with

@@ -42,25 +42,13 @@ void LineServer::EnqueueLine(Connection* conn, std::string_view line) {
     }
   }
   if (blank) return;
-  Result<Request> request = ParseRequest(line);
-  if (request.ok()) {
-    conn->pending.push_back(*request);
-    conn->order.push_back('r');
-  } else {
-    Reply error;
-    error.status = request.status();
-    conn->parse_errors.push_back(std::move(error));
-    conn->order.push_back('e');
-  }
+  conn->queue.push_back(ParseRequest(line));
 }
 
 void LineServer::EnqueueOversizeError(Connection* conn) {
-  Reply error;
-  error.status = Status::InvalidArgument(
+  conn->queue.push_back(Status::InvalidArgument(
       "request line exceeds " + std::to_string(options_.max_line_bytes) +
-      " bytes");
-  conn->parse_errors.push_back(std::move(error));
-  conn->order.push_back('e');
+      " bytes"));
 }
 
 void LineServer::ParseBuffered(Connection* conn, bool at_eof) {
@@ -118,9 +106,7 @@ Status LineServer::WriteReply(Connection* conn, const Reply& reply) {
 void LineServer::CloseConnection(Connection* conn) {
   if (!conn->open) return;
   conn->open = false;
-  conn->pending.clear();
-  conn->parse_errors.clear();
-  conn->order.clear();
+  conn->queue.clear();
   Status closed = frontend_->Disconnect(conn->client);
   UCLEAN_CHECK(closed.ok());
   close(conn->read_fd);
@@ -145,7 +131,7 @@ Status LineServer::Run() {
       Connection& conn = connections_[c];
       if (!conn.open) continue;
       any_open = true;
-      if (!conn.order.empty()) any_pending = true;
+      if (!conn.queue.empty()) any_pending = true;
       if (!conn.saw_eof) {
         any_readable = true;
         fds.push_back(pollfd{conn.read_fd, POLLIN, 0});
@@ -192,21 +178,20 @@ Status LineServer::Run() {
     }
 
     // Admission round: the head of every connection's queue.
-    std::vector<std::pair<Frontend::ClientId, Request>> round;
+    Frontend::Round round;
     std::vector<size_t> round_conn;
     for (size_t c = 0; c < connections_.size(); ++c) {
       Connection& conn = connections_[c];
-      if (!conn.open || conn.order.empty()) continue;
-      if (conn.order.front() == 'e') {
-        conn.order.pop_front();
-        Reply error = std::move(conn.parse_errors.front());
-        conn.parse_errors.pop_front();
+      if (!conn.open || conn.queue.empty()) continue;
+      Result<Request> head = std::move(conn.queue.front());
+      conn.queue.pop_front();
+      if (!head.ok()) {
+        Reply error;
+        error.status = head.status();
         UCLEAN_RETURN_IF_ERROR(WriteReply(&conn, error));
         continue;
       }
-      conn.order.pop_front();
-      round.emplace_back(conn.client, conn.pending.front());
-      conn.pending.pop_front();
+      round.emplace_back(conn.client, *head);
       round_conn.push_back(c);
     }
     if (!round.empty()) {
@@ -220,7 +205,7 @@ Status LineServer::Run() {
 
     // Close connections that are done (EOF seen, everything served).
     for (Connection& conn : connections_) {
-      if (conn.open && conn.saw_eof && conn.order.empty() &&
+      if (conn.open && conn.saw_eof && conn.queue.empty() &&
           conn.buffer.empty()) {
         CloseConnection(&conn);
       }

@@ -84,12 +84,9 @@ class LineServer {
     int write_fd = -1;
     Frontend::ClientId client = 0;
     std::string buffer;
-    /// Parsed-but-unserved requests; parse failures ride along as error
-    /// replies so per-connection reply order holds.
-    std::deque<Reply> parse_errors;
-    std::deque<Request> pending;
-    /// Interleaving order of pending/parse_errors: 'r' request, 'e' error.
-    std::deque<char> order;
+    /// Unserved lines in arrival order: a request, or the parse error
+    /// its reply carries, so per-connection reply order holds.
+    std::deque<Result<Request>> queue;
     bool discarding = false;  ///< inside an oversized line
     bool saw_eof = false;
     bool open = true;

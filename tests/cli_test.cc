@@ -9,11 +9,17 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "clean/profile_io.h"
+#include "clean/session_pool.h"
 #include "model/csv_io.h"
+#include "serve/frontend.h"
+#include "serve/protocol.h"
 
 namespace uclean {
 namespace {
@@ -785,6 +791,145 @@ TEST_F(CliTest, OutOfRangeIntegerFlagsExitWithTheRange) {
         << args << "\n" << out;
     EXPECT_NE(out.find("expected an integer in ["), std::string::npos)
         << args << "\n" << out;
+  }
+}
+
+TEST_F(CliTest, FlagsACommandDoesNotTakeFailBeforeAnyWork) {
+  std::string out;
+  ASSERT_EQ(Run("generate --type synthetic --xtuples 30 --out " +
+                    Path("flags_db.csv"),
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(Run("profile --xtuples 30 --out " + Path("flags_profile.csv"),
+                &out),
+            0)
+      << out;
+  const std::string db = " --db " + Path("flags_db.csv");
+  const std::string profile = " --profile " + Path("flags_profile.csv");
+  const std::string unwritten = " --out " + Path("flags_unwritten");
+  ASSERT_EQ(Run("snapshot save" + db + " --k 3 --out " + Path("flags.snap"),
+                &out),
+            0)
+      << out;
+  const std::string snap = " --snapshot " + Path("flags.snap");
+  // Each misspelled or dropped flag exits 1 naming the flag and the
+  // command, before the command reads stdin or writes its --out file.
+  const std::pair<std::string, std::string> cases[] = {
+      {"generate --type synthetic" + unwritten + " --sed 5",
+       "generate does not take --sed"},
+      {"profile --xtuples 30" + unwritten + " --cost-mx 4",
+       "profile does not take --cost-mx"},
+      {"inspect" + db + " --row 3", "inspect does not take --row"},
+      {"query" + db + " --k 3 --thresold 0.9",
+       "query does not take --thresold"},
+      {"quality" + db + " --k 3 --algoo tp", "quality does not take --algoo"},
+      {"plan" + db + profile + " --k 3 --budget 10 --planer dp",
+       "plan does not take --planer"},
+      {"clean" + db + profile + " --k 3 --budget 10 --adaptiv 1" + unwritten,
+       "clean does not take --adaptiv"},
+      {"target" + db + profile + " --k 3 --target -1 --max-budge 9",
+       "target does not take --max-budge"},
+      {"snapshot save" + db + " --k 3" + unwritten + " --session 2",
+       "snapshot save does not take --session"},
+      {"snapshot load" + snap + " --thread 2",
+       "snapshot load does not take --thread"},
+      {"snapshot inspect" + snap + " --k 3",
+       "snapshot inspect does not take --k"},
+      {"serve" + db + " --k 3 --max-bacth 4",
+       "serve does not take --max-bacth"},
+      {"serve" + db + " --k 3 --plan seq", "serve does not take --plan"},
+      {"serve" + db + " --k 3 --calibrate on",
+       "serve does not take --calibrate"},
+  };
+  for (const auto& [args, message] : cases) {
+    EXPECT_EQ(Run(args + " < /dev/null", &out), 1) << args << "\n" << out;
+    EXPECT_NE(out.find(message), std::string::npos) << args << "\n" << out;
+  }
+  EXPECT_FALSE(std::ifstream(Path("flags_unwritten")).good());
+}
+
+/// The `ok `/`error ` reply lines of a `serve` run, in order, with the
+/// PlanRecord tokens dropped (the banner and notes are other lines).
+std::vector<std::string> StrippedReplies(const std::string& out) {
+  std::vector<std::string> replies;
+  std::istringstream lines(out);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("ok ", 0) != 0 && line.rfind("error code=", 0) != 0) {
+      continue;
+    }
+    std::istringstream tokens(line);
+    std::string token;
+    std::string kept;
+    while (tokens >> token) {
+      if (token.rfind("exec=", 0) == 0 || token.rfind("batch=", 0) == 0 ||
+          token.rfind("threads=", 0) == 0) {
+        continue;
+      }
+      if (!kept.empty()) kept += ' ';
+      kept += token;
+    }
+    replies.push_back(kept);
+  }
+  return replies;
+}
+
+TEST_F(CliTest, ServeAnswersEveryLineLikeAnInProcessFrontend) {
+  std::string out;
+  ASSERT_EQ(Run("generate --type synthetic --xtuples 60 --out " +
+                    Path("serve_db.csv") + " --seed 9",
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(Run("snapshot save --db " + Path("serve_db.csv") +
+                    " --k-ladder 5,10 --sessions 1 --out " +
+                    Path("serve.snap"),
+                &out),
+            0)
+      << out;
+  // Warm k = 5 and 10, cold k = 7; a malformed line and a plan token
+  // are InvalidArgument replies in their place.
+  const std::vector<std::string> requests = {
+      "topk 5", "topk 7",   "quality 10", "quality 7",
+      "stats",  "topk x y", "topk 5 plan=seq", "topk 7"};
+  {
+    std::ofstream in(Path("serve_in.txt"));
+    for (const std::string& request : requests) in << request << "\n";
+  }
+  const std::string stdin_file = " < " + Path("serve_in.txt");
+  for (const bool from_snapshot : {false, true}) {
+    const std::string source =
+        from_snapshot ? " --snapshot " + Path("serve.snap")
+                      : " --db " + Path("serve_db.csv") + " --k-ladder 5,10";
+    ASSERT_EQ(Run("serve" + source + stdin_file, &out), 0) << out;
+    const std::vector<std::string> served = StrippedReplies(out);
+    ASSERT_EQ(served.size(), requests.size()) << out;
+    EXPECT_EQ(served[5].rfind("error code=InvalidArgument ", 0), 0u) << out;
+    EXPECT_EQ(served[6].rfind("error code=InvalidArgument ", 0), 0u) << out;
+
+    Result<SessionPool> pool =
+        from_snapshot ? SessionPool::OpenFromSnapshot(Path("serve.snap"))
+                      : SessionPool::Create(
+                            *ReadDatabaseCsvFile(Path("serve_db.csv")),
+                            *KLadder::Of({5, 10}));
+    ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+    Result<serve::Frontend> frontend = serve::Frontend::Create(
+        std::move(*pool), std::nullopt, serve::FrontendOptions());
+    ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+    const serve::Frontend::ClientId client = frontend->Connect();
+    std::string expected;
+    for (const std::string& line : requests) {
+      Result<serve::Request> request = serve::ParseRequest(line);
+      serve::Reply reply;
+      if (request.ok()) {
+        reply = frontend->Execute(client, *request);
+      } else {
+        reply.status = request.status();
+      }
+      expected += serve::FormatReply(reply) + "\n";
+    }
+    EXPECT_EQ(served, StrippedReplies(expected)) << out;
   }
 }
 

@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "model/database.h"
-#include "serve/cost_model.h"
 #include "serve/frontend.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -56,14 +55,11 @@ TEST(ParseRequestTest, AcceptsEveryVerbShape) {
   ASSERT_TRUE(topk.ok());
   EXPECT_EQ(topk->verb, Verb::kTopk);
   EXPECT_EQ(topk->k, 25u);
-  EXPECT_FALSE(topk->plan.has_value());
 
-  Result<Request> pinned = ParseRequest("quality 7 plan=replay");
-  ASSERT_TRUE(pinned.ok());
-  EXPECT_EQ(pinned->verb, Verb::kQuality);
-  EXPECT_EQ(pinned->k, 7u);
-  ASSERT_TRUE(pinned->plan.has_value());
-  EXPECT_EQ(*pinned->plan, PlanKind::kReplay);
+  Result<Request> quality = ParseRequest("quality 7");
+  ASSERT_TRUE(quality.ok());
+  EXPECT_EQ(quality->verb, Verb::kQuality);
+  EXPECT_EQ(quality->k, 7u);
 
   Result<Request> clean = ParseRequest("clean 12");
   ASSERT_TRUE(clean.ok());
@@ -91,15 +87,17 @@ TEST(ParseRequestTest, RejectsMalformedLinesWithInvalidArgument) {
       "topk 99999999999999999999",  // k past int64
       "topk 10000001",              // k past kMaxK
       "topk 5 6",                   // trailing junk
-      "topk 5 plan=warp",           // unknown plan name
-      "topk 5 plan=",               // empty plan name
-      "topk 5 plan=seq extra",      // junk after the plan token
+      "topk 5 plan=seq",            // no request picks its plan
+      "quality 7 plan=replay",      // ... on either query verb
+      "topk 5 plan=warp",           // nor names an unknown one
+      "topk 5 plan=",               // nor an empty one
+      "topk 5 plan=seq extra",      // junk after a plan token
       "quality",                    // missing k
       "clean",                      // missing xtuple
       "clean x",                    // non-numeric xtuple
       "clean -1",                   // negative xtuple
       "clean 1 2",                  // trailing junk
-      "clean 5 plan=seq",           // plan token on a non-query verb
+      "clean 5 plan=seq",           // trailing junk on clean
       "stats 1",                    // stats takes no arguments
   };
   for (const char* line : kBad) {
@@ -120,9 +118,18 @@ TEST(ParseRequestTest, PlanNamesRoundTrip) {
     ASSERT_TRUE(parsed.ok()) << PlanKindName(kind);
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_FALSE(ParsePlanKind("auto").ok());  // "auto" means no forced plan
+  EXPECT_FALSE(ParsePlanKind("auto").ok());
   EXPECT_FALSE(ParsePlanKind("").ok());
   EXPECT_FALSE(ParsePlanKind("SEQ").ok());
+}
+
+TEST(PlanRecordTest, ToStringIsTheWireForm) {
+  PlanRecord record;
+  record.executed = PlanKind::kLadderShared;
+  record.batch_size = 3;
+  record.threads = 4;
+  EXPECT_EQ(record.ToString(), "exec=ladder batch=3 threads=4");
+  EXPECT_EQ(PlanRecord().ToString(), "exec=seq batch=1 threads=1");
 }
 
 TEST(FormatReplyTest, ErrorRepliesAreOneSanitizedLine) {
@@ -359,20 +366,20 @@ TEST(LineServerTest, CleanWithoutProfileIsFailedPreconditionNotDeath) {
   EXPECT_EQ(lines[1].rfind("ok verb=topk k=5 ", 0), 0u) << lines[1];
 }
 
-TEST(LineServerTest, InfeasibleForcedPlansAreStructuredErrors) {
-  // Single-threaded pool: plan=shard cannot run; k=33 is off the warm
-  // ladder {5, 10}: plan=replay cannot serve it. Both must reply with
-  // kFailedPrecondition, then the connection keeps working.
+TEST(LineServerTest, PlanTokensAreInvalidArgumentAndServingContinues) {
+  // The server picks every execution: a request naming a plan is
+  // malformed, answered in order, and the connection keeps working.
   Result<Frontend> frontend = MakeFrontend();
   ASSERT_TRUE(frontend.ok());
   const std::vector<std::string> lines = ServeOneConnection(
       &*frontend, "topk 5 plan=shard\ntopk 33 plan=replay\ntopk 5\n");
   ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[0].rfind("error code=FailedPrecondition ", 0), 0u)
+  EXPECT_EQ(lines[0].rfind("error code=InvalidArgument ", 0), 0u)
       << lines[0];
-  EXPECT_EQ(lines[1].rfind("error code=FailedPrecondition ", 0), 0u)
+  EXPECT_EQ(lines[1].rfind("error code=InvalidArgument ", 0), 0u)
       << lines[1];
-  EXPECT_EQ(lines[2].rfind("ok verb=topk k=5 ", 0), 0u) << lines[2];
+  EXPECT_EQ(lines[2].rfind("ok verb=topk k=5 exec=replay ", 0), 0u)
+      << lines[2];
 }
 
 TEST(LineServerTest, ClientGoneWithoutReadingRepliesDoesNotKillTheServer) {
@@ -420,6 +427,36 @@ TEST(LineServerTest, RejectsNegativeFds) {
   EXPECT_EQ(server.num_connections(), 0u);
 }
 
+// ------------------------------------------------------------ client ids
+
+TEST(FrontendClientTest, ClientsArePoolSessionsAndForeignIdsAreRejected) {
+  Result<KLadder> ladder = KLadder::Of({5, 10});
+  ASSERT_TRUE(ladder.ok());
+  Result<SessionPool> pool =
+      SessionPool::Create(MakeDb(), *ladder, SessionPool::Options());
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  // A session the front-end did not open, like a snapshot's saved one.
+  const SessionPool::SessionId foreign = pool->OpenSession();
+  Result<Frontend> frontend =
+      Frontend::Create(std::move(*pool), std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const Frontend::ClientId a = frontend->Connect();
+  EXPECT_NE(a, foreign);
+  EXPECT_TRUE(frontend->pool().is_open(a));
+  EXPECT_EQ(frontend->Disconnect(foreign).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(frontend->pool().is_open(foreign));
+  const uint64_t first = frontend->RngFingerprint(a);
+  ASSERT_TRUE(frontend->Disconnect(a).ok());
+  EXPECT_FALSE(frontend->pool().is_open(a));
+  EXPECT_EQ(frontend->Disconnect(a).code(), StatusCode::kInvalidArgument);
+  // The pool hands the closed slot out again; the probe seed still
+  // counts connects, so the new client's stream is its own.
+  const Frontend::ClientId b = frontend->Connect();
+  EXPECT_EQ(b, a);
+  EXPECT_NE(frontend->RngFingerprint(b), first);
+}
+
 // ------------------------------------------------------------ death tests
 
 TEST(ServeDeathTest, NullFrontendIsAHardCheck) {
@@ -432,6 +469,17 @@ TEST(ServeDeathTest, FingerprintOfClosedClientIsAHardCheck) {
   const Frontend::ClientId id = frontend->Connect();
   ASSERT_TRUE(frontend->Disconnect(id).ok());
   EXPECT_DEATH(frontend->RngFingerprint(id), "UCLEAN_CHECK failed");
+}
+
+TEST(ServeDeathTest, FingerprintOfASessionNeverConnectedIsAHardCheck) {
+  Result<SessionPool> pool =
+      SessionPool::Create(MakeDb(), *KLadder::Of({5}), SessionPool::Options());
+  ASSERT_TRUE(pool.ok()) << pool.status().ToString();
+  const SessionPool::SessionId foreign = pool->OpenSession();
+  Result<Frontend> frontend =
+      Frontend::Create(std::move(*pool), std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok());
+  EXPECT_DEATH(frontend->RngFingerprint(foreign), "UCLEAN_CHECK failed");
 }
 
 }  // namespace

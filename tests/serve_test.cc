@@ -24,6 +24,7 @@
 #include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/psr_scan_core.h"
 #include "serve/frontend.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -128,7 +129,6 @@ std::vector<std::vector<Request>> MakeStreams(uint64_t seed, size_t clients,
       } else {
         request.k = ks[static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(ks.size()) - 1))];
-        if (rng.Bernoulli(0.1)) request.plan = PlanKind::kSequential;
       }
       stream.push_back(request);
     }
@@ -263,22 +263,181 @@ TEST(ServeTopk, ArgmaxAtTheLastScannedTuple) {
   }
   Result<ProbabilisticDatabase> db = std::move(builder).Finish();
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  Result<Frontend> frontend =
-      Frontend::Create(MakePool(*db, {1}, 1), std::nullopt, FrontendOptions());
-  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
-  const Frontend::ClientId client = frontend->Connect();
-  // Replay reads the pool's rung; seq runs a fresh one-shot scan.
-  for (PlanKind plan : {PlanKind::kReplay, PlanKind::kSequential}) {
+  // On ladder {1} the request replays the pool's rung; off it ({2}) it
+  // runs a fresh one-shot scan.
+  for (size_t rung : {1, 2}) {
+    Result<Frontend> frontend = Frontend::Create(
+        MakePool(*db, {rung}, 1), std::nullopt, FrontendOptions());
+    ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
     Request request;
     request.k = 1;
-    request.plan = plan;
-    const Reply reply = frontend->Execute(client, request);
+    const Reply reply = frontend->Execute(frontend->Connect(), request);
     ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
-    EXPECT_EQ(reply.scan_end, 4u) << PlanKindName(plan);
-    EXPECT_EQ(reply.top_index, 3) << PlanKindName(plan);
-    EXPECT_EQ(reply.top_id, 3) << PlanKindName(plan);
-    EXPECT_NEAR(reply.top_prob, 0.729, 1e-12) << PlanKindName(plan);
+    const char* plan = PlanKindName(reply.plan.executed);
+    EXPECT_EQ(reply.plan.executed,
+              rung == 1 ? PlanKind::kReplay : PlanKind::kSequential);
+    EXPECT_EQ(reply.scan_end, 4u) << plan;
+    EXPECT_EQ(reply.top_index, 3) << plan;
+    EXPECT_EQ(reply.top_id, 3) << plan;
+    EXPECT_NEAR(reply.top_prob, 0.729, 1e-12) << plan;
   }
+}
+
+/// Drops the plan-record tokens from a reply line.
+std::string StripPlanTokens(const std::string& line) {
+  std::string out;
+  size_t begin = 0;
+  while (begin <= line.size()) {
+    size_t end = line.find(' ', begin);
+    if (end == std::string::npos) end = line.size();
+    const std::string token = line.substr(begin, end - begin);
+    const bool plan_token = token.rfind("exec=", 0) == 0 ||
+                            token.rfind("batch=", 0) == 0 ||
+                            token.rfind("threads=", 0) == 0;
+    if (!plan_token && !token.empty()) {
+      if (!out.empty()) out += ' ';
+      out += token;
+    }
+    begin = end + 1;
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// The serving rule: a ladder k replays, any other k on a pristine view
+// joins the round's one scan, and the scan's width follows the rung that
+// bounds its depth. Every execution returns the solo scan's bits.
+
+Request Query(Verb verb, size_t k) {
+  Request request;
+  request.verb = verb;
+  request.k = k;
+  return request;
+}
+
+/// A topk reply carries the bits of the solo single-k scan over `db`.
+void ExpectSoloScan(const Reply& reply, const ProbabilisticDatabase& db,
+                    size_t k) {
+  Result<ScanRequest> request = ScanRequest::ForK(k);
+  ASSERT_TRUE(request.ok());
+  Result<ScanResult> scan = ComputePsrLadder(db, *request);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(reply.fingerprint, HashDoubles(scan->output().topk_prob)) << k;
+  EXPECT_EQ(reply.num_nonzero, scan->output().num_nonzero) << k;
+  EXPECT_EQ(reply.scan_end, scan->output().scan_end) << k;
+}
+
+TEST(ServeRule, SameColdKFromTwoClientsSharesOneScan) {
+  const ProbabilisticDatabase db = MakeDb();
+  Result<Frontend> frontend = Frontend::Create(MakePool(db, {5, 20}, 1),
+                                               std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const Frontend::ClientId a = frontend->Connect();
+  const Frontend::ClientId b = frontend->Connect();
+  const Reply alone = frontend->Execute(a, Query(Verb::kQuality, 7));
+  ASSERT_TRUE(alone.status.ok()) << alone.status.ToString();
+  for (Verb second : {Verb::kTopk, Verb::kQuality}) {
+    const std::vector<Reply> replies = frontend->ExecuteRound(
+        {{a, Query(Verb::kTopk, 7)}, {b, Query(second, 7)}});
+    ASSERT_EQ(replies.size(), 2u);
+    for (const Reply& reply : replies) {
+      ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+      EXPECT_EQ(reply.plan.ToString(), "exec=ladder batch=2 threads=1");
+    }
+    ExpectSoloScan(replies[0], db, 7);
+    if (second == Verb::kTopk) {
+      ExpectSameAnswer(replies[1], replies[0], "same k, same bits");
+    } else {
+      ExpectSameAnswer(replies[1], alone, "shared quality == lone quality");
+    }
+  }
+}
+
+TEST(ServeRule, WarmKReplaysBesideAColdScanOfOne) {
+  const ProbabilisticDatabase db = MakeDb();
+  Result<Frontend> frontend = Frontend::Create(MakePool(db, {5, 20}, 1),
+                                               std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const Frontend::ClientId a = frontend->Connect();
+  const Frontend::ClientId b = frontend->Connect();
+  const std::vector<Reply> replies = frontend->ExecuteRound(
+      {{a, Query(Verb::kTopk, 5)}, {b, Query(Verb::kTopk, 7)}});
+  ASSERT_EQ(replies.size(), 2u);
+  ASSERT_TRUE(replies[0].status.ok()) << replies[0].status.ToString();
+  ASSERT_TRUE(replies[1].status.ok()) << replies[1].status.ToString();
+  EXPECT_EQ(replies[0].plan.executed, PlanKind::kReplay);
+  EXPECT_EQ(replies[1].plan.ToString(), "exec=seq batch=1 threads=1");
+  ExpectSoloScan(replies[0], db, 5);
+  ExpectSoloScan(replies[1], db, 7);
+}
+
+TEST(ServeRule, ReplayEqualsScanAcrossLadders) {
+  // Both ladders share their top rung, so clean replies (which report the
+  // top rung's quality) agree; every streamed k replays on the first and
+  // scans on the second, over pristine and cleaned views alike.
+  const ProbabilisticDatabase db = MakeDb();
+  const CleaningProfile profile = MakeProfile();
+  constexpr size_t kClients = 4;
+  constexpr size_t kSteps = 8;
+  const std::vector<std::vector<Request>> streams =
+      MakeStreams(7, kClients, kSteps);
+  std::vector<std::vector<std::string>> lines[2];
+  const std::vector<size_t> ladders[2] = {{3, 5, 8, 20, 33, 50}, {50}};
+  for (size_t l = 0; l < 2; ++l) {
+    FrontendOptions options;
+    options.seed = kFrontendSeed;
+    Result<Frontend> frontend =
+        Frontend::Create(MakePool(db, ladders[l], 1), profile, options);
+    ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+    std::vector<Frontend::ClientId> ids;
+    for (size_t i = 0; i < kClients; ++i) ids.push_back(frontend->Connect());
+    lines[l].resize(kClients);
+    for (size_t r = 0; r < kSteps; ++r) {
+      Frontend::Round round;
+      for (size_t i = 0; i < kClients; ++i) {
+        round.emplace_back(ids[i], streams[i][r]);
+      }
+      const std::vector<Reply> replies = frontend->ExecuteRound(round);
+      for (size_t i = 0; i < kClients; ++i) {
+        const bool query = streams[i][r].verb != Verb::kClean;
+        EXPECT_EQ(replies[i].plan.executed == PlanKind::kReplay,
+                  query && l == 0);
+        lines[l][i].push_back(StripPlanTokens(FormatReply(replies[i])));
+      }
+    }
+  }
+  EXPECT_EQ(lines[0], lines[1]);
+}
+
+TEST(ServeRule, ScanWidthFollowsTheBoundingRung) {
+  // 6,000 tuples of sub-unit mass: k = 400 stops past the first 4,096-live
+  // grid cut, so its scan can shard; k = 3 stops long before rung 5 does.
+  SyntheticOptions opts;
+  opts.num_xtuples = 1500;
+  opts.tuples_per_xtuple = 4;
+  opts.real_mass_min = 0.3;
+  opts.real_mass_max = 0.6;
+  opts.seed = 3;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  std::string deep[2];
+  for (size_t threads : {1, 4}) {
+    Result<Frontend> frontend = Frontend::Create(
+        MakePool(*db, {5, 500}, threads), std::nullopt, FrontendOptions());
+    ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+    const Frontend::ClientId client = frontend->Connect();
+    const Reply wide = frontend->Execute(client, Query(Verb::kTopk, 400));
+    ASSERT_TRUE(wide.status.ok()) << wide.status.ToString();
+    EXPECT_GT(wide.scan_end, psr_internal::kCountRefreshGridLive);
+    EXPECT_EQ(wide.plan.threads, threads);
+    EXPECT_EQ(wide.plan.executed,
+              threads > 1 ? PlanKind::kSharded : PlanKind::kSequential);
+    deep[threads > 1] = StripPlanTokens(FormatReply(wide));
+    const Reply shallow = frontend->Execute(client, Query(Verb::kTopk, 3));
+    ASSERT_TRUE(shallow.status.ok()) << shallow.status.ToString();
+    EXPECT_EQ(shallow.plan.ToString(), "exec=seq batch=1 threads=1");
+  }
+  EXPECT_EQ(deep[0], deep[1]);
 }
 
 TEST(ServeProperty, RequestMixMatchesSerialOracleAcrossConfigs) {
@@ -352,41 +511,15 @@ TEST(ServeProperty, RequestMixMatchesSerialOracleAcrossConfigs) {
 std::string RenderRequest(const Request& request) {
   switch (request.verb) {
     case Verb::kTopk:
-    case Verb::kQuality: {
-      std::string line = std::string(VerbName(request.verb)) + " " +
-                         std::to_string(request.k);
-      if (request.plan.has_value()) {
-        line += std::string(" plan=") + PlanKindName(*request.plan);
-      }
-      return line;
-    }
+    case Verb::kQuality:
+      return std::string(VerbName(request.verb)) + " " +
+             std::to_string(request.k);
     case Verb::kClean:
       return "clean " + std::to_string(request.xtuple);
     case Verb::kStats:
       return "stats";
   }
   return "";
-}
-
-/// Drops the plan-record tokens from a reply line.
-std::string StripPlanTokens(const std::string& line) {
-  std::string out;
-  size_t begin = 0;
-  while (begin <= line.size()) {
-    size_t end = line.find(' ', begin);
-    if (end == std::string::npos) end = line.size();
-    const std::string token = line.substr(begin, end - begin);
-    const bool plan_token =
-        token.rfind("plan=", 0) == 0 || token.rfind("exec=", 0) == 0 ||
-        token.rfind("forced=", 0) == 0 || token.rfind("batch=", 0) == 0 ||
-        token.rfind("threads=", 0) == 0;
-    if (!plan_token && !token.empty()) {
-      if (!out.empty()) out += ' ';
-      out += token;
-    }
-    begin = end + 1;
-  }
-  return out;
 }
 
 TEST(ServeServer, ConcurrentSocketpairClientsMatchDirectRounds) {

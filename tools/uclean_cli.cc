@@ -90,9 +90,8 @@ commands:
   snapshot load --snapshot SNAP.bin
            [--threads N|auto] [--kernel scalar|avx2|auto]
   snapshot inspect --snapshot SNAP.bin
-  serve    POOL [--profile PROFILE.csv]
-           [--plan auto|seq|shard|ladder|replay] [--batch on|off]
-           [--max-batch 64] [--calibrate on|off] [--seed S]
+  serve    POOL [--profile PROFILE.csv] [--batch on|off]
+           [--max-batch 64] [--seed S]
 
 POOL is the session pool a command runs on, opened the same way for
 every command that takes one:
@@ -104,7 +103,8 @@ query prints, per k: the count of tuples with nonzero top-k probability,
 then the PT-k, U-kRanks and Global-topk answers with their
 probabilities -- the same lines for every source and flag set. quality
 prints `k = K: Q` per k. An integer flag outside its range is an error
-that names the range.
+that names the range; a flag the command does not take is an error that
+names the flag and the command.
 
 --k-ladder serves every listed k from ONE shared PSR scan (query and
 quality report per-k results; cleaning plans against the uniform ladder
@@ -159,12 +159,12 @@ exits with code 3 (data loss) instead of the generic 1.
 
 serve turns stdin/stdout into one serving-protocol connection over a warm
 session pool: one request per line (`topk K`, `quality K`, `clean X`,
-`stats`, each optionally pinned with a trailing `plan=NAME`), one
-`ok`/`error` reply line per request, EOF ends the session. The cost model
-picks the cheapest of the four bitwise-equal strategies per query
-(--calibrate on, the default, times its per-tuple constant on the served
-database); --plan pins one strategy globally, --batch off disables the
-admission batcher. clean requests need --profile.
+`stats`), one `ok`/`error` reply line per request, EOF ends the session.
+A k on the pool's ladder replays the client's maintained rung; any other
+k from a client that has not cleaned joins its admission round's one
+shared scan (--batch off scans each request alone, --max-batch caps the
+sharing). Answers are bitwise identical either way; each reply's
+`exec= batch= threads=` says what ran. clean requests need --profile.
 Flag-resolution notes print before the first reply; every reply line
 starts with `ok ` or `error `.
 )";
@@ -194,6 +194,20 @@ class Flags {
   }
 
   bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  /// Fails on the first flag outside `known`, naming it and `command`: a
+  /// misspelled or dropped flag must stop the command before it does any
+  /// work, not be silently ignored.
+  Status RejectUnknown(std::string_view command,
+                       const std::vector<std::string_view>& known) const {
+    for (const auto& entry : values_) {
+      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+        return Status::InvalidArgument(std::string(command) +
+                                       " does not take --" + entry.first);
+      }
+    }
+    return Status::OK();
+  }
 
   Result<std::string> GetString(const std::string& key) const {
     auto it = values_.find(key);
@@ -995,11 +1009,11 @@ Status RunSnapshotInspect(const Flags& flags) {
 }
 
 /// `serve`: the persistent serving loop. stdin/stdout become one
-/// protocol connection (serve/protocol.h) on the LineServer; the
-/// admission batcher and cost model live in serve/frontend.h. Tests and
-/// the traffic-replay bench drive the same server over socketpairs.
-/// Protocol replies go to stdout; the banner goes to stderr so a piped
-/// client sees only notes and reply lines.
+/// protocol connection (serve/protocol.h) on the LineServer; the serving
+/// rule -- replay a ladder rung or join the round's one scan -- lives in
+/// serve/frontend.h. Tests and the traffic-replay bench drive the same
+/// server over socketpairs. Protocol replies go to stdout; the banner
+/// goes to stderr so a piped client sees only notes and reply lines.
 Status RunServe(const Flags& flags) {
   serve::FrontendOptions options;
   CLI_ASSIGN_OR_RETURN(seed, flags.GetInt("seed", kMinInt, kMaxInt, 2026));
@@ -1013,19 +1027,6 @@ Status RunServe(const Flags& flags) {
     return Status::InvalidArgument("bad --batch '" + batch +
                                    "': expected on or off");
   }
-  const std::string plan = flags.GetString("plan", "auto");
-  if (plan != "auto") {
-    CLI_ASSIGN_OR_RETURN(kind, serve::ParsePlanKind(plan));
-    options.forced_plan = kind;
-    std::printf("note: --plan %s pins every query to the %s strategy "
-                "(answers are bitwise identical under every plan)\n",
-                plan.c_str(), serve::PlanKindName(kind));
-  }
-  const std::string calibrate = flags.GetString("calibrate", "on");
-  if (calibrate != "on" && calibrate != "off") {
-    return Status::InvalidArgument("bad --calibrate '" + calibrate +
-                                   "': expected on or off");
-  }
   std::optional<CleaningProfile> profile;
   if (flags.Has("profile")) {
     CLI_ASSIGN_OR_RETURN(path, flags.GetString("profile"));
@@ -1034,9 +1035,6 @@ Status RunServe(const Flags& flags) {
     profile = std::move(*read);
   }
   CLI_ASSIGN_OR_RETURN(pool, OpenPool(flags));
-  if (calibrate == "on") {
-    options.cost = serve::CostModel::Measure(pool.base());
-  }
   CLI_ASSIGN_OR_RETURN(frontend, serve::Frontend::Create(
                                      std::move(pool), std::move(profile),
                                      options));
@@ -1044,36 +1042,24 @@ Status RunServe(const Flags& flags) {
   Result<size_t> conn = server.AddClient(0, 1);  // stdin -> stdout
   if (!conn.ok()) return conn.status();
   std::fprintf(stderr,
-               "serve: %zu tuples, k-ladder %s, batching %s, plan %s; one "
-               "request per line (topk/quality/clean/stats), EOF ends the "
-               "session\n",
+               "serve: %zu tuples, k-ladder %s, batching %s; one request "
+               "per line (topk/quality/clean/stats), EOF ends the session\n",
                frontend.pool().base().num_tuples(),
                frontend.pool().ladder().ToString().c_str(),
-               options.batching ? "on" : "off",
-               options.forced_plan ? serve::PlanKindName(*options.forced_plan)
-                                   : "auto");
+               options.batching ? "on" : "off");
   // The flag notes above are buffered stdio on the same fd the server
   // writes raw reply lines to: flush so they precede the first reply.
   std::fflush(stdout);
   return server.Run();
 }
 
-/// Dispatches `snapshot <action> --flags`: the one command with a
-/// positional action word, so it parses its own argv tail.
-Status RunSnapshot(int argc, char** argv) {
-  if (argc < 3) {
-    return Status::InvalidArgument(
-        "snapshot needs an action: save, load or inspect");
-  }
-  const std::string action = argv[2];
-  Result<Flags> flags = Flags::Parse(argc, argv, 3);
-  if (!flags.ok()) return flags.status();
-  if (action == "save") return RunSnapshotSave(*flags);
-  if (action == "load") return RunSnapshotLoad(*flags);
-  if (action == "inspect") return RunSnapshotInspect(*flags);
-  return Status::InvalidArgument("unknown snapshot action '" + action +
-                                 "' (expected save, load or inspect)");
-}
+/// A command and every flag it reads (POOL's flags when `pool`).
+struct Command {
+  std::string_view name;
+  Status (*run)(const Flags&);
+  bool pool;
+  std::vector<std::string_view> flags;
+};
 
 int Main(int argc, char** argv) {
   if (argc < 2 || std::string_view(argv[1]) == "help" ||
@@ -1081,42 +1067,62 @@ int Main(int argc, char** argv) {
     std::printf("%s", kUsage);
     return argc < 2 ? 1 : 0;
   }
-  const std::string command = argv[1];
-  if (command == "snapshot") {
-    // `snapshot` takes a positional action word before its flags.
-    const Status status = RunSnapshot(argc, argv);
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return status.code() == StatusCode::kDataLoss ? 3 : 1;
-    }
-    return 0;
+  const std::vector<Command> commands = {
+      {"generate", RunGenerate, false,
+       {"type", "out", "seed", "xtuples", "bars", "sigma", "pdf", "mass-lo",
+        "mass-hi"}},
+      {"profile", RunProfile, false,
+       {"xtuples", "out", "cost-min", "cost-max", "seed", "sc-pdf", "sc-lo",
+        "sc-hi", "sc-mean", "sc-sigma"}},
+      {"inspect", RunInspect, false, {"db", "rows"}},
+      {"query", RunQuery, true, {"threshold", "semantics"}},
+      {"quality", RunQuality, true, {"algo", "samples", "seed"}},
+      {"plan", RunPlan, false,
+       {"db", "profile", "k", "budget", "seed", "planner"}},
+      {"clean", RunClean, true,
+       {"profile", "out", "budget", "seed", "planner", "adaptive", "sessions",
+        "pipeline", "probe-latency-us", "probe-fail-rate", "probe-timeout-us",
+        "retry-max", "retry-backoff-us", "breaker-threshold"}},
+      {"target", RunTarget, false,
+       {"db", "profile", "k", "target", "max-budget"}},
+      {"snapshot save", RunSnapshotSave, true, {"out", "sessions"}},
+      {"snapshot load", RunSnapshotLoad, false,
+       {"snapshot", "threads", "kernel"}},
+      {"snapshot inspect", RunSnapshotInspect, false, {"snapshot"}},
+      {"serve", RunServe, true, {"profile", "seed", "max-batch", "batch"}},
+  };
+  // `snapshot` takes a positional action word before its flags.
+  std::string name = argv[1];
+  int first = 2;
+  if (name == "snapshot") {
+    name += ' ';
+    if (argc > 2) name += argv[2];
+    first = 3;
   }
-  Result<Flags> flags = Flags::Parse(argc, argv, 2);
+  const auto command =
+      std::find_if(commands.begin(), commands.end(),
+                   [&name](const Command& c) { return c.name == name; });
   Status status = Status::OK();
-  if (!flags.ok()) {
+  if (command == commands.end()) {
+    if (first == 2) {
+      std::fprintf(stderr, "unknown command '%s'\n\n%s", name.c_str(),
+                   kUsage);
+      return 1;
+    }
+    status = Status::InvalidArgument(
+        "unknown command '" + name +
+        "' (snapshot needs an action: save, load or inspect)");
+  } else if (Result<Flags> flags = Flags::Parse(argc, argv, first);
+             !flags.ok()) {
     status = flags.status();
-  } else if (command == "generate") {
-    status = RunGenerate(*flags);
-  } else if (command == "profile") {
-    status = RunProfile(*flags);
-  } else if (command == "inspect") {
-    status = RunInspect(*flags);
-  } else if (command == "query") {
-    status = RunQuery(*flags);
-  } else if (command == "quality") {
-    status = RunQuality(*flags);
-  } else if (command == "plan") {
-    status = RunPlan(*flags);
-  } else if (command == "clean") {
-    status = RunClean(*flags);
-  } else if (command == "target") {
-    status = RunTarget(*flags);
-  } else if (command == "serve") {
-    status = RunServe(*flags);
   } else {
-    std::fprintf(stderr, "unknown command '%s'\n\n%s", command.c_str(),
-                 kUsage);
-    return 1;
+    std::vector<std::string_view> known = command->flags;
+    if (command->pool) {
+      known.insert(known.end(),
+                   {"db", "k", "k-ladder", "snapshot", "threads", "kernel"});
+    }
+    status = flags->RejectUnknown(command->name, known);
+    if (status.ok()) status = command->run(*flags);
   }
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
