@@ -1,8 +1,8 @@
-// Measures the async probe pipeline (clean/pipeline.h): the pipelined
-// adaptive pool loop -- probe batches drawn on the exec pool while the
-// caller keeps planning, one concurrent RefreshAll per round -- against
-// the serial reference loop (identical code path, every draw inline), at
-// N = 8 concurrent sessions.
+// Measures the pipelined cleaning round (clean/pipeline.h): the adaptive
+// pool loop with each round's per-session plan + draw steps run
+// concurrently on the exec pool and one concurrent RefreshAll per round,
+// against the serial reference loop (the same code on a sequential
+// executor, every step inline), at N = 8 concurrent sessions.
 //
 // The regime that matters is PROBE LATENCY: in the field a probe is a
 // source lookup, a sensor read, a person -- milliseconds to minutes --
@@ -10,9 +10,9 @@
 // bench simulates that with ProbeOptions::latency (each probe attempt
 // sleeps before its result is known): the serial loop serializes every
 // session's waiting on the caller thread, the pipelined loop overlaps
-// all sessions' waiting plus the planning between submissions. A
-// zero-latency regime rides along as the overhead guard: with nothing to
-// overlap, the pipeline must not be pathologically slower than serial.
+// all sessions' waiting and planning. A zero-latency regime rides along
+// as the overhead guard: with no waiting to overlap, the pipeline must
+// not be pathologically slower than serial.
 //
 // Correctness is asserted, not assumed: per-session final qualities,
 // spent budgets and full probe logs must be BITWISE equal across every
@@ -185,12 +185,12 @@ int main() {
   const std::vector<size_t> thread_arms = {2, 4, 8};
 
   bench::Banner(
-      "Async probe pipeline",
-      "pipelined adaptive pool loop (probe batches overlap planning, one "
-      "concurrent RefreshAll per round) vs the serial reference at N=8 "
-      "sessions; 150us simulated per-probe field latency vs the "
-      "zero-latency overhead guard; per-session state asserted bitwise "
-      "equal across all arms");
+      "Pipelined cleaning round",
+      "pipelined adaptive pool loop (per-session plan + draw steps in "
+      "parallel, one concurrent RefreshAll per round) vs the serial "
+      "reference at N=8 sessions; 150us simulated per-probe field latency "
+      "vs the zero-latency overhead guard; per-session state asserted "
+      "bitwise equal across all arms");
   bench::Header(
       "regime,threads,sessions,serial_ms,pipelined_ms,speedup,"
       "max_quality_diff,logs_equal");

@@ -1,5 +1,6 @@
-// Pipelined concurrent cleaning: N analysts share one scan, and their
-// probe batches overlap with planning on a thread pool.
+// Pipelined concurrent cleaning: N analysts share one scan, and each
+// round's per-analyst plan + probe steps run side by side on a thread
+// pool.
 //
 // The walk-through mirrors the production serving shape:
 //
@@ -7,13 +8,14 @@
 //      each analyst gets a copy-on-write overlay session (opening one is
 //      a memcpy, not a scan).
 //   2. RunPipelinedCleaning with PipelineOptions::overlap -- each round
-//      plans every session and hands its probe batch to the executor;
-//      probes (simulated here with a per-probe field latency) draw
-//      against each session's own view on workers while the caller keeps
-//      planning, then one concurrent RefreshAll commits the round.
-//   3. The serial reference (overlap = false) runs the identical
-//      arithmetic inline: same qualities, same probe logs, same random
-//      streams -- only the wall clock differs.
+//      is one parallel step over the sessions: every session plans and
+//      draws its probes (simulated here with a per-probe field latency)
+//      against its own view on the executor; then the caller commits in
+//      session order and one concurrent RefreshAll refreshes the round.
+//   3. The serial reference (overlap = false) runs the same code on a
+//      sequential executor: same qualities, same probe logs, same random
+//      streams -- only the wall clock differs. The program exits 1 if
+//      any analyst's spend, probe log or quality differs.
 //
 // See docs/ARCHITECTURE.md (layer map, overlay/fork semantics) and
 // docs/BENCHMARKS.md (bench_pipeline measures this exact overlap).
@@ -59,7 +61,7 @@ Result<PipelineReport> RunCampaign(const ProbabilisticDatabase& db,
   options.max_rounds = 4;
   // Pretend every probe is a 200us field operation (a source lookup);
   // this latency, not the sub-millisecond state refresh, is what the
-  // pipeline overlaps.
+  // parallel step overlaps across sessions.
   options.probe.latency = std::chrono::microseconds(200);
   return RunPipelinedCleaning(&*pool, ids, profile, budget, &rngs, options);
 }

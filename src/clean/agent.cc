@@ -8,19 +8,6 @@ namespace uclean {
 
 namespace {
 
-/// Shared precondition checks, run before any copying or probing.
-Status ValidateProbeInputs(size_t num_xtuples, const CleaningProfile& profile,
-                           const std::vector<int64_t>& probes, Rng* rng) {
-  UCLEAN_RETURN_IF_ERROR(profile.Validate(num_xtuples));
-  if (probes.size() != num_xtuples) {
-    return Status::InvalidArgument("probes vector size mismatch");
-  }
-  if (rng == nullptr) {
-    return Status::InvalidArgument("ExecutePlan requires an Rng");
-  }
-  return Status::OK();
-}
-
 /// Fault-aware execution of x-tuple `l`'s planned probes: each planned
 /// probe gets up to RetryPolicy::max_attempts tries with backed-off
 /// retries, gated by the plan deadline, the per-probe deadline and `l`'s
@@ -113,17 +100,35 @@ void RunFaultedProbes(const CleaningProfile& profile, XTupleId l,
   }
 }
 
+/// Applies a draw's recorded outcomes in order through `apply`.
+template <typename ApplyOutcomeFn>
+Status ApplyDraws(const ProbeDraws& draws, ApplyOutcomeFn apply) {
+  for (const auto& [xtuple, resolved_id] : draws.outcomes) {
+    UCLEAN_RETURN_IF_ERROR(apply(xtuple, resolved_id));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 /// The probe loop shared by every form: spends budget, draws successes
 /// and revealed outcomes, and RECORDS each success instead of applying
 /// it. Draws from `rng` in a fixed order, and reads only the probed
 /// x-tuple's own members/probabilities -- state no other x-tuple's
 /// collapse can touch -- so the stream is identical whether outcomes are
 /// applied between probes (inline ExecutePlan) or all at the end
-/// (draw/commit, pipelined). Inputs must have passed ValidateProbeInputs.
-Result<ProbeDraws> RunDraws(const DatabaseOverlay& db,
-                            const CleaningProfile& profile,
-                            const std::vector<int64_t>& probes, Rng* rng,
-                            const ProbeOptions& options) {
+/// (draw/commit, pipelined).
+Result<ProbeDraws> DrawProbes(const DatabaseOverlay& db,
+                              const CleaningProfile& profile,
+                              const std::vector<int64_t>& probes, Rng* rng,
+                              const ProbeOptions& options) {
+  UCLEAN_RETURN_IF_ERROR(profile.Validate(db.num_xtuples()));
+  if (probes.size() != db.num_xtuples()) {
+    return Status::InvalidArgument("probes vector size mismatch");
+  }
+  if (rng == nullptr) {
+    return Status::InvalidArgument("ExecutePlan requires an Rng");
+  }
   ProbeDraws draws;
   int64_t planned_cost = 0;
   for (size_t l = 0; l < probes.size(); ++l) {
@@ -171,26 +176,6 @@ Result<ProbeDraws> RunDraws(const DatabaseOverlay& db,
   return draws;
 }
 
-/// Applies a draw's recorded outcomes in order through `apply`.
-template <typename ApplyOutcomeFn>
-Status ApplyDraws(const ProbeDraws& draws, ApplyOutcomeFn apply) {
-  for (const auto& [xtuple, resolved_id] : draws.outcomes) {
-    UCLEAN_RETURN_IF_ERROR(apply(xtuple, resolved_id));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
-                              const CleaningProfile& profile,
-                              const std::vector<int64_t>& probes, Rng* rng,
-                              const ProbeOptions& options) {
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(view.num_xtuples(), profile, probes, rng));
-  return RunDraws(view, profile, probes, rng, options);
-}
-
 Status CommitProbeDraws(SessionPool* pool, SessionPool::SessionId id,
                         const ProbeDraws& draws) {
   if (pool == nullptr) {
@@ -204,71 +189,6 @@ Status CommitProbeDraws(SessionPool* pool, SessionPool::SessionId id,
                     [pool, id](XTupleId l, TupleId resolved_id) -> Status {
                       return pool->ApplyCleanOutcome(id, l, resolved_id);
                     });
-}
-
-// ----------------------------------------------------------- ProbeBatch
-
-// `draws` is declared BEFORE `group` so destruction waits the group (and
-// with it the task writing `draws`) before the slot goes away.
-struct ProbeBatch::State {
-  explicit State(ThreadPool* pool)
-      : draws(Status::Internal("probe batch still in flight")), group(pool) {}
-
-  Result<ProbeDraws> draws;
-  ThreadPool::TaskGroup group;
-};
-
-ProbeBatch::ProbeBatch() = default;
-ProbeBatch::~ProbeBatch() = default;
-ProbeBatch::ProbeBatch(ProbeBatch&&) noexcept = default;
-ProbeBatch& ProbeBatch::operator=(ProbeBatch&&) noexcept = default;
-
-bool ProbeBatch::done() const {
-  UCLEAN_CHECK(state_ != nullptr);
-  return state_->group.Finished();
-}
-
-const Result<ProbeDraws>& ProbeBatch::Wait() {
-  UCLEAN_CHECK(state_ != nullptr);
-  state_->group.Wait();
-  return state_->draws;
-}
-
-Result<ProbeDraws> ProbeBatch::Take() {
-  Wait();
-  Result<ProbeDraws> out = std::move(state_->draws);
-  state_.reset();
-  return out;
-}
-
-Result<ProbeBatch> SubmitProbes(const SessionPool& pool,
-                                SessionPool::SessionId id,
-                                const CleaningProfile& profile,
-                                std::vector<int64_t> probes, Rng* rng,
-                                const ProbeOptions& options,
-                                ThreadPool* exec) {
-  if (!pool.is_open(id)) {
-    return Status::InvalidArgument("session " + std::to_string(id) +
-                                   " is not open");
-  }
-  // Resolve the view and validate on the caller thread, so the task body
-  // is the pure draw loop and submission errors surface synchronously.
-  const DatabaseOverlay& view = pool.overlay(id);
-  UCLEAN_RETURN_IF_ERROR(
-      ValidateProbeInputs(view.num_xtuples(), profile, probes, rng));
-
-  ProbeBatch batch;
-  batch.state_ = std::make_unique<ProbeBatch::State>(exec);
-  ProbeBatch::State* state = batch.state_.get();
-  // The closure reads the overlay, the profile and the session's Rng --
-  // all owned by the caller, all guaranteed stable until Wait() by the
-  // submission contract in the header. State sits on the heap, so moving
-  // the ProbeBatch handle never moves the result slot under the task.
-  state->group.Run([state, &view, &profile, probes = std::move(probes), rng,
-                    options] {
-    state->draws = RunDraws(view, profile, probes, rng, options);
-  });
-  return batch;
 }
 
 // ---------------------------------------------------------- ExecutePlan

@@ -9,42 +9,30 @@
 // collapses to that certain state, and remaining probes for it are skipped,
 // leaving budget unspent (the leftovers adaptive re-planning reinvests).
 //
-// Synchronous and asynchronous forms. The ExecutePlan overloads run the
-// probe loop inline and record outcomes in their target's overlay before
-// returning.
-// The async form splits a plan execution into two phases whose separation
-// is what makes probe batches overlappable (clean/pipeline.h):
+// Every form runs in two phases whose separation lets the pipelined
+// loop (clean/pipeline.h) draw many sessions' probes concurrently:
 //
-//  * DRAW (SubmitProbes / DrawProbes): run the probe loop against a fixed
-//    read-only overlay view of the session's database, recording
-//    successes instead of applying them. A draw touches only the view, the profile and the
+//  * DRAW (DrawProbes): run the probe loop against a fixed read-only
+//    overlay view of the session's database, recording successes instead
+//    of applying them. A draw touches only the view, the profile and the
 //    session's own Rng, so draws for DIFFERENT sessions of one pool are
-//    race-free by construction and run concurrently on an exec TaskGroup
-//    while the caller keeps planning.
+//    race-free by construction.
 //  * COMMIT (CommitProbeDraws): apply the recorded outcomes to the pooled
 //    session, on the caller thread, under the pool's serialized-caller
 //    contract.
 //
 // Every form consumes the SAME per-session random stream in the same
 // order (the probe loop reads only the probed x-tuple's own members, which
-// no other x-tuple's collapse can touch), so a drawn-then-committed batch
+// no other x-tuple's collapse can touch), so a drawn-then-committed plan
 // is bitwise identical to an inline ExecutePlan -- the equivalence the
 // pipelined adaptive loop rests on (tests/pipeline_test.cc).
 //
-// Threading contracts:
-//  * ExecutePlan / DrawProbes / CommitProbeDraws: not thread-safe on
-//    shared arguments; call them the way you would any mutating member of
-//    the target (for pooled sessions: under SessionPool's
-//    serialized-caller rule).
-//  * SubmitProbes: call on the pool's caller thread. Until the returned
-//    batch is waited, the submitting caller must keep the pool, session,
-//    profile and Rng alive, must not mutate, refresh or close THAT
-//    session (other sessions are fine -- their state is disjoint), must
-//    not open/close any pool session (slot-table growth could move the
-//    overlay), and must not touch that session's Rng or FaultInjector
-//    (both are per-session draw state the in-flight loop consumes).
-//    ProbeBatch::Wait runs queued work inline while draining, so it may
-//    execute other batches' draw loops on the calling thread.
+// Threading: ExecutePlan / DrawProbes / CommitProbeDraws are not
+// thread-safe on shared arguments; call them the way you would any
+// mutating member of the target (for pooled sessions: under SessionPool's
+// serialized-caller rule). DrawProbes only reads its view, so concurrent
+// draws over distinct Rngs and FaultInjectors are safe while nothing
+// mutates the views.
 //
 // Fault tolerance (clean/fault.h). With ProbeOptions::fault set, every
 // attempt first consults the session's FaultInjector: faulted attempts
@@ -64,7 +52,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -74,7 +61,6 @@
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "exec/thread_pool.h"
 #include "model/database.h"
 #include "model/database_overlay.h"
 
@@ -131,14 +117,13 @@ struct ProbeOptions {
   /// Simulated per-probe field latency: every probe attempt takes this
   /// long before its result is known (the agent contacts a source, a
   /// sensor, a person). 0 -- the default -- draws back-to-back. The knob
-  /// models the regime the async pipeline targets: once a round's state
+  /// models the regime the pipelined loop targets: once a round's state
   /// refresh is sub-millisecond, waiting on probes IS the round.
   std::chrono::microseconds latency{0};
 
   /// Per-session fault injector (clean/fault.h), or null for the exact
-  /// fault-free code path. NOT owned; must outlive the call (for
-  /// submitted batches: until Wait). Mutated by the probe loop under the
-  /// same contract as the session's Rng.
+  /// fault-free code path. NOT owned; must outlive the call. Mutated by
+  /// the probe loop under the same contract as the session's Rng.
   FaultInjector* fault = nullptr;
 };
 
@@ -162,56 +147,6 @@ Result<ProbeDraws> DrawProbes(const DatabaseOverlay& view,
 /// stays dirty until the next Refresh/RefreshAll.
 Status CommitProbeDraws(SessionPool* pool, SessionPool::SessionId id,
                         const ProbeDraws& draws);
-
-/// A future for one in-flight probe draw: the handle SubmitProbes returns.
-/// Move-only. Destroying an unwaited batch blocks until the draw finished
-/// (the underlying task must not outlive its result slot).
-class ProbeBatch {
- public:
-  ProbeBatch();
-  ~ProbeBatch();
-  ProbeBatch(ProbeBatch&&) noexcept;
-  ProbeBatch& operator=(ProbeBatch&&) noexcept;
-  ProbeBatch(const ProbeBatch&) = delete;
-  ProbeBatch& operator=(const ProbeBatch&) = delete;
-
-  /// True when this batch holds (or held) a submitted draw.
-  bool valid() const { return state_ != nullptr; }
-
-  /// Non-blocking completion poll. Requires valid().
-  bool done() const;
-
-  /// Blocks until the draw finished and returns it; idempotent. While
-  /// draining, the calling thread may execute other queued work inline.
-  /// Requires valid().
-  const Result<ProbeDraws>& Wait();
-
-  /// Wait() + move the draws out; the batch becomes invalid.
-  Result<ProbeDraws> Take();
-
- private:
-  friend Result<ProbeBatch> SubmitProbes(const SessionPool& pool,
-                                         SessionPool::SessionId id,
-                                         const CleaningProfile& profile,
-                                         std::vector<int64_t> probes,
-                                         Rng* rng,
-                                         const ProbeOptions& options,
-                                         ThreadPool* exec);
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// Starts the draw phase for pooled session `id` on `exec` and returns
-/// immediately; the probe loop runs against the session's overlay on a
-/// pool worker (inline when `exec` is null or single-threaded -- the
-/// sequential path). Validation happens here, on the caller thread. See
-/// the header note for what the caller must (not) do while the batch is
-/// in flight.
-Result<ProbeBatch> SubmitProbes(const SessionPool& pool,
-                                SessionPool::SessionId id,
-                                const CleaningProfile& profile,
-                                std::vector<int64_t> probes, Rng* rng,
-                                const ProbeOptions& options, ThreadPool* exec);
 
 /// Executes `plan.probes` on `db` with per-x-tuple costs/sc-probabilities
 /// from `profile`, drawing success and revealed values from `rng`. The

@@ -32,10 +32,9 @@
 // serial loops would commit different outcomes.
 //
 // Threading: a FaultInjector is per-session mutable state with the same
-// contract as the session's Rng -- one plan/draw at a time touches it; for
-// pooled sessions the submission rules of clean/agent.h apply verbatim
-// (the caller must not touch a session's injector while its batch is in
-// flight). The contract is enforced as a common/serial_gate.h capability
+// contract as the session's Rng -- one plan/draw at a time touches it
+// (clean/pipeline.h hands session s's injector to session s's round step
+// only). The contract is enforced as a common/serial_gate.h capability
 // on the mutating draw/clock/breaker surface: overlapping calls abort in
 // debug builds, reentrant entry fails the Clang -Wthread-safety build.
 

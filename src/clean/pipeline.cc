@@ -1,11 +1,13 @@
 #include "clean/pipeline.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "clean/fault.h"
 #include "clean/problem.h"
+#include "exec/thread_pool.h"
 
 namespace uclean {
 
@@ -20,6 +22,9 @@ ProbeOptions SessionProbeOptions(const PipelineOptions& options, size_t s) {
   }
   return probe;
 }
+
+/// What one session's step did in the current round; kDone is sticky.
+enum class Step : uint8_t { kIdle, kDrew, kWaiting, kDone };
 
 }  // namespace
 
@@ -47,15 +52,17 @@ Result<PipelineReport> RunPipelinedCleaning(
   }
 
   const size_t n = ids.size();
-  ThreadPool* exec = options.overlap ? pool->exec().pool.get() : nullptr;
+  // The overlapped and serial forms are one code path: overlap only picks
+  // the executor the per-session steps run on.
+  const ExecOptions exec = options.overlap ? pool->exec() : ExecOptions();
 
   // Per-session fault injectors, seeded `fault.seed + s` like the probe
-  // Rngs. Each one is consumed only by its own session's draw loop (the
-  // in-flight contract of clean/agent.h), so batches stay race-free and
-  // serial and pipelined campaigns draw identical fault streams. A
-  // caller passing PipelineOptions::injectors substitutes its own
-  // identically-constructed set (so it can read their state after the
-  // call -- the snapshot store's mid-campaign save).
+  // Rngs. Each one is consumed only by its own session's step, so steps
+  // stay race-free and serial and overlapped campaigns draw identical
+  // fault streams. A caller passing PipelineOptions::injectors
+  // substitutes its own identically-constructed set (so it can read
+  // their state after the call -- the snapshot store's mid-campaign
+  // save).
   std::vector<FaultInjector> owned_injectors;
   std::vector<FaultInjector>* injectors = options.injectors;
   if (options.fault.enabled) {
@@ -86,77 +93,76 @@ Result<PipelineReport> RunPipelinedCleaning(
     }
     for (size_t s = 0; s < n; ++s) remaining[s] -= options.spent_so_far[s];
   }
-  std::vector<bool> done(n, false);
 
-  // One slot per session and round: the in-flight future (overlap mode)
-  // or the already-drawn result (serial mode). Both modes run the same
-  // plan / draw / commit / refresh sequence -- overlap only moves WHERE
-  // the draw loop runs, never what it computes.
-  std::vector<ProbeBatch> batches(n);
-  std::vector<Result<ProbeDraws>> inline_draws(
+  // Slot s is written only by session s's step: one Step byte and one
+  // draw result per session, never a std::vector<bool>, whose packed bits
+  // race when workers write neighbours.
+  std::vector<Step> steps(n, Step::kIdle);
+  std::vector<Result<ProbeDraws>> drawn(
       n, Result<ProbeDraws>(Status::Internal("no draw this round")));
-  std::vector<bool> in_flight(n, false);
 
   for (size_t round = 0; round < options.max_rounds; ++round) {
-    // ---- plan + submit: batches start drawing while later sessions plan.
-    bool submitted_any = false;
-    bool waiting_any = false;
-    for (size_t s = 0; s < n; ++s) {
-      in_flight[s] = false;
-      if (done[s] || remaining[s] <= 0) continue;
+    // ---- the step: every session plans from its refreshed state and
+    // draws its probes against its own overlay, concurrently on `exec`.
+    ExecParallelFor(exec, n, [&](size_t s) {
+      if (steps[s] == Step::kDone) return;
+      steps[s] = Step::kIdle;
+      if (remaining[s] <= 0) return;
+      steps[s] = Step::kDrew;  // drawn[s] gets the draws or the error
       FaultInjector* injector =
           options.fault.enabled ? &(*injectors)[s] : nullptr;
       Result<CleaningProblem> problem = MakeCleaningProblem(
           pool->tps(ids[s]), options.plan_weights, profile, remaining[s]);
-      if (!problem.ok()) return problem.status();
+      if (!problem.ok()) {
+        drawn[s] = problem.status();
+        return;
+      }
       // Degradation: mask sources this session's open breakers block, so
       // the plan reinvests its budget in members that can still answer.
       MaskUnavailableSources(injector, &*problem);
       Result<CleaningPlan> plan = RunPlanner(options.planner, *problem,
                                              &(*rngs)[s], options.dp_options);
-      if (!plan.ok()) return plan.status();
+      if (!plan.ok()) {
+        drawn[s] = plan.status();
+        return;
+      }
       if (plan->total_cost == 0 || plan->expected_improvement <= 0.0) {
         // Nothing probeable. Breakers cooling down are a temporary
         // condition: wait one cooldown out (simulated) and re-plan next
         // round; otherwise this session's campaign is done.
         if (injector != nullptr && injector->num_open_sources() > 0) {
           injector->AdvanceClock(options.fault.breaker.cooldown_us);
-          waiting_any = true;
+          steps[s] = Step::kWaiting;
         } else {
-          done[s] = true;
+          steps[s] = Step::kDone;
         }
-        continue;
+        return;
       }
       ProbeOptions probe = SessionProbeOptions(options, s);
       probe.fault = injector;
-      if (options.overlap) {
-        Result<ProbeBatch> batch =
-            SubmitProbes(*pool, ids[s], profile, std::move(plan->probes),
-                         &(*rngs)[s], probe, exec);
-        if (!batch.ok()) return batch.status();
-        batches[s] = std::move(batch).value();
-      } else {
-        inline_draws[s] = DrawProbes(pool->overlay(ids[s]), profile,
-                                     plan->probes, &(*rngs)[s], probe);
-      }
-      in_flight[s] = true;
-      submitted_any = true;
+      drawn[s] = DrawProbes(pool->overlay(ids[s]), profile, plan->probes,
+                            &(*rngs)[s], probe);
+    });
+    bool drew_any = false;
+    bool waiting_any = false;
+    for (size_t s = 0; s < n; ++s) {
+      if (steps[s] == Step::kWaiting) waiting_any = true;
+      if (steps[s] != Step::kDrew) continue;
+      if (!drawn[s].ok()) return drawn[s].status();
+      drew_any = true;
     }
-    if (!submitted_any) {
+    if (!drew_any) {
       if (waiting_any) continue;  // breakers cooling down; re-plan
       break;
     }
     report.rounds = round + 1;
 
-    // ---- wait + commit, fixed session order: completion order of the
-    // batches never matters, which is the determinism keystone.
+    // ---- commit in fixed session order: which step finished first never
+    // matters, which is the determinism keystone.
     bool progressed = false;
     for (size_t s = 0; s < n; ++s) {
-      if (!in_flight[s]) continue;
-      Result<ProbeDraws> draws = options.overlap
-                                     ? batches[s].Take()
-                                     : std::move(inline_draws[s]);
-      if (!draws.ok()) return draws.status();
+      if (steps[s] != Step::kDrew) continue;
+      Result<ProbeDraws> draws = std::move(drawn[s]);
       UCLEAN_RETURN_IF_ERROR(CommitProbeDraws(pool, ids[s], *draws));
       PipelineSessionReport& session = report.sessions[s];
       session.spent += draws->report.spent;
@@ -170,7 +176,7 @@ Result<PipelineReport> RunPipelinedCleaning(
       // in the campaign (its sources may recover).
       if (draws->report.spent == 0 &&
           draws->report.faults.BlockedProbes() == 0) {
-        done[s] = true;
+        steps[s] = Step::kDone;
         continue;
       }
       if (draws->report.spent > 0) {

@@ -1,35 +1,37 @@
-// Pipelined adaptive cleaning over a SessionPool: overlap agent probes
-// with planning and commit each round through one concurrent RefreshAll.
+// Pipelined adaptive cleaning over a SessionPool: each round runs every
+// session's plan + probe step concurrently and commits the round through
+// one concurrent RefreshAll.
 //
 // The paper's adaptive loop (Section V-A) is strictly serial per analyst:
 // plan -> probe -> refresh, repeat. After the sharded-scan work a round's
 // state refresh is a sub-millisecond suffix replay, which leaves probe
 // LATENCY -- the agent waiting on sources in the field -- as the round's
-// wall clock. This driver restructures one pool round so that waiting
-// overlaps with everything else:
+// wall clock. This driver runs many analysts' copies of that round side
+// by side:
 //
-//   1. PLAN + SUBMIT, session order: plan session s from its refreshed
-//      state, then hand the probe batch to the exec pool (SubmitProbes)
-//      and move on. While the caller plans session s+1, batches
-//      0..s are already drawing on workers -- probes are pure draws
-//      against each session's own DatabaseOverlay, so batches for all
-//      sessions run concurrently, race-free by construction.
-//   2. WAIT + COMMIT, fixed session order: take each batch's draws and
-//      apply them on the caller thread under the pool's
-//      serialized-caller contract. Waiting on batch s overlaps with
-//      batches s+1..N-1 still drawing.
-//   3. One RefreshAll commits the round: every dirty session's suffix
-//      replay + delta TP pass, fanned over the same executor.
+//   1. STEP, one ExecParallelFor over the sessions: task s builds session
+//      s's problem from its refreshed TP state, masks the sources its
+//      breakers block, plans on its own Rng, and draws the plan's probes
+//      against its own overlay (DrawProbes) into slot s -- or, with
+//      nothing probeable, waits out one breaker cooldown or marks itself
+//      done. Tasks only read the pool and each writes only its own slot.
+//   2. COMMIT, fixed session order on the caller.
+//   3. One RefreshAll: every dirty session's suffix replay + delta TP
+//      pass, fanned over the same executor.
 //
-// DETERMINISM. Pipelined state is BITWISE equal to the serial loop
-// (PipelineOptions::overlap = false), whatever the completion order of
-// the in-flight batches:
-//  * every session draws from its own seeded Rng stream, consumed in the
-//    same order as inline execution (plan draws, then probe draws, per
-//    round -- see clean/agent.h on why deferring commits does not move
-//    the stream);
-//  * a draw reads only its session's overlay, which nothing mutates
-//    while the batch is in flight;
+// PipelineOptions::overlap only picks the executor of step 1 (the pool's,
+// or a sequential one), so the serial reference is this same code. The
+// first error in session order is returned before anything of its round
+// is committed -- after every later session has also planned and drawn.
+//
+// DETERMINISM. Overlapped state is BITWISE equal to the serial loop,
+// whatever order the steps finish in:
+//  * every session plans and draws from its own seeded Rng stream,
+//    consumed in the same order as inline execution (plan draws, then
+//    probe draws, per round -- see clean/agent.h on why deferring
+//    commits does not move the stream);
+//  * a step reads only its session's TP state and overlay, which nothing
+//    mutates during the step;
 //  * commits and refreshes run in fixed session order on the caller.
 // tests/pipeline_test.cc holds per-session quality, probe logs and Rng
 // engine state bitwise equal under seeded shuffles of completion order;
@@ -38,8 +40,8 @@
 // Threading contract: RunPipelinedCleaning is a serialized-caller entry
 // point like every SessionPool mutator -- one thread drives it, and the
 // pool must not be touched by anyone else until it returns. All
-// parallelism (probe batches, sharded replays, RefreshAll fan-out) stays
-// INSIDE the call, on the pool's own executor.
+// parallelism (the round's steps, sharded replays, RefreshAll fan-out)
+// stays INSIDE the call, on the pool's own executor.
 
 #ifndef UCLEAN_CLEAN_PIPELINE_H_
 #define UCLEAN_CLEAN_PIPELINE_H_
@@ -71,14 +73,14 @@ struct PipelineOptions {
   /// uniform), positional on the pool's ladder.
   std::vector<double> plan_weights;
 
-  /// True (default) overlaps probe batches with planning as described in
-  /// the header; false runs the exact same code path with every draw
-  /// inline on the caller -- the serial reference the equivalence tests
-  /// and bench compare against.
+  /// True (default) runs each round's per-session steps on the pool's
+  /// executor as described in the header; false runs the exact same code
+  /// on a sequential executor, every step inline on the caller -- the
+  /// serial reference the equivalence tests and bench compare against.
   bool overlap = true;
 
   /// Probe-loop knobs (simulated per-probe latency) applied to every
-  /// session's batches. ProbeOptions::fault is ignored here: fault
+  /// session's draws. ProbeOptions::fault is ignored here: fault
   /// injection is configured through `fault` below, which gives every
   /// session its own injector (a shared one would couple the sessions'
   /// fault streams and break the serial/pipelined equivalence).
@@ -116,8 +118,9 @@ struct PipelineOptions {
 
   /// Test hook: extra per-probe latency added for session s (index into
   /// this vector; missing entries add nothing). Seeded shuffles of this
-  /// vector permute batch COMPLETION order without touching any session's
-  /// draw stream -- how pipeline_test drives the determinism claim.
+  /// vector permute the order in which sessions' steps FINISH without
+  /// touching any session's draw stream -- how pipeline_test drives the
+  /// determinism claim.
   std::vector<std::chrono::microseconds> session_latency_jitter;
 };
 
@@ -147,9 +150,9 @@ struct PipelineReport {
 /// (*rngs)[s] -- rngs must have one entry per id and outlives the call.
 /// Sessions must be open and clean (refreshed); they are left open and
 /// clean, so the caller can inspect pool state or CloseAndMerge
-/// afterwards. Probe batches run on the pool's own executor
-/// (SessionPool::exec()); with a sequential executor the overlap mode
-/// degrades to inline draws.
+/// afterwards. With `options.overlap` the round's steps run on the pool's
+/// own executor (SessionPool::exec()); with a sequential one they run
+/// inline either way.
 Result<PipelineReport> RunPipelinedCleaning(
     SessionPool* pool, const std::vector<SessionPool::SessionId>& ids,
     const CleaningProfile& profile, int64_t budget, std::vector<Rng>* rngs,

@@ -15,9 +15,8 @@
 //
 // Threading: plain value types and pure functions. MakeCleaningProblem
 // only reads its inputs; concurrent calls are safe as long as nobody is
-// mutating the database/TP state they read (for pooled sessions: call it
-// under the pool's serialized-caller rule, the way clean/pipeline.h
-// does on the caller thread between submissions).
+// mutating the database/TP state they read (clean/pipeline.h calls it on
+// pool workers, one task per session, while the pool's caller waits).
 
 #ifndef UCLEAN_CLEAN_PROBLEM_H_
 #define UCLEAN_CLEAN_PROBLEM_H_

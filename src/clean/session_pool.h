@@ -51,17 +51,9 @@
 // same ThreadPool from one caller thread -- each session's scratch,
 // overlay and TP state are private, and the shared engine state is
 // read-only after Create, so sessions fan out without locks while the
-// serialized-caller contract stays intact.
-//
-// The same reasoning admits ASYNC PROBE BATCHES (clean/agent.h's
-// SubmitProbes + clean/pipeline.h): a batch is a pure read of one
-// session's overlay running on a pool worker. While a session has a
-// batch in flight, the (single) caller thread may keep using the pool
-// -- plan, apply/commit to OTHER sessions, wait batches -- but must not
-// mutate, refresh or close the in-flight session itself, and must not
-// open/close ANY session (slot-table growth could move overlays) until
-// every in-flight batch is waited. Refresh/RefreshAll the committed
-// outcomes only after the round's batches are all committed.
+// serialized-caller contract stays intact. clean/pipeline.h fans each
+// cleaning round's per-session plan + draw step over the same pool the
+// same way: those tasks only read the pool, while the caller waits.
 //
 // Reading a dirty session (outcomes applied, not yet refreshed) is a hard
 // failure in every build type, matching CleaningSession.
@@ -165,7 +157,7 @@ class SessionPool {
 
   /// The resolved execution options (Options::exec after ResolveExec):
   /// the ONE executor shared by the base scan, session replays, RefreshAll
-  /// and -- through clean/pipeline.h -- in-flight probe batches.
+  /// and clean/pipeline.h's per-session round steps.
   const ExecOptions& exec() const { return options_.exec; }
 
   /// Opens a session: forks the shared scan state (a memcpy, no scan).

@@ -93,11 +93,6 @@ void ThreadPool::TaskGroup::TaskDone() {
   if (--pending_ == 0) done_cv_.NotifyAll();
 }
 
-bool ThreadPool::TaskGroup::Finished() {
-  MutexLock lock(mu_);
-  return pending_ == 0;
-}
-
 void ThreadPool::TaskGroup::Wait() {
   if (pool_ == nullptr) return;
   // Help drain the pool while our tasks are outstanding. The popped task

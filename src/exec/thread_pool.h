@@ -1,7 +1,7 @@
 // Execution subsystem: a small fixed-size worker pool shared by every
 // parallel path in the library (sharded PSR scans and session replays,
 // per-rung TP fan-out, SessionPool::RefreshAll's concurrent session
-// refreshes).
+// refreshes, the pipelined cleaning round's per-session steps).
 //
 // Design constraints, in order:
 //  * DETERMINISM. Every parallel consumer in this codebase writes results
@@ -31,8 +31,7 @@
 // single-thread pool is exactly the inline loop.
 
 // Threading: the pool is fully thread-safe (it IS the concurrency
-// primitive); TaskGroup::Finished may be polled from any thread.
-// Locking here is statically checked: mu_ is an annotated
+// primitive). Locking here is statically checked: mu_ is an annotated
 // common/mutex.h Mutex and the queue/stop/pending state is GUARDED_BY
 // it, so a Clang -Wthread-safety build rejects any new code path that
 // touches pool state outside the lock (the CI thread-safety leg holds
@@ -89,12 +88,6 @@ class ThreadPool {
 
     void Run(std::function<void()> fn) UCLEAN_EXCLUDES(mu_);
     void Wait() UCLEAN_EXCLUDES(mu_);
-
-    /// True when every Run() task has finished (trivially true before the
-    /// first Run and on the null-pool path). Non-blocking: the completion
-    /// poll that lets async consumers (clean/agent.h's ProbeBatch) check
-    /// a batch without parking the caller. Safe to call from any thread.
-    bool Finished() UCLEAN_EXCLUDES(mu_);
 
    private:
     friend class ThreadPool;
@@ -160,12 +153,6 @@ struct ExecOptions {
   /// Threads of compute to apply; 1 (the default) is the strictly
   /// sequential path with no pool involvement at all.
   size_t num_threads = 1;
-
-  /// Never split a scan range into shards smaller than this many rank
-  /// positions: below it, the per-shard boundary-state rebuild and merge
-  /// overhead outweighs the parallelism (and the sequential path is
-  /// already sub-millisecond).
-  size_t min_tuples_per_shard = 2048;
 
   /// The shared pool. Normally left null and filled by ResolveExec; set
   /// it explicitly to make several components share one pool (the CLI

@@ -129,9 +129,8 @@ Result<ScanResult> ScanRequested(const Db& db, const ScanRequest& request,
       return [](const psr_internal::ScanCore&, size_t, size_t) {};
     };
     sharded = psr_internal::RunShardedLadderScan(
-        db, 0, 0, request.psr, resolved.pool.get(),
-        resolved.min_tuples_per_shard, core, outs, /*track_best=*/true,
-        no_checkpoints);
+        db, 0, 0, request.psr, resolved.pool.get(), core, outs,
+        /*track_best=*/true, no_checkpoints);
   }
   if (!sharded) {
     psr_internal::RunLadderScan(

@@ -165,9 +165,8 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     std::vector<PsrOutput*> active_outs(outs.begin() + first_active,
                                         outs.end());
     sharded = psr_internal::RunShardedLadderScan(
-        db, begin, live_at_begin, options, exec.pool.get(),
-        exec.min_tuples_per_shard, *core, active_outs, track_best,
-        make_checkpoint_fn);
+        db, begin, live_at_begin, options, exec.pool.get(), *core, active_outs,
+        track_best, make_checkpoint_fn);
     if (sharded) {
       for (ShardCheckpoints& local : shard_cps) {
         for (Checkpoint& cp : local.cps) cps->push_back(std::move(cp));

@@ -8,22 +8,12 @@ namespace psr_internal {
 std::vector<GridPoint> PlanShardCuts(size_t begin, size_t live_at_begin,
                                      size_t hard_end,
                                      const std::vector<GridPoint>& grid,
-                                     size_t num_threads,
-                                     size_t min_tuples_per_shard) {
+                                     size_t num_threads) {
   if (grid.empty()) return {};
   // 4x oversubscription: per-position cost grows along the scan (more
   // active x-tuples), so equal-width shards are unequal work; extra
   // shards + dynamic claiming keep the tail from serializing.
   size_t shards = std::min(num_threads * 4, kMaxShardsPerScan);
-  if (min_tuples_per_shard > 0) {
-    // Grid spacing is kCountRefreshGridLive live tuples; honor a larger
-    // requested minimum by capping the shard count against the walked
-    // range (measured in live tuples, the unit shard work scales with).
-    const size_t live_range =
-        grid.back().live + kCountRefreshGridLive - live_at_begin;
-    shards = std::min(shards, std::max<size_t>(1, live_range /
-                                                      min_tuples_per_shard));
-  }
   shards = std::min(shards, grid.size() + 1);
   if (shards < 2) return {};
 

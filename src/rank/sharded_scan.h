@@ -157,16 +157,13 @@ std::vector<GridPoint> CollectGridCuts(const Db& db, const ScanCore& at_begin,
 }
 
 /// Picks the shard boundaries: `begin` plus at most (max_shards - 1)
-/// evenly spaced grid cuts plus `hard_end`. Cuts closer together than
-/// min_tuples_per_shard live tuples are never produced (grid spacing is
-/// kCountRefreshGridLive live tuples; the planner widens stride when a
-/// larger minimum is asked for). Returns empty when fewer than two
-/// shards result.
+/// evenly spaced grid cuts plus `hard_end`, so no two cuts are closer
+/// than the grid's kCountRefreshGridLive live tuples. Returns empty when
+/// fewer than two shards result.
 std::vector<GridPoint> PlanShardCuts(size_t begin, size_t live_at_begin,
                                      size_t hard_end,
                                      const std::vector<GridPoint>& grid,
-                                     size_t num_threads,
-                                     size_t min_tuples_per_shard);
+                                     size_t num_threads);
 
 /// One shard's private scan results: compact per-rung outputs indexed by
 /// i - begin, plus the absolute rank where each rung's stop rule first
@@ -224,7 +221,6 @@ inline bool ScanDepthCanShard(size_t depth) {
 template <typename Db, typename MakeCheckpointFn>
 bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
                           const PsrOptions& options, ThreadPool* pool,
-                          size_t min_tuples_per_shard,
                           const ScanCore& start_state,
                           const std::vector<PsrOutput*>& outs,
                           bool track_best,
@@ -238,8 +234,7 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
   const std::vector<GridPoint> grid = CollectGridCuts(
       db, start_state, begin, live_at_begin, k_max, options.early_termination);
   const std::vector<GridPoint> cuts =
-      PlanShardCuts(begin, live_at_begin, n, grid, pool->num_threads(),
-                    min_tuples_per_shard);
+      PlanShardCuts(begin, live_at_begin, n, grid, pool->num_threads());
   if (cuts.empty()) return false;
   const size_t num_shards = cuts.size() - 1;
   const size_t rungs = outs.size();

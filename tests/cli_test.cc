@@ -813,8 +813,9 @@ TEST_F(CliTest, FlagsACommandDoesNotTakeFailBeforeAnyWork) {
             0)
       << out;
   const std::string snap = " --snapshot " + Path("flags.snap");
-  // Each misspelled or dropped flag exits 1 naming the flag and the
-  // command, before the command reads stdin or writes its --out file.
+  // Each misspelled, dropped or repeated flag exits 1 naming the flag
+  // (and the command it does not belong to), before the command reads
+  // stdin or writes its --out file.
   const std::pair<std::string, std::string> cases[] = {
       {"generate --type synthetic" + unwritten + " --sed 5",
        "generate does not take --sed"},
@@ -841,6 +842,9 @@ TEST_F(CliTest, FlagsACommandDoesNotTakeFailBeforeAnyWork) {
       {"serve" + db + " --k 3 --plan seq", "serve does not take --plan"},
       {"serve" + db + " --k 3 --calibrate on",
        "serve does not take --calibrate"},
+      {"query" + db + " --k 3 --k 5 --semantics ptk", "flag --k given twice"},
+      {"clean" + db + profile + " --k 3 --adaptive --adaptive" + unwritten,
+       "flag --adaptive given twice"},
   };
   for (const auto& [args, message] : cases) {
     EXPECT_EQ(Run(args + " < /dev/null", &out), 1) << args << "\n" << out;

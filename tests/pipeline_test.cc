@@ -1,11 +1,12 @@
-// Pipelined-vs-serial equivalence for the async probe pipeline
+// Pipelined-vs-serial equivalence for the pipelined cleaning round
 // (clean/pipeline.h + the draw/commit split in clean/agent.h):
 //
-//  * a full pipelined campaign (probe batches on workers, overlapped with
-//    planning) must leave every session's quality, probe log, overlay
-//    outcomes and Rng ENGINE STATE bitwise equal to the serial loop,
-//  * under seeded shuffles of batch COMPLETION order (per-session latency
-//    jitter permutes which batch finishes first -- the schedule the
+//  * a full pipelined campaign (every session's plan + draw step on
+//    workers) must leave every session's quality, probe log, overlay
+//    outcomes and Rng ENGINE STATE bitwise equal to the serial loop, for
+//    every planner, fault-free and faulted,
+//  * under seeded shuffles of COMPLETION order (per-session latency
+//    jitter permutes which step finishes first -- the schedule the
 //    determinism claim must be independent of),
 //  * the draw/commit split itself must consume exactly the random
 //    stream the inline ExecutePlan forms consume,
@@ -14,7 +15,7 @@
 //    counters (the CLI's `clean --adaptive` rests on this).
 //
 // The pipelined arms run on a real multi-thread executor, so this test is
-// also the TSan workload for the async probe path (CI runs it under
+// also the TSan workload for the pipelined round (CI runs it under
 // -fsanitize=thread).
 
 #include <gtest/gtest.h>
@@ -90,7 +91,8 @@ CampaignResult RunCampaign(const ProbabilisticDatabase& db,
                            const CleaningProfile& profile, size_t sessions,
                            int64_t budget, size_t threads, bool overlap,
                            std::vector<microseconds> jitter = {},
-                           FaultOptions fault = {}) {
+                           FaultOptions fault = {},
+                           PlannerKind planner = PlannerKind::kGreedy) {
   SessionPool::Options pool_options;
   pool_options.exec.num_threads = threads;
   Result<SessionPool> pool =
@@ -105,6 +107,7 @@ CampaignResult RunCampaign(const ProbabilisticDatabase& db,
   }
 
   PipelineOptions options;
+  options.planner = planner;
   options.overlap = overlap;
   options.max_rounds = 4;
   options.session_latency_jitter = std::move(jitter);
@@ -156,21 +159,39 @@ void ExpectCampaignsIdentical(const CampaignResult& a,
   }
 }
 
+FaultOptions TransientFaults(double fail_rate) {
+  FaultOptions fault;
+  fault.enabled = true;
+  fault.profile.fail_rate = fail_rate;
+  fault.seed = 4242;
+  return fault;
+}
+
 TEST(PipelineTest, PipelinedMatchesSerialSameExecutor) {
   const ProbabilisticDatabase db = MakeDb();
   const KLadder ladder = MakeLadder({5, 20});
   const CleaningProfile profile = MakeProfile(db.num_xtuples());
-  // Same 4-thread executor both arms: the only difference is WHERE the
-  // probe loops run, so every observable must be bitwise equal.
-  CampaignResult serial =
-      RunCampaign(db, ladder, profile, 6, 60, 4, /*overlap=*/false);
-  CampaignResult pipelined =
-      RunCampaign(db, ladder, profile, 6, 60, 4, /*overlap=*/true);
-  ExpectCampaignsIdentical(serial, pipelined);
-  // The campaign must have actually cleaned something, or the test
-  // compares two no-ops.
-  EXPECT_GT(pipelined.report.rounds, 0u);
-  EXPECT_GT(pipelined.report.sessions[0].spent, 0);
+  // Same 4-thread executor both arms: the only difference is WHERE each
+  // session plans and draws, so every observable must be bitwise equal.
+  // The randomized planners draw from each session's Rng on a worker.
+  for (PlannerKind planner : {PlannerKind::kGreedy, PlannerKind::kDp,
+                              PlannerKind::kRandP, PlannerKind::kRandU}) {
+    for (const FaultOptions& fault : {FaultOptions(), TransientFaults(0.2)}) {
+      SCOPED_TRACE(std::string(PlannerKindName(planner)) + " fail rate " +
+                   std::to_string(fault.profile.fail_rate));
+      CampaignResult serial = RunCampaign(db, ladder, profile, 6, 60, 4,
+                                          /*overlap=*/false, {}, fault,
+                                          planner);
+      CampaignResult pipelined = RunCampaign(db, ladder, profile, 6, 60, 4,
+                                             /*overlap=*/true, {}, fault,
+                                             planner);
+      ExpectCampaignsIdentical(serial, pipelined);
+      // The campaign must have actually cleaned something, or the test
+      // compares two no-ops.
+      EXPECT_GT(pipelined.report.rounds, 0u);
+      EXPECT_GT(pipelined.report.sessions[0].spent, 0);
+    }
+  }
 }
 
 TEST(PipelineTest, PipelinedMatchesSequentialReference) {
@@ -210,14 +231,6 @@ TEST(PipelineTest, CompletionOrderShufflesAreInvisible) {
                                           4, /*overlap=*/true, jitter);
     ExpectCampaignsIdentical(reference, shuffled);
   }
-}
-
-FaultOptions TransientFaults(double fail_rate) {
-  FaultOptions fault;
-  fault.enabled = true;
-  fault.profile.fail_rate = fail_rate;
-  fault.seed = 4242;
-  return fault;
 }
 
 TEST(PipelineTest, FaultedPipelinedMatchesSerial) {
@@ -410,48 +423,6 @@ TEST(PipelineTest, OneSessionPoolMatchesRunAdaptiveCleaning) {
   EXPECT_GT(faults_seen.breaker_skips, 0);
 }
 
-TEST(PipelineTest, ProbeBatchFutureSemantics) {
-  const ProbabilisticDatabase db = MakeDb(150);
-  const KLadder ladder = MakeLadder({5});
-  const CleaningProfile profile = MakeProfile(db.num_xtuples());
-  SessionPool::Options pool_options;
-  pool_options.exec.num_threads = 2;
-  Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(db), ladder, pool_options);
-  ASSERT_TRUE(pool.ok());
-  const SessionPool::SessionId id = pool->OpenSession();
-
-  std::vector<int64_t> probes(db.num_xtuples(), 0);
-  probes[0] = probes[3] = 3;
-  Rng rng(7);
-  ProbeOptions slow;
-  slow.latency = microseconds(200);
-  Result<ProbeBatch> batch = SubmitProbes(*pool, id, profile, probes, &rng,
-                                          slow, pool->exec().pool.get());
-  ASSERT_TRUE(batch.ok());
-  ASSERT_TRUE(batch->valid());
-
-  // Wait() is idempotent and returns the same draws.
-  const Result<ProbeDraws>& first = batch->Wait();
-  ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(batch->done());
-  EXPECT_GT(first->report.spent, 0);
-  const Result<ProbeDraws>& second = batch->Wait();
-  EXPECT_EQ(&first, &second);
-
-  // Take() hands the draws out and invalidates the batch.
-  Result<ProbeDraws> taken = batch->Take();
-  ASSERT_TRUE(taken.ok());
-  EXPECT_FALSE(batch->valid());
-  ASSERT_TRUE(CommitProbeDraws(&*pool, id, *taken).ok());
-  EXPECT_TRUE(pool->dirty(id));
-  ASSERT_TRUE(pool->Refresh(id).ok());
-
-  // A default-constructed batch is invalid.
-  ProbeBatch empty;
-  EXPECT_FALSE(empty.valid());
-}
-
 TEST(PipelineTest, ValidationErrors) {
   const ProbabilisticDatabase db = MakeDb(100);
   const KLadder ladder = MakeLadder({5});
@@ -464,15 +435,17 @@ TEST(PipelineTest, ValidationErrors) {
   std::vector<int64_t> probes(db.num_xtuples(), 0);
   Rng rng(1);
 
-  // SubmitProbes: closed session / size mismatch / null rng.
-  EXPECT_FALSE(
-      SubmitProbes(*pool, id + 17, profile, probes, &rng, {}, nullptr).ok());
-  EXPECT_FALSE(SubmitProbes(*pool, id, profile, {1, 2, 3}, &rng, {}, nullptr)
-                   .ok());
-  EXPECT_FALSE(SubmitProbes(*pool, id, profile, probes, nullptr, {}, nullptr)
-                   .ok());
+  // DrawProbes: size mismatch / null rng; CommitProbeDraws: closed
+  // session.
+  const DatabaseOverlay& view = pool->overlay(id);
+  EXPECT_FALSE(DrawProbes(view, profile, {1, 2, 3}, &rng).ok());
+  EXPECT_FALSE(DrawProbes(view, profile, probes, nullptr).ok());
+  Result<ProbeDraws> draws = DrawProbes(view, profile, probes, &rng);
+  ASSERT_TRUE(draws.ok());
+  EXPECT_FALSE(CommitProbeDraws(&*pool, id + 17, *draws).ok());
 
-  // RunPipelinedCleaning: null pool, rng arity, dirty session.
+  // RunPipelinedCleaning: null pool, rng arity, a planning error on a
+  // worker (nothing of its round is committed), dirty session.
   std::vector<Rng> rngs;
   rngs.emplace_back(1);
   PipelineOptions options;
@@ -482,6 +455,11 @@ TEST(PipelineTest, ValidationErrors) {
   EXPECT_FALSE(
       RunPipelinedCleaning(&*pool, ids, profile, 10, &wrong_arity, options)
           .ok());
+  PipelineOptions bad_weights;
+  bad_weights.plan_weights = {1.0, 1.0};  // the ladder has one rung
+  EXPECT_FALSE(
+      RunPipelinedCleaning(&*pool, ids, profile, 10, &rngs, bad_weights).ok());
+  EXPECT_FALSE(pool->dirty(id));
   const auto& members = pool->overlay(id).base().xtuple_members(0);
   ASSERT_TRUE(
       pool->ApplyCleanOutcome(id, 0, pool->base().tuple(members[0]).id)

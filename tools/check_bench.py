@@ -87,18 +87,19 @@ SHARD_FLOORS = {
 
 SHARD_EQUALITY_TOL = 1e-12
 
-# bench_pipeline: the pipelined adaptive pool loop (probe batches overlap
-# planning on the exec pool, one concurrent RefreshAll per round) vs the
-# serial reference loop at N=8 sessions, keyed by (regime, threads).
-# Floors are HARDWARE-RELATIVE like bench_shard's, but the probe_latency
-# win is SCHEDULER-driven, not core-driven -- sleeping probes release
-# their core, so overlap pays even single-core (locally ~2/3.5/5.6x at
-# 2/4/8 threads ON ONE CORE; the 4096-live grid constraint that binds
-# scan drivers is irrelevant here because the pipeline never splits a
-# scan -- batches parallelize across sessions, replays go through the
-# already-gated sharded path). The >=1.5x acceptance gate applies at
-# >= 4 cores; zero_latency is the overhead guard (nothing to overlap;
-# the pipeline must just not be pathologically slower than serial).
+# bench_pipeline: the pipelined adaptive pool loop (each round's
+# per-session plan + draw steps run concurrently on the exec pool, one
+# concurrent RefreshAll per round) vs the serial reference loop at N=8
+# sessions, keyed by (regime, threads). Floors are HARDWARE-RELATIVE
+# like bench_shard's, but the probe_latency win is SCHEDULER-driven, not
+# core-driven -- sleeping probes release their core, so overlap pays even
+# single-core (locally ~2/3.5/5.6x at 2/4/8 threads ON ONE CORE; the
+# 4096-live grid constraint that binds scan drivers is irrelevant here
+# because the pipeline never splits a scan -- rounds parallelize across
+# sessions, replays go through the already-gated sharded path). The
+# >=1.5x acceptance gate applies at >= 4 cores; zero_latency is the
+# overhead guard (no waiting to overlap; the pipeline must just not be
+# pathologically slower than serial).
 # Correctness is NOT hardware-relative: pipelined per-session state must
 # be bitwise equal to serial on every machine, every arm.
 PIPELINE_FLOORS = {

@@ -130,13 +130,13 @@ view with the full budget; session 0's cleaned database is written to
 to every other, so the choice -- like --threads -- never changes a
 result, only throughput.
 
---pipeline (with --adaptive) overlaps each round's probe batches with
-planning on the --threads executor: probes draw against each session's
-own view on workers while the caller plans the other sessions, then one
-concurrent RefreshAll commits the round. Per-session results are bitwise
-identical to the serial pool loop. --probe-latency-us (with --adaptive)
-simulates per-probe field latency (source lookups, sensors, people) --
-the regime the pipeline is built for; it moves no random draw.
+--pipeline (with --adaptive) runs each round's per-session steps on the
+--threads executor: every session plans and draws its probes against its
+own view concurrently, then one concurrent RefreshAll commits the round.
+Per-session results are bitwise identical to the serial pool loop.
+--probe-latency-us (with --adaptive) simulates per-probe field latency
+(source lookups, sensors, people) -- the regime the pipeline is built
+for; it moves no random draw.
 
 --probe-fail-rate R (with --adaptive) makes each probe attempt fail with
 probability R, drawn from a dedicated seeded fault stream (at R = 0 every
@@ -181,6 +181,9 @@ class Flags {
                                        std::string(arg) + "'");
       }
       std::string key(arg.substr(2));
+      if (flags.Has(key)) {  // a repeated flag must not silently win
+        return Status::InvalidArgument("flag --" + key + " given twice");
+      }
       if (key == "adaptive" || key == "pipeline") {  // boolean flags
         flags.values_[key] = "true";
         continue;
@@ -802,11 +805,12 @@ Result<SessionPool::SessionId> RunCleanOnce(SessionPool* pool,
 /// pool's one shared scan, each an independent analyst running the
 /// plan/execute/re-plan loop with the full budget against their own
 /// copy-on-write view. The round loop lives in clean/pipeline.h: serial
-/// by default, probe batches overlapped with planning on the --threads
-/// executor with --pipeline; per-session results are bitwise equal either
-/// way, and a lone session's equal the single-analyst loop of
-/// clean/adaptive.h (pipeline_test.cc). Returns session 0, the one to
-/// write; the others are what-if runs that close unmaterialized.
+/// by default; with --pipeline each round's per-session plan + draw steps
+/// run concurrently on the --threads executor. Per-session results are
+/// bitwise equal either way, and a lone session's equal the
+/// single-analyst loop of clean/adaptive.h (pipeline_test.cc). Returns
+/// session 0, the one to write; the others are what-if runs that close
+/// unmaterialized.
 Result<SessionPool::SessionId> RunCleanPool(SessionPool* pool,
                                             const CleaningProfile& profile,
                                             int64_t budget,
@@ -821,8 +825,8 @@ Result<SessionPool::SessionId> RunCleanPool(SessionPool* pool,
     rngs.emplace_back(seed + s);
   }
   if (options.overlap) {
-    // Honest note: a 1-thread executor has no workers, so SubmitProbes
-    // draws inline and the "pipelined" loop is the serial wall clock.
+    // Honest note: a 1-thread executor has no workers, so every session's
+    // step runs inline and the "pipelined" loop is the serial wall clock.
     if (pool->exec().num_threads > 1) {
       std::printf("note: --pipeline overlaps probe batches with planning "
                   "on %zu threads; per-session results are identical to "
