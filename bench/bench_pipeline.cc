@@ -14,6 +14,10 @@
 // as the overhead guard: with no waiting to overlap, the pipeline must
 // not be pathologically slower than serial.
 //
+// Each (regime, threads) series times its own serial reps, interleaved
+// with its pipelined reps, and divides the two medians, so a slow serial
+// rep moves only that series' speedup.
+//
 // Correctness is asserted, not assumed: per-session final qualities,
 // spent budgets and full probe logs must be BITWISE equal across every
 // arm (the determinism contract pipeline_test holds under shuffled
@@ -123,24 +127,42 @@ struct Series {
   bool logs_equal = true;
 };
 
-/// Median-of-3 timed runs of one arm (results are deterministic across
-/// reps; the median rep's report is returned with its timing).
-Result<ArmRun> MedianRun(const ProbabilisticDatabase& db,
-                         const KLadder& ladder,
-                         const CleaningProfile& profile, size_t threads,
-                         bool overlap, std::chrono::microseconds latency) {
-  std::vector<ArmRun> reps;
-  for (int rep = 0; rep < 3; ++rep) {
-    Result<ArmRun> run =
-        RunArm(db, ladder, profile, threads, overlap, latency);
-    if (!run.ok()) return run.status();
-    reps.push_back(std::move(run).value());
-  }
+constexpr int kReps = 5;
+
+ArmRun Median(std::vector<ArmRun> reps) {
   std::sort(reps.begin(), reps.end(),
             [](const ArmRun& a, const ArmRun& b) {
               return a.total_ms < b.total_ms;
             });
   return std::move(reps[reps.size() / 2]);
+}
+
+/// Each arm's median rep, with its report (results are deterministic
+/// across reps).
+struct PairedRun {
+  ArmRun serial;
+  ArmRun pipelined;
+};
+
+/// Times one series' two arms kReps times each, as interleaved pairs:
+/// rep r runs the serial arm first when r is even and the pipelined arm
+/// first when r is odd, so a slow phase of the host lands on both arms
+/// of the series alike.
+Result<PairedRun> RunPairs(const ProbabilisticDatabase& db,
+                           const KLadder& ladder,
+                           const CleaningProfile& profile, size_t threads,
+                           std::chrono::microseconds latency) {
+  std::vector<ArmRun> serial;
+  std::vector<ArmRun> pipelined;
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (const bool overlap : {rep % 2 == 1, rep % 2 == 0}) {
+      Result<ArmRun> run = RunArm(db, ladder, profile, overlap ? threads : 1,
+                                  overlap, latency);
+      if (!run.ok()) return run.status();
+      (overlap ? pipelined : serial).push_back(std::move(run).value());
+    }
+  }
+  return PairedRun{Median(std::move(serial)), Median(std::move(pipelined))};
 }
 
 }  // namespace
@@ -198,30 +220,24 @@ int main() {
   std::vector<Series> all;
   bool ok = true;
   for (const Regime& regime : regimes) {
-    Result<ArmRun> serial = MedianRun(*db, *ladder, *profile, /*threads=*/1,
-                                      /*overlap=*/false, regime.latency);
-    if (!serial.ok()) {
-      std::printf("serial arm failed: %s\n",
-                  serial.status().ToString().c_str());
-      return 1;
-    }
     for (size_t threads : thread_arms) {
-      Result<ArmRun> pipelined = MedianRun(*db, *ladder, *profile, threads,
-                                           /*overlap=*/true, regime.latency);
-      if (!pipelined.ok()) {
-        std::printf("pipelined arm failed: %s\n",
-                    pipelined.status().ToString().c_str());
+      Result<PairedRun> pair =
+          RunPairs(*db, *ladder, *profile, threads, regime.latency);
+      if (!pair.ok()) {
+        std::printf("arm failed: %s\n", pair.status().ToString().c_str());
         return 1;
       }
+      const ArmRun& serial = pair->serial;
+      const ArmRun& pipelined = pair->pipelined;
       Series series;
       series.regime = regime.name;
       series.threads = threads;
-      series.serial_ms = serial->total_ms;
-      series.pipelined_ms = pipelined->total_ms;
-      series.speedup = pipelined->total_ms > 0.0
-                           ? serial->total_ms / pipelined->total_ms
+      series.serial_ms = serial.total_ms;
+      series.pipelined_ms = pipelined.total_ms;
+      series.speedup = pipelined.total_ms > 0.0
+                           ? serial.total_ms / pipelined.total_ms
                            : 0.0;
-      const ArmDiff diff = CompareArms(serial->report, pipelined->report);
+      const ArmDiff diff = CompareArms(serial.report, pipelined.report);
       series.max_quality_diff = diff.max_quality_diff;
       series.logs_equal = diff.logs_equal;
       if (!diff.logs_equal || diff.max_quality_diff > 0.0) {

@@ -56,14 +56,20 @@ SessionPool::SessionId SessionPool::OpenSession() {
   Session& session = sessions_[id];
   session.open = true;
   session.overlay = DatabaseOverlay(base_.get());
-  session.scan = engine_.ForkSession();
+  ForkBase(&session);
+  ++num_open_;
+  return id;
+}
+
+void SessionPool::ForkBase(Session* session) const {
+  session->scan = engine_.ForkSession();
   // Fork the base TP ladder the same way the engine forks its outputs:
   // omega is identically zero at and past each rung's scan_end, so only
   // the live prefix is copied onto a zeroed buffer.
-  session.tps.resize(base_tps_.size());
+  session->tps.resize(base_tps_.size());
   for (size_t j = 0; j < base_tps_.size(); ++j) {
     const TpOutput& src = base_tps_[j];
-    TpOutput& dst = session.tps[j];
+    TpOutput& dst = session->tps[j];
     dst.quality = src.quality;
     dst.scan_end = src.scan_end;
     dst.omega.assign(src.omega.size(), 0.0);
@@ -72,8 +78,6 @@ SessionPool::SessionId SessionPool::OpenSession() {
     dst.xtuple_gain = src.xtuple_gain;
     dst.xtuple_topk_mass = src.xtuple_topk_mass;
   }
-  ++num_open_;
-  return id;
 }
 
 Status SessionPool::CheckOpen(SessionId id) const {

@@ -256,6 +256,11 @@ class SessionPool {
 
   SessionPool() = default;
 
+  /// Gives `session` the state of a session with no outcomes: a fork of
+  /// the engine's base scan and of the base TP ladder. OpenSession and
+  /// the snapshot loader's pristine slots both fork through here.
+  void ForkBase(Session* session) const;
+
   /// Refresh body inside a caller-opened gate window, shared by Refresh
   /// and RefreshAll's fan-out (whose worker tasks run under the caller's
   /// window and state that fact with gate_.AssertHeld()). Touches only

@@ -126,12 +126,11 @@ Result<ProbabilisticDatabase> DatabaseBuilder::Finish() && {
   // Descending rank order: real tuples by (score desc, id asc); null tuples
   // after all real tuples, by ascending x-tuple id. This realizes the
   // paper's unique-rank requirement with its Section VI tie-breaking rule.
+  // A lambda, not RanksAbove's address: given the function pointer, GCC
+  // stopped inlining the comparison into the sort.
   std::sort(db.tuples_.begin(), db.tuples_.end(),
             [](const Tuple& a, const Tuple& b) {
-              if (a.is_null != b.is_null) return b.is_null;
-              if (a.is_null) return a.xtuple < b.xtuple;
-              if (a.score != b.score) return a.score > b.score;
-              return a.id < b.id;
+              return ProbabilisticDatabase::RanksAbove(a, b);
             });
 
   db.members_.assign(pending_.size(), {});

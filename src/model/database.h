@@ -90,8 +90,19 @@ class ProbabilisticDatabase {
   friend class DatabaseOverlay;
   // The snapshot store (store/snapshot.h) persists and reconstitutes the
   // exact private representation, so a reloaded database is bitwise the
-  // saved one without re-validating or re-sorting through the builder.
+  // saved one without re-sorting through the builder; its reader checks
+  // the builder's invariants instead.
   friend class SnapshotAccess;
+
+  /// The rank order Finish sorts into: real tuples by score descending,
+  /// then id ascending; null tuples after every real tuple, by ascending
+  /// x-tuple.
+  static bool RanksAbove(const Tuple& a, const Tuple& b) {
+    if (a.is_null != b.is_null) return b.is_null;
+    if (a.is_null) return a.xtuple < b.xtuple;
+    if (a.score != b.score) return a.score > b.score;
+    return a.id < b.id;
+  }
 
   std::vector<Tuple> tuples_;                 // descending rank order
   std::vector<std::vector<int32_t>> members_; // per-x-tuple rank indices

@@ -25,14 +25,13 @@ Result<PsrEngine> PsrEngine::Create(const ProbabilisticDatabase& db,
   PsrEngine engine;
   engine.exec_ = std::move(resolved).value();
   engine.options_ = request.psr;
-  engine.checkpoint_interval_ = request.checkpoint_interval;
   engine.ladder_ = request.ladder;
+  SessionState& base = engine.base_;
+  base.checkpoint_interval_ = request.checkpoint_interval;
   psr_internal::InitLadderOutputs(db.num_tuples(), request.ladder, request.psr,
-                                  &engine.outputs_);
-  engine.core_.Init(db.num_xtuples(), *kernel);
-  ScanFrom(db, 0, 0, engine.options_, engine.exec_, &engine.core_,
-           &engine.outputs_, &engine.checkpoints_,
-           &engine.checkpoint_interval_);
+                                  &base.outputs_);
+  base.core_.Init(db.num_xtuples(), *kernel);
+  ScanFrom(db, 0, 0, engine.options_, engine.exec_, &base);
   return engine;
 }
 
@@ -84,9 +83,10 @@ void PsrEngine::RestoreInto(const Checkpoint& cp, size_t num_xtuples,
 template <typename Db>
 void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
                          const PsrOptions& options, const ExecOptions& exec,
-                         psr_internal::ScanCore* core,
-                         std::vector<PsrOutput>* outputs,
-                         std::vector<Checkpoint>* cps, size_t* interval) {
+                         SessionState* scan) {
+  std::vector<PsrOutput>* outputs = &scan->outputs_;
+  std::vector<Checkpoint>* cps = &scan->checkpoints_;
+  size_t* interval = &scan->checkpoint_interval_;
   // A rung whose scan already stopped at or before `begin` cannot be
   // affected: its output beyond scan_end is identically zero and the state
   // that produced its stop decision is prefix-only. Everything deeper
@@ -124,7 +124,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
   }
   if (begin == 0) {
     cps->clear();
-    SnapshotInto(*core, 0, 0, cps, interval);
+    SnapshotInto(scan->core_, 0, 0, cps, interval);
   }
 
   // Running argmaxes are only meaningful over a whole scan; a partial
@@ -165,8 +165,8 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     std::vector<PsrOutput*> active_outs(outs.begin() + first_active,
                                         outs.end());
     sharded = psr_internal::RunShardedLadderScan(
-        db, begin, live_at_begin, options, exec.pool.get(), *core, active_outs,
-        track_best, make_checkpoint_fn);
+        db, begin, live_at_begin, options, exec.pool.get(), scan->core_,
+        active_outs, track_best, make_checkpoint_fn);
     if (sharded) {
       for (ShardCheckpoints& local : shard_cps) {
         for (Checkpoint& cp : local.cps) cps->push_back(std::move(cp));
@@ -179,7 +179,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     size_t since_checkpoint = 0;
     psr_internal::RunLadderScan(
         db, begin, db.num_tuples(), live_at_begin, /*emit_base=*/0,
-        options.early_termination, *core, outs, first_active, track_best,
+        options.early_termination, scan->core_, outs, first_active, track_best,
         [&outs](size_t rung, size_t at) { outs[rung]->scan_end = at; },
         [cps, interval, &since_checkpoint](
             const psr_internal::ScanCore& scanned, size_t i, size_t live) {
@@ -242,9 +242,9 @@ PsrEngine::SessionState PsrEngine::ForkSession() const {
   // their stop point), and for ranked data the stop leaves the bulk of
   // the array cold -- this is what keeps opening a pooled session an
   // order of magnitude cheaper than a scan of its own.
-  state.outputs_.resize(outputs_.size());
-  for (size_t j = 0; j < outputs_.size(); ++j) {
-    const PsrOutput& src = outputs_[j];
+  state.outputs_.resize(base_.outputs_.size());
+  for (size_t j = 0; j < base_.outputs_.size(); ++j) {
+    const PsrOutput& src = base_.outputs_[j];
     PsrOutput& dst = state.outputs_[j];
     dst.k = src.k;
     dst.num_nonzero = src.num_nonzero;
@@ -266,20 +266,13 @@ PsrEngine::SessionState PsrEngine::ForkSession() const {
   // (they are bitwise equal) but pointless. The replay scratch itself is
   // left empty: a session's first replay sizes it (RestoreInto), and a
   // pristine session never replays.
-  state.core_.kernel = core_.kernel;
-  state.checkpoint_interval_ = checkpoint_interval_;
+  state.core_.kernel = base_.core_.kernel;
+  state.checkpoint_interval_ = base_.checkpoint_interval_;
   return state;
 }
 
 PsrEngine::SessionState PsrEngine::TakeSoleSession() {
-  SessionState state;
-  state.outputs_ = std::move(outputs_);
-  state.checkpoints_ = std::move(checkpoints_);
-  state.core_ = std::move(core_);
-  state.checkpoint_interval_ = checkpoint_interval_;
-  outputs_.clear();
-  checkpoints_.clear();
-  return state;
+  return std::exchange(base_, SessionState());
 }
 
 Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
@@ -321,7 +314,8 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   // the shared list, or in a sole session's private one, where no change
   // ranks above it.
   const Checkpoint* restore = nullptr;
-  for (auto it = checkpoints_.rbegin(); it != checkpoints_.rend(); ++it) {
+  for (auto it = base_.checkpoints_.rbegin(); it != base_.checkpoints_.rend();
+       ++it) {
     if (it->pos <= divergence) {
       restore = &*it;
       break;
@@ -335,9 +329,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
 
   const size_t replay_begin = restore->pos;
   RestoreInto(*restore, db.num_xtuples(), &state->core_);
-  ScanFrom(db, replay_begin, restore->live, options_, exec_, &state->core_,
-           &state->outputs_, &state->checkpoints_,
-           &state->checkpoint_interval_);
+  ScanFrom(db, replay_begin, restore->live, options_, exec_, state);
   return Status::OK();
 }
 

@@ -126,15 +126,12 @@ class PsrEngine {
 
   /// The base scan's PSR state of rung `rung` (empty after
   /// TakeSoleSession).
-  const PsrOutput& output(size_t rung) const {
-    UCLEAN_DCHECK(rung < outputs_.size());
-    return outputs_[rung];
-  }
-  const std::vector<PsrOutput>& outputs() const { return outputs_; }
+  const PsrOutput& output(size_t rung) const { return base_.output(rung); }
+  const std::vector<PsrOutput>& outputs() const { return base_.outputs(); }
 
   /// Single-k convenience: the first rung (the only one for engines built
   /// through the single-k Create).
-  const PsrOutput& output() const { return outputs_.front(); }
+  const PsrOutput& output() const { return base_.outputs().front(); }
 
   /// The largest served k (the only one for single-k engines).
   size_t k() const { return ladder_.max_k(); }
@@ -238,18 +235,17 @@ class PsrEngine {
   static void RestoreInto(const Checkpoint& cp, size_t num_xtuples,
                           psr_internal::ScanCore* core);
 
-  /// Zeroes `outputs` from `begin` on and runs the scan loop over `db` to
-  /// its stop point, snapshotting into `cps` along the way -- sharded
-  /// over `exec`'s pool when the range justifies it, sequentially
-  /// otherwise. Rungs whose scan had already stopped at or before `begin`
-  /// are left untouched. `Db` is ProbabilisticDatabase (the base scan) or
-  /// DatabaseOverlay (session replays); both run identical arithmetic.
+  /// Zeroes `scan`'s outputs from `begin` on and runs the scan loop over
+  /// `db` from its scratch to the stop point, snapshotting into its
+  /// checkpoints along the way -- sharded over `exec`'s pool when the
+  /// range justifies it, sequentially otherwise. Rungs whose scan had
+  /// already stopped at or before `begin` are left untouched. `Db` is
+  /// ProbabilisticDatabase (the base scan) or DatabaseOverlay (session
+  /// replays); both run identical arithmetic.
   template <typename Db>
   static void ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
                        const PsrOptions& options, const ExecOptions& exec,
-                       psr_internal::ScanCore* core,
-                       std::vector<PsrOutput>* outputs,
-                       std::vector<Checkpoint>* cps, size_t* interval);
+                       SessionState* scan);
 
   /// Recomputes num_nonzero and (from the matrix, when stored) the
   /// per-rank argmaxes after a scan, for every rung that re-emitted; the
@@ -262,10 +258,9 @@ class PsrEngine {
   ExecOptions exec_;
   PsrOptions options_;
   KLadder ladder_;
-  std::vector<PsrOutput> outputs_;  // one per rung, ascending k
-  psr_internal::ScanCore core_;
-  std::vector<Checkpoint> checkpoints_;
-  size_t checkpoint_interval_ = kInitialCheckpointInterval;
+  // The base scan, held as a session's state: its checkpoints are the
+  // shared ones every session may restore from.
+  SessionState base_;
 };
 
 }  // namespace uclean

@@ -13,13 +13,13 @@
 // tail -- surfaces as Status::DataLoss, and the reader never
 // reconstructs a pool it cannot prove bitwise-faithful to the writer's.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -411,33 +411,59 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
 
 template <typename C>
 void SnapshotAccess::Transfer(C& c, store::Io<C, ProbabilisticDatabase>& db) {
+  // The reader holds the file to DatabaseBuilder::Finish's invariants, so
+  // a crafted database cannot reach the scan: probabilities in (0, 1],
+  // finite scores, the builder's rank order, masses in [0, 1], and member
+  // lists and the real-tuple count that match the tuples. Each tuple's
+  // x-tuple goes to a compact `owner` array as it is decoded, so the
+  // member lists are checked against it without a second pass over the
+  // tuples.
   c.Size(db.tuples_);
-  for (auto& t : db.tuples_) {
+  const size_t n = db.tuples_.size();
+  std::vector<int32_t> owner;
+  size_t num_real = 0;
+  if constexpr (C::kReads) owner.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    auto& t = db.tuples_[i];
     c.Zigzag(t.id);
     c.Varint(t.xtuple);
     c.F64(t.score);
     c.F64(t.prob);
     c.Bool(t.is_null);
     c.String(t.label);
+    if constexpr (C::kReads) {
+      c.Check(t.prob > 0.0 && t.prob <= 1.0,
+              "tuple probability outside (0, 1]");
+      c.Check(std::isfinite(t.score), "tuple score is not finite");
+      c.Check(i == 0 || ProbabilisticDatabase::RanksAbove(db.tuples_[i - 1], t),
+              "tuples are not in rank order");
+      owner[i] = t.xtuple;
+      num_real += !t.is_null;
+    }
   }
-  const size_t n = db.tuples_.size();
   c.Size(db.members_);
   if constexpr (C::kReads) db.real_mass_.resize(db.members_.size());
+  // A list holds its own x-tuple's ranks, ascending; with no rank listed
+  // twice, n listed ranks name every tuple once.
+  size_t listed = 0;
   for (size_t l = 0; l < db.members_.size(); ++l) {
-    c.Size(db.members_[l]);
-    for (auto& rank : db.members_[l]) {
-      c.Varint(rank);
-      c.Check(static_cast<size_t>(rank) < n,
-              "x-tuple member rank index out of range");
+    auto& members = db.members_[l];
+    c.Size(members);
+    for (size_t j = 0; j < members.size(); ++j) {
+      c.Varint(members[j]);
+      if constexpr (C::kReads) {
+        const auto rank = static_cast<size_t>(members[j]);
+        c.Check(rank < n && static_cast<size_t>(owner[rank]) == l &&
+                    (j == 0 || members[j - 1] < members[j]),
+                "x-tuple member lists disagree with the tuples");
+      }
     }
+    listed += members.size();
     c.F64(db.real_mass_[l]);
+    c.Check(db.real_mass_[l] >= 0.0 && db.real_mass_[l] <= 1.0,
+            "x-tuple real mass outside [0, 1]");
   }
-  if constexpr (C::kReads) {
-    for (const Tuple& t : db.tuples_) {
-      c.Check(static_cast<size_t>(t.xtuple) < db.members_.size(),
-              "tuple references a missing x-tuple");
-    }
-  }
+  c.Check(listed == n, "x-tuple member lists disagree with the tuples");
 
   // Format v1's tombstone field: a bitmap and a count. A database has no
   // dead slots, so the writer leaves both empty; the reader also accepts
@@ -454,6 +480,7 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, ProbabilisticDatabase>& db) {
             "database carries tombstoned slots");
   }
   c.Varint(db.num_real_, n);
+  c.Check(db.num_real_ == num_real, "real-tuple count disagrees");
 }
 
 template <typename C>
@@ -486,8 +513,10 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
   }
 }
 
-template <typename C, typename Scan>
-void SnapshotAccess::TransferScan(C& c, Scan& scan, const KLadder& ladder,
+template <typename C>
+void SnapshotAccess::TransferScan(C& c,
+                                  store::Io<C, PsrEngine::SessionState>& scan,
+                                  const KLadder& ladder,
                                   const ProbabilisticDatabase& db,
                                   const psr_internal::ScanKernel* kernel) {
   const size_t n = db.num_tuples();
@@ -503,11 +532,6 @@ void SnapshotAccess::TransferScan(C& c, Scan& scan, const KLadder& ladder,
     Transfer(c, cp, n, db.num_xtuples());
     c.Check(i == 0 || cp.pos > scan.checkpoints_[i - 1].pos,
             "checkpoint positions not ascending");
-    if constexpr (std::is_same_v<std::remove_const_t<Scan>, PsrEngine>) {
-      // The base database has no dead slots, so every engine rank is
-      // live. Session checkpoints run over an overlay and may lag.
-      c.Check(cp.live == cp.pos, "engine checkpoint live rank is not its pos");
-    }
   }
   c.Varint(scan.checkpoint_interval_, 1, SIZE_MAX);
   // The logical state above is the file's; the scratch that executes
@@ -528,14 +552,21 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
     const Status valid = engine.ladder_.Validate();
     if (!valid.ok()) c.Fail("snapshot ladder invalid: " + valid.message());
   }
-  TransferScan(c, engine, engine.ladder_, db, kernel);
+  TransferScan(c, engine.base_, engine.ladder_, db, kernel);
+  if constexpr (C::kReads) {
+    // The base database has no dead slots, so every engine rank is live.
+    // Session checkpoints run over an overlay and may lag.
+    for (const auto& cp : engine.base_.checkpoints_) {
+      c.Check(cp.live == cp.pos, "engine checkpoint live rank is not its pos");
+    }
+  }
 }
 
 template <typename C>
 void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool) {
   const ProbabilisticDatabase& db = *pool.base_;
   const PsrEngine& engine = pool.engine_;
-  store::Transfer(c, pool.base_tps_, engine.outputs_, db);
+  store::Transfer(c, pool.base_tps_, engine.outputs(), db);
   c.Size(pool.sessions_);
   size_t open_count = 0;
   for (auto& session : pool.sessions_) {
@@ -572,11 +603,11 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool) {
     c.Check(has_state == !outcomes.empty(),
             "session state presence inconsistent with its outcomes");
     if (has_state) {
-      TransferScan(c, session.scan, engine.ladder_, db, engine.core_.kernel);
+      TransferScan(c, session.scan, engine.ladder_, db,
+                   engine.base_.core_.kernel);
       store::Transfer(c, session.tps, session.scan.outputs_, db);
     } else if constexpr (C::kReads) {
-      session.scan = engine.ForkSession();
-      session.tps = pool.base_tps_;
+      pool.ForkBase(&session);
     }
   }
   c.VarintArray(pool.free_slots_);
@@ -612,7 +643,7 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
   meta.tool = "uclean";
   // The RESOLVED kernel the pool's scans actually ran on (never "auto"):
   // the provenance bench_* JSON and `snapshot inspect` report.
-  meta.kernel = pool.engine_.core_.kernel->name;
+  meta.kernel = pool.engine_.base_.core_.kernel->name;
   meta.threads = pool.exec().num_threads;
   meta.num_xtuples = pool.base().num_xtuples();
   meta.num_tuples = pool.base().num_tuples();
@@ -629,7 +660,7 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
   add(store::kSectionMeta);
   Transfer(w, pool.base());
   add(store::kSectionDatabase);
-  Transfer(w, pool.engine_, pool.base(), pool.engine_.core_.kernel);
+  Transfer(w, pool.engine_, pool.base(), pool.engine_.base_.core_.kernel);
   add(store::kSectionEngine);
   Transfer(w, pool);
   add(store::kSectionSessions);
@@ -740,12 +771,7 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
 
 std::vector<size_t> SnapshotAccess::EngineCheckpointPositions(
     const SessionPool& pool) {
-  std::vector<size_t> positions;
-  positions.reserve(pool.engine_.checkpoints_.size());
-  for (const PsrEngine::Checkpoint& cp : pool.engine_.checkpoints_) {
-    positions.push_back(cp.pos);
-  }
-  return positions;
+  return pool.engine_.base_.checkpoint_positions();
 }
 
 std::vector<size_t> SnapshotAccess::SessionCheckpointPositions(

@@ -336,11 +336,12 @@ class SnapshotAccess {
   template <typename C>
   static void Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
                        size_t num_tuples, size_t num_xtuples);
-  /// The scan state an engine and every session hold alike -- per-rung
-  /// outputs, checkpoints, cadence. `Scan` is PsrEngine or
-  /// PsrEngine::SessionState; the reader inits its scratch on `kernel`.
-  template <typename C, typename Scan>
-  static void TransferScan(C& c, Scan& scan, const KLadder& ladder,
+  /// The scan state an engine's base and every session hold alike --
+  /// per-rung outputs, checkpoints, cadence; the reader sets its
+  /// scratch's kernel to `kernel`.
+  template <typename C>
+  static void TransferScan(C& c, store::Io<C, PsrEngine::SessionState>& scan,
+                           const KLadder& ladder,
                            const ProbabilisticDatabase& db,
                            const psr_internal::ScanKernel* kernel);
   template <typename C>

@@ -173,9 +173,10 @@ TEST_F(CliTest, FullWorkflow) {
   ASSERT_TRUE(pooled.ok());
   EXPECT_EQ(pooled->num_xtuples(), 120u);
 
-  // --pipeline overlaps probe batches with planning; the per-session
-  // lines and the merged database must be identical to the serial pool
-  // run above (same seed, bitwise-equal state).
+  // --pipeline runs each round's per-session plan + draw steps on the
+  // executor's threads; the per-session lines and the merged database
+  // must be identical to the serial pool run above (same seed,
+  // bitwise-equal state).
   ASSERT_EQ(Run("clean --db " + Path("db.csv") + " --profile " +
                     Path("profile.csv") +
                     " --k 5 --budget 20 --adaptive --sessions 3 "
@@ -184,7 +185,8 @@ TEST_F(CliTest, FullWorkflow) {
                 &out),
             0)
       << out;
-  EXPECT_NE(out.find("--pipeline overlaps probe batches"),
+  EXPECT_NE(out.find("--pipeline runs each round's per-session plan + "
+                     "draw steps on 2 threads"),
             std::string::npos);
   EXPECT_NE(out.find("session pool: 3 adaptive sessions"),
             std::string::npos);

@@ -174,16 +174,21 @@ TEST(PipelineTest, PipelinedMatchesSerialSameExecutor) {
   // Same 4-thread executor both arms: the only difference is WHERE each
   // session plans and draws, so every observable must be bitwise equal.
   // The randomized planners draw from each session's Rng on a worker.
+  // Every probe waits 100 + 50 s us, so the sessions' steps overlap in
+  // time in every build, not only under a sanitizer's slowdown: a step
+  // that read another session's state would race with it here.
+  std::vector<microseconds> latency;
+  for (size_t s = 0; s < 6; ++s) latency.push_back(microseconds(100 + 50 * s));
   for (PlannerKind planner : {PlannerKind::kGreedy, PlannerKind::kDp,
                               PlannerKind::kRandP, PlannerKind::kRandU}) {
     for (const FaultOptions& fault : {FaultOptions(), TransientFaults(0.2)}) {
       SCOPED_TRACE(std::string(PlannerKindName(planner)) + " fail rate " +
                    std::to_string(fault.profile.fail_rate));
       CampaignResult serial = RunCampaign(db, ladder, profile, 6, 60, 4,
-                                          /*overlap=*/false, {}, fault,
+                                          /*overlap=*/false, latency, fault,
                                           planner);
       CampaignResult pipelined = RunCampaign(db, ladder, profile, 6, 60, 4,
-                                             /*overlap=*/true, {}, fault,
+                                             /*overlap=*/true, latency, fault,
                                              planner);
       ExpectCampaignsIdentical(serial, pipelined);
       // The campaign must have actually cleaned something, or the test
@@ -236,8 +241,8 @@ TEST(PipelineTest, CompletionOrderShufflesAreInvisible) {
 TEST(PipelineTest, FaultedPipelinedMatchesSerial) {
   // The determinism keystone under load: at a 20% transient-failure rate
   // the per-session injectors (seeded fault.seed + s) draw, retry and
-  // trip breakers identically whether probe batches run inline or
-  // overlapped on workers -- fault counters included.
+  // trip breakers identically whether each round's steps run inline or
+  // on workers -- fault counters included.
   const ProbabilisticDatabase db = MakeDb();
   const KLadder ladder = MakeLadder({5, 20});
   const CleaningProfile profile = MakeProfile(db.num_xtuples());

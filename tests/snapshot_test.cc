@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -633,6 +634,147 @@ TEST(SnapshotCorruptionTest, TombstonedDatabaseIsDataLoss) {
         WithTombstoneField(good, built.pool, c.bitmap, c.count),
         SessionPool::Options());
     EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+  }
+}
+
+// ------------------------------------------------- database invariants
+
+/// A database section's contents, editable field by field.
+struct DbParts {
+  std::vector<Tuple> tuples;
+  std::vector<std::vector<int32_t>> members;
+  std::vector<double> real_mass;
+  size_t num_real = 0;
+};
+
+DbParts PartsOf(const ProbabilisticDatabase& db) {
+  DbParts parts;
+  parts.tuples = db.tuples();
+  for (size_t l = 0; l < db.num_xtuples(); ++l) {
+    const auto x = static_cast<XTupleId>(l);
+    parts.members.push_back(db.xtuple_members(x));
+    parts.real_mass.push_back(db.xtuple_real_mass(x));
+  }
+  parts.num_real = db.num_real_tuples();
+  return parts;
+}
+
+/// Rewrites every member list from the tuples' own x-tuples, so an edit
+/// that moves tuples breaks the rank order and nothing else.
+void RelistMembers(DbParts* parts) {
+  for (auto& members : parts->members) members.clear();
+  for (size_t i = 0; i < parts->tuples.size(); ++i) {
+    parts->members[parts->tuples[i].xtuple].push_back(static_cast<int32_t>(i));
+  }
+}
+
+/// `good` with its database section re-encoded from `parts` in the
+/// section's layout, every CRC recomputed: a database the builder would
+/// never produce, behind checksums that hold.
+std::string WithDatabase(const std::string& good, const DbParts& parts) {
+  store::BinWriter w;
+  w.Varint(parts.tuples.size());
+  for (const Tuple& t : parts.tuples) {
+    w.Zigzag(t.id);
+    w.Varint(t.xtuple);
+    w.F64(t.score);
+    w.F64(t.prob);
+    w.Bool(t.is_null);
+    w.String(t.label);
+  }
+  w.Varint(parts.members.size());
+  for (size_t l = 0; l < parts.members.size(); ++l) {
+    w.Varint(parts.members[l].size());
+    for (int32_t rank : parts.members[l]) w.Varint(rank);
+    w.F64(parts.real_mass[l]);
+  }
+  w.String(std::string_view());  // format v1's empty tombstone field
+  w.Varint(0);
+  w.Varint(parts.num_real);
+  return WithPayload(good, store::kSectionDatabase,
+                     [&](const std::string&) { return w.bytes(); });
+}
+
+TEST(SnapshotCorruptionTest, DatabaseBreakingBuilderInvariantsIsDataLoss) {
+  TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
+  const std::string good = SerializedPool(built.pool);
+  const DbParts base = PartsOf(built.pool.base());
+  ASSERT_EQ(WithDatabase(good, base), good);
+  const size_t n = base.tuples.size();
+  ASSERT_LT(base.num_real, n - 1);  // at least two null tuples
+  ASSERT_GE(base.members[0].size(), 2u);
+
+  const struct {
+    const char* name;
+    const char* rule;  // what the reader's message names
+    void (*edit)(DbParts*);
+  } cases[] = {
+      {"probability 2", "probability",
+       [](DbParts* p) { p->tuples[0].prob = 2.0; }},
+      {"probability NaN", "probability",
+       [](DbParts* p) {
+         p->tuples[1].prob = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"probability 0", "probability",
+       [](DbParts* p) { p->tuples[2].prob = 0.0; }},
+      {"infinite score", "score is not finite",
+       [](DbParts* p) {
+         p->tuples[0].score = std::numeric_limits<double>::infinity();
+       }},
+      {"scores ascending", "rank order",
+       [](DbParts* p) {
+         std::swap(p->tuples[0], p->tuples[1]);
+         RelistMembers(p);
+       }},
+      {"equal scores, ids descending", "rank order",
+       [](DbParts* p) {
+         p->tuples[1].score = p->tuples[0].score;
+         if (p->tuples[0].id < p->tuples[1].id) {
+           std::swap(p->tuples[0].id, p->tuples[1].id);
+         }
+       }},
+      {"null above a real tuple", "rank order",
+       [](DbParts* p) {
+         std::rotate(p->tuples.begin() + static_cast<long>(p->num_real) - 1,
+                     p->tuples.begin() + static_cast<long>(p->num_real),
+                     p->tuples.begin() + static_cast<long>(p->num_real) + 1);
+         RelistMembers(p);
+       }},
+      {"nulls out of x-tuple order", "rank order",
+       [](DbParts* p) {
+         std::swap(p->tuples[p->tuples.size() - 1],
+                   p->tuples[p->tuples.size() - 2]);
+         RelistMembers(p);
+       }},
+      {"real mass 1.5", "real mass",
+       [](DbParts* p) { p->real_mass[0] = 1.5; }},
+      {"real mass negative", "real mass",
+       [](DbParts* p) { p->real_mass[1] = -0.25; }},
+      {"real mass NaN", "real mass",
+       [](DbParts* p) {
+         p->real_mass[2] = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"real-tuple count", "real-tuple count",
+       [](DbParts* p) { --p->num_real; }},
+      {"member of another x-tuple", "member lists",
+       [](DbParts* p) { std::swap(p->members[0][0], p->members[1][0]); }},
+      {"members out of order", "member lists",
+       [](DbParts* p) {
+         std::swap(p->members[0][0], p->members[0][1]);
+       }},
+      {"member missing", "member lists",
+       [](DbParts* p) { p->members[0].pop_back(); }},
+      {"member listed twice", "member lists",
+       [](DbParts* p) { p->members[0].push_back(p->members[0].back()); }},
+  };
+  for (const auto& c : cases) {
+    DbParts parts = base;
+    c.edit(&parts);
+    Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
+        WithDatabase(good, parts), SessionPool::Options());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
+    EXPECT_NE(loaded.status().message().find(c.rule), std::string::npos)
+        << c.name << ": " << loaded.status().message();
   }
 }
 

@@ -828,14 +828,14 @@ Result<SessionPool::SessionId> RunCleanPool(SessionPool* pool,
     // Honest note: a 1-thread executor has no workers, so every session's
     // step runs inline and the "pipelined" loop is the serial wall clock.
     if (pool->exec().num_threads > 1) {
-      std::printf("note: --pipeline overlaps probe batches with planning "
-                  "on %zu threads; per-session results are identical to "
-                  "the serial pool loop\n",
+      std::printf("note: --pipeline runs each round's per-session plan + "
+                  "draw steps on %zu threads; per-session results are "
+                  "identical to the serial pool loop\n",
                   pool->exec().num_threads);
     } else {
-      std::printf("note: --pipeline with 1 thread runs probe batches "
-                  "inline (no overlap); pass --threads N|auto to overlap "
-                  "them with planning\n");
+      std::printf("note: --pipeline with 1 thread runs each round's "
+                  "per-session plan + draw steps inline (no overlap); pass "
+                  "--threads N|auto to run them in parallel\n");
     }
   }
   Result<PipelineReport> report =
