@@ -17,12 +17,6 @@
 //                 between the arms, and the gate is only a >= 0.95
 //                 no-regression floor.
 //
-// A third arm, `reference`, re-implements the pre-refactor FUSED scalar
-// scan loop inline (array-of-plain-vectors state, fused emission sum)
-// for the independent regime: the structure-of-arrays core must not tax
-// the scalar path -- the guard is scalar_ms <= 1.03x reference_ms --
-// and must stay bitwise equal to it.
-//
 // Every arm's topk output is compared against the scalar arm's and any
 // nonzero difference fails the bench outright: the kernels promise
 // bitwise equality, not closeness (see rank/kernel.h).
@@ -100,92 +94,14 @@ Result<PsrOutput> ScanWithKernel(const ProbabilisticDatabase& db,
   return std::move(scan->outputs[0]);
 }
 
-/// The pre-refactor fused scalar scan loop, reproduced inline for the
-/// independent regime (singleton x-tuples: nothing saturates before the
-/// Lemma-2 stop, the exclusion view is the count vector itself): plain
-/// std::vector state, emission + prefix + argmax folded into one pass
-/// per tuple, the same count-refresh grid and head-mass stop. This is
-/// the overhead baseline the structure-of-arrays core is held to --
-/// arithmetic identical step for step, so its output is bitwise equal.
-struct ReferenceResult {
-  std::vector<double> topk;
-  std::vector<double> best_prob;
-  std::vector<int32_t> best_index;
-  size_t scan_end = 0;
-};
-
-ReferenceResult ReferenceScan(const ProbabilisticDatabase& db) {
-  const size_t n = db.num_tuples();
-  ReferenceResult result;
-  result.topk.assign(n, 0.0);
-  result.best_prob.assign(kTopK, 0.0);
-  result.best_index.assign(kTopK, -1);
-  result.scan_end = n;
-  std::vector<double> c{1.0};
-  std::vector<double> q(db.num_xtuples(), 0.0);
-  std::vector<bool> active(db.num_xtuples(), false);
-  for (size_t i = 0; i < n; ++i) {
-    if (i % psr_internal::kCountRefreshGridLive == 0) {
-      // Rebuild in ascending x-tuple order, exactly like RebuildCounts.
-      c.assign(1, 1.0);
-      for (size_t l = 0; l < active.size(); ++l) {
-        if (!active[l]) continue;
-        const size_t top = c.size();
-        c.resize(top + 1);
-        const double ql = q[l];
-        const double h = 1.0 - ql;
-        c[top] = c[top - 1] * ql;
-        for (size_t j = top - 1; j > 0; --j) {
-          c[j] = c[j] * h + c[j - 1] * ql;
-        }
-        c[0] = c[0] * h;
-      }
-    }
-    // Head-mass stop, same arithmetic as ScanCore::ShouldStop (no
-    // saturation happens on this workload before the stop fires).
-    double head = 0.0;
-    const size_t head_top = c.size() < kTopK ? c.size() : kTopK;
-    for (size_t j = 0; j < head_top; ++j) head += c[j];
-    if (head < psr_internal::kNegligibleHeadMass) {
-      result.scan_end = i;
-      return result;
-    }
-    const Tuple& t = db.tuple(i);
-    // Fused emission: rho, the prefix sum and the argmax trackers in
-    // one h loop over the full depth (zero outside the window).
-    const double e = t.prob;
-    const size_t hi = c.size() < kTopK ? c.size() : kTopK;
-    double p = 0.0;
-    for (size_t h = 1; h <= kTopK; ++h) {
-      const double rho = h <= hi ? e * c[h - 1] : 0.0;
-      p += rho;
-      if (rho > result.best_prob[h - 1]) {
-        result.best_prob[h - 1] = rho;
-        result.best_index[h - 1] = static_cast<int32_t>(i);
-      }
-    }
-    result.topk[i] = p;
-    // Advance: fold the tuple's Bernoulli factor in place.
-    const double q_new = q[t.xtuple] + t.prob;
-    q[t.xtuple] = q_new;
-    const double h = 1.0 - q_new;
-    const size_t top = c.size();
-    c.resize(top + 1);
-    c[top] = c[top - 1] * q_new;
-    for (size_t j = top - 1; j > 0; --j) {
-      c[j] = c[j] * h + c[j - 1] * q_new;
-    }
-    c[0] = c[0] * h;
-    active[t.xtuple] = true;
-  }
-  return result;
-}
-
+/// Max |a[i] - b[i]| over the longer vector, reading +0.0 past the
+/// shorter one's end (a rung holds only [0, scan_end)).
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
-  UCLEAN_CHECK(a.size() == b.size());
   double max_diff = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    const double x = i < a.size() ? a[i] : 0.0;
+    const double y = i < b.size() ? b[i] : 0.0;
+    max_diff = std::max(max_diff, std::fabs(x - y));
   }
   return max_diff;
 }
@@ -224,9 +140,7 @@ int main() {
       "single-thread scalar vs AVX2 scan throughput on a fold-bound "
       "independent workload (the vectorized loops) and a divide-out-bound "
       "alternatives workload (one scalar chained divide-out in every "
-      "kernel; parity expected), plus "
-      "the fused pre-refactor scalar loop as the SoA overhead baseline; "
-      "all arms must stay bitwise equal");
+      "kernel; parity expected); all arms must stay bitwise equal");
   std::printf("# hardware_concurrency: %u, avx2: %s\n", cores,
               avx2 ? "true" : "false");
   bench::Header("workload,arm,ms,tuples_per_sec,max_abs_diff");
@@ -248,19 +162,7 @@ int main() {
     std::printf("independent scan stopped before the refresh grid\n");
     return 1;
   }
-  const ReferenceResult ind_reference = ReferenceScan(independent);
   const size_t ind_tuples = ind_scalar->scan_end;
-
-  Series ref_series = TimeArm("independent", "reference", ind_tuples,
-                              [&] { (void)ReferenceScan(independent); });
-  ref_series.max_abs_diff = std::max(
-      MaxAbsDiff(ind_reference.topk, ind_scalar->topk_prob),
-      MaxAbsDiff(ind_reference.best_prob, ind_scalar->best_rank_prob));
-  if (ind_reference.scan_end != ind_scalar->scan_end ||
-      ind_reference.best_index != ind_scalar->best_rank_index) {
-    ok = false;
-  }
-  all.push_back(ref_series);
 
   Series ind_scalar_series = TimeArm("independent", "scalar", ind_tuples, [&] {
     (void)ScanWithKernel(independent, KernelKind::kScalar);
@@ -330,14 +232,11 @@ int main() {
       avx2 && alt_scalar_series.ms > 0.0
           ? alt_scalar_series.ms / alt_avx2_series.ms
           : 0.0;
-  const double scalar_vs_reference =
-      ref_series.ms > 0.0 ? ind_scalar_series.ms / ref_series.ms : 0.0;
 
   std::printf("\n# independent avx2_vs_scalar: %.2fx\n",
               independent_avx2_vs_scalar);
   std::printf("# alternatives avx2_vs_scalar: %.2fx\n",
               alternatives_avx2_vs_scalar);
-  std::printf("# scalar_vs_reference overhead: %.3fx\n", scalar_vs_reference);
   if (!ok) {
     std::printf("MISMATCH: kernel outputs are not bitwise equal\n");
   }
@@ -361,8 +260,6 @@ int main() {
                independent_avx2_vs_scalar);
   std::fprintf(json, "  \"alternatives_avx2_vs_scalar\": %.4f,\n",
                alternatives_avx2_vs_scalar);
-  std::fprintf(json, "  \"scalar_vs_reference\": %.4f,\n",
-               scalar_vs_reference);
   std::fprintf(json, "  \"bitwise_equal\": %s,\n", ok ? "true" : "false");
   std::fprintf(json, "  \"series\": [\n");
   for (size_t i = 0; i < all.size(); ++i) {

@@ -76,11 +76,14 @@ Result<ProbabilisticDatabase> MakeLargeDb(size_t num_xtuples) {
   return GenerateSynthetic(opts);
 }
 
+/// Max |a[i] - b[i]| over the longer vector, reading +0.0 past the
+/// shorter one's end (a rung holds only [0, scan_end)).
 double MaxAbsDiff(const std::vector<double>& a, const std::vector<double>& b) {
-  UCLEAN_CHECK(a.size() == b.size());
   double max_diff = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    max_diff = std::max(max_diff, std::fabs(a[i] - b[i]));
+  for (size_t i = 0; i < std::max(a.size(), b.size()); ++i) {
+    const double x = i < a.size() ? a[i] : 0.0;
+    const double y = i < b.size() ? b[i] : 0.0;
+    max_diff = std::max(max_diff, std::fabs(x - y));
   }
   return max_diff;
 }

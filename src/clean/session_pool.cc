@@ -1,6 +1,5 @@
 #include "clean/session_pool.h"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -63,21 +62,7 @@ SessionPool::SessionId SessionPool::OpenSession() {
 
 void SessionPool::ForkBase(Session* session) const {
   session->scan = engine_.ForkSession();
-  // Fork the base TP ladder the same way the engine forks its outputs:
-  // omega is identically zero at and past each rung's scan_end, so only
-  // the live prefix is copied onto a zeroed buffer.
-  session->tps.resize(base_tps_.size());
-  for (size_t j = 0; j < base_tps_.size(); ++j) {
-    const TpOutput& src = base_tps_[j];
-    TpOutput& dst = session->tps[j];
-    dst.quality = src.quality;
-    dst.scan_end = src.scan_end;
-    dst.omega.assign(src.omega.size(), 0.0);
-    std::copy(src.omega.begin(), src.omega.begin() + src.scan_end,
-              dst.omega.begin());
-    dst.xtuple_gain = src.xtuple_gain;
-    dst.xtuple_topk_mass = src.xtuple_topk_mass;
-  }
+  session->tps = base_tps_;
 }
 
 Status SessionPool::CheckOpen(SessionId id) const {

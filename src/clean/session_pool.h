@@ -13,8 +13,9 @@
 //    (model/database_overlay.h): overlay tombstones + patched resolved
 //    tuples, rank indices stable, base untouched.
 //  * ONE ladder PsrEngine over the base, scanned and checkpointed once.
-//    Opening a session forks the engine's outputs (PsrEngine::
-//    ForkSession -- a memcpy, no scan) and copies the base TP ladder.
+//    Opening a session copies the engine's outputs (PsrEngine::
+//    ForkSession -- a memcpy of each rung's live prefix, no scan) and
+//    the base TP ladder.
 //  * Refreshing a session replays ONLY that session's suffix
 //    (PsrEngine::ReplaySession): the shared checkpoints cover the prefix
 //    above the session's divergence rank, the session's private
@@ -256,9 +257,10 @@ class SessionPool {
 
   SessionPool() = default;
 
-  /// Gives `session` the state of a session with no outcomes: a fork of
-  /// the engine's base scan and of the base TP ladder. OpenSession and
-  /// the snapshot loader's pristine slots both fork through here.
+  /// Gives `session` the state of a session with no outcomes: a copy of
+  /// the engine's base scan (ForkSession) and of the base TP ladder, each
+  /// rung its live prefix. OpenSession and the snapshot loader's pristine
+  /// slots both fork through here.
   void ForkBase(Session* session) const;
 
   /// Refresh body inside a caller-opened gate window, shared by Refresh

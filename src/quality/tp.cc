@@ -53,7 +53,7 @@ Result<std::vector<TpOutput>> ComputeImpl(const Db& db,
   const size_t n = db.num_tuples();
   size_t max_end = 0;
   for (size_t j = 0; j < rungs; ++j) {
-    if (psrs[j]->topk_prob.size() != n) {
+    if (psrs[j]->num_tuples != n) {
       return Status::InvalidArgument(
           "PSR output does not match the database (tuple count mismatch)");
     }
@@ -76,7 +76,8 @@ Result<std::vector<TpOutput>> ComputeImpl(const Db& db,
   ExecParallelFor(exec, rungs, [&](size_t j) {
     const PsrOutput& psr = *psrs[j];
     TpOutput& out = outs[j];
-    out.omega.assign(n, 0.0);
+    out.num_tuples = n;
+    out.omega.assign(psr.scan_end, 0.0);
     out.scan_end = psr.scan_end;
     out.xtuple_gain.assign(db.num_xtuples(), 0.0);
     out.xtuple_topk_mass.assign(db.num_xtuples(), 0.0);
@@ -158,7 +159,7 @@ Status UpdateTpQualityLadder(const DatabaseOverlay& db,
   for (size_t j = 0; j < psrs.size(); ++j) {
     const PsrOutput& psr = psrs[j];
     const TpOutput& tp = (*tps)[j];
-    if (psr.topk_prob.size() != n || tp.omega.size() != n) {
+    if (psr.num_tuples != n || tp.num_tuples != n) {
       return Status::InvalidArgument(
           "TP/PSR state does not match the database (tuple count mismatch)");
     }
@@ -166,7 +167,7 @@ Status UpdateTpQualityLadder(const DatabaseOverlay& db,
       return Status::InvalidArgument(
           "TP state does not match the database (x-tuple count mismatch)");
     }
-    max_end = std::max({max_end, psr.scan_end, tp.scan_end});
+    max_end = std::max(max_end, psr.scan_end);
   }
 
   // Recompute the shared omega suffix. E_run for an x-tuple first seen
@@ -199,25 +200,15 @@ Status UpdateTpQualityLadder(const DatabaseOverlay& db,
   ExecParallelFor(exec, psrs.size(), [&](size_t j) {
     const PsrOutput& psr = psrs[j];
     TpOutput* tp = &(*tps)[j];
-    // Every stored omega lives below the scan end it was computed under,
-    // and a replay only rewrites [replay_begin, psr.scan_end), so work is
-    // bounded by the deeper of the two ends. A rung whose scans never
-    // reach the boundary is untouched (the clean cannot affect it).
-    //
-    // The wipe below runs to the DEEPER end on purpose: when a replay
-    // moves the rung's scan_end backward (a clean that saturates an
-    // x-tuple earlier fires the Lemma-2 stop sooner), the entries in
-    // [psr.scan_end, tp->scan_end) must be zeroed or later delta passes
-    // -- whose wipe is bounded by the new, shallower scan_end -- would
-    // resurrect them once the scan grows again. This maintains the
-    // invariant that omega is identically zero at and past scan_end
-    // (regression-tested in ladder_test.cc).
-    const size_t end = std::max(tp->scan_end, psr.scan_end);
-    if (end <= replay_begin) return;  // omega and scan_end stay valid
-    std::fill(tp->omega.begin() + replay_begin, tp->omega.begin() + end, 0.0);
+    // omega holds [0, scan_end) and a replay only rewrites [replay_begin,
+    // psr.scan_end). A rung whose scans never reach the boundary is
+    // untouched (the clean cannot affect it); any other is sized to its
+    // new scan_end, which may move either way.
+    if (std::max(tp->scan_end, psr.scan_end) <= replay_begin) return;
+    tp->omega.resize(psr.scan_end);
     for (size_t i = replay_begin; i < psr.scan_end; ++i) {
-      if (db.is_tombstone(i) || psr.topk_prob[i] <= 0.0) continue;
-      tp->omega[i] = shared_omega[i];
+      const bool paired = !db.is_tombstone(i) && psr.topk_prob[i] > 0.0;
+      tp->omega[i] = paired ? shared_omega[i] : 0.0;
     }
     tp->scan_end = psr.scan_end;
     AccumulateAggregates(db, psr, tp);

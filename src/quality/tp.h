@@ -44,11 +44,14 @@ struct TpOutput {
   /// PWS-quality score S(D,Q).
   double quality = 0.0;
 
-  /// omega_i per rank index (zero beyond the PSR scan end).
+  /// Tuple count of the database the omegas were computed over.
+  size_t num_tuples = 0;
+
+  /// omega_i per rank index below the PSR scan end (+0.0 where p_i is
+  /// 0); every omega past it pairs with p_i = 0 and is not stored.
   std::vector<double> omega;
 
-  /// The PSR scan end the omegas were computed under: every entry at or
-  /// past it is zero, which lets the delta pass bound its suffix work.
+  /// The PSR scan end the omegas were computed under: omega.size().
   size_t scan_end = 0;
 
   /// g(l,D) per x-tuple: its summed omega_i * p_i contribution (always
@@ -100,16 +103,17 @@ Result<std::vector<TpOutput>> ComputeTpQualityLadder(
 /// `replay_begin`, running the omega suffix recurrence once for all
 /// rungs. The omega prefix [0, replay_begin) is reused as-is -- a clean
 /// never touches tuples ranked above the collapsed x-tuple's best member
-/// -- and only the suffix up to the deeper of the old and new scan ends
-/// is recomputed: each touched x-tuple's at-or-above mass E is re-seeded
-/// from its (unchanged) members above the boundary and advanced across
-/// the suffix exactly as the full pass would. The per-x-tuple aggregates
+/// -- and each touched rung's omega is resized to its new scan end and
+/// recomputed over [replay_begin, scan_end): each touched x-tuple's
+/// at-or-above mass E is re-seeded from its (unchanged) members above
+/// the boundary and advanced across the suffix exactly as the full pass
+/// would. The per-x-tuple aggregates
 /// and the quality sum are then re-accumulated in scan order from the
 /// stored per-tuple state, so the result is bitwise identical to
 /// ComputeTpQualityLadder(db, psrs) at a fraction of the cost. Rungs
 /// whose scan never reaches the replay boundary are untouched (a clean
 /// below a rung's stop point cannot change it). `exec` fans the per-rung
-/// wipe/mask/accumulate suffix work over a shared pool, bitwise equal to
+/// resize/mask/accumulate suffix work over a shared pool, bitwise equal to
 /// the inline default.
 ///
 /// `psrs` must be the session's PSR state already replayed for the same

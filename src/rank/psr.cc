@@ -82,21 +82,16 @@ Status ScanRequest::Validate() const {
 
 namespace psr_internal {
 
-void InitLadderOutputs(size_t num_tuples, const KLadder& ladder,
-                       const PsrOptions& options,
+void InitLadderOutputs(const KLadder& ladder, const PsrOptions& options,
                        std::vector<PsrOutput>* outputs) {
   outputs->clear();
   outputs->resize(ladder.size());
   for (size_t j = 0; j < ladder.size(); ++j) {
     PsrOutput& out = (*outputs)[j];
     out.k = ladder[j];
-    out.topk_prob.assign(num_tuples, 0.0);
     out.best_rank_prob.assign(out.k, 0.0);
     out.best_rank_index.assign(out.k, -1);
-    if (options.store_rank_probabilities) {
-      out.rank_prob.assign(num_tuples * out.k, 0.0);
-      out.has_rank_probabilities = true;
-    }
+    out.has_rank_probabilities = options.store_rank_probabilities;
   }
 }
 
@@ -114,11 +109,13 @@ Result<ScanResult> ScanRequested(const Db& db, const ScanRequest& request,
                                  const psr_internal::ScanKernel* kernel) {
   ScanResult result;
   result.kernel = kernel->kind;
-  psr_internal::InitLadderOutputs(db.num_tuples(), request.ladder, request.psr,
-                                  &result.outputs);
+  psr_internal::InitLadderOutputs(request.ladder, request.psr, &result.outputs);
   std::vector<PsrOutput*> outs;
   outs.reserve(result.outputs.size());
-  for (PsrOutput& out : result.outputs) outs.push_back(&out);
+  for (PsrOutput& out : result.outputs) {
+    out.num_tuples = db.num_tuples();
+    outs.push_back(&out);
+  }
 
   psr_internal::ScanCore core;
   core.Init(db.num_xtuples(), kernel);
@@ -137,16 +134,11 @@ Result<ScanResult> ScanRequested(const Db& db, const ScanRequest& request,
         db, 0, db.num_tuples(), 0, /*emit_base=*/0,
         request.psr.early_termination, core, outs, /*first_active=*/0,
         /*track_best=*/true,
-        [&outs](size_t rung, size_t at) { outs[rung]->scan_end = at; },
         [](const psr_internal::ScanCore&, size_t, size_t) {});
   }
-  ExecParallelFor(resolved, result.outputs.size(), [&result](size_t j) {
-    PsrOutput& out = result.outputs[j];
-    out.num_nonzero = 0;
-    for (double p : out.topk_prob) {
-      if (p > 0.0) ++out.num_nonzero;
-    }
-  });
+  for (PsrOutput& out : result.outputs) {
+    for (double p : out.topk_prob) out.num_nonzero += p > 0.0;
+  }
   return result;
 }
 

@@ -106,12 +106,21 @@ struct PsrOptions {
   bool store_rank_probabilities = false;
 };
 
-/// Rank-probability information for one database and one k.
+/// Rank-probability information for one database and one k. By Lemma 2
+/// every tuple at or past the scan's stop point has top-k probability
+/// 0, so the per-rank vectors hold only the live prefix [0, scan_end):
+/// topk_prob.size() == scan_end, and rank_prob.size() == scan_end * k
+/// when the matrix is stored. Read through topk_at / rank_probability
+/// to walk every rank.
 struct PsrOutput {
   size_t k = 0;
 
-  /// p_i per rank index (includes materialized null tuples; zero for every
-  /// tuple after the Lemma-2 stop point).
+  /// Tuple count of the database the scan ran over: consumers check it
+  /// against their database, which the prefix-sized vectors cannot show.
+  size_t num_tuples = 0;
+
+  /// p_i per rank index below scan_end (includes materialized null
+  /// tuples; +0.0 for a session's tombstoned slots).
   std::vector<double> topk_prob;
 
   /// Number of tuples with strictly positive top-k probability.
@@ -127,18 +136,23 @@ struct PsrOutput {
   std::vector<double> best_rank_prob;
   std::vector<int32_t> best_rank_index;
 
-  /// Flattened n-by-k matrix rho[i*k + (h-1)] when
+  /// Flattened scan_end-by-k matrix rho[i*k + (h-1)] when
   /// PsrOptions::store_rank_probabilities is set; empty otherwise.
   std::vector<double> rank_prob;
   bool has_rank_probabilities = false;
 
-  /// rho_i(h) from the stored matrix. Requires has_rank_probabilities,
-  /// rank_index < num_tuples and h in [1, k].
+  /// p_i for any rank index: +0.0 at or past scan_end.
+  double topk_at(size_t rank_index) const {
+    return rank_index < topk_prob.size() ? topk_prob[rank_index] : 0.0;
+  }
+
+  /// rho_i(h) from the stored matrix, +0.0 at or past scan_end. Requires
+  /// has_rank_probabilities and h in [1, k].
   double rank_probability(size_t rank_index, size_t h) const {
     UCLEAN_DCHECK(has_rank_probabilities);
     UCLEAN_DCHECK(h >= 1 && h <= k);
-    UCLEAN_DCHECK(rank_index * k + (h - 1) < rank_prob.size());
-    return rank_prob[rank_index * k + (h - 1)];
+    const size_t at = rank_index * k + (h - 1);
+    return at < rank_prob.size() ? rank_prob[at] : 0.0;
   }
 };
 

@@ -28,8 +28,8 @@ Result<PsrEngine> PsrEngine::Create(const ProbabilisticDatabase& db,
   engine.ladder_ = request.ladder;
   SessionState& base = engine.base_;
   base.checkpoint_interval_ = request.checkpoint_interval;
-  psr_internal::InitLadderOutputs(db.num_tuples(), request.ladder, request.psr,
-                                  &base.outputs_);
+  psr_internal::InitLadderOutputs(request.ladder, request.psr, &base.outputs_);
+  for (PsrOutput& out : base.outputs_) out.num_tuples = db.num_tuples();
   base.core_.Init(db.num_xtuples(), *kernel);
   ScanFrom(db, 0, 0, engine.options_, engine.exec_, &base);
   return engine;
@@ -88,10 +88,10 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
   std::vector<Checkpoint>* cps = &scan->checkpoints_;
   size_t* interval = &scan->checkpoint_interval_;
   // A rung whose scan already stopped at or before `begin` cannot be
-  // affected: its output beyond scan_end is identically zero and the state
-  // that produced its stop decision is prefix-only. Everything deeper
-  // re-emits (scan_end is ascending in k, so the replaying rungs are a
-  // suffix of the ladder).
+  // affected: it holds nothing past scan_end, and the state that produced
+  // its stop decision is prefix-only. Everything deeper is cut back to
+  // `begin` and re-emits from there (scan_end is ascending in k, so the
+  // replaying rungs are a suffix of the ladder).
   size_t first_active = 0;
   if (begin > 0) {
     while (first_active < outputs->size() &&
@@ -104,16 +104,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
   for (PsrOutput& out : *outputs) outs.push_back(&out);
   for (size_t j = first_active; j < outputs->size(); ++j) {
     PsrOutput& out = (*outputs)[j];
-    // Everything at or past the rung's previous scan end is already zero
-    // (scans only ever write below their stop point), so the wipe is
-    // bounded by the old scanned range, not the database size.
-    const size_t wipe_end = std::max(begin, out.scan_end);
-    std::fill(out.topk_prob.begin() + begin, out.topk_prob.begin() + wipe_end,
-              0.0);
-    if (out.has_rank_probabilities) {
-      std::fill(out.rank_prob.begin() + begin * out.k,
-                out.rank_prob.begin() + wipe_end * out.k, 0.0);
-    }
+    psr_internal::StopRung(begin, &out);  // until the scan ends it anew
     if (begin == 0) {
       // A from-rank-0 scan re-runs the argmax trackers; clear the maxima a
       // previous scan left behind (a replay of the whole range restores
@@ -180,7 +171,6 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     psr_internal::RunLadderScan(
         db, begin, db.num_tuples(), live_at_begin, /*emit_base=*/0,
         options.early_termination, scan->core_, outs, first_active, track_best,
-        [&outs](size_t rung, size_t at) { outs[rung]->scan_end = at; },
         [cps, interval, &since_checkpoint](
             const psr_internal::ScanCore& scanned, size_t i, size_t live) {
           if (since_checkpoint >= *interval) {
@@ -205,9 +195,7 @@ void PsrEngine::FinalizeAggregates(const Db& db, size_t begin,
     // every aggregate; recounting them would be wasted work.
     if (!from_rank_0 && out.scan_end <= begin) return;
     out.num_nonzero = 0;
-    for (size_t i = 0; i < out.scan_end; ++i) {  // zero past the stop point
-      if (out.topk_prob[i] > 0.0) ++out.num_nonzero;
-    }
+    for (double p : out.topk_prob) out.num_nonzero += p > 0.0;
     const size_t k = out.k;
     if (!out.has_rank_probabilities) {
       if (!from_rank_0) {
@@ -237,31 +225,10 @@ void PsrEngine::FinalizeAggregates(const Db& db, size_t begin,
 
 PsrEngine::SessionState PsrEngine::ForkSession() const {
   SessionState state;
-  // Copy only each rung's live prefix onto a zeroed buffer: every output
-  // entry at or past scan_end is identically zero (scans never write past
-  // their stop point), and for ranked data the stop leaves the bulk of
-  // the array cold -- this is what keeps opening a pooled session an
-  // order of magnitude cheaper than a scan of its own.
-  state.outputs_.resize(base_.outputs_.size());
-  for (size_t j = 0; j < base_.outputs_.size(); ++j) {
-    const PsrOutput& src = base_.outputs_[j];
-    PsrOutput& dst = state.outputs_[j];
-    dst.k = src.k;
-    dst.num_nonzero = src.num_nonzero;
-    dst.scan_end = src.scan_end;
-    dst.topk_prob.assign(src.topk_prob.size(), 0.0);
-    std::copy(src.topk_prob.begin(), src.topk_prob.begin() + src.scan_end,
-              dst.topk_prob.begin());
-    dst.best_rank_prob = src.best_rank_prob;
-    dst.best_rank_index = src.best_rank_index;
-    dst.has_rank_probabilities = src.has_rank_probabilities;
-    if (src.has_rank_probabilities) {
-      dst.rank_prob.assign(src.rank_prob.size(), 0.0);
-      std::copy(src.rank_prob.begin(),
-                src.rank_prob.begin() + src.scan_end * src.k,
-                dst.rank_prob.begin());
-    }
-  }
+  // Each rung holds only its live prefix, [0, scan_end), so the copy is
+  // O(scan_end) per rung -- this is what keeps opening a pooled session
+  // an order of magnitude cheaper than a scan of its own.
+  state.outputs_ = base_.outputs_;
   // Sessions inherit the engine's kernel: mixing kernels would be safe
   // (they are bitwise equal) but pointless. The replay scratch itself is
   // left empty: a session's first replay sizes it (RestoreInto), and a
@@ -287,7 +254,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
     return Status::FailedPrecondition(
         "session state was not obtained from this engine");
   }
-  if (state->outputs_.front().topk_prob.size() != db.num_tuples()) {
+  if (state->outputs_.front().num_tuples != db.num_tuples()) {
     return Status::FailedPrecondition(
         "session state does not match the overlay's base database");
   }

@@ -17,11 +17,12 @@
 // Multi-k: the scan state (count vector, per-x-tuple masses) is
 // k-independent, so ONE checkpoint set serves every rung; only the
 // emission cursors differ per k. Each rung stops at its own Lemma-2
-// point (scan_end is ascending in k), and a replay is suffix-only PER
-// RUNG: rungs whose scan already stopped at or before the replay
-// boundary are left untouched -- a clean below a rung's stop point
-// cannot change its output -- while deeper rungs re-emit only their own
-// reachable suffix.
+// point (scan_end is ascending in k) and holds only [0, scan_end), and
+// a replay is suffix-only PER RUNG: rungs whose scan already stopped at
+// or before the replay boundary are left untouched -- a clean below a
+// rung's stop point cannot change its output -- while deeper rungs are
+// cut back to the restore point and re-emit only their own reachable
+// suffix, ending at their new stop.
 //
 // Sessions: a checkpoint at rank p depends only on the tuples above p,
 // so it is valid for every session whose overlay still equals the base
@@ -177,9 +178,10 @@ class PsrEngine {
     size_t checkpoint_interval_ = kInitialCheckpointInterval;
   };
 
-  /// Forks a pooled session's state: a copy of the base outputs (O(rungs
-  /// * n) memcpy, NO scan -- this is why opening a pooled session is
-  /// orders of magnitude cheaper than a scan of its own).
+  /// Forks a pooled session's state: a copy of the base outputs, each
+  /// rung its live prefix [0, scan_end) (an O(sum of scan_end) memcpy, NO
+  /// scan -- this is why opening a pooled session is orders of magnitude
+  /// cheaper than a scan of its own).
   SessionState ForkSession() const;
 
   /// Hands the base scan's outputs, checkpoint list and scan scratch to
@@ -235,11 +237,12 @@ class PsrEngine {
   static void RestoreInto(const Checkpoint& cp, size_t num_xtuples,
                           psr_internal::ScanCore* core);
 
-  /// Zeroes `scan`'s outputs from `begin` on and runs the scan loop over
-  /// `db` from its scratch to the stop point, snapshotting into its
-  /// checkpoints along the way -- sharded over `exec`'s pool when the
-  /// range justifies it, sequentially otherwise. Rungs whose scan had
-  /// already stopped at or before `begin` are left untouched. `Db` is
+  /// Cuts each of `scan`'s rungs that re-emits back to `begin` and runs
+  /// the scan loop over `db` from its scratch to the stop point, growing
+  /// them and snapshotting into its checkpoints along the way -- sharded
+  /// over `exec`'s pool when the range justifies it, sequentially
+  /// otherwise. Rungs whose scan had already stopped at or before `begin`
+  /// are left untouched. `Db` is
   /// ProbabilisticDatabase (the base scan) or DatabaseOverlay (session
   /// replays); both run identical arithmetic.
   template <typename Db>

@@ -376,7 +376,11 @@ inline void EmitLadder(const Tuple& t, size_t i, ScanCore& core,
           static_cast<int32_t>(i));
     }
     done = out.k;
-    out.topk_prob[i] = p;
+    // The rung grows as it emits: +0.0 for the tombstoned slots since
+    // its last emission, then p_i.
+    UCLEAN_DCHECK(out.topk_prob.size() <= i);
+    out.topk_prob.resize(i);
+    out.topk_prob.push_back(p);
   }
 
   if (!rho_consumed) return;
@@ -387,7 +391,8 @@ inline void EmitLadder(const Tuple& t, size_t i, ScanCore& core,
     PsrOutput& out = *outs[j];
     const size_t kj = out.k;
     if (store_matrix) {
-      std::copy(rho.begin(), rho.begin() + kj, out.rank_prob.begin() + i * kj);
+      out.rank_prob.resize(i * kj);
+      out.rank_prob.insert(out.rank_prob.end(), rho.begin(), rho.begin() + kj);
     }
     if (track) {
       kernel.update_argmax(out.best_rank_prob.data(),
@@ -397,12 +402,19 @@ inline void EmitLadder(const Tuple& t, size_t i, ScanCore& core,
   }
 }
 
-/// Sizes and zeroes one PsrOutput per rung of `ladder` for a scan over
-/// `num_tuples` rank positions (defined in psr.cc, shared with the
-/// engine's Create and the overlay scan path).
-void InitLadderOutputs(size_t num_tuples, const KLadder& ladder,
-                       const PsrOptions& options,
+/// One empty PsrOutput per rung of `ladder` (defined in psr.cc, shared
+/// with the engine's Create and the overlay scan path): the scan grows
+/// each rung as it emits and StopRung sizes it.
+void InitLadderOutputs(const KLadder& ladder, const PsrOptions& options,
                        std::vector<PsrOutput>* outputs);
+
+/// Ends `out` at its stop position `at`: its scan_end, and the length of
+/// its live prefix (tombstoned slots after its last emission read +0.0).
+inline void StopRung(size_t at, PsrOutput* out) {
+  out->scan_end = at;
+  out->topk_prob.resize(at);
+  if (out->has_rank_probabilities) out->rank_prob.resize(at * out->k);
+}
 
 /// The chained divide-out of one scan call (rank/kernel.h): up to
 /// kMaxChain consecutive live tuples whose exclusions, and the count
@@ -525,23 +537,23 @@ class ExclusionChain {
 /// and shard cuts record it): the count vector refreshes at every live
 /// ordinal that is a multiple of kCountRefreshGridLive, BEFORE that
 /// position's stop checks, so every driver makes the same stop decisions
-/// from the same refreshed state. `record_stop(j, i)` is called when
-/// rung j's stop rule first fires at position i, and with i == end for
-/// every rung still running at the end. `maybe_checkpoint(core, i,
-/// live)` is invoked for every live position before it is processed --
-/// the engine snapshots there, the one-shot drivers pass a no-op.
+/// from the same refreshed state. A rung whose stop rule first fires at
+/// position i, and every rung still running at `end` (i == end), is
+/// ended there by StopRung at index i - emit_base. `maybe_checkpoint(
+/// core, i, live)` is invoked for every live position before it is
+/// processed -- the engine snapshots there, the one-shot drivers pass a
+/// no-op.
 ///
 /// `Db` is ProbabilisticDatabase or any type exposing its read interface
 /// (num_tuples / tuple / is_tombstone) -- per-session DatabaseOverlay
 /// views run the exact same arithmetic, which keeps a session's replayed
 /// state bitwise identical to a from-scratch scan of its view.
-template <typename Db, typename StopFn, typename CheckpointFn>
+template <typename Db, typename CheckpointFn>
 inline void RunLadderScan(const Db& db, size_t begin, size_t end,
                           size_t live_at_begin, size_t emit_base,
                           bool early_termination, ScanCore& core,
                           const std::vector<PsrOutput*>& outs,
                           size_t first_active, bool track_best,
-                          StopFn&& record_stop,
                           CheckpointFn&& maybe_checkpoint) {
   const size_t rungs = outs.size();
   ExclusionChain chain;
@@ -553,7 +565,7 @@ inline void RunLadderScan(const Db& db, size_t begin, size_t end,
       // The stop rule fires smallest-k first (head mass grows with k).
       while (first_active < rungs &&
              core.ShouldStop(outs[first_active]->k)) {
-        record_stop(first_active, i);
+        StopRung(i - emit_base, outs[first_active]);
         ++first_active;
       }
       if (first_active == rungs) return;
@@ -566,7 +578,9 @@ inline void RunLadderScan(const Db& db, size_t begin, size_t end,
     chain.Advance(t, ex, core);
     ++live;
   }
-  for (size_t j = first_active; j < rungs; ++j) record_stop(j, end);
+  for (size_t j = first_active; j < rungs; ++j) {
+    StopRung(end - emit_base, outs[j]);
+  }
 }
 
 }  // namespace psr_internal

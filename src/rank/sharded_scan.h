@@ -39,14 +39,14 @@
 // 1e-12; in practice the arrays match bit-for-bit).
 //
 // Lemma-2 stops across shards. Stops latch monotonically along the scan,
-// so each shard records the first position in its range where each
+// so each shard's rung ends at the first position in its range where the
 // rung's stop fires and the merge takes the first firing in shard order;
 // a shard whose boundary state already fails every rung's stop check
 // exits at its first position without scanning (deep shards past the
 // ladder's stop are skipped entirely -- and the cut planner does not
-// even cut past a conservative estimate of the deepest stop), and
-// emission is never merged past each rung's stop rank, preserving the
-// invariant that outputs are identically zero at and past scan_end.
+// even cut past a conservative estimate of the deepest stop). The merge
+// appends each shard's emitted range in shard order up to the stopping
+// shard, so every merged rung holds exactly [0, scan_end).
 
 #ifndef UCLEAN_RANK_SHARDED_SCAN_H_
 #define UCLEAN_RANK_SHARDED_SCAN_H_
@@ -166,32 +166,27 @@ std::vector<GridPoint> PlanShardCuts(size_t begin, size_t live_at_begin,
                                      size_t num_threads);
 
 /// One shard's private scan results: compact per-rung outputs indexed by
-/// i - begin, plus the absolute rank where each rung's stop rule first
-/// fired in this range (end = never fired here).
+/// i - begin. A rung's scan_end is relative too: where its stop rule
+/// first fired in this range (end - begin = never fired here), and the
+/// length of what it emitted.
 struct ShardResult {
   size_t begin = 0;
   size_t end = 0;
   size_t live_at_begin = 0;
-  std::vector<size_t> stop_rank;
   std::vector<PsrOutput> rungs;
 };
 
-/// Sizes one compact (range-indexed) output per rung of `outs`, copying
+/// One empty compact (range-indexed) output per rung of `outs`, copying
 /// k / matrix flags from the shared outputs.
 inline void InitShardOutputs(const std::vector<PsrOutput*>& outs,
                              ShardResult* result) {
-  const size_t range = result->end - result->begin;
   result->rungs.resize(outs.size());
   for (size_t j = 0; j < outs.size(); ++j) {
     PsrOutput& rung = result->rungs[j];
     rung.k = outs[j]->k;
-    rung.topk_prob.assign(range, 0.0);
     rung.best_rank_prob.assign(rung.k, 0.0);
     rung.best_rank_index.assign(rung.k, -1);
     rung.has_rank_probabilities = outs[j]->has_rank_probabilities;
-    if (rung.has_rank_probabilities) {
-      rung.rank_prob.assign(range * rung.k, 0.0);
-    }
   }
 }
 
@@ -206,13 +201,13 @@ inline bool ScanDepthCanShard(size_t depth) {
 }
 
 /// The sharded counterpart of RunLadderScan over the ACTIVE rungs `outs`
-/// (full-size shared outputs whose scan_end fields still hold the
-/// pre-scan values; arrays already wiped over the rescanned range as the
-/// sequential prologue does). Plans grid-aligned cuts, pipelines
+/// (shared outputs already cut back to `begin`, as the sequential
+/// prologue leaves them). Plans grid-aligned cuts, pipelines
 /// boundary-bookkeeping hand-off with shard dispatch on `pool`, merges
-/// stops/argmaxes and copies each rung's live range back. Returns false
-/// -- leaving outputs untouched -- when the range does not justify
-/// sharding; the caller then runs the sequential loop.
+/// stops/argmaxes and appends each rung's live range, sizing it to the
+/// merged stop. Returns false -- leaving outputs untouched -- when the
+/// range does not justify sharding; the caller then runs the sequential
+/// loop.
 ///
 /// `make_checkpoint_fn(s, num_shards)` is called on the orchestrating
 /// thread, in shard order, and must return an independently usable
@@ -262,20 +257,15 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
         // bookkeeping at its cut (for every shard but the first the
         // count vector is stale; the cut is a grid point, so the loop's
         // first refresh reconstitutes it), emitting into the compact
-        // outputs and recording stop ranks instead of scan_end.
+        // outputs, whose stops are relative to the shard's begin.
         InitShardOutputs(outs, &result);
         std::vector<PsrOutput*> shard_outs;
         shard_outs.reserve(result.rungs.size());
         for (PsrOutput& out : result.rungs) shard_outs.push_back(&out);
-        result.stop_rank.resize(shard_outs.size());
-        RunLadderScan(
-            db, result.begin, result.end, result.live_at_begin,
-            /*emit_base=*/result.begin, options.early_termination, core,
-            shard_outs, /*first_active=*/0, track_best,
-            [&result](size_t rung, size_t at) {
-              result.stop_rank[rung] = at;
-            },
-            checkpoint);
+        RunLadderScan(db, result.begin, result.end, result.live_at_begin,
+                      /*emit_base=*/result.begin, options.early_termination,
+                      core, shard_outs, /*first_active=*/0, track_best,
+                      checkpoint);
       });
     }
     group.Wait();
@@ -283,28 +273,18 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
 
   // Per-rung stop merge: the first firing in shard order is the rank the
   // sequential scan would have stopped at (stops latch monotonically).
+  // Every shard before it ran the rung to its end, so appending the
+  // shards' rungs in order up to that one lays out [begin, stop).
   for (size_t j = 0; j < rungs; ++j) {
     PsrOutput& out = *outs[j];
+    UCLEAN_DCHECK(out.topk_prob.size() == begin);
     size_t scan_end = n;
     for (const ShardResult& result : results) {
-      if (result.stop_rank[j] < result.end) {
-        scan_end = result.stop_rank[j];
-        break;
-      }
-    }
-    out.scan_end = scan_end;
-    for (const ShardResult& result : results) {
-      if (result.begin >= scan_end) break;  // emission ends at the stop
-      const size_t bound = std::min(result.end, scan_end);
       const PsrOutput& rung = result.rungs[j];
-      std::copy(rung.topk_prob.begin(),
-                rung.topk_prob.begin() + (bound - result.begin),
-                out.topk_prob.begin() + result.begin);
-      if (out.has_rank_probabilities) {
-        std::copy(rung.rank_prob.begin(),
-                  rung.rank_prob.begin() + (bound - result.begin) * out.k,
-                  out.rank_prob.begin() + result.begin * out.k);
-      }
+      out.topk_prob.insert(out.topk_prob.end(), rung.topk_prob.begin(),
+                           rung.topk_prob.end());
+      out.rank_prob.insert(out.rank_prob.end(), rung.rank_prob.begin(),
+                           rung.rank_prob.end());
       if (track_best) {
         // Strict > keeps the earliest attaining rank, exactly like the
         // sequential running tracker.
@@ -316,7 +296,12 @@ bool RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
           }
         }
       }
+      if (result.begin + rung.scan_end < result.end) {
+        scan_end = result.begin + rung.scan_end;  // emission ends here
+        break;
+      }
     }
+    StopRung(scan_end, &out);
   }
   return true;
 }

@@ -67,9 +67,7 @@ void Frontend::FillTopk(const PsrOutput& psr, Reply* reply) const {
   reply->top_index = -1;
   reply->top_id = -1;
   reply->top_prob = 0.0;
-  // Every entry at or past scan_end is +0.0 (Lemma 2) and never beats
-  // the strict compare, so the argmax stops there.
-  for (size_t i = 0; i < psr.scan_end; ++i) {
+  for (size_t i = 0; i < psr.topk_prob.size(); ++i) {
     if (psr.topk_prob[i] > reply->top_prob) {
       reply->top_prob = psr.topk_prob[i];
       reply->top_index = static_cast<int32_t>(i);

@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
@@ -17,38 +16,6 @@ constexpr int64_t kMaxK = 10'000'000;
 
 constexpr uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-/// kFnvPrime^m mod 2^64 by repeated squaring: FNV-1a folds a zero byte
-/// as `hash *= kFnvPrime`, so m zero bytes multiply the hash by this.
-uint64_t FnvPrimePower(uint64_t m) {
-  uint64_t power = 1;
-  uint64_t base = kFnvPrime;
-  for (; m != 0; m >>= 1) {
-    if ((m & 1) != 0) power *= base;
-    base *= base;
-  }
-  return power;
-}
-
-/// Start of a run of all-zero-bits entries that ends `values`: a
-/// backward OR scan over 8-entry (64-byte) blocks aligned to the end,
-/// stopping at the first block that holds a nonzero entry. The run is
-/// the whole zero tail less at most 7 entries.
-size_t ZeroTailStart(const std::vector<double>& values) {
-  constexpr size_t kBlock = 8;
-  size_t end = values.size();
-  while (end >= kBlock) {
-    uint64_t any = 0;
-    for (size_t i = end - kBlock; i < end; ++i) {
-      uint64_t bits = 0;
-      std::memcpy(&bits, &values[i], sizeof(bits));
-      any |= bits;
-    }
-    if (any != 0) break;
-    end -= kBlock;
-  }
-  return end;
-}
 
 /// Splits on runs of spaces/tabs (no empty tokens).
 std::vector<std::string_view> Tokenize(std::string_view line) {
@@ -226,9 +193,7 @@ uint64_t Fnv1a64(const void* data, size_t size) {
 }
 
 uint64_t HashDoubles(const std::vector<double>& values) {
-  const size_t prefix = ZeroTailStart(values);
-  return Fnv1a64(values.data(), prefix * sizeof(double)) *
-         FnvPrimePower((values.size() - prefix) * sizeof(double));
+  return Fnv1a64(values.data(), values.size() * sizeof(double));
 }
 
 }  // namespace serve

@@ -22,7 +22,9 @@
 // (common/strings.h FormatDouble) and fp=/rngfp= are FNV-1a 64 hashes of
 // the raw result bytes, so two reply lines agree exactly iff the
 // underlying results are bitwise equal -- the property the traffic-replay
-// bench and the request-mix tests gate on. Malformed input never kills a
+// bench and the request-mix tests gate on. fp= hashes the rung's stored
+// top-k vector: its 8 * scan_end bytes, every p_i before the Lemma-2
+// stop. Malformed input never kills a
 // connection: parsing yields a structured kInvalidArgument reply and the
 // loop keeps serving (tests/serve_protocol_test.cc).
 //
@@ -103,7 +105,8 @@ struct Reply {
   // topk
   size_t num_nonzero = 0;
   size_t scan_end = 0;
-  uint64_t fingerprint = 0;  ///< HashDoubles over the rung's topk_prob
+  uint64_t fingerprint = 0;  ///< HashDoubles over the rung's topk_prob,
+                             ///< its scan_end entries
   TupleId top_id = -1;       ///< argmax top-k probability (first wins)
   int32_t top_index = -1;
   double top_prob = 0.0;
@@ -131,14 +134,10 @@ std::string FormatReply(const Reply& reply);
 uint64_t Fnv1a64(const void* data, size_t size);
 
 /// Fingerprint of a double vector's raw IEEE-754 bytes: equal hashes are
-/// (modulo collisions) bitwise-equal results. The value is exactly
-/// Fnv1a64(values.data(), 8 * values.size()). The cost is not: a
-/// backward OR scan over 64-byte blocks finds the all-zero-bits tail at
-/// memory speed, the byte loop runs only over the nonzero prefix (to the
-/// end of its last block), and the tail folds in closed form (m zero
-/// bytes multiply the hash by the FNV prime^m). A top-k vector is +0.0
-/// at and past its Lemma-2 scan_end, so hashing one costs O(scan_end)
-/// byte steps plus a zero test of the rest, not O(n) byte steps.
+/// (modulo collisions) bitwise-equal results. The value is
+/// Fnv1a64(values.data(), 8 * values.size()). A top-k rung holds only
+/// its live prefix [0, scan_end) (Lemma 2), so hashing one costs
+/// O(scan_end) byte steps, not O(n).
 uint64_t HashDoubles(const std::vector<double>& values);
 
 }  // namespace serve

@@ -125,14 +125,17 @@ class BinWriter {
   void F64Array(const std::vector<double>& values, uint64_t /*min*/ = 0,
                 uint64_t /*max*/ = 0) {
     Varint(values.size());
-    if (values.empty()) return;
-    if (IsLittleEndianHost()) {
-      const size_t old = bytes_.size();
-      bytes_.resize(old + values.size() * 8);
-      std::memcpy(&bytes_[old], values.data(), values.size() * 8);
-    } else {
-      for (double v : values) F64(v);
-    }
+    Doubles(values);
+  }
+
+  /// `values` padded with +0.0 to `size` entries: the wire form of a
+  /// vector that memory holds as its prefix before an all-zero tail. The
+  /// bytes are F64Array's of the padded vector.
+  void PaddedF64Array(const std::vector<double>& values, uint64_t size,
+                      uint64_t /*min*/ = 0, uint64_t /*max*/ = 0) {
+    Varint(size);
+    Doubles(values);
+    bytes_.append((size - values.size()) * 8, '\0');  // +0.0 is all zeros
   }
 
   void VarintArray(const std::vector<size_t>& values) {
@@ -149,6 +152,17 @@ class BinWriter {
   void Check(bool /*holds*/, const char* /*what*/) {}
 
  private:
+  void Doubles(const std::vector<double>& values) {
+    if (values.empty()) return;
+    if (IsLittleEndianHost()) {
+      const size_t old = bytes_.size();
+      bytes_.resize(old + values.size() * 8);
+      std::memcpy(&bytes_[old], values.data(), values.size() * 8);
+    } else {
+      for (double v : values) F64(v);
+    }
+  }
+
   template <typename U>
   void Fixed(U v) {
     char b[sizeof(U)];
@@ -253,6 +267,15 @@ class BinReader {
     } else {
       for (double& d : v) F64(d);
     }
+  }
+
+  /// PaddedF64Array's wire form read whole, as F64Array reads it (its
+  /// count in [min, max]; `size` is the writer's): the caller checks and
+  /// drops the zero tail once it has decoded where that tail starts.
+  void PaddedF64Array(std::vector<double>& v, uint64_t /*size*/,
+                      uint64_t min = 0,
+                      uint64_t max = std::numeric_limits<uint64_t>::max()) {
+    F64Array(v, min, max);
   }
 
   void VarintArray(std::vector<size_t>& v) {

@@ -12,7 +12,11 @@
 // inconsistent cross-section shape, a rung that breaks Lemma 2's zero
 // tail -- surfaces as Status::DataLoss, and the reader never
 // reconstructs a pool it cannot prove bitwise-faithful to the writer's.
+// Rung vectors are the one place memory and wire differ: memory holds a
+// rung's live prefix [0, scan_end), the wire its n entries, zero-padded
+// (PaddedF64Array; the reader checks the tail, then drops it).
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -184,22 +188,21 @@ const SectionEntry* SnapshotFile::Find(uint32_t id) const {
 
 namespace {
 
-/// True when every entry of `v` at or past `begin` is +0.0 bits.
-bool ZeroFrom(const std::vector<double>& v, size_t begin) {
+/// The reader's half of a PaddedF64Array: every entry of `v` at or past
+/// `end` must be +0.0 bits (the wire can carry any tail; a scan writes
+/// none), and memory keeps only [0, end), its tail's memory released.
+void DropZeroTail(BinReader& c, std::vector<double>* v, size_t end,
+                  const char* what) {
+  if (!c.ok()) return;
   uint64_t bits = 0;
-  for (size_t i = begin; i < v.size(); ++i) {
+  for (size_t i = std::min(end, v->size()); i < v->size(); ++i) {
     uint64_t b = 0;
-    std::memcpy(&b, &v[i], sizeof(b));
+    std::memcpy(&b, &(*v)[i], sizeof(b));
     bits |= b;
   }
-  return bits == 0;
-}
-
-/// The number of positive entries of `v` before `end`.
-size_t CountPositive(const std::vector<double>& v, size_t end) {
-  size_t positive = 0;
-  for (size_t i = 0; i < end; ++i) positive += v[i] > 0.0;
-  return positive;
+  c.Check(bits == 0, what);
+  v->resize(std::min(end, v->size()));
+  v->shrink_to_fit();
 }
 
 Result<std::string> ReadFileBytes(const std::string& path) {
@@ -234,41 +237,46 @@ void Transfer(C& c, Io<C, SnapshotMeta>& meta) {
   c.VarintArray(meta.ladder);
 }
 
-/// One PSR rung over `n` tuples.
+/// One PSR rung over `n` tuples. Memory holds the rung's live prefix
+/// [0, scan_end) (Lemma 2); the wire holds n top-k entries (n * k for a
+/// stored matrix), zero-padded.
 template <typename C>
 void Transfer(C& c, Io<C, PsrOutput>& out, size_t n) {
   c.Varint(out.k, 1, SIZE_MAX);
-  c.F64Array(out.topk_prob, n, n);
+  c.PaddedF64Array(out.topk_prob, n, n, n);
   c.Varint(out.num_nonzero, n);
   c.Varint(out.scan_end, n);
   if constexpr (C::kReads) {
-    // Lemma 2: a scan never writes at or past its stop point, so every
-    // top-k entry there is +0.0 bits, and num_nonzero counts the positive
-    // entries before it. The serving argmax, the engine's recounts and
-    // ForkSession's prefix copy all stop at scan_end on that promise.
-    if (c.ok()) {
-      c.Check(ZeroFrom(out.topk_prob, out.scan_end),
-              "PSR top-k entry at or past scan_end is not +0.0");
-      c.Check(CountPositive(out.topk_prob, out.scan_end) == out.num_nonzero,
-              "PSR nonzero count does not match its top-k vector");
-    }
+    // A scan never writes at or past its stop point, so every top-k
+    // entry there is +0.0 bits, and num_nonzero counts the positive
+    // entries before it.
+    out.num_tuples = n;
+    DropZeroTail(c, &out.topk_prob, out.scan_end,
+                 "PSR top-k entry at or past scan_end is not +0.0");
+    size_t positive = 0;
+    for (double p : out.topk_prob) positive += p > 0.0;
+    c.Check(positive == out.num_nonzero,
+            "PSR nonzero count does not match its top-k vector");
   }
   c.F64Array(out.best_rank_prob, out.k, out.k);
   c.Size(out.best_rank_index, out.k, out.k);
   for (auto& index : out.best_rank_index) {
     c.Zigzag(index, -1, static_cast<int64_t>(n) - 1);
   }
-  c.F64Array(out.rank_prob);
+  c.PaddedF64Array(out.rank_prob, out.has_rank_probabilities ? n * out.k : 0);
   c.Bool(out.has_rank_probabilities);
   const size_t matrix = out.has_rank_probabilities ? n * out.k : 0;
   c.Check(out.rank_prob.size() == matrix,
           "rank-probability matrix size mismatch");
+  if constexpr (C::kReads) {
+    DropZeroTail(c, &out.rank_prob, out.scan_end * out.k,
+                 "PSR rank probability at or past scan_end is not +0.0");
+  }
 }
 
 /// A TP ladder, one entry per PSR rung of `rungs` (the engine's for the
-/// base ladder, a session's own for its ladder). Each omega vector is
-/// +0.0 at and past its rung's scan_end, as the fork's prefix copy
-/// leaves it and the delta pass keeps it.
+/// base ladder, a session's own for its ladder). Memory holds each
+/// omega's [0, scan_end); the wire holds n entries, zero-padded.
 template <typename C>
 void Transfer(C& c, Io<C, std::vector<TpOutput>>& tps,
               const std::vector<PsrOutput>& rungs,
@@ -279,17 +287,16 @@ void Transfer(C& c, Io<C, std::vector<TpOutput>>& tps,
   for (size_t j = 0; j < tps.size(); ++j) {
     auto& tp = tps[j];
     c.F64(tp.quality);
-    c.F64Array(tp.omega, n, n);
+    c.PaddedF64Array(tp.omega, n, n, n);
     c.Varint(tp.scan_end, n);
     c.F64Array(tp.xtuple_gain, nx, nx);
     c.F64Array(tp.xtuple_topk_mass, nx, nx);
     c.Check(tp.scan_end == rungs[j].scan_end,
             "TP scan_end does not match its PSR rung");
     if constexpr (C::kReads) {
-      if (c.ok()) {
-        c.Check(ZeroFrom(tp.omega, tp.scan_end),
-                "TP omega at or past scan_end is not +0.0");
-      }
+      tp.num_tuples = n;
+      DropZeroTail(c, &tp.omega, tp.scan_end,
+                   "TP omega at or past scan_end is not +0.0");
     }
   }
 }

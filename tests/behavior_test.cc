@@ -47,7 +47,7 @@ TEST(Behavior, PtkAtMinimalThresholdEqualsNonzeroSet) {
   ASSERT_TRUE(answer.ok());
   size_t nonzero_real = 0;
   for (size_t i = 0; i < db.num_tuples(); ++i) {
-    if (!db.tuple(i).is_null && psr->topk_prob[i] >= 1e-12) ++nonzero_real;
+    if (!db.tuple(i).is_null && psr->topk_at(i) >= 1e-12) ++nonzero_real;
   }
   EXPECT_EQ(answer->tuples.size(), nonzero_real);
 }

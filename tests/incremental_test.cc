@@ -210,8 +210,7 @@ TEST(PsrEngine, CreateMatchesComputePsr) {
       EXPECT_EQ(engine->output().scan_end, scratch->scan_end);
       EXPECT_EQ(engine->output().num_nonzero, scratch->num_nonzero);
       for (size_t i = 0; i < db.num_tuples(); ++i) {
-        EXPECT_NEAR(engine->output().topk_prob[i], scratch->topk_prob[i],
-                    kTol);
+        EXPECT_NEAR(engine->output().topk_at(i), scratch->topk_at(i), kTol);
       }
       for (size_t h = 0; h < k; ++h) {
         EXPECT_EQ(engine->output().best_rank_index[h],

@@ -581,12 +581,18 @@ std::vector<PsrOutput> SingleTupleScan(const Db& db, const KLadder& ladder,
                                        const ScanKernel& kernel,
                                        ObserveFn&& observe) {
   std::vector<PsrOutput> outputs;
-  psr_internal::InitLadderOutputs(db.num_tuples(), ladder, options, &outputs);
+  psr_internal::InitLadderOutputs(ladder, options, &outputs);
   std::vector<PsrOutput*> outs;
   for (PsrOutput& out : outputs) outs.push_back(&out);
   psr_internal::ScanCore core;
   core.Init(db.num_xtuples(), &kernel);
   const size_t n = db.num_tuples();
+  // A rung holds [0, scan_end): EmitLadder grows it, its stop sizes it.
+  const auto end_rung = [](size_t at, PsrOutput* out) {
+    out->scan_end = at;
+    out->topk_prob.resize(at);
+    if (out->has_rank_probabilities) out->rank_prob.resize(at * out->k);
+  };
   size_t first_active = 0;
   size_t live = 0;
   for (size_t i = 0; i < n && first_active < outs.size(); ++i) {
@@ -597,7 +603,7 @@ std::vector<PsrOutput> SingleTupleScan(const Db& db, const KLadder& ladder,
     if (options.early_termination) {
       while (first_active < outs.size() &&
              core.ShouldStop(outs[first_active]->k)) {
-        outs[first_active]->scan_end = i;
+        end_rung(i, outs[first_active]);
         ++first_active;
       }
       if (first_active == outs.size()) break;
@@ -611,7 +617,7 @@ std::vector<PsrOutput> SingleTupleScan(const Db& db, const KLadder& ladder,
     core.Advance(t, ex);
     ++live;
   }
-  for (size_t j = first_active; j < outs.size(); ++j) outs[j]->scan_end = n;
+  for (size_t j = first_active; j < outs.size(); ++j) end_rung(n, outs[j]);
   for (PsrOutput& out : outputs) {
     out.num_nonzero = 0;
     for (const double p : out.topk_prob) out.num_nonzero += p > 0.0;

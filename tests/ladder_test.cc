@@ -373,12 +373,11 @@ TEST(LadderSession, ShrinkingScanEndLeavesNoStaleOmega) {
   // Regression for the delta-TP shrink case: a clean that resolves an
   // x-tuple to a top-ranked certain tuple adds a saturated contributor
   // early, so the Lemma-2 stop fires sooner and the replayed scan_end
-  // moves BACKWARD. UpdateTpQualityLadder must wipe omega to the deeper
-  // of the old and new ends, or the entries in [new_end, old_end) would
-  // survive as stale state that a later pass (whose wipe is bounded by
-  // the new, shallower scan_end) silently resurrects once the scan grows
-  // again. The test forces the shrink, asserts omega is identically zero
-  // at and past every rung's new stop point, and then pushes another
+  // moves BACKWARD. UpdateTpQualityLadder must cut omega back to the new
+  // end, or the entries in [new_end, old_end) would survive as stale
+  // state that a later pass silently resurrects once the scan grows
+  // again. The test forces the shrink, asserts omega holds exactly
+  // [0, scan_end) at every rung's new stop point, and then pushes another
   // clean through to prove later passes stay exact.
   Rng maker(987);
   RandomDbOptions opts;
@@ -412,11 +411,9 @@ TEST(LadderSession, ShrinkingScanEndLeavesNoStaleOmega) {
     for (size_t rung = 0; rung < ladder.size(); ++rung) {
       const TpOutput& tp = session->tp(rung);
       EXPECT_EQ(tp.scan_end, session->psr(rung).scan_end);
-      for (size_t i = tp.scan_end; i < tp.omega.size(); ++i) {
-        EXPECT_EQ(tp.omega[i], 0.0)
-            << "stale omega at rank " << i << " (scan_end " << tp.scan_end
-            << ", pre-clean scan_end " << old_ends[rung] << ")";
-      }
+      EXPECT_EQ(tp.omega.size(), tp.scan_end)
+          << "stale omega past scan_end " << tp.scan_end
+          << " (pre-clean scan_end " << old_ends[rung] << ")";
       ExpectTpMatchesSingleK(session->db(), tp, ladder[rung]);
     }
     // A second clean (and replay) over the shrunken state must stay

@@ -43,8 +43,8 @@ TEST(Numerics, Sigma10RegressionSumOfTopkProbs) {
     EXPECT_NEAR(SumTopkProbs(*psr), static_cast<double>(k), 1e-8)
         << "k=" << k;
     for (size_t i = 0; i < db->num_tuples(); ++i) {
-      ASSERT_LE(psr->topk_prob[i], db->tuple(i).prob + 1e-12);
-      ASSERT_GE(psr->topk_prob[i], -1e-12);
+      ASSERT_LE(psr->topk_at(i), db->tuple(i).prob + 1e-12);
+      ASSERT_GE(psr->topk_at(i), -1e-12);
     }
   }
 }
@@ -96,7 +96,7 @@ TEST(Numerics, GeometricLadderInvariants) {
     ASSERT_TRUE(psr.ok());
     EXPECT_NEAR(SumTopkProbs(*psr), static_cast<double>(k), 1e-8);
     for (size_t i = 0; i < db.num_tuples(); ++i) {
-      ASSERT_LE(psr->topk_prob[i], db.tuple(i).prob + 1e-12);
+      ASSERT_LE(psr->topk_at(i), db.tuple(i).prob + 1e-12);
     }
   }
 }

@@ -453,7 +453,7 @@ TEST(DatabaseOverlay, NullOutcomeCollapsesToCertainNull) {
   Result<PsrOutput> psr = ScanPsr(overlay, 1);
   ASSERT_TRUE(psr.ok());
   const size_t f_rank = *base->RankIndexOfTupleId(2);
-  EXPECT_NEAR(psr->topk_prob[f_rank], 1.0, kTol);
+  EXPECT_NEAR(psr->topk_at(f_rank), 1.0, kTol);
 
   const ProbabilisticDatabase merged = overlay.MaterializeCleaned();
   EXPECT_EQ(merged.num_real_tuples(), 1u);  // only F's alternative remains

@@ -49,7 +49,7 @@ TEST(Psr, MatchesBruteForceOnUdb1) {
             << "k=" << k << " tuple " << i << " rank " << h;
         p += truth[i][h - 1];
       }
-      EXPECT_NEAR(psr->topk_prob[i], p, 1e-10);
+      EXPECT_NEAR(psr->topk_at(i), p, 1e-10);
     }
   }
 }
@@ -123,8 +123,8 @@ TEST(Psr, TopkProbBoundedByExistence) {
   Result<PsrOutput> psr = ScanPsr(db, 3);
   ASSERT_TRUE(psr.ok());
   for (size_t i = 0; i < db.num_tuples(); ++i) {
-    EXPECT_LE(psr->topk_prob[i], db.tuple(i).prob + 1e-12);
-    EXPECT_GE(psr->topk_prob[i], -1e-12);
+    EXPECT_LE(psr->topk_at(i), db.tuple(i).prob + 1e-12);
+    EXPECT_GE(psr->topk_at(i), -1e-12);
   }
 }
 
@@ -144,7 +144,7 @@ TEST(Psr, EarlyTerminationDoesNotChangeResults) {
       Result<PsrOutput> b = ScanPsr(db, k, without);
       ASSERT_TRUE(a.ok() && b.ok());
       for (size_t i = 0; i < db.num_tuples(); ++i) {
-        EXPECT_NEAR(a->topk_prob[i], b->topk_prob[i], 1e-10);
+        EXPECT_NEAR(a->topk_at(i), b->topk_at(i), 1e-10);
       }
     }
   }
@@ -169,7 +169,7 @@ TEST(Psr, EarlyTerminationActuallyStopsEarly) {
   EXPECT_EQ(psr->scan_end, 5u);
   EXPECT_EQ(psr->num_nonzero, 5u);
   for (size_t i = 0; i < 5; ++i) EXPECT_NEAR(psr->topk_prob[i], 1.0, 1e-12);
-  for (size_t i = 5; i < n; ++i) EXPECT_EQ(psr->topk_prob[i], 0.0);
+  for (size_t i = 5; i < n; ++i) EXPECT_EQ(psr->topk_at(i), 0.0);
 }
 
 TEST(Psr, BestRankTracksUkRanksArgmax) {
@@ -197,7 +197,7 @@ TEST(Psr, KBeyondDatabaseSizeGivesExistenceProbabilities) {
   Result<PsrOutput> psr = ScanPsr(db, 20);
   ASSERT_TRUE(psr.ok());
   for (size_t i = 0; i < db.num_tuples(); ++i) {
-    EXPECT_NEAR(psr->topk_prob[i], db.tuple(i).prob, 1e-10);
+    EXPECT_NEAR(psr->topk_at(i), db.tuple(i).prob, 1e-10);
   }
 }
 

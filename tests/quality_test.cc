@@ -143,7 +143,7 @@ TEST(Tp, TopkMassMatchesPsr) {
   ASSERT_TRUE(tp.ok());
   std::vector<double> expected(db.num_xtuples(), 0.0);
   for (size_t i = 0; i < db.num_tuples(); ++i) {
-    expected[db.tuple(i).xtuple] += psr->topk_prob[i];
+    expected[db.tuple(i).xtuple] += psr->topk_at(i);
   }
   for (size_t l = 0; l < db.num_xtuples(); ++l) {
     EXPECT_NEAR(tp->xtuple_topk_mass[l], expected[l], 1e-12);

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -325,6 +326,34 @@ void ExpectSoloScan(const Reply& reply, const ProbabilisticDatabase& db,
   EXPECT_EQ(reply.fingerprint, HashDoubles(scan->output().topk_prob)) << k;
   EXPECT_EQ(reply.num_nonzero, scan->output().num_nonzero) << k;
   EXPECT_EQ(reply.scan_end, scan->output().scan_end) << k;
+}
+
+// fp= is FNV-1a over the rung as stored: its 8 * scan_end bytes, every
+// p_i before the Lemma-2 stop, whether the reply replays a pool rung
+// (k = 5, 20) or runs a scan of its own (k = 7).
+TEST(ServeTopk, FingerprintHashesTheLivePrefix) {
+  const ProbabilisticDatabase db = MakeDb();
+  Result<Frontend> frontend = Frontend::Create(MakePool(db, {5, 20}, 1),
+                                               std::nullopt, FrontendOptions());
+  ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+  const Frontend::ClientId client = frontend->Connect();
+  for (size_t k : {5, 7, 20}) {
+    const Reply reply = frontend->Execute(client, Query(Verb::kTopk, k));
+    ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+    Result<ScanRequest> request = ScanRequest::ForK(k);
+    ASSERT_TRUE(request.ok());
+    Result<ScanResult> scan = ComputePsrLadder(db, *request);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    const PsrOutput& psr = scan->output();
+    ASSERT_LT(psr.scan_end, db.num_tuples()) << k;  // a tail exists
+    const uint64_t fp = Fnv1a64(psr.topk_prob.data(), 8 * psr.scan_end);
+    EXPECT_EQ(reply.fingerprint, fp) << k;
+    char hex[32];
+    std::snprintf(hex, sizeof(hex), " fp=%016llx ",
+                  static_cast<unsigned long long>(fp));
+    EXPECT_NE(FormatReply(reply).find(hex), std::string::npos)
+        << FormatReply(reply);
+  }
 }
 
 TEST(ServeRule, SameColdKFromTwoClientsSharesOneScan) {

@@ -40,6 +40,7 @@
 #include "store/binstream.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
+#include "tests/test_util.h"
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"
 
@@ -86,6 +87,7 @@ TupleId FirstMemberId(const ProbabilisticDatabase& db, XTupleId l) {
 
 void ExpectPsrEq(const PsrOutput& a, const PsrOutput& b) {
   EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(a.num_tuples, b.num_tuples);
   EXPECT_EQ(a.topk_prob, b.topk_prob);
   EXPECT_EQ(a.num_nonzero, b.num_nonzero);
   EXPECT_EQ(a.scan_end, b.scan_end);
@@ -784,12 +786,13 @@ TEST(SnapshotCorruptionTest, DatabaseBreakingBuilderInvariantsIsDataLoss) {
 /// `topk_prob, num_nonzero, scan_end` of `rung`, found exactly once in
 /// section `section_id` of `good` -- from `crafted`, with every CRC
 /// recomputed: a file whose checksums hold but whose rung breaks the
-/// zero tail the reader promises.
-std::string WithRung(const std::string& good, uint32_t section_id,
+/// zero tail the reader promises. Both encode as the wire holds a rung,
+/// its top-k vector zero-padded to the database's `n` entries.
+std::string WithRung(const std::string& good, uint32_t section_id, size_t n,
                      const PsrOutput& rung, const PsrOutput& crafted) {
-  const auto encode = [](const PsrOutput& out) {
+  const auto encode = [n](const PsrOutput& out) {
     store::BinWriter w;
-    w.F64Array(out.topk_prob);
+    w.PaddedF64Array(out.topk_prob, n);
     w.Varint(out.num_nonzero);
     w.Varint(out.scan_end);
     return w.bytes();
@@ -822,15 +825,18 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
     ASSERT_LT(rung.scan_end, n);  // the rung stopped early: a tail exists
     ASSERT_GT(rung.num_nonzero, 0u);
     // Re-encoding the rung unchanged reproduces the file.
-    ASSERT_EQ(WithRung(good, r.section, rung, rung), good);
+    ASSERT_EQ(WithRung(good, r.section, n, rung, rung), good);
 
-    PsrOutput positive_tail = rung;
+    // The crafted rungs carry the wire's n entries, their tails edited.
+    PsrOutput wire = rung;
+    wire.topk_prob.resize(n, 0.0);
+    PsrOutput positive_tail = wire;
     positive_tail.topk_prob[rung.scan_end] = 1e-300;
-    PsrOutput negative_zero = rung;
+    PsrOutput negative_zero = wire;
     negative_zero.topk_prob[n - 1] = -0.0;
-    PsrOutput one_high = rung;
+    PsrOutput one_high = wire;
     ++one_high.num_nonzero;
-    PsrOutput one_low = rung;
+    PsrOutput one_low = wire;
     --one_low.num_nonzero;
     const struct {
       const char* name;
@@ -844,7 +850,8 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
     };
     for (const auto& c : cases) {
       Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
-          WithRung(good, r.section, rung, c.crafted), SessionPool::Options());
+          WithRung(good, r.section, n, rung, c.crafted),
+          SessionPool::Options());
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
       EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
           << c.name << ": " << loaded.status().message();
@@ -883,13 +890,14 @@ void ExpectDataLoss(const std::string& bytes, const char* message) {
 }
 
 /// Re-encodes the run `quality, omega, scan_end` of TP rung `tp`, found
-/// once in the sessions section of `good`, from `crafted`.
-std::string WithTp(const std::string& good, const TpOutput& tp,
+/// once in the sessions section of `good`, from `crafted`, each omega
+/// zero-padded to the database's `n` entries as the wire holds it.
+std::string WithTp(const std::string& good, size_t n, const TpOutput& tp,
                    const TpOutput& crafted) {
-  const auto encode = [](const TpOutput& t) {
+  const auto encode = [n](const TpOutput& t) {
     store::BinWriter w;
     w.F64(t.quality);
-    w.F64Array(t.omega);
+    w.PaddedF64Array(t.omega, n);
     w.Varint(t.scan_end);
     return w.Take();
   };
@@ -911,16 +919,77 @@ TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
   for (const auto& l : ladders) {
     SCOPED_TRACE(l.name);
     ASSERT_LT(l.tp.scan_end, n);
-    ASSERT_EQ(WithTp(good, l.tp, l.tp), good);
-    TpOutput nonzero_tail = l.tp;
+    ASSERT_EQ(WithTp(good, n, l.tp, l.tp), good);
+    TpOutput wire = l.tp;  // the wire's n omegas, tails edited below
+    wire.omega.resize(n, 0.0);
+    TpOutput nonzero_tail = wire;
     nonzero_tail.omega[l.tp.scan_end] = -1e-300;
-    TpOutput negative_zero = l.tp;
+    TpOutput negative_zero = wire;
     negative_zero.omega[n - 1] = -0.0;
-    TpOutput one_deeper = l.tp;
+    TpOutput one_deeper = wire;
     ++one_deeper.scan_end;
-    ExpectDataLoss(WithTp(good, l.tp, nonzero_tail), "TP omega");
-    ExpectDataLoss(WithTp(good, l.tp, negative_zero), "TP omega");
-    ExpectDataLoss(WithTp(good, l.tp, one_deeper), "TP scan_end");
+    ExpectDataLoss(WithTp(good, n, l.tp, nonzero_tail), "TP omega");
+    ExpectDataLoss(WithTp(good, n, l.tp, negative_zero), "TP omega");
+    ExpectDataLoss(WithTp(good, n, l.tp, one_deeper), "TP scan_end");
+  }
+}
+
+// Memory holds each rung's live prefix [0, scan_end); the wire holds its
+// n entries (n * k for a stored matrix), zero-padded. A load checks the
+// tail and drops it, so every loaded rung is sized as the writer's was,
+// and the loaded pool writes the same bytes.
+TEST(SnapshotRoundTripTest, RungsLoadAsTheirLivePrefix) {
+  const ProbabilisticDatabase db = MakeDb(120);
+  const size_t n = db.num_tuples();
+  for (bool matrix : {false, true}) {
+    SCOPED_TRACE(matrix ? "matrix" : "no matrix");
+    SessionPool::Options options;
+    options.psr.store_rank_probabilities = matrix;
+    Result<SessionPool> pool = SessionPool::Create(
+        ProbabilisticDatabase(db), MakeLadder({5, 20}), options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const SessionPool::SessionId cleaned = pool->OpenSession();
+    const SessionPool::SessionId pristine = pool->OpenSession();
+    const XTupleId top = db.tuple(0).xtuple;
+    ASSERT_TRUE(pool->ApplyCleanOutcome(cleaned, top, -1).ok());
+    ASSERT_TRUE(pool->Refresh(cleaned).ok());
+    const std::string bytes = SerializedPool(*pool);
+
+    Result<store::LoadedSnapshot> loaded =
+        SnapshotAccess::Deserialize(bytes, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const SessionPool& back = loaded->pool;
+    for (size_t rung = 0; rung < back.num_rungs(); ++rung) {
+      const PsrOutput& base = back.base_psr(rung);
+      EXPECT_EQ(RungSizeError(base, n), "") << "base rung " << rung;
+      EXPECT_EQ(TpSizeError(back.base_tp(rung), base), "") << rung;
+      ExpectPsrEq(base, pool->base_psr(rung));
+      for (SessionPool::SessionId id : {cleaned, pristine}) {
+        const PsrOutput& psr = back.psr(id, rung);
+        EXPECT_EQ(RungSizeError(psr, n), "") << "session " << id;
+        EXPECT_EQ(TpSizeError(back.tp(id, rung), psr), "") << id;
+        ExpectPsrEq(psr, pool->psr(id, rung));
+        EXPECT_EQ(back.tp(id, rung).omega, pool->tp(id, rung).omega);
+      }
+    }
+    EXPECT_EQ(SerializedPool(back), bytes);
+
+    if (!matrix) continue;
+    // A stored matrix's zero tail is checked like the top-k vector's.
+    const PsrOutput& rung = pool->base_psr(0);
+    ASSERT_LT(rung.scan_end, n);
+    const auto encode = [&rung, n](const std::vector<double>& m) {
+      store::BinWriter w;
+      w.PaddedF64Array(m, n * rung.k);
+      w.Bool(true);
+      return w.Take();
+    };
+    std::vector<double> wire = rung.rank_prob;
+    wire.resize(n * rung.k, 0.0);
+    wire[rung.scan_end * rung.k] = 1e-300;
+    ExpectDataLoss(WithRun(bytes, store::kSectionEngine,
+                           encode(rung.rank_prob), encode(wire)),
+                   "rank probability at or past scan_end");
   }
 }
 

@@ -7,6 +7,7 @@
 #ifndef UCLEAN_TESTS_TEST_UTIL_H_
 #define UCLEAN_TESTS_TEST_UTIL_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "model/database.h"
 #include "model/database_overlay.h"
+#include "quality/tp.h"
 #include "rank/psr.h"
 
 namespace uclean {
@@ -57,6 +59,40 @@ Result<PsrOutput> ScanPsr(const Db& db, size_t k,
   Result<std::vector<PsrOutput>> scan = ScanPsrLadder(db, ladder, options);
   if (!scan.ok()) return scan.status();
   return std::move((*scan)[0]);
+}
+
+/// Empty when `out` is Lemma-2-sized for a database of `n` tuples --
+/// topk_prob holds exactly [0, scan_end), and so does the rank matrix
+/// when stored (scan_end * k entries) -- otherwise what is off.
+inline std::string RungSizeError(const PsrOutput& out, size_t n) {
+  std::string error;
+  const auto expect = [&error](bool holds, const std::string& what) {
+    if (!holds) error += what + "; ";
+  };
+  const auto str = [](size_t v) { return std::to_string(v); };
+  expect(out.num_tuples == n, "num_tuples " + str(out.num_tuples));
+  expect(out.scan_end <= n, "scan_end " + str(out.scan_end) + " > n");
+  expect(out.topk_prob.size() == out.scan_end,
+         "topk_prob.size() " + str(out.topk_prob.size()) + " != scan_end " +
+             str(out.scan_end));
+  const size_t matrix = out.has_rank_probabilities ? out.scan_end * out.k : 0;
+  expect(out.rank_prob.size() == matrix, "rank_prob.size() " +
+                                             str(out.rank_prob.size()) +
+                                             " != " + str(matrix));
+  return error;
+}
+
+/// Empty when `tp` is sized like its PSR rung `psr`: omega holds exactly
+/// [0, scan_end) of the same scan over the same database.
+inline std::string TpSizeError(const TpOutput& tp, const PsrOutput& psr) {
+  std::string error;
+  if (tp.num_tuples != psr.num_tuples) error += "num_tuples differ; ";
+  if (tp.scan_end != psr.scan_end) error += "scan_end differs; ";
+  if (tp.omega.size() != tp.scan_end) {
+    error += "omega.size() " + std::to_string(tp.omega.size()) +
+             " != scan_end " + std::to_string(tp.scan_end) + "; ";
+  }
+  return error;
 }
 
 struct RandomDbOptions {

@@ -6,7 +6,7 @@ From the gate's own tables it builds one passing document per bench, at
 asserts that the gate passes it. Then it breaks one thing at a time and
 asserts that the gate fails, on a line that names what broke:
   * each row's field, pushed just past its bound, in each target the
-    row applies to;
+    row applies to, and set to NaN for each `>=`, `<=` and `==` row;
   * each keyed series, dropped;
   * an extra series that no row names, on the benches that require a
     row for every series;
@@ -110,12 +110,17 @@ def main():
                 for _, target, field, op, bound, _ in rows_of(bench):
                     if field is None:
                         continue
-                    value = past(op, gate.resolve(bound, doc)[0])
+                    values = [past(op, gate.resolve(bound, doc)[0])]
+                    if op != "is":
+                        values.append(math.nan)
                     for i, (name, _) in enumerate(items(doc, bench, target)):
-                        broken = build(bench, cores_field, cores)
-                        put(items(broken, bench, target)[i][1], field, value)
-                        expect_fail(broken, f"{where} {name} {field} {op}",
-                                    f"{name}: {field} {value} breaks")
+                        for value in values:
+                            broken = build(bench, cores_field, cores)
+                            put(items(broken, bench, target)[i][1], field,
+                                value)
+                            expect_fail(broken,
+                                        f"{where} {name} {field} {op} {value}",
+                                        f"{name}: {field} {value} breaks")
                 for i, series in enumerate(doc[list_name]):
                     broken = build(bench, cores_field, cores)
                     del broken[list_name][i]
