@@ -16,6 +16,10 @@
 //    Opening a session copies the engine's outputs (PsrEngine::
 //    ForkSession -- a memcpy of each rung's live prefix, no scan) and
 //    the base TP ladder.
+//  * A query off the ladder scans the session's view afresh
+//    (ScanLadder), but may cut that scan at every shared or private
+//    checkpoint valid for the view: a shard restores one instead of
+//    starting from rank 0 or a grid point.
 //  * Refreshing a session replays ONLY that session's suffix
 //    (PsrEngine::ReplaySession): the shared checkpoints cover the prefix
 //    above the session's divergence rank, the session's private
@@ -210,6 +214,18 @@ class SessionPool {
     const Session& s = Slot(id);
     UCLEAN_CHECK(!s.dirty());
     return s.scan.output(rung);
+  }
+
+  /// A fresh scan of `ladder` (any ks, on the pool ladder or not) over
+  /// session `id`'s view: bitwise ComputePsrLadder over the view with the
+  /// pool's PSR options, run on the pool's executor and cut, where that
+  /// pays, at every checkpoint valid for the view as well as at grid
+  /// points (PsrEngine::ScanLadder). ScanResult::threads says how many
+  /// threads it ran on. Requires !dirty(id). Read-only.
+  Result<ScanResult> ScanLadder(SessionId id, const KLadder& ladder) const {
+    const Session& s = Slot(id);
+    UCLEAN_CHECK(!s.dirty());
+    return engine_.ScanLadder(s.overlay, s.scan, ladder);
   }
 
   /// Maintained TP quality state of rung `rung`. Requires !dirty(id).

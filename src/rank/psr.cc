@@ -97,53 +97,6 @@ void InitLadderOutputs(const KLadder& ladder, const PsrOptions& options,
 
 }  // namespace psr_internal
 
-namespace {
-
-// The one-shot ladder scan, generic over the scanned view (`Db` is
-// ProbabilisticDatabase or DatabaseOverlay -- both expose num_tuples /
-// num_xtuples / tuple / is_tombstone). Request/exec/kernel validation
-// happened in the caller; `kernel` is the concrete resolved table.
-template <typename Db>
-Result<ScanResult> ScanRequested(const Db& db, const ScanRequest& request,
-                                 const ExecOptions& resolved,
-                                 const psr_internal::ScanKernel* kernel) {
-  ScanResult result;
-  result.kernel = kernel->kind;
-  psr_internal::InitLadderOutputs(request.ladder, request.psr, &result.outputs);
-  std::vector<PsrOutput*> outs;
-  outs.reserve(result.outputs.size());
-  for (PsrOutput& out : result.outputs) {
-    out.num_tuples = db.num_tuples();
-    outs.push_back(&out);
-  }
-
-  psr_internal::ScanCore core;
-  core.Init(db.num_xtuples(), kernel);
-  bool sharded = false;
-  if (resolved.parallel()) {
-    // One-shot scans keep no checkpoints: the snapshot hook is a no-op.
-    const auto no_checkpoints = [](size_t, size_t) {
-      return [](const psr_internal::ScanCore&, size_t, size_t) {};
-    };
-    sharded = psr_internal::RunShardedLadderScan(
-        db, 0, 0, request.psr, resolved.pool.get(), core, outs,
-        /*track_best=*/true, no_checkpoints);
-  }
-  if (!sharded) {
-    psr_internal::RunLadderScan(
-        db, 0, db.num_tuples(), 0, /*emit_base=*/0,
-        request.psr.early_termination, core, outs, /*first_active=*/0,
-        /*track_best=*/true,
-        [](const psr_internal::ScanCore&, size_t, size_t) {});
-  }
-  for (PsrOutput& out : result.outputs) {
-    for (double p : out.topk_prob) out.num_nonzero += p > 0.0;
-  }
-  return result;
-}
-
-}  // namespace
-
 Result<ScanResult> ComputePsrLadder(const ProbabilisticDatabase& db,
                                     const ScanRequest& request) {
   UCLEAN_RETURN_IF_ERROR(request.Validate());
@@ -158,9 +111,13 @@ Result<ScanResult> ComputePsrLadder(const ProbabilisticDatabase& db,
           "request.overlay must be a view over the database the request "
           "is issued against");
     }
-    return ScanRequested(*request.overlay, request, *resolved, *kernel);
+    return psr_internal::ScanLadderFromRank0(*request.overlay, request.ladder,
+                                             request.psr, *resolved, *kernel,
+                                             /*restores=*/nullptr);
   }
-  return ScanRequested(db, request, *resolved, *kernel);
+  return psr_internal::ScanLadderFromRank0(db, request.ladder, request.psr,
+                                           *resolved, *kernel,
+                                           /*restores=*/nullptr);
 }
 
 }  // namespace uclean

@@ -203,10 +203,16 @@ struct ScanRequest {
 
 /// The result of one requested scan: a complete PsrOutput per rung of the
 /// request's ladder (ascending k), plus the concrete kernel the scan ran
-/// on (what KernelKind::kAuto resolved to; never kAuto).
+/// on (what KernelKind::kAuto resolved to; never kAuto) and the threads
+/// it ran on.
 struct ScanResult {
   std::vector<PsrOutput> outputs;
   KernelKind kernel = KernelKind::kScalar;
+
+  /// 1 when the scan ran whole on the calling thread; otherwise it was
+  /// cut into shards (rank/sharded_scan.h), and this is the pool's width
+  /// capped at the shard count.
+  size_t threads = 1;
 
   size_t num_rungs() const { return outputs.size(); }
 

@@ -1,6 +1,7 @@
 #include "rank/psr_engine.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 
 #include "common/check.h"
@@ -156,8 +157,9 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     std::vector<PsrOutput*> active_outs(outs.begin() + first_active,
                                         outs.end());
     sharded = psr_internal::RunShardedLadderScan(
-        db, begin, live_at_begin, options, exec.pool.get(), scan->core_,
-        active_outs, track_best, make_checkpoint_fn);
+                  db, begin, live_at_begin, options, exec.pool.get(),
+                  scan->core_, active_outs, track_best,
+                  make_checkpoint_fn) > 0;
     if (sharded) {
       for (ShardCheckpoints& local : shard_cps) {
         for (Checkpoint& cp : local.cps) cps->push_back(std::move(cp));
@@ -298,6 +300,84 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   RestoreInto(*restore, db.num_xtuples(), &state->core_);
   ScanFrom(db, replay_begin, restore->live, options_, exec_, state);
   return Status::OK();
+}
+
+Result<ScanResult> PsrEngine::ScanLadder(const DatabaseOverlay& view,
+                                         const SessionState& state,
+                                         const KLadder& ladder) const {
+  UCLEAN_RETURN_IF_ERROR(ladder.Validate());
+  if (ladder_.size() == 0) {
+    return Status::FailedPrecondition("PsrEngine was not initialized");
+  }
+  if (state.outputs_.size() != ladder_.size()) {
+    return Status::FailedPrecondition(
+        "session state was not obtained from this engine");
+  }
+  if (state.outputs_.front().num_tuples != view.num_tuples()) {
+    return Status::FailedPrecondition(
+        "session state does not match the view's base database");
+  }
+  // Every checkpoint valid for the view, ascending: a shared one at or
+  // above the view's divergence rank, and any of the session's own (a
+  // refreshed session holds none past its changes). A shared checkpoint
+  // sorts ahead of a private one at its position; either is the view's
+  // exact state there.
+  const size_t divergence = view.divergence_rank();
+  std::vector<const Checkpoint*> valid;
+  valid.reserve(base_.checkpoints_.size() + state.checkpoints_.size());
+  for (const Checkpoint& cp : base_.checkpoints_) {
+    if (cp.pos > divergence) break;
+    valid.push_back(&cp);
+  }
+  const size_t shared = valid.size();
+  for (const Checkpoint& cp : state.checkpoints_) valid.push_back(&cp);
+  std::inplace_merge(
+      valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(shared),
+      valid.end(), [](const Checkpoint* a, const Checkpoint* b) {
+        return a->pos < b->pos;
+      });
+  psr_internal::RestorePoints restores;
+  restores.cuts.reserve(valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    const Checkpoint& cp = *valid[i];
+    if (cp.pos == 0) continue;  // the scan's own start
+    if (!restores.cuts.empty() && restores.cuts.back().pos == cp.pos) continue;
+    restores.cuts.push_back({cp.pos, cp.live, cp.active, i});
+  }
+  restores.restore = [&valid, num_xtuples = view.num_xtuples()](
+                         size_t index, psr_internal::ScanCore* core) {
+    RestoreInto(*valid[index], num_xtuples, core);
+  };
+  // The scan's depth: the first checkpoint whose state already stops the
+  // top k (the stop latches along the scan), else the view's own rung at
+  // or above that k, which stops no earlier.
+  restores.depth_bound = view.num_tuples();
+  if (options_.early_termination) {
+    const size_t k_max = ladder.max_k();
+    const auto stops = std::partition_point(
+        valid.begin(), valid.end(), [k_max](const Checkpoint* cp) {
+          return !psr_internal::ScanCore::StopRuleFires(
+              cp->c.data(), cp->c.size(), cp->saturated, k_max);
+        });
+    const auto above =
+        std::lower_bound(ladder_.ks.begin(), ladder_.ks.end(), k_max);
+    if (stops != valid.end()) {
+      restores.depth_bound = (*stops)->pos;
+    } else if (above != ladder_.ks.end()) {
+      restores.depth_bound =
+          state.outputs_[static_cast<size_t>(above - ladder_.ks.begin())]
+              .scan_end;
+    }
+  }
+  // A pristine view scans its base directly: the same tuples, without the
+  // overlay's per-slot lookups.
+  if (view.num_outcomes() == 0) {
+    return psr_internal::ScanLadderFromRank0(view.base(), ladder, options_,
+                                             exec_, state.core_.kernel,
+                                             &restores);
+  }
+  return psr_internal::ScanLadderFromRank0(view, ladder, options_, exec_,
+                                           state.core_.kernel, &restores);
 }
 
 }  // namespace uclean

@@ -36,6 +36,15 @@
 // its private list then holds every checkpoint, and the replay restores
 // from it alone.
 //
+// Cold scans: a ladder off the engine's own (ScanLadder) is a fresh scan
+// of a session's view from rank 0, but every checkpoint valid for that
+// view -- the shared ones at or above its divergence rank and the
+// session's own -- already holds the exact state that scan reaches
+// there, whatever its ks. The sharded driver may start a shard at any
+// of them by restoring it whole, so a scan that stops long before the
+// first count-refresh grid point still splits; its output is bitwise a
+// one-shot ComputePsrLadder over the view.
+//
 // Aggregate caveats after a replay:
 //  * num_nonzero and scan_end are always maintained, per rung.
 //  * best_rank_prob / best_rank_index are running argmaxes over the whole
@@ -45,8 +54,9 @@
 //    never read them, query serving should keep the matrix on.
 //
 // Parallel execution: Create with ExecOptions{num_threads > 1} and every
-// scan the engine runs -- the initial full scan and every ReplaySession
-// suffix -- is sharded by rank range over the shared ThreadPool
+// scan the engine runs -- the initial full scan, every ReplaySession
+// suffix and every ScanLadder -- is sharded by rank range over the
+// shared ThreadPool
 // (rank/sharded_scan.h) whenever the range justifies it, with per-rung
 // argmax recomputation fanned over the same pool. Results agree with the
 // sequential path to 1e-12 (bitwise wherever the shard boundary state
@@ -56,11 +66,11 @@
 // worker (nested parallelism, e.g. SessionPool::RefreshAll fanning
 // sessions) degrade to the sequential loop on that worker.
 //
-// Threading contract: the engine is read-only after Create. ForkSession
-// and ReplaySession are const and safe to call CONCURRENTLY from any
-// number of threads, as long as each concurrent ReplaySession targets a
-// DISTINCT (overlay, SessionState) pair -- SessionPool::RefreshAll's
-// fan-out. TakeSoleSession is the one exception: its caller owns the
+// Threading contract: the engine is read-only after Create. ForkSession,
+// ReplaySession and ScanLadder are const and safe to call CONCURRENTLY
+// from any number of threads, as long as each concurrent ReplaySession
+// targets a DISTINCT (overlay, SessionState) pair -- SessionPool::
+// RefreshAll's fan-out -- that no concurrent ScanLadder reads. TakeSoleSession is the one exception: its caller owns the
 // engine and calls it once, right after Create, before any other call.
 // A scan-running call may itself execute ON a pool worker; its nested
 // sharded scan then degrades to the sequential loop inline
@@ -203,6 +213,25 @@ class PsrEngine {
   /// interleaved sessions never observe each other.
   Status ReplaySession(const DatabaseOverlay& db, size_t first_changed_rank,
                        SessionState* state) const;
+
+  /// Scans a fresh `ladder` (any ks, on this engine's ladder or not) over
+  /// `view` from rank 0 with the engine's PSR options and executor:
+  /// bitwise what ComputePsrLadder returns for the same ladder and
+  /// options over `view` (its base when pristine), kernel and threads
+  /// aside. `state` is the refreshed session state of `view` (the
+  /// session's ReplaySession is up to date with every outcome the overlay
+  /// holds). The sharded driver may cut the scan at every checkpoint
+  /// valid for the view -- the shared ones at or above its divergence
+  /// rank and the session's own -- restoring the whole checkpoint there,
+  /// as well as at grid points; the view's rung at or above the ladder's
+  /// top k bounds the depth its cut plan weighs (rank/sharded_scan.h).
+  /// Fails with InvalidArgument on an invalid ladder and
+  /// FailedPrecondition when `state` is not this engine's or not over
+  /// `view`'s base. Const and read-only: safe to call concurrently with
+  /// any other const call.
+  Result<ScanResult> ScanLadder(const DatabaseOverlay& view,
+                                const SessionState& state,
+                                const KLadder& ladder) const;
 
   /// Checkpoint cadence: every `checkpoint_interval_` live tuples, thinned
   /// (drop every other one, double the interval) when the count exceeds

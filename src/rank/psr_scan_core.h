@@ -224,10 +224,17 @@ struct ScanCore {
   /// decreasing) and downward in k (the head mass only shrinks), so once a
   /// rung of a ladder stops, it stays stopped and so do all smaller rungs.
   bool ShouldStop(size_t k) const {
+    return StopRuleFires(c.data(), c.size(), saturated, k);
+  }
+
+  /// ShouldStop on a stored state: the count vector c[0..len) and the
+  /// saturated count of a checkpoint, say.
+  static bool StopRuleFires(const double* c, size_t len, size_t saturated,
+                            size_t k) {
     if (saturated >= k) return true;  // Lemma 2 proper
     // Head mass: Pr[fewer than k x-tuples contribute above the position].
     double head = 0.0;
-    const size_t head_top = std::min(k - saturated, c.size());
+    const size_t head_top = std::min(k - saturated, len);
     for (size_t j = 0; j < head_top; ++j) head += c[j];
     return head < kNegligibleHeadMass;
   }

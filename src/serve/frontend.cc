@@ -1,12 +1,11 @@
 #include "serve/frontend.h"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "clean/agent.h"
 #include "common/check.h"
 #include "quality/tp.h"
-#include "rank/sharded_scan.h"
 
 namespace uclean {
 namespace serve {
@@ -82,55 +81,57 @@ void Frontend::ExecuteScan(const Round& round,
                            const std::vector<size_t>& members,
                            std::vector<Reply>* replies) const {
   const ClientId client = round[members.front()].first;
-  const DatabaseOverlay* view =
-      Pristine(client) ? nullptr : &pool_.overlay(client);
   std::vector<size_t> ks;
   ks.reserve(members.size());
   for (size_t i : members) ks.push_back(round[i].second.k);
-  Result<ScanRequest> request = ScanRequest::ForLadder(std::move(ks));
-  UCLEAN_CHECK(request.ok());  // ks are validated, non-empty
-  request->overlay = view;
-  request->exec = pool_.exec();
-  // The view's rung at or above the top k bounds the scan's depth.
-  const std::vector<size_t>& rungs = pool_.ladder().ks;
-  const auto above =
-      std::lower_bound(rungs.begin(), rungs.end(), request->ladder.max_k());
-  if (above != rungs.end() && !pool_.dirty(client) &&
-      !psr_internal::ScanDepthCanShard(
-          pool_.psr(client, static_cast<size_t>(above - rungs.begin()))
-              .scan_end)) {
-    request->exec = ExecOptions();
-    request->exec.kernel = pool_.exec().kernel;
+  const Result<KLadder> ladder = KLadder::Of(std::move(ks));
+  UCLEAN_CHECK(ladder.ok());  // ks are validated, non-empty
+  Result<ScanResult> scan = pool_.ScanLadder(client, *ladder);
+  if (!scan.ok()) {
+    for (size_t i : members) (*replies)[i].status = scan.status();
+    return;
   }
-  const Result<ScanResult> scan = ComputePsrLadder(pool_.base(), *request);
   PlanRecord record;
   record.batch_size = members.size();
-  record.threads = request->exec.num_threads;
+  record.threads = scan->threads;
   if (members.size() > 1) {
     record.executed = PlanKind::kLadderShared;
   } else if (record.threads > 1) {
     record.executed = PlanKind::kSharded;
   }
+  // Top-k replies read their rungs first; the rungs quality requests
+  // asked for then go, in ladder order, to one shared TP pass.
+  std::vector<size_t> tp_slot(ladder->size(), KLadder::npos);
   for (size_t i : members) {
     const Request& query = round[i].second;
     Reply* reply = &(*replies)[i];
-    if (!scan.ok()) {
-      reply->status = scan.status();
-      continue;
-    }
     reply->plan = record;
-    const PsrOutput& psr = scan->output(request->ladder.IndexOf(query.k));
+    const size_t rung = ladder->IndexOf(query.k);
     if (query.verb == Verb::kTopk) {
-      FillTopk(psr, reply);
+      FillTopk(scan->output(rung), reply);
+    } else {
+      tp_slot[rung] = 0;  // numbered below
+    }
+  }
+  std::vector<PsrOutput> psrs;
+  for (size_t rung = 0; rung < tp_slot.size(); ++rung) {
+    if (tp_slot[rung] == KLadder::npos) continue;
+    tp_slot[rung] = psrs.size();
+    psrs.push_back(std::move(scan->outputs[rung]));
+  }
+  if (psrs.empty()) return;
+  const Result<std::vector<TpOutput>> tps =
+      Pristine(client) ? ComputeTpQualityLadder(pool_.base(), psrs)
+                       : ComputeTpQualityLadder(pool_.overlay(client), psrs);
+  for (size_t i : members) {
+    const Request& query = round[i].second;
+    if (query.verb == Verb::kTopk) continue;
+    Reply* reply = &(*replies)[i];
+    if (!tps.ok()) {
+      reply->status = tps.status();
       continue;
     }
-    Result<TpOutput> tp = view != nullptr ? ComputeTpQuality(*view, psr)
-                                          : ComputeTpQuality(pool_.base(), psr);
-    if (!tp.ok()) {
-      reply->status = tp.status();
-      continue;
-    }
-    reply->quality = tp->quality;
+    reply->quality = (*tps)[tp_slot[ladder->IndexOf(query.k)]].quality;
   }
 }
 

@@ -21,13 +21,17 @@
 // scan (the count-vector recurrence is k-independent and untruncated,
 // emission latches per rung, the Lemma-2 stop fires per rung), so
 // batching never changes an answer, only its latency. A request on a
-// dirty view scans its own overlay alone.
+// dirty view scans its own overlay alone. The scan's quality requests
+// share one TP pass over the rungs they asked for
+// (ComputeTpQualityLadder, bitwise each rung's own pass).
 //
-// Scan width. The view's own rung at or above a scan's top k bounds its
-// depth (scan_end ascends with k). A scan the rank layer says cannot
-// shard at that depth (psr_internal::ScanDepthCanShard) runs at width 1;
-// every other scan runs at the pool's exec, and the sharded driver
-// decides whether to split. Each reply's PlanRecord says what ran.
+// Scan width. Every scan is SessionPool::ScanLadder over the client's
+// view on the pool's executor: the sharded driver cuts it at the
+// checkpoints the pool holds for that view as well as at grid points,
+// and its cut plan alone decides whether a split pays
+// (rank/sharded_scan.h). Each reply's PlanRecord says what ran: the
+// threads the scan ran on, and exec=shard when a lone request's scan
+// was cut.
 //
 // Threading: SERIALIZED CALLER, like the pool it drives. One I/O loop
 // thread calls Connect/Disconnect/Execute*; hardware parallelism is
@@ -126,8 +130,8 @@ class Frontend {
   }
 
   /// Runs ONE scan serving the queries round[i] for i in `members`, all
-  /// over the view of round[members.front()]'s client, and fills their
-  /// replies.
+  /// over the view of round[members.front()]'s client, plus one TP pass
+  /// for its quality requests, and fills their replies.
   void ExecuteScan(const Round& round, const std::vector<size_t>& members,
                    std::vector<Reply>* replies) const;
 

@@ -49,8 +49,8 @@ namespace serve {
 /// bits (a merged scan's rungs are bitwise the solo scans), so this is a
 /// record of latency choices, never of answers.
 enum class PlanKind : uint8_t {
-  kSequential = 0,    ///< the request's own scan at width 1
-  kSharded = 1,       ///< the request's own scan at the pool's width
+  kSequential = 0,    ///< the request's own scan on one thread
+  kSharded = 1,       ///< the request's own scan, cut into shards
   kLadderShared = 2,  ///< one scan shared with other requests of the round
   kReplay = 3,        ///< no scan: the client's maintained pool rung
 };
@@ -65,7 +65,7 @@ Result<PlanKind> ParsePlanKind(std::string_view name);
 struct PlanRecord {
   PlanKind executed = PlanKind::kSequential;
   size_t batch_size = 1;  ///< requests sharing the executed scan
-  size_t threads = 1;     ///< exec width the scan was issued at
+  size_t threads = 1;     ///< threads the scan ran on
 
   /// "exec=ladder batch=4 threads=2".
   std::string ToString() const;

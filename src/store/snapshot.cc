@@ -38,6 +38,7 @@
 #include "rank/kernel.h"
 #include "rank/psr.h"
 #include "rank/psr_engine.h"
+#include "rank/sharded_scan.h"
 #include "store/binstream.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
@@ -511,12 +512,50 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
   if constexpr (C::kReads) {
     size_t active = 0;
     size_t saturated = 0;
-    for (const auto& x : cp.xs) {
+    for (size_t i = 0; i < cp.xs.size(); ++i) {
+      const auto& x = cp.xs[i];
       active += x.state == XTupleState::kActive;
       saturated += x.state == XTupleState::kSaturated;
+      c.Check(i == 0 || x.xtuple > cp.xs[i - 1].xtuple,
+              "checkpoint x-tuple entries not ascending");
     }
     c.Check(active == cp.active && saturated == cp.saturated,
             "checkpoint active/saturated counts differ from its x-tuples");
+    // A restored vector feeds every later position of a scan, which
+    // clamps each exclusion at 0: a count is finite and never negative.
+    // (Its sum may exceed 1 by the scan's rounding drift.)
+    for (double count : cp.c) {
+      c.Check(std::isfinite(count) && count >= 0.0,
+              "checkpoint count vector entry is negative or not finite");
+    }
+  }
+}
+
+template <typename Db>
+void SnapshotAccess::CheckCheckpointWalk(
+    store::BinReader& r, const Db& db,
+    const std::vector<PsrEngine::Checkpoint>& cps) {
+  if (!r.ok() || cps.empty()) return;
+  // One mass prewalk from rank 0 (rank/sharded_scan.h), checked at each
+  // checkpoint: the same additions the scan made, so every q matches
+  // bitwise, and a crafted q, state, count or live rank shows.
+  psr_internal::ScanCore walk;
+  walk.Init(db.num_xtuples());
+  size_t walked = 0;
+  size_t live = 0;
+  for (const PsrEngine::Checkpoint& cp : cps) {
+    psr_internal::ForwardMasses(db, walked, cp.pos, &walk);
+    for (; walked < cp.pos; ++walked) live += !db.is_tombstone(walked);
+    bool same = cp.live == live && cp.active == walk.active &&
+                cp.saturated == walk.saturated &&
+                cp.xs.size() == walk.active + walk.saturated;
+    for (size_t i = 0; same && i < cp.xs.size(); ++i) {
+      const auto& x = cp.xs[i];
+      same = x.state == walk.state[x.xtuple] &&
+             std::memcmp(&x.q, &walk.q[x.xtuple], sizeof(double)) == 0;
+    }
+    r.Check(same, "checkpoint masses differ from a walk of the database");
+    if (!same) return;
   }
 }
 
@@ -566,6 +605,7 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
     for (const auto& cp : engine.base_.checkpoints_) {
       c.Check(cp.live == cp.pos, "engine checkpoint live rank is not its pos");
     }
+    CheckCheckpointWalk(c, db, engine.base_.checkpoints_);
   }
 }
 
@@ -612,6 +652,9 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool) {
     if (has_state) {
       TransferScan(c, session.scan, engine.ladder_, db,
                    engine.base_.core_.kernel);
+      if constexpr (C::kReads) {
+        CheckCheckpointWalk(c, session.overlay, session.scan.checkpoints_);
+      }
       store::Transfer(c, session.tps, session.scan.outputs_, db);
     } else if constexpr (C::kReads) {
       pool.ForkBase(&session);

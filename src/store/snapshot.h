@@ -348,6 +348,14 @@ class SnapshotAccess {
   static void Transfer(C& c, store::Io<C, PsrEngine>& engine,
                        const ProbabilisticDatabase& db,
                        const psr_internal::ScanKernel* kernel);
+  /// Read side: one mass walk over `db` (the base, or a session's
+  /// replayed overlay) must reproduce every checkpoint of `cps` --
+  /// live rank, active and saturated counts, each x-tuple's state and q,
+  /// bitwise -- since scans restore them (PsrEngine::ReplaySession and
+  /// ScanLadder).
+  template <typename Db>
+  static void CheckCheckpointWalk(store::BinReader& r, const Db& db,
+                                  const std::vector<PsrEngine::Checkpoint>& cps);
   /// The sessions section: base TP ladder, slot table, free list.
   template <typename C>
   static void Transfer(C& c, store::Io<C, SessionPool>& pool);

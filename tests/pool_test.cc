@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "model/database_overlay.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/psr_scan_core.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -461,6 +463,140 @@ TEST(DatabaseOverlay, NullOutcomeCollapsesToCertainNull) {
   ExpectSameCleanedDatabase(merged, BuilderCleaned(*base, {{x, -1}}));
 }
 
+// ---------------------------------------------------------------------------
+// Cold scans: SessionPool::ScanLadder runs a fresh ladder over a session's
+// view, cut at the checkpoints valid for that view as well as at grid
+// points. At every width its rungs hold the bits of the one-shot width-1
+// ComputePsrLadder over the same view with the pool's PSR options.
+
+/// 1,500 x-tuples x 4 Gaussian bars of mass U[0.3, 0.6]: k = 400 scans
+/// past the first 4,096-live grid point, while the checkpoints of ladder
+/// {5, 40, 150} end near k = 150's stop.
+ProbabilisticDatabase MakeColdScanDb(size_t num_xtuples) {
+  SyntheticOptions opts;
+  opts.num_xtuples = num_xtuples;
+  opts.tuples_per_xtuple = 4;
+  opts.real_mass_min = 0.3;
+  opts.real_mass_max = 0.6;
+  opts.seed = 3;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
+  UCLEAN_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+/// Session views over `pool`: pristine, cleaned near rank 0, and cleaned
+/// at rank `deep` or below (each clean resolves an x-tuple to its best
+/// member, which then saturates there), refreshed.
+std::vector<SessionPool::SessionId> OpenColdScanViews(SessionPool* pool,
+                                                      size_t deep) {
+  const ProbabilisticDatabase& db = pool->base();
+  std::vector<SessionPool::SessionId> ids;
+  for (size_t depth : {size_t{0}, size_t{3}, deep}) {
+    const SessionPool::SessionId id = pool->OpenSession();
+    ids.push_back(id);
+    if (depth == 0) continue;
+    size_t i = depth;
+    while (db.xtuple_members(db.tuple(i).xtuple)[0] != static_cast<int32_t>(i)) {
+      ++i;
+    }
+    UCLEAN_CHECK(
+        pool->ApplyCleanOutcome(id, db.tuple(i).xtuple, db.tuple(i).id).ok());
+    UCLEAN_CHECK(pool->Refresh(id).ok());
+    UCLEAN_CHECK(pool->overlay(id).divergence_rank() == i);
+  }
+  return ids;
+}
+
+/// Scans `ks` over session `id`'s view through the pool and one-shot at
+/// width 1, expecting the same bits in every rung; returns the pool
+/// scan's result.
+ScanResult ExpectColdScanMatches(const SessionPool& pool,
+                                 SessionPool::SessionId id,
+                                 const std::vector<size_t>& ks,
+                                 const PsrOptions& psr,
+                                 const std::string& label) {
+  const KLadder ladder = MakeLadder(ks);
+  Result<ScanResult> got = pool.ScanLadder(id, ladder);
+  UCLEAN_CHECK(got.ok());
+  Result<std::vector<PsrOutput>> want =
+      ScanPsrLadder(pool.overlay(id), ladder, psr);
+  UCLEAN_CHECK(want.ok());
+  EXPECT_EQ(got->num_rungs(), ladder.size()) << label;
+  for (size_t rung = 0; rung < ladder.size(); ++rung) {
+    EXPECT_EQ(RungBitsDiffer(got->output(rung), (*want)[rung]), "")
+        << label << " k=" << ladder[rung] << " threads=" << got->threads;
+  }
+  EXPECT_GE(got->threads, 1u) << label;
+  EXPECT_LE(got->threads, pool.exec().num_threads) << label;
+  return std::move(got).value();
+}
+
+TEST(SessionPoolColdScan, MatchesOneShotScanAtEveryWidth) {
+  const ProbabilisticDatabase db = MakeColdScanDb(1500);
+  // ks below, at and above the top rung; 400 passes the grid point.
+  const std::vector<std::vector<size_t>> ladders = {
+      {3}, {20}, {40}, {100}, {150}, {200}, {400}, {3, 100, 400}};
+  for (size_t threads : {1, 2, 4}) {
+    SessionPool::Options options;
+    options.exec.num_threads = threads;
+    Result<SessionPool> pool = SessionPool::Create(
+        ProbabilisticDatabase(db), MakeLadder({5, 40, 150}), options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const size_t top_end = pool->base_psr(2).scan_end;
+    ASSERT_LT(top_end, psr_internal::kCountRefreshGridLive);
+    const std::vector<SessionPool::SessionId> ids =
+        OpenColdScanViews(&*pool, top_end / 2);
+    for (size_t v = 0; v < ids.size(); ++v) {
+      size_t restore_cut = 0;  // cut scans stopping before any grid point
+      size_t grid_cut = 0;     // cut scans passing one
+      for (const std::vector<size_t>& ks : ladders) {
+        const std::string label = "threads=" + std::to_string(threads) +
+                                  " view=" + std::to_string(v);
+        const ScanResult got =
+            ExpectColdScanMatches(*pool, ids[v], ks, PsrOptions(), label);
+        if (got.threads == 1) continue;
+        const size_t depth = got.outputs.back().scan_end;
+        (depth < psr_internal::kCountRefreshGridLive ? restore_cut
+                                                     : grid_cut)++;
+      }
+      if (threads == 1) continue;
+      // Cuts happened at restore points alone (every k up to 200 stops
+      // before the grid point) and beside the grid point (k = 400).
+      EXPECT_GE(restore_cut, 4u) << "threads=" << threads << " view=" << v;
+      EXPECT_EQ(grid_cut, 2u) << "threads=" << threads << " view=" << v;
+    }
+  }
+}
+
+TEST(SessionPoolColdScan, MatchesAtCheckpointIntervalFourWithStoredMatrix) {
+  const ProbabilisticDatabase db = MakeColdScanDb(600);
+  for (size_t threads : {1, 2, 4}) {
+    SessionPool::Options options;
+    options.exec.num_threads = threads;
+    options.checkpoint_interval = 4;
+    options.psr.store_rank_probabilities = true;
+    Result<SessionPool> pool = SessionPool::Create(
+        ProbabilisticDatabase(db), MakeLadder({5, 30}), options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const std::vector<SessionPool::SessionId> ids =
+        OpenColdScanViews(&*pool, pool->base_psr(1).scan_end / 2);
+    size_t cut = 0;
+    for (size_t v = 0; v < ids.size(); ++v) {
+      for (const std::vector<size_t>& ks :
+           std::vector<std::vector<size_t>>{{3}, {12}, {30}, {45}, {3, 45}}) {
+        const ScanResult got = ExpectColdScanMatches(
+            *pool, ids[v], ks, options.psr,
+            "threads=" + std::to_string(threads) + " view=" + std::to_string(v));
+        EXPECT_TRUE(got.outputs.back().has_rank_probabilities);
+        cut += got.threads > 1;
+      }
+    }
+    if (threads > 1) {
+      EXPECT_GE(cut, 6u) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(SessionPoolDeathTest, DirtyReadsAreAHardFailureInEveryBuildType) {
   // The Release-mode stale-read regression: these guards used to be
   // UCLEAN_DCHECKs, which compile out under NDEBUG -- a dirty session
@@ -487,6 +623,8 @@ TEST(SessionPoolDeathTest, DirtyReadsAreAHardFailureInEveryBuildType) {
   EXPECT_DEATH(pool->tp(id), "UCLEAN_CHECK failed");
   EXPECT_DEATH(pool->psr(id), "UCLEAN_CHECK failed");
   EXPECT_DEATH(pool->tps(id), "UCLEAN_CHECK failed");
+  EXPECT_DEATH((void)pool->ScanLadder(id, MakeLadder({2})),
+               "UCLEAN_CHECK failed");
 
   Result<CleaningSession> session = CleaningSession::Start(std::move(base), 3);
   ASSERT_TRUE(session.ok());

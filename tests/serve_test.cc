@@ -306,8 +306,9 @@ std::string StripPlanTokens(const std::string& line) {
 
 // ---------------------------------------------------------------------------
 // The serving rule: a ladder k replays, any other k on a pristine view
-// joins the round's one scan, and the scan's width follows the rung that
-// bounds its depth. Every execution returns the solo scan's bits.
+// joins the round's one scan, and the sharded driver's cut plan decides
+// whether that scan is split. Every execution returns the solo scan's
+// bits.
 
 Request Query(Verb verb, size_t k) {
   Request request;
@@ -438,9 +439,12 @@ TEST(ServeRule, ReplayEqualsScanAcrossLadders) {
   EXPECT_EQ(lines[0], lines[1]);
 }
 
-TEST(ServeRule, ScanWidthFollowsTheBoundingRung) {
-  // 6,000 tuples of sub-unit mass: k = 400 stops past the first 4,096-live
-  // grid cut, so its scan can shard; k = 3 stops long before rung 5 does.
+TEST(ServeRule, TheCutPlanAloneDecidesAScansWidth) {
+  // 6,000 tuples of sub-unit mass on ladder {5, 500}: k = 400 stops past
+  // the first 4,096-live grid point, k = 100 stops before it but deep
+  // enough to cut at the pool's checkpoints, and k = 3 is too small to
+  // split. A scan runs cut when the sharded driver's plan says a split
+  // pays, whatever its depth; threads= is what it ran on.
   SyntheticOptions opts;
   opts.num_xtuples = 1500;
   opts.tuples_per_xtuple = 4;
@@ -449,24 +453,65 @@ TEST(ServeRule, ScanWidthFollowsTheBoundingRung) {
   opts.seed = 3;
   Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
   ASSERT_TRUE(db.ok()) << db.status().ToString();
-  std::string deep[2];
+  std::vector<std::string> lines[2];
   for (size_t threads : {1, 4}) {
     Result<Frontend> frontend = Frontend::Create(
         MakePool(*db, {5, 500}, threads), std::nullopt, FrontendOptions());
     ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
     const Frontend::ClientId client = frontend->Connect();
-    const Reply wide = frontend->Execute(client, Query(Verb::kTopk, 400));
-    ASSERT_TRUE(wide.status.ok()) << wide.status.ToString();
-    EXPECT_GT(wide.scan_end, psr_internal::kCountRefreshGridLive);
-    EXPECT_EQ(wide.plan.threads, threads);
-    EXPECT_EQ(wide.plan.executed,
-              threads > 1 ? PlanKind::kSharded : PlanKind::kSequential);
-    deep[threads > 1] = StripPlanTokens(FormatReply(wide));
+    for (size_t k : {400, 100}) {
+      const Reply reply = frontend->Execute(client, Query(Verb::kTopk, k));
+      ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+      EXPECT_EQ(reply.scan_end > psr_internal::kCountRefreshGridLive,
+                k == 400);
+      if (threads == 1) {
+        EXPECT_EQ(reply.plan.ToString(), "exec=seq batch=1 threads=1") << k;
+      } else {
+        EXPECT_EQ(reply.plan.executed, PlanKind::kSharded) << k;
+        EXPECT_GT(reply.plan.threads, 1u) << k;
+        EXPECT_LE(reply.plan.threads, threads) << k;
+      }
+      ExpectSoloScan(reply, *db, k);
+      lines[threads > 1].push_back(StripPlanTokens(FormatReply(reply)));
+    }
     const Reply shallow = frontend->Execute(client, Query(Verb::kTopk, 3));
     ASSERT_TRUE(shallow.status.ok()) << shallow.status.ToString();
     EXPECT_EQ(shallow.plan.ToString(), "exec=seq batch=1 threads=1");
+    lines[threads > 1].push_back(StripPlanTokens(FormatReply(shallow)));
   }
-  EXPECT_EQ(deep[0], deep[1]);
+  EXPECT_EQ(lines[0], lines[1]);
+}
+
+TEST(ServeRule, QualityRequestsOfOneScanShareOneTpPass) {
+  // Two quality requests and a topk request at three cold ks share one
+  // scan, and its two quality rungs one TP pass; every reply is what the
+  // request gets alone.
+  const ProbabilisticDatabase db = MakeDb();
+  for (size_t threads : {1, 4}) {
+    Result<Frontend> frontend = Frontend::Create(
+        MakePool(db, {5, 20}, threads), std::nullopt, FrontendOptions());
+    ASSERT_TRUE(frontend.ok()) << frontend.status().ToString();
+    const Frontend::ClientId a = frontend->Connect();
+    const Frontend::ClientId b = frontend->Connect();
+    const Frontend::ClientId c = frontend->Connect();
+    const Frontend::Round round = {{a, Query(Verb::kQuality, 33)},
+                                   {b, Query(Verb::kTopk, 7)},
+                                   {c, Query(Verb::kQuality, 12)}};
+    const std::vector<Reply> replies = frontend->ExecuteRound(round);
+    ASSERT_EQ(replies.size(), round.size());
+    for (size_t i = 0; i < round.size(); ++i) {
+      ASSERT_TRUE(replies[i].status.ok()) << replies[i].status.ToString();
+      EXPECT_EQ(replies[i].plan.executed, PlanKind::kLadderShared);
+      EXPECT_EQ(replies[i].plan.batch_size, 3u);
+      const Reply alone = frontend->Execute(round[i].first, round[i].second);
+      ASSERT_TRUE(alone.status.ok()) << alone.status.ToString();
+      EXPECT_EQ(alone.plan.batch_size, 1u);
+      ExpectSameAnswer(replies[i], alone,
+                       "threads=" + std::to_string(threads) + " request " +
+                           std::to_string(i));
+    }
+    ExpectSoloScan(replies[1], db, 7);
+  }
 }
 
 TEST(ServeProperty, RequestMixMatchesSerialOracleAcrossConfigs) {

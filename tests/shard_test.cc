@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,6 +30,7 @@
 #include "test_util.h"
 #include "rank/psr_engine.h"
 #include "rank/psr_scan_core.h"
+#include "rank/sharded_scan.h"
 #include "workload/synthetic.h"
 
 namespace uclean {
@@ -338,6 +341,76 @@ TEST(ShardedScanTest, ScanFromEveryCheckpointRankMatchesFullScan) {
                        "threads=" + std::to_string(threads) + " restart at " +
                            std::to_string(pos) + " k=" +
                            std::to_string(ladder[j]));
+      }
+    }
+  }
+}
+
+/// Restore-point plans, the kind PsrEngine::ScanLadder runs: a scan from
+/// rank 0 that may cut at stored scan states (here, every state a
+/// sequential scan had at a live ordinal divisible by 64 above rank
+/// 6,000) as well as at grid points is bitwise the sequential scan at
+/// every width, whether a rung bounds its depth or the prewalk estimates
+/// it, and its plan mixes both kinds of cut.
+TEST(ShardedScanTest, RestorePointCutsMixWithGridCutsBitwise) {
+  using psr_internal::ScanCore;
+  using psr_internal::ShardCut;
+  const ProbabilisticDatabase db = MakeSubunitDb(2000);
+  const KLadder ladder = MakeLadder({10, 300});
+  Result<std::vector<PsrOutput>> want = ScanPsrLadder(db, ladder);
+  ASSERT_TRUE(want.ok()) << want.status();
+  const size_t end = want->back().scan_end;
+  ASSERT_GT(end, 2 * psr_internal::kCountRefreshGridLive);
+
+  std::vector<ScanCore> stored;
+  psr_internal::RestorePoints restores;
+  {
+    std::vector<PsrOutput> outputs;
+    psr_internal::InitLadderOutputs(ladder, PsrOptions(), &outputs);
+    std::vector<PsrOutput*> outs;
+    for (PsrOutput& out : outputs) outs.push_back(&out);
+    ScanCore core;
+    core.Init(db.num_xtuples());
+    psr_internal::RunLadderScan(
+        db, 0, 6000, 0, 0, true, core, outs, 0, true,
+        [&](const ScanCore& state, size_t pos, size_t live) {
+          if (pos == 0 || live % 64 != 0) return;
+          restores.cuts.push_back({pos, live, state.active, stored.size()});
+          stored.push_back(state);
+        });
+  }
+  restores.restore = [&stored](size_t index, ScanCore* core) {
+    const psr_internal::ScanKernel* kernel = core->kernel;
+    *core = stored[index];
+    core->kernel = kernel;
+  };
+  ScanCore start;
+  start.Init(db.num_xtuples());
+  for (const size_t bound : {end, db.num_tuples()}) {
+    restores.depth_bound = bound;
+    for (const size_t threads : {2u, 4u, 8u}) {
+      const std::string label = "bound=" + std::to_string(bound) +
+                                " threads=" + std::to_string(threads);
+      const std::vector<ShardCut> cuts = psr_internal::PlanCuts(
+          db, 0, 0, start, ladder.max_k(), true, &restores, threads);
+      ASSERT_GE(cuts.size(), 3u) << label;
+      size_t restored = 0;
+      size_t grid = 0;
+      for (size_t s = 1; s + 1 < cuts.size(); ++s) {
+        ++(cuts[s].restore == ShardCut::kGridCut ? grid : restored);
+        EXPECT_LT(cuts[s].pos, end) << label;  // no cut past the stop
+      }
+      if (threads > 2) {
+        EXPECT_GE(restored, 1u) << label;
+        EXPECT_GE(grid, 1u) << label;
+      }
+      const ScanResult got = psr_internal::ScanLadderFromRank0(
+          db, ladder, PsrOptions(), Threads(threads),
+          &psr_internal::DefaultScanKernel(), &restores);
+      EXPECT_EQ(got.threads, std::min(threads, cuts.size() - 1)) << label;
+      for (size_t j = 0; j < ladder.size(); ++j) {
+        EXPECT_EQ(RungBitsDiffer(got.output(j), (*want)[j]), "")
+            << label << " k=" << ladder[j];
       }
     }
   }

@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <fstream>
@@ -253,6 +254,60 @@ TEST(SnapshotRoundTripTest, SurvivesClosedSlotsAndThreadedWriter) {
   // The freed slot is reused in the same order.
   EXPECT_EQ(loaded->OpenSession(), built.pool.OpenSession());
   EXPECT_EQ(SerializedPool(*loaded), SerializedPool(built.pool));
+}
+
+// Warm start is the serving deployment's path: off-ladder requests run
+// SessionPool::ScanLadder, whose shards restore the loaded checkpoints.
+// On a pool opened from a snapshot those scans are bitwise the scans of
+// the pool it was saved from, for a pristine session and for a cleaned
+// one saved with its private checkpoints, at widths 1 and 2.
+TEST(SnapshotRoundTripTest, WarmStartedColdScansMatchTheSavedPool) {
+  SyntheticOptions opts;
+  opts.num_xtuples = 1500;
+  opts.tuples_per_xtuple = 4;
+  opts.real_mass_min = 0.3;
+  opts.real_mass_max = 0.6;
+  opts.seed = 3;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
+  ASSERT_TRUE(db.ok()) << db.status();
+  for (size_t threads : {1, 2}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    SessionPool::Options options;
+    options.exec.num_threads = threads;
+    Result<SessionPool> pool = SessionPool::Create(
+        ProbabilisticDatabase(*db), MakeLadder({5, 40, 150}), options);
+    ASSERT_TRUE(pool.ok()) << pool.status();
+    const SessionPool::SessionId pristine = pool->OpenSession();
+    const SessionPool::SessionId cleaned = pool->OpenSession();
+    const size_t half = pool->base_psr(2).scan_end / 2;
+    const XTupleId x = db->tuple(half).xtuple;
+    ASSERT_TRUE(pool->ApplyCleanOutcome(cleaned, x, db->tuple(half).id).ok());
+    ASSERT_TRUE(pool->Refresh(cleaned).ok());
+    ASSERT_FALSE(
+        SnapshotAccess::SessionCheckpointPositions(*pool, cleaned).empty());
+
+    const std::string path = TempPath("cold_scans.snap");
+    ASSERT_TRUE(store::WriteSnapshot(*pool, path).ok());
+    Result<SessionPool> loaded = SessionPool::OpenFromSnapshot(path, options);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    size_t cut = 0;
+    for (SessionPool::SessionId id : {pristine, cleaned}) {
+      for (const std::vector<size_t>& ks : std::vector<std::vector<size_t>>{
+               {20}, {100}, {200}, {20, 100, 200}}) {
+        const KLadder ladder = MakeLadder(ks);
+        Result<ScanResult> want = pool->ScanLadder(id, ladder);
+        Result<ScanResult> got = loaded->ScanLadder(id, ladder);
+        ASSERT_TRUE(want.ok() && got.ok());
+        EXPECT_EQ(got->threads, want->threads);
+        cut += got->threads > 1;
+        for (size_t rung = 0; rung < ladder.size(); ++rung) {
+          EXPECT_EQ(RungBitsDiffer(got->output(rung), want->output(rung)), "")
+              << "session " << id << " k=" << ladder[rung];
+        }
+      }
+    }
+    EXPECT_EQ(cut > 0, threads > 1);
+  }
 }
 
 // ------------------------------------------------------------ format pin
@@ -1120,6 +1175,31 @@ TEST(SnapshotCorruptionTest, CraftedCheckpointIsDataLoss) {
                    "counts");
     ExpectDataLoss(WithCheckpoint(good, section, 1, first_entry_flipped),
                    "counts");
+  }
+  // Scans restore checkpoints, so each one must be what a walk of the
+  // database (or the session's overlay) reaches there, bit for bit, and
+  // its count vector must hold finite entries that are not negative.
+  const auto q_one_ulp_off = [](WireCheckpoint& cp) {
+    UCLEAN_CHECK(!cp.xs.empty());
+    cp.xs[0].q = std::nextafter(cp.xs[0].q, 2.0);
+  };
+  const auto entry_moved = [](WireCheckpoint& cp) {
+    // To a free x-tuple id past the last one: the list stays ascending.
+    UCLEAN_CHECK(!cp.xs.empty());
+    ++cp.xs.back().xtuple;
+  };
+  const auto nan_count = [](WireCheckpoint& cp) {
+    cp.c[0] = std::numeric_limits<double>::quiet_NaN();
+  };
+  const auto negative_count = [](WireCheckpoint& cp) { cp.c[0] = -1e-300; };
+  for (uint32_t section : {store::kSectionEngine, store::kSectionSessions}) {
+    SCOPED_TRACE(store::SectionName(section));
+    ExpectDataLoss(WithCheckpoint(good, section, 1, q_one_ulp_off), "walk");
+    ExpectDataLoss(WithCheckpoint(good, section, 1, entry_moved), "walk");
+    ExpectDataLoss(WithCheckpoint(good, section, 1, nan_count),
+                   "negative or not finite");
+    ExpectDataLoss(WithCheckpoint(good, section, 1, negative_count),
+                   "negative or not finite");
   }
   // An engine checkpoint's live rank is its position: the base database
   // has no dead slots. (Session checkpoints run over an overlay.)

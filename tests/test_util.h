@@ -7,6 +7,7 @@
 #ifndef UCLEAN_TESTS_TEST_UTIL_H_
 #define UCLEAN_TESTS_TEST_UTIL_H_
 
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,6 +80,35 @@ inline std::string RungSizeError(const PsrOutput& out, size_t n) {
   expect(out.rank_prob.size() == matrix, "rank_prob.size() " +
                                              str(out.rank_prob.size()) +
                                              " != " + str(matrix));
+  return error;
+}
+
+/// Empty when `got` holds `want`'s bits in every field -- k, tuple
+/// count, top-k vector, nonzero count, stop, argmaxes, rank matrix --
+/// otherwise the fields that differ.
+inline std::string RungBitsDiffer(const PsrOutput& got, const PsrOutput& want) {
+  const auto same_bits = [](const auto& a, const auto& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0);
+  };
+  std::string error;
+  if (got.k != want.k) error += "k; ";
+  if (got.num_tuples != want.num_tuples) error += "num_tuples; ";
+  if (!same_bits(got.topk_prob, want.topk_prob)) error += "topk_prob; ";
+  if (got.num_nonzero != want.num_nonzero) error += "num_nonzero; ";
+  if (got.scan_end != want.scan_end) {
+    error += "scan_end " + std::to_string(got.scan_end) + " vs " +
+             std::to_string(want.scan_end) + "; ";
+  }
+  if (!same_bits(got.best_rank_prob, want.best_rank_prob)) {
+    error += "best_rank_prob; ";
+  }
+  if (got.best_rank_index != want.best_rank_index) error += "best_rank_index; ";
+  if (!same_bits(got.rank_prob, want.rank_prob)) error += "rank_prob; ";
+  if (got.has_rank_probabilities != want.has_rank_probabilities) {
+    error += "has_rank_probabilities; ";
+  }
   return error;
 }
 
