@@ -129,9 +129,10 @@ Result<ArmResult> RunShared(const ProbabilisticDatabase& db,
                             const KLadder& ladder,
                             const std::vector<Round>& schedule) {
   ArmResult arm;
+  ProbabilisticDatabase copy(db);  // copied before the stopwatch starts
   Stopwatch create;
   Result<CleaningSession> session =
-      CleaningSession::Start(ProbabilisticDatabase(db), ladder);
+      CleaningSession::Start(std::move(copy), ladder);
   if (!session.ok()) return session.status();
   arm.create_ms = create.ElapsedMillis();
 
@@ -205,12 +206,13 @@ Result<ArmResult> RunPerK(const ProbabilisticDatabase& db,
                           const KLadder& ladder,
                           const std::vector<Round>& schedule) {
   ArmResult arm;
+  std::vector<ProbabilisticDatabase> copies(ladder.size(), db);
   Stopwatch create;
   std::vector<CleaningSession> sessions;
   sessions.reserve(ladder.size());
   for (size_t rung = 0; rung < ladder.size(); ++rung) {
     Result<CleaningSession> session =
-        CleaningSession::Start(ProbabilisticDatabase(db), ladder[rung]);
+        CleaningSession::Start(std::move(copies[rung]), ladder[rung]);
     if (!session.ok()) return session.status();
     sessions.push_back(std::move(session).value());
   }
@@ -296,13 +298,17 @@ Result<Series> RunSeries(const std::string& workload,
   series.speedup_vs_sessions =
       shared_median > 0.0 ? per_k_median / shared_median : 0.0;
 
-  series.kmax_create_ms = bench::MedianMillis(
-      [&] {
-        Result<CleaningSession> single =
-            CleaningSession::Start(ProbabilisticDatabase(db), ladder.max_k());
-        UCLEAN_CHECK(single.ok());
-      },
-      3);
+  std::vector<double> kmax_create;
+  for (int rep = 0; rep < 3; ++rep) {
+    ProbabilisticDatabase copy(db);
+    Stopwatch create;
+    Result<CleaningSession> single =
+        CleaningSession::Start(std::move(copy), ladder.max_k());
+    kmax_create.push_back(create.ElapsedMillis());
+    UCLEAN_CHECK(single.ok());
+  }
+  std::sort(kmax_create.begin(), kmax_create.end());
+  series.kmax_create_ms = kmax_create[1];
   series.k_independence = series.kmax_create_ms > 0.0
                               ? series.shared.create_ms / series.kmax_create_ms
                               : 0.0;

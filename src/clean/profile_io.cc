@@ -4,7 +4,6 @@
 #include <fstream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <unordered_set>
 #include <vector>
 
@@ -38,9 +37,6 @@ Status WriteProfileCsvFile(const CleaningProfile& profile,
 }
 
 Result<CleaningProfile> ReadProfileCsv(std::istream* is) {
-  std::string line;
-  bool saw_header = false;
-  size_t line_no = 0;
   struct Row {
     XTupleId xtuple;
     int64_t cost;
@@ -48,51 +44,34 @@ Result<CleaningProfile> ReadProfileCsv(std::istream* is) {
   };
   std::vector<Row> rows;
   std::unordered_set<XTupleId> seen;
-  while (std::getline(*is, line)) {
-    ++line_no;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    if (!saw_header) {
-      if (stripped != kHeader) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": expected header '" + kHeader + "'");
-      }
-      saw_header = true;
-      continue;
-    }
-    std::vector<std::string> fields = SplitString(stripped, ',');
-    if (fields.size() != 3) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 3 fields");
-    }
-    Result<int64_t> xtuple = ParseInt(fields[0]);
-    Result<int64_t> cost = ParseInt(fields[1]);
-    Result<double> sc = ParseDouble(fields[2]);
-    for (const Status& s : {xtuple.status(), cost.status(), sc.status()}) {
-      if (!s.ok()) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": " + s.message());
-      }
-    }
-    if (*xtuple < 0) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": negative x-tuple id");
-    }
-    if (*xtuple > std::numeric_limits<XTupleId>::max()) {
-      return Status::InvalidArgument(
-          "line " + std::to_string(line_no) + ": x-tuple id " +
-          std::to_string(*xtuple) + " past the largest x-tuple id " +
-          std::to_string(std::numeric_limits<XTupleId>::max()));
-    }
-    const XTupleId id = static_cast<XTupleId>(*xtuple);
-    if (!seen.insert(id).second) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": duplicate x-tuple " +
-                                     std::to_string(id));
-    }
-    rows.push_back(Row{id, *cost, *sc});
-  }
-  if (!saw_header) return Status::InvalidArgument("empty CSV: no header");
+  const Status read =
+      ReadCsvRows(is, kHeader, [&](std::string_view line) -> Status {
+        std::string_view fields[3];
+        if (SplitFields(line, ',', fields, 3) != 3) {
+          return Status::InvalidArgument("expected 3 fields");
+        }
+        const Result<int64_t> xtuple = ParseInt(fields[0]);
+        UCLEAN_RETURN_IF_ERROR(xtuple.status());
+        const Result<int64_t> cost = ParseInt(fields[1]);
+        UCLEAN_RETURN_IF_ERROR(cost.status());
+        const Result<double> sc = ParseDouble(fields[2]);
+        UCLEAN_RETURN_IF_ERROR(sc.status());
+        if (*xtuple < 0) return Status::InvalidArgument("negative x-tuple id");
+        if (*xtuple > std::numeric_limits<XTupleId>::max()) {
+          return Status::InvalidArgument(
+              "x-tuple id " + std::to_string(*xtuple) +
+              " past the largest x-tuple id " +
+              std::to_string(std::numeric_limits<XTupleId>::max()));
+        }
+        const XTupleId id = static_cast<XTupleId>(*xtuple);
+        if (!seen.insert(id).second) {
+          return Status::InvalidArgument("duplicate x-tuple " +
+                                         std::to_string(id));
+        }
+        rows.push_back(Row{id, *cost, *sc});
+        return Status::OK();
+      });
+  UCLEAN_RETURN_IF_ERROR(read);
   // The rows must cover ids 0..n-1, n being the rows read: sort them
   // rather than index a table sized by the largest id, which the file
   // controls.

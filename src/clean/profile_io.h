@@ -6,7 +6,9 @@
 //     xtuple,cost,sc_prob
 //     0,3,0.75
 //
-// Rows must cover x-tuples 0..m-1 exactly once each (any order).
+// Rows must cover x-tuples 0..m-1 exactly once each (any order). Lines,
+// comments, whitespace and numbers follow the database reader's grammar
+// (model/csv_io.h), read through the same ReadCsvRows.
 //
 // Threading: stateless serialization; concurrent calls are safe on
 // distinct streams/paths (the functions add no synchronization around

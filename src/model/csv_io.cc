@@ -1,9 +1,8 @@
 #include "model/csv_io.h"
 
 #include <fstream>
-#include <map>
 #include <ostream>
-#include <sstream>
+#include <unordered_map>
 
 #include "common/strings.h"
 
@@ -36,53 +35,33 @@ Status WriteDatabaseCsvFile(const ProbabilisticDatabase& db,
 }
 
 Result<ProbabilisticDatabase> ReadDatabaseCsv(std::istream* is) {
-  std::string line;
-  bool saw_header = false;
   // x-tuple keys in the file may be sparse/unordered; remap densely in
   // order of first appearance.
-  std::map<int64_t, XTupleId> xtuple_remap;
+  std::unordered_map<int64_t, XTupleId> xtuple_remap;
+  xtuple_remap.reserve(1024);  // skips the small tables' rehashes
   DatabaseBuilder builder;
-  size_t line_no = 0;
-  while (std::getline(*is, line)) {
-    ++line_no;
-    std::string_view stripped = StripWhitespace(line);
-    if (stripped.empty() || stripped.front() == '#') continue;
-    if (!saw_header) {
-      if (stripped != kHeader) {
-        return Status::InvalidArgument(
-            "line " + std::to_string(line_no) +
-            ": expected header '" + kHeader + "'");
-      }
-      saw_header = true;
-      continue;
-    }
-    std::vector<std::string> fields = SplitString(stripped, ',');
-    if (fields.size() != 5) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                     ": expected 5 fields, got " +
-                                     std::to_string(fields.size()));
-    }
-    Result<int64_t> xkey = ParseInt(fields[0]);
-    Result<int64_t> id = ParseInt(fields[1]);
-    Result<double> score = ParseDouble(fields[2]);
-    Result<double> prob = ParseDouble(fields[3]);
-    for (const Status& s :
-         {xkey.status(), id.status(), score.status(), prob.status()}) {
-      if (!s.ok()) {
-        return Status::InvalidArgument("line " + std::to_string(line_no) +
-                                       ": " + s.message());
-      }
-    }
-    auto [it, inserted] = xtuple_remap.try_emplace(*xkey, XTupleId{0});
-    if (inserted) it->second = builder.AddXTuple();
-    Status s =
-        builder.AddAlternative(it->second, *id, *score, *prob, fields[4]);
-    if (!s.ok()) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
-                                     s.message());
-    }
-  }
-  if (!saw_header) return Status::InvalidArgument("empty CSV: no header");
+  const Status read =
+      ReadCsvRows(is, kHeader, [&](std::string_view line) -> Status {
+        std::string_view fields[5];
+        const size_t count = SplitFields(line, ',', fields, 5);
+        if (count != 5) {
+          return Status::InvalidArgument("expected 5 fields, got " +
+                                         std::to_string(count));
+        }
+        const Result<int64_t> xkey = ParseInt(fields[0]);
+        UCLEAN_RETURN_IF_ERROR(xkey.status());
+        const Result<int64_t> id = ParseInt(fields[1]);
+        UCLEAN_RETURN_IF_ERROR(id.status());
+        const Result<double> score = ParseDouble(fields[2]);
+        UCLEAN_RETURN_IF_ERROR(score.status());
+        const Result<double> prob = ParseDouble(fields[3]);
+        UCLEAN_RETURN_IF_ERROR(prob.status());
+        auto [it, inserted] = xtuple_remap.try_emplace(*xkey, XTupleId{0});
+        if (inserted) it->second = builder.AddXTuple();
+        return builder.AddAlternative(it->second, *id, *score, *prob,
+                                      std::string(fields[4]));
+      });
+  UCLEAN_RETURN_IF_ERROR(read);
   return std::move(builder).Finish();
 }
 

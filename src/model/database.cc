@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -80,9 +80,24 @@ Status DatabaseBuilder::AddAlternative(XTupleId xtuple, TupleId id,
   return Status::OK();
 }
 
-Result<ProbabilisticDatabase> DatabaseBuilder::Finish() && {
-  ProbabilisticDatabase db;
-  size_t num_real = 0;
+namespace {
+
+/// RanksAbove's order on real tuples' scores as an ascending integer:
+/// higher scores get smaller keys, and -0.0 keys as +0.0, which
+/// RanksAbove treats as equal.
+uint64_t DescendingScoreKey(double score) {
+  if (score == 0.0) score = 0.0;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &score, sizeof bits);
+  // The IEEE bits as an ascending unsigned key, then reversed.
+  const uint64_t ascending =
+      (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+  return ~ascending;
+}
+
+}  // namespace
+
+Status DatabaseBuilder::FirstError() const {
   std::unordered_set<TupleId> seen_ids;
   for (size_t l = 0; l < pending_.size(); ++l) {
     double mass = 0.0;
@@ -98,46 +113,94 @@ Result<ProbabilisticDatabase> DatabaseBuilder::Finish() && {
           "existential mass of x-tuple " + std::to_string(l) + " is " +
           std::to_string(mass) + " > 1");
     }
-    num_real += pending_[l].size();
   }
+  return Status::OK();
+}
 
-  db.tuples_.reserve(num_real + pending_.size());
-  db.real_mass_.resize(pending_.size(), 0.0);
+Result<ProbabilisticDatabase> DatabaseBuilder::Finish() && {
+  // One pass sums each x-tuple's mass in insertion order and collects
+  // the ids; only when an id repeats or a mass exceeds 1 does FirstError
+  // walk the builder again for the error its order reports first.
+  std::vector<double> mass(pending_.size(), 0.0);
+  std::vector<TupleId> ids;
+  size_t num_null = 0;
+  bool over_full = false;
   for (size_t l = 0; l < pending_.size(); ++l) {
-    double mass = 0.0;
-    for (Tuple& t : pending_[l]) {
-      mass += t.prob;
-      db.tuples_.push_back(std::move(t));
+    for (const Tuple& t : pending_[l]) {
+      mass[l] += t.prob;
+      ids.push_back(t.id);
     }
-    db.real_mass_[l] = std::min(mass, 1.0);
-    if (mass < 1.0 - kMassEpsilon) {
-      // Materialize the conceptual null tuple (Section III-A).
-      Tuple null_tuple;
-      null_tuple.id = -static_cast<TupleId>(l) - 1;
-      null_tuple.xtuple = static_cast<XTupleId>(l);
-      null_tuple.score = 0.0;  // ignored: nulls sort below all real tuples
-      null_tuple.prob = 1.0 - mass;
-      null_tuple.is_null = true;
-      null_tuple.label = xtuple_labels_[l];
-      db.tuples_.push_back(std::move(null_tuple));
-    }
+    over_full |= mass[l] > 1.0 + kMassEpsilon;
+    num_null += mass[l] < 1.0 - kMassEpsilon;
+  }
+  std::sort(ids.begin(), ids.end());
+  if (over_full || std::adjacent_find(ids.begin(), ids.end()) != ids.end()) {
+    return FirstError();
+  }
+  const size_t num_real = ids.size();
+  std::vector<TupleId>().swap(ids);
+
+  ProbabilisticDatabase db;
+  db.num_real_ = num_real;
+  db.tuples_.reserve(num_real + num_null);
+  for (size_t l = 0; l < pending_.size(); ++l) {
+    for (Tuple& t : pending_[l]) db.tuples_.push_back(std::move(t));
+    std::vector<Tuple>().swap(pending_[l]);
   }
 
   // Descending rank order: real tuples by (score desc, id asc); null tuples
   // after all real tuples, by ascending x-tuple id. This realizes the
   // paper's unique-rank requirement with its Section VI tie-breaking rule.
-  // A lambda, not RanksAbove's address: given the function pointer, GCC
-  // stopped inlining the comparison into the sort.
-  std::sort(db.tuples_.begin(), db.tuples_.end(),
-            [](const Tuple& a, const Tuple& b) {
-              return ProbabilisticDatabase::RanksAbove(a, b);
+  // The real tuples sort as integer keys, then move once each, following
+  // the permutation's cycles in place.
+  struct RankKey {
+    uint64_t score;
+    size_t index;
+  };
+  std::vector<RankKey> keys(num_real);
+  for (size_t i = 0; i < num_real; ++i) {
+    keys[i] = {DescendingScoreKey(db.tuples_[i].score), i};
+  }
+  std::sort(keys.begin(), keys.end(),
+            [&db](const RankKey& a, const RankKey& b) {
+              if (a.score != b.score) return a.score < b.score;
+              return db.tuples_[a.index].id < db.tuples_[b.index].id;
             });
+  for (size_t i = 0; i < num_real; ++i) {
+    if (keys[i].index == i) continue;  // in place, or placed by a cycle
+    Tuple first = std::move(db.tuples_[i]);
+    size_t to = i;
+    while (keys[to].index != i) {
+      const size_t from = keys[to].index;
+      db.tuples_[to] = std::move(db.tuples_[from]);
+      keys[to].index = to;
+      to = from;
+    }
+    db.tuples_[to] = std::move(first);
+    keys[to].index = to;
+  }
+  std::vector<RankKey>().swap(keys);
+
+  db.real_mass_.resize(pending_.size());
+  for (size_t l = 0; l < pending_.size(); ++l) {
+    db.real_mass_[l] = std::min(mass[l], 1.0);
+    if (mass[l] < 1.0 - kMassEpsilon) {
+      // Materialize the conceptual null tuple (Section III-A).
+      Tuple null_tuple;
+      null_tuple.id = -static_cast<TupleId>(l) - 1;
+      null_tuple.xtuple = static_cast<XTupleId>(l);
+      null_tuple.score = 0.0;  // ignored: nulls sort below all real tuples
+      null_tuple.prob = 1.0 - mass[l];
+      null_tuple.is_null = true;
+      null_tuple.label = std::move(xtuple_labels_[l]);
+      db.tuples_.push_back(std::move(null_tuple));
+    }
+  }
 
   db.members_.assign(pending_.size(), {});
   for (size_t i = 0; i < db.tuples_.size(); ++i) {
     db.members_[db.tuples_[i].xtuple].push_back(static_cast<int32_t>(i));
   }
-  db.num_real_ = num_real;
   return db;
 }
 

@@ -158,6 +158,11 @@ class DatabaseBuilder {
   /// below which a residual is not materialized as a null tuple.
   static constexpr double kMassEpsilon = 1e-9;
 
+  /// The error Finish reports: walking x-tuples and their tuples in
+  /// insertion order, the first tuple whose id was seen before, or the
+  /// first x-tuple whose mass exceeds 1 + kMassEpsilon. OK if neither.
+  Status FirstError() const;
+
   std::vector<std::string> xtuple_labels_;
   std::vector<std::vector<Tuple>> pending_;  // per-x-tuple alternatives
 };

@@ -206,6 +206,11 @@ void DropZeroTail(BinReader& c, std::vector<double>* v, size_t end,
   v->shrink_to_fit();
 }
 
+bool AllFinite(const std::vector<double>& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double x) { return std::isfinite(x); });
+}
+
 Result<std::string> ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -254,6 +259,7 @@ void Transfer(C& c, Io<C, PsrOutput>& out, size_t n) {
     out.num_tuples = n;
     DropZeroTail(c, &out.topk_prob, out.scan_end,
                  "PSR top-k entry at or past scan_end is not +0.0");
+    c.Check(AllFinite(out.topk_prob), "PSR top-k entry is not finite");
     size_t positive = 0;
     for (double p : out.topk_prob) positive += p > 0.0;
     c.Check(positive == out.num_nonzero,
@@ -298,6 +304,11 @@ void Transfer(C& c, Io<C, std::vector<TpOutput>>& tps,
       tp.num_tuples = n;
       DropZeroTail(c, &tp.omega, tp.scan_end,
                    "TP omega at or past scan_end is not +0.0");
+      c.Check(std::isfinite(tp.quality), "TP quality is not finite");
+      c.Check(AllFinite(tp.omega), "TP omega entry is not finite");
+      c.Check(AllFinite(tp.xtuple_gain), "TP x-tuple gain is not finite");
+      c.Check(AllFinite(tp.xtuple_topk_mass),
+              "TP x-tuple top-k mass is not finite");
     }
   }
 }

@@ -989,6 +989,88 @@ TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
   }
 }
 
+/// Re-encodes TP rung `tp`'s whole record -- quality, omega, scan_end and
+/// the per-x-tuple gains and top-k masses, found once in the sessions
+/// section of `good` -- from `crafted`, omega zero-padded to `n` entries.
+std::string WithTpRecord(const std::string& good, size_t n, const TpOutput& tp,
+                         const TpOutput& crafted) {
+  const auto encode = [n](const TpOutput& t) {
+    store::BinWriter w;
+    w.F64(t.quality);
+    w.PaddedF64Array(t.omega, n);
+    w.Varint(t.scan_end);
+    w.F64Array(t.xtuple_gain);
+    w.F64Array(t.xtuple_topk_mass);
+    return w.Take();
+  };
+  return WithRun(good, store::kSectionSessions, encode(tp), encode(crafted));
+}
+
+// A loaded rung answers top-k and quality requests as it stands, so an
+// infinite or NaN value in what it keeps is DataLoss, each with its own
+// message.
+TEST(SnapshotCorruptionTest, NonFiniteScanValuesAreDataLoss) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TestPool built = MakeCraftingPool();
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  const struct {
+    const char* name;
+    const TpOutput& tp;
+  } ladders[] = {
+      {"base", built.pool.base_tp(0)},
+      {"session", built.pool.tp(built.ids[0], 0)},
+  };
+  for (const auto& l : ladders) {
+    SCOPED_TRACE(l.name);
+    ASSERT_GT(l.tp.scan_end, 0u);
+    ASSERT_FALSE(l.tp.xtuple_gain.empty());
+    ASSERT_EQ(WithTpRecord(good, n, l.tp, l.tp), good);
+    TpOutput nan_quality = l.tp;
+    nan_quality.quality = nan;
+    TpOutput infinite_quality = l.tp;
+    infinite_quality.quality = -inf;
+    TpOutput infinite_omega = l.tp;
+    infinite_omega.omega[0] = inf;
+    TpOutput nan_gain = l.tp;
+    nan_gain.xtuple_gain[0] = nan;
+    TpOutput infinite_mass = l.tp;
+    infinite_mass.xtuple_topk_mass.back() = inf;
+    ExpectDataLoss(WithTpRecord(good, n, l.tp, nan_quality),
+                   "TP quality is not finite");
+    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_quality),
+                   "TP quality is not finite");
+    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_omega),
+                   "TP omega entry is not finite");
+    ExpectDataLoss(WithTpRecord(good, n, l.tp, nan_gain),
+                   "TP x-tuple gain is not finite");
+    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_mass),
+                   "TP x-tuple top-k mass is not finite");
+  }
+  const struct {
+    const char* name;
+    uint32_t section;
+    const PsrOutput& rung;
+  } rungs[] = {
+      {"engine", store::kSectionEngine, built.pool.base_psr(0)},
+      {"session", store::kSectionSessions, built.pool.psr(built.ids[0], 0)},
+  };
+  for (const auto& r : rungs) {
+    SCOPED_TRACE(r.name);
+    ASSERT_GT(r.rung.scan_end, 0u);
+    ASSERT_EQ(WithRung(good, r.section, n, r.rung, r.rung), good);
+    PsrOutput nan_entry = r.rung;
+    nan_entry.topk_prob[0] = nan;
+    PsrOutput infinite_entry = r.rung;
+    infinite_entry.topk_prob[r.rung.scan_end - 1] = inf;
+    ExpectDataLoss(WithRung(good, r.section, n, r.rung, nan_entry),
+                   "PSR top-k entry is not finite");
+    ExpectDataLoss(WithRung(good, r.section, n, r.rung, infinite_entry),
+                   "PSR top-k entry is not finite");
+  }
+}
+
 // Memory holds each rung's live prefix [0, scan_end); the wire holds its
 // n entries (n * k for a stored matrix), zero-padded. A load checks the
 // tail and drops it, so every loaded rung is sized as the writer's was,

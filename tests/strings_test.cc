@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <random>
+#include <sstream>
+
 namespace uclean {
 namespace {
 
@@ -57,6 +62,41 @@ TEST(ParseInt, RejectsGarbage) {
 TEST(FormatDouble, RoundTrips) {
   for (double v : {0.1, 1.0 / 3.0, 1e-300, 123456.789, -0.0, 2.5e17}) {
     EXPECT_DOUBLE_EQ(*ParseDouble(FormatDouble(v)), v);
+  }
+}
+
+// FormatDouble prints the bytes an ostringstream at max_digits10 printed
+// before it went through std::to_chars; CSV files and reply lines
+// depend on them.
+TEST(FormatDouble, MatchesOstreamAtMaxDigits10) {
+  const auto reference = [](double v) {
+    std::ostringstream os;
+    os.precision(std::numeric_limits<double>::max_digits10);
+    os << v;
+    return os.str();
+  };
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> corpus = {
+      0.0,          -0.0,           Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(),          -Limits::quiet_NaN(),
+      Limits::denorm_min(),         -Limits::denorm_min(),
+      Limits::min(), -Limits::min(), Limits::max(),     Limits::lowest(),
+      Limits::epsilon(), 1.0,       0.1,                1e21,
+      1e-5,         123456789012345678.0};
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 100000; ++i) {
+    uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    corpus.push_back(v);  // any bit pattern: NaN payloads, both signs
+    corpus.push_back(unit(rng));
+    bits = rng() >> 12;  // a subnormal
+    std::memcpy(&v, &bits, sizeof v);
+    corpus.push_back(v);
+  }
+  for (double v : corpus) {
+    ASSERT_EQ(FormatDouble(v), reference(v));
   }
 }
 
