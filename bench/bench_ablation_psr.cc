@@ -33,8 +33,8 @@ int main() {
       Result<PsrOutput> psr_on(Status::OK()), psr_off(Status::OK());
       const double t_on =
           bench::MedianMillis([&] { psr_on = bench::ScanPsr(*db, k, on); }, 5);
-      const double t_off =
-          bench::MedianMillis([&] { psr_off = bench::ScanPsr(*db, k, off); }, 5);
+      const double t_off = bench::MedianMillis(
+          [&] { psr_off = bench::ScanPsr(*db, k, off); }, 5);
       Result<TpOutput> q_on = ComputeTpQuality(*db, *psr_on);
       Result<TpOutput> q_off = ComputeTpQuality(*db, *psr_off);
       std::printf("%zu,%zu,%.4f,%.4f,%zu,%zu,%.2e\n", db->num_tuples(), k,

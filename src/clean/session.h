@@ -153,6 +153,12 @@ class CleaningSession {
   /// True when outcomes were applied since the last Refresh.
   bool dirty() const { return core_.dirty(); }
 
+  /// The scan's checkpoint ranks, ascending (introspection: replay-cost
+  /// diagnostics, and the tests that hold them equal across widths).
+  std::vector<size_t> checkpoint_positions() const {
+    return core_.scan.checkpoint_positions();
+  }
+
   // Reading a dirty session is a HARD failure in every build type (not a
   // DCHECK): a dirty session holds pre-clean PSR/TP state, and serving it
   // silently -- which is exactly what a compiled-out assertion would do in

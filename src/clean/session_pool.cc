@@ -101,9 +101,9 @@ Status SessionPool::RefreshAll() {
   // Fan whole sessions across the pool: each task reads only the shared
   // engine (immutable after Create) and writes only its own session, so
   // per-session results are bitwise what Refresh(id) would produce. A
-  // session's own replay degrades to its sequential path on the worker
-  // (nested parallelism runs inline), which is exactly the right shape:
-  // the parallelism budget is spent across sessions.
+  // session's own replay runs as one shard on the worker (nested
+  // parallelism runs inline), which is exactly the right shape: the
+  // parallelism budget is spent across sessions.
   std::vector<Status> statuses(pending.size(), Status::OK());
   ExecParallelFor(options_.exec, pending.size(), [&](size_t i) {
     // Workers run inside the window this call opened; the caller blocks

@@ -22,8 +22,8 @@
 //  * GRACEFUL NESTING. Work submitted from inside a pool worker runs
 //    inline on that worker instead of deadlocking or oversubscribing:
 //    when SessionPool::RefreshAll fans sessions onto the pool, each
-//    session's own sharded replay degrades to its sequential path on the
-//    worker thread.
+//    session's own sharded replay runs as one shard on the worker
+//    thread.
 //
 // The caller thread always participates in ParallelFor and helps drain
 // the queue in TaskGroup::Wait, so a pool built for N threads applies N

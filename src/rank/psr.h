@@ -230,8 +230,8 @@ struct ScanResult {
 /// rung stops emitting at its own Lemma-2 point.
 ///
 /// Parallelism: with ExecOptions{num_threads > 1} the scan is sharded by
-/// rank range (rank/sharded_scan.h); results agree with the sequential
-/// form to 1e-12 for any thread/shard count (bitwise in practice).
+/// rank range (rank/sharded_scan.h); results are bitwise the sequential
+/// form's for any thread/shard count.
 /// Kernels: the scan runs on the kernel ExecOptions::kernel resolves to;
 /// every kernel is bitwise equal to every other (rank/kernel.h), so this
 /// knob never changes results either.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -38,34 +39,35 @@ Result<PsrEngine> PsrEngine::Create(const ProbabilisticDatabase& db,
 
 void PsrEngine::ThinCheckpoints(std::vector<Checkpoint>* cps,
                                 size_t* interval) {
-  // Keep every other checkpoint (always retaining the first one) and
-  // double the interval, bounding memory while preserving coverage.
-  size_t kept = 0;
-  for (size_t j = 0; j < cps->size(); j += 2) {
-    // Guard the j == kept case: self-move-assignment empties the kept
-    // checkpoint's vectors (corrupting the always-retained rank-0 one).
-    if (kept != j) (*cps)[kept] = std::move((*cps)[j]);
-    ++kept;
-  }
-  cps->resize(kept);
+  // Keep the checkpoints at multiples of the doubled interval (rank 0
+  // among them), bounding memory while preserving coverage.
   *interval *= 2;
+  cps->erase(std::remove_if(cps->begin(), cps->end(),
+                            [every = *interval](const Checkpoint& cp) {
+                              return cp.live % every != 0;
+                            }),
+             cps->end());
 }
 
-void PsrEngine::SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
-                             size_t live, std::vector<Checkpoint>* cps,
-                             size_t* interval) {
-  if (cps->size() >= kMaxCheckpoints) ThinCheckpoints(cps, interval);
-  Checkpoint cp;
-  cp.pos = pos;
-  cp.live = live;
-  cp.c.assign(core.c.begin(), core.c.end());
-  cp.active = core.active;
-  cp.saturated = core.saturated;
-  for (size_t l = 0; l < core.state.size(); ++l) {
-    if (core.state[l] == psr_internal::XTupleState::kInactive) continue;
-    cp.xs.push_back({static_cast<XTupleId>(l), core.state[l], core.q[l]});
+size_t PsrEngine::SnapshotInto(const psr_internal::ScanCore& core,
+                               size_t pos, size_t live,
+                               std::vector<Checkpoint>* cps,
+                               size_t* interval) {
+  while (cps->size() >= kMaxCheckpoints) ThinCheckpoints(cps, interval);
+  if (live % *interval == 0) {
+    Checkpoint cp;
+    cp.pos = pos;
+    cp.live = live;
+    cp.c.assign(core.c.begin(), core.c.end());
+    cp.active = core.active;
+    cp.saturated = core.saturated;
+    for (size_t l = 0; l < core.state.size(); ++l) {
+      if (core.state[l] == psr_internal::XTupleState::kInactive) continue;
+      cp.xs.push_back({static_cast<XTupleId>(l), core.state[l], core.q[l]});
+    }
+    cps->push_back(std::move(cp));
   }
-  cps->push_back(std::move(cp));
+  return (live / *interval + 1) * *interval;
 }
 
 void PsrEngine::RestoreInto(const Checkpoint& cp, size_t num_xtuples,
@@ -101,8 +103,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
     }
   }
   std::vector<PsrOutput*> outs;
-  outs.reserve(outputs->size());
-  for (PsrOutput& out : *outputs) outs.push_back(&out);
+  outs.reserve(outputs->size() - first_active);
   for (size_t j = first_active; j < outputs->size(); ++j) {
     PsrOutput& out = (*outputs)[j];
     psr_internal::StopRung(begin, &out);  // until the scan ends it anew
@@ -113,6 +114,7 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
       std::fill(out.best_rank_prob.begin(), out.best_rank_prob.end(), 0.0);
       std::fill(out.best_rank_index.begin(), out.best_rank_index.end(), -1);
     }
+    outs.push_back(&out);
   }
   if (begin == 0) {
     cps->clear();
@@ -123,65 +125,45 @@ void PsrEngine::ScanFrom(const Db& db, size_t begin, size_t live_at_begin,
   // replay rebuilds them from the stored matrix in FinalizeAggregates.
   const bool track_best = begin == 0;
 
-  // Parallel path: shard the active rungs' range over the pool. Shard s
-  // snapshots into its own list (its rebuilt boundary state first, then
-  // on the usual live-tuple cadence); the lists merge in shard order and
-  // thin to capacity, so checkpoint PLACEMENT differs from the
-  // sequential path while every snapshot remains a valid restore point.
-  bool sharded = false;
-  if (exec.parallel()) {
-    struct ShardCheckpoints {
-      std::vector<Checkpoint> cps;
-      size_t interval = 0;
-      size_t since = 0;
-      bool snapshot_first = false;
+  // One checkpoint rule at every width: a checkpoint at each live ordinal
+  // past the scan's start that is a multiple of the list's interval
+  // (SnapshotInto). Shard 0 snapshots into the scan's own list, every
+  // later shard into a list of its own; those are appended in shard
+  // order and the whole is thinned once, which leaves exactly the list
+  // one shard over the whole range writes.
+  struct ShardList {
+    std::vector<Checkpoint> cps;
+    size_t interval = 0;
+  };
+  std::vector<ShardList> later;
+  const size_t start_interval = *interval;
+  const auto hook = [](std::vector<Checkpoint>* list, size_t* every,
+                       size_t from) {
+    // The next multiple of *every at or past `from`: an inline compare
+    // per live position, the snapshot itself out of line.
+    return [list, every, next = (from + *every - 1) / *every * *every](
+               const psr_internal::ScanCore& core, size_t pos,
+               size_t live) mutable {
+      if (live == next) next = SnapshotInto(core, pos, live, list, every);
     };
-    std::vector<ShardCheckpoints> shard_cps;
-    const size_t base_interval = *interval;
-    const auto make_checkpoint_fn = [&shard_cps, base_interval](
-                                        size_t s, size_t num_shards) {
-      if (shard_cps.empty()) shard_cps.resize(num_shards);
-      ShardCheckpoints* local = &shard_cps[s];
-      local->interval = base_interval;
-      local->snapshot_first = s > 0;
-      return [local](const psr_internal::ScanCore& core, size_t pos,
-                     size_t live) {
-        if (local->snapshot_first || local->since >= local->interval) {
-          SnapshotInto(core, pos, live, &local->cps, &local->interval);
-          local->snapshot_first = false;
-          local->since = 0;
+  };
+  psr_internal::RunShardedLadderScan(
+      db, begin, live_at_begin, options, exec.pool.get(), &scan->core_, outs,
+      track_best, [&](size_t s, size_t num_shards, size_t live) {
+        if (s == 0) {
+          later.resize(num_shards - 1, ShardList{{}, start_interval});
+          return hook(cps, interval, live + 1);
         }
-        ++local->since;
-      };
-    };
-    std::vector<PsrOutput*> active_outs(outs.begin() + first_active,
-                                        outs.end());
-    sharded = psr_internal::RunShardedLadderScan(
-                  db, begin, live_at_begin, options, exec.pool.get(),
-                  scan->core_, active_outs, track_best,
-                  make_checkpoint_fn) > 0;
-    if (sharded) {
-      for (ShardCheckpoints& local : shard_cps) {
-        for (Checkpoint& cp : local.cps) cps->push_back(std::move(cp));
-        *interval = std::max(*interval, local.interval);
-      }
-      while (cps->size() > kMaxCheckpoints) ThinCheckpoints(cps, interval);
+        return hook(&later[s - 1].cps, &later[s - 1].interval, live);
+      });
+  for (ShardList& shard : later) {
+    while (*interval < shard.interval) ThinCheckpoints(cps, interval);
+    while (shard.interval < *interval) {
+      ThinCheckpoints(&shard.cps, &shard.interval);
     }
+    std::move(shard.cps.begin(), shard.cps.end(), std::back_inserter(*cps));
   }
-  if (!sharded) {
-    size_t since_checkpoint = 0;
-    psr_internal::RunLadderScan(
-        db, begin, db.num_tuples(), live_at_begin, /*emit_base=*/0,
-        options.early_termination, scan->core_, outs, first_active, track_best,
-        [cps, interval, &since_checkpoint](
-            const psr_internal::ScanCore& scanned, size_t i, size_t live) {
-          if (since_checkpoint >= *interval) {
-            SnapshotInto(scanned, i, live, cps, interval);
-            since_checkpoint = 0;
-          }
-          ++since_checkpoint;
-        });
-  }
+  while (cps->size() > kMaxCheckpoints) ThinCheckpoints(cps, interval);
   FinalizeAggregates(db, begin, begin == 0, exec, outputs);
 }
 
@@ -261,13 +243,6 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
         "session state does not match the overlay's base database");
   }
   if (first_changed_rank >= db.num_tuples()) return Status::OK();  // no-op
-  // The overlay is the single source of truth for how shallow the
-  // session's changes reach: every recorded outcome is reflected there,
-  // so a shared snapshot at or above its divergence rank is valid no
-  // matter what `first_changed_rank` the caller batched up (passing a
-  // conservatively shallow rank merely pops more private snapshots).
-  const size_t divergence = db.divergence_rank();
-
   // The session's own snapshots taken past the change hold pre-clean
   // state; drop them.
   while (!state->checkpoints_.empty() &&
@@ -275,31 +250,46 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
     state->checkpoints_.pop_back();
   }
 
-  // Deepest restore point still valid for this session: a shared base
-  // snapshot is valid wherever the overlay still equals the base (at or
-  // above the divergence rank -- a snapshot at pos depends only on tuples
-  // ranked above pos); a surviving private snapshot is valid by the
-  // invalidation above. The rank-0 snapshot always qualifies: it is in
-  // the shared list, or in a sole session's private one, where no change
-  // ranks above it.
-  const Checkpoint* restore = nullptr;
-  for (auto it = base_.checkpoints_.rbegin(); it != base_.checkpoints_.rend();
-       ++it) {
-    if (it->pos <= divergence) {
-      restore = &*it;
-      break;
-    }
-  }
-  if (!state->checkpoints_.empty() &&
-      (restore == nullptr || state->checkpoints_.back().pos >= restore->pos)) {
-    restore = &state->checkpoints_.back();
-  }
-  UCLEAN_CHECK(restore != nullptr);
-
+  // Restore the deepest checkpoint still valid for this session. The
+  // overlay is the single source of truth for how shallow the session's
+  // changes reach: every recorded outcome is reflected there, so a shared
+  // snapshot at or above its divergence rank is valid no matter what
+  // `first_changed_rank` the caller batched up (passing a conservatively
+  // shallow rank merely pops more private snapshots). The rank-0 snapshot
+  // always qualifies: it is in the shared list, or in a sole session's
+  // private one, where no change ranks above it.
+  const std::vector<const Checkpoint*> valid =
+      ValidCheckpoints(db.divergence_rank(), *state);
+  UCLEAN_CHECK(!valid.empty());
+  const Checkpoint* restore = valid.back();
   const size_t replay_begin = restore->pos;
   RestoreInto(*restore, db.num_xtuples(), &state->core_);
   ScanFrom(db, replay_begin, restore->live, options_, exec_, state);
   return Status::OK();
+}
+
+std::vector<const PsrEngine::Checkpoint*> PsrEngine::ValidCheckpoints(
+    size_t divergence, const SessionState& state) const {
+  // A shared checkpoint at pos depends only on the tuples ranked above
+  // pos, so it is valid wherever the view still equals the base: at or
+  // above the divergence rank. The session's own are valid by
+  // ReplaySession's invalidation (a refreshed session holds none past
+  // its changes). A shared checkpoint sorts ahead of a private one at
+  // its position; either is the view's exact state there.
+  std::vector<const Checkpoint*> valid;
+  valid.reserve(base_.checkpoints_.size() + state.checkpoints_.size());
+  for (const Checkpoint& cp : base_.checkpoints_) {
+    if (cp.pos > divergence) break;
+    valid.push_back(&cp);
+  }
+  const size_t shared = valid.size();
+  for (const Checkpoint& cp : state.checkpoints_) valid.push_back(&cp);
+  std::inplace_merge(
+      valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(shared),
+      valid.end(), [](const Checkpoint* a, const Checkpoint* b) {
+        return a->pos < b->pos;
+      });
+  return valid;
 }
 
 Result<ScanResult> PsrEngine::ScanLadder(const DatabaseOverlay& view,
@@ -317,25 +307,8 @@ Result<ScanResult> PsrEngine::ScanLadder(const DatabaseOverlay& view,
     return Status::FailedPrecondition(
         "session state does not match the view's base database");
   }
-  // Every checkpoint valid for the view, ascending: a shared one at or
-  // above the view's divergence rank, and any of the session's own (a
-  // refreshed session holds none past its changes). A shared checkpoint
-  // sorts ahead of a private one at its position; either is the view's
-  // exact state there.
-  const size_t divergence = view.divergence_rank();
-  std::vector<const Checkpoint*> valid;
-  valid.reserve(base_.checkpoints_.size() + state.checkpoints_.size());
-  for (const Checkpoint& cp : base_.checkpoints_) {
-    if (cp.pos > divergence) break;
-    valid.push_back(&cp);
-  }
-  const size_t shared = valid.size();
-  for (const Checkpoint& cp : state.checkpoints_) valid.push_back(&cp);
-  std::inplace_merge(
-      valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(shared),
-      valid.end(), [](const Checkpoint* a, const Checkpoint* b) {
-        return a->pos < b->pos;
-      });
+  const std::vector<const Checkpoint*> valid =
+      ValidCheckpoints(view.divergence_rank(), state);
   psr_internal::RestorePoints restores;
   restores.cuts.reserve(valid.size());
   for (size_t i = 0; i < valid.size(); ++i) {

@@ -58,23 +58,23 @@
 // suffix and every ScanLadder -- is sharded by rank range over the
 // shared ThreadPool
 // (rank/sharded_scan.h) whenever the range justifies it, with per-rung
-// argmax recomputation fanned over the same pool. Results agree with the
-// sequential path to 1e-12 (bitwise wherever the shard boundary state
-// comes from a checkpoint; see sharded_scan.h on rebuilt boundaries);
-// checkpoint PLACEMENT may differ between the two paths, which changes
-// replay cost, never replay results. Scans triggered from inside a pool
-// worker (nested parallelism, e.g. SessionPool::RefreshAll fanning
-// sessions) degrade to the sequential loop on that worker.
+// argmax recomputation fanned over the same pool. Results are bitwise
+// the one-shard scan's, and so are the checkpoints: every shard keeps
+// one at each live ordinal that is a multiple of the list's interval,
+// so a pool's checkpoint lists, and the snapshot that stores them, do
+// not depend on the width that built or refreshed it.
 //
 // Threading contract: the engine is read-only after Create. ForkSession,
 // ReplaySession and ScanLadder are const and safe to call CONCURRENTLY
 // from any number of threads, as long as each concurrent ReplaySession
 // targets a DISTINCT (overlay, SessionState) pair -- SessionPool::
-// RefreshAll's fan-out -- that no concurrent ScanLadder reads. TakeSoleSession is the one exception: its caller owns the
-// engine and calls it once, right after Create, before any other call.
-// A scan-running call may itself execute ON a pool worker; its nested
-// sharded scan then degrades to the sequential loop inline
-// (exec/thread_pool.h's nesting rule), never deadlocking the pool.
+// RefreshAll's fan-out -- that no concurrent ScanLadder reads.
+// TakeSoleSession is the one exception: its caller owns the engine and
+// calls it once, right after Create, before any other call.
+// A scan-running call may itself execute ON a pool worker (nested
+// parallelism, e.g. SessionPool::RefreshAll fanning sessions); its
+// sharded scan then runs as one shard inline (exec/thread_pool.h's
+// nesting rule), never deadlocking the pool.
 
 #ifndef UCLEAN_RANK_PSR_ENGINE_H_
 #define UCLEAN_RANK_PSR_ENGINE_H_
@@ -233,10 +233,11 @@ class PsrEngine {
                                 const SessionState& state,
                                 const KLadder& ladder) const;
 
-  /// Checkpoint cadence: every `checkpoint_interval_` live tuples, thinned
-  /// (drop every other one, double the interval) when the count exceeds
-  /// kMaxCheckpoints so memory stays O(kMaxCheckpoints * m). The default
-  /// cadence is the request struct's, spelled once for the whole library.
+  /// Checkpoint cadence: at every live ordinal that is a multiple of
+  /// `checkpoint_interval_`, thinned (double the interval, keep its
+  /// multiples) when the count exceeds kMaxCheckpoints so memory stays
+  /// O(kMaxCheckpoints * m). The default cadence is the request struct's,
+  /// spelled once for the whole library.
   static constexpr size_t kInitialCheckpointInterval =
       ScanRequest::kDefaultCheckpointInterval;
   static constexpr size_t kMaxCheckpoints = 160;
@@ -248,17 +249,24 @@ class PsrEngine {
   // satisfy (outputs consistent with the ladder, checkpoints ascending).
   friend class SnapshotAccess;
 
-  /// Copies the scan state into a fresh checkpoint appended to `cps`,
-  /// thinning (and doubling `*interval`) at capacity. `live` is pos's
-  /// live-tuple ordinal.
-  static void SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
-                           size_t live, std::vector<Checkpoint>* cps,
-                           size_t* interval);
+  /// Thins `cps` at capacity (ThinCheckpoints), then copies the scan
+  /// state into a fresh checkpoint appended to it when `live`, pos's
+  /// live-tuple ordinal, is a multiple of `*interval`. Returns the next
+  /// such multiple past `live`.
+  static size_t SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
+                             size_t live, std::vector<Checkpoint>* cps,
+                             size_t* interval);
 
-  /// Drops every other checkpoint (always retaining the first) and
-  /// doubles `*interval` -- the capacity response shared by SnapshotInto
+  /// Doubles `*interval` and keeps the checkpoints at its multiples
+  /// (rank 0 among them) -- the capacity response shared by SnapshotInto
   /// and the sharded-scan checkpoint merge.
   static void ThinCheckpoints(std::vector<Checkpoint>* cps, size_t* interval);
+
+  /// Every checkpoint valid for a view whose divergence rank is
+  /// `divergence` and whose session state is `state`, ascending: the
+  /// shared ones at or above the divergence rank, and the session's own.
+  std::vector<const Checkpoint*> ValidCheckpoints(
+      size_t divergence, const SessionState& state) const;
 
   /// Sets `core` to the scan state `cp` holds, sizing its per-x-tuple
   /// arrays to `num_xtuples` (a forked session's first replay allocates
@@ -269,7 +277,7 @@ class PsrEngine {
   /// Cuts each of `scan`'s rungs that re-emits back to `begin` and runs
   /// the scan loop over `db` from its scratch to the stop point, growing
   /// them and snapshotting into its checkpoints along the way -- sharded
-  /// over `exec`'s pool when the range justifies it, sequentially
+  /// over `exec`'s pool when the range justifies it, as one shard
   /// otherwise. Rungs whose scan had already stopped at or before `begin`
   /// are left untouched. `Db` is
   /// ProbabilisticDatabase (the base scan) or DatabaseOverlay (session

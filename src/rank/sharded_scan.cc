@@ -71,7 +71,8 @@ std::vector<ShardCut> PlanWorkCuts(const ShardCut& start,
     size_t i = static_cast<size_t>(
         std::lower_bound(work.begin() + next, work.end(), target) -
         work.begin());
-    if (i == work.size() || (i > next && target - work[i - 1] < work[i] - target)) {
+    if (i == work.size() ||
+        (i > next && target - work[i - 1] < work[i] - target)) {
       --i;
     }
     if (work[i] - cut_work < kMinShardWork || total - work[i] < kMinShardWork) {

@@ -303,9 +303,10 @@ std::vector<ShardCut> PlanCuts(const Db& db, size_t begin,
   }
   std::vector<ShardCut> candidates;
   candidates.reserve(restores->cuts.size() + walk.grid.size());
-  std::merge(restores->cuts.begin(), restores->cuts.end(), walk.grid.begin(),
-             walk.grid.end(), std::back_inserter(candidates),
-             [](const ShardCut& a, const ShardCut& b) { return a.pos < b.pos; });
+  std::merge(
+      restores->cuts.begin(), restores->cuts.end(), walk.grid.begin(),
+      walk.grid.end(), std::back_inserter(candidates),
+      [](const ShardCut& a, const ShardCut& b) { return a.pos < b.pos; });
   // Keep the candidates strictly inside the scan, one per position (a
   // restore point sorts ahead of a grid point at its position).
   size_t kept = 0;
@@ -344,49 +345,59 @@ inline void InitShardOutputs(const std::vector<PsrOutput*>& outs,
   }
 }
 
-/// The sharded counterpart of RunLadderScan over the ACTIVE rungs `outs`
-/// (shared outputs already cut back to `begin`, as the sequential
-/// prologue leaves them). Plans the cuts (PlanCuts: grid points, plus
-/// `restores` when given), pipelines boundary-bookkeeping hand-off with
+/// The ladder scan over the ACTIVE rungs `outs` (shared outputs already
+/// cut back to `begin`) from `*start`, the scan state at `begin`. Plans
+/// the cuts (PlanCuts: grid points, plus `restores` when given); when
+/// they split the range, pipelines boundary-bookkeeping hand-off with
 /// shard dispatch on `pool`, merges stops/argmaxes and appends each
-/// rung's live range, sizing it to the merged stop. Returns the number
-/// of shards it ran, or 0 -- leaving outputs untouched -- when the range
-/// does not justify sharding; the caller then runs the sequential loop.
+/// rung's live range, sizing it to the merged stop. Otherwise -- no
+/// pool of two or more threads, a call from a pool worker, or a range
+/// that does not justify sharding -- it runs the range as one shard on
+/// the calling thread, advancing `*start` in place. Returns the number of
+/// shards it ran (1 for the inline case).
 ///
-/// `make_checkpoint_fn(s, num_shards)` is called on the orchestrating
-/// thread, in shard order, and must return an independently usable
-/// `void(const ScanCore&, size_t pos, size_t live)` snapshot hook for
-/// shard s (hooks run concurrently, one per shard).
+/// `make_checkpoint_fn(s, num_shards, live)` is called on the
+/// orchestrating thread, in shard order, with shard s's first live
+/// ordinal, and must return an independently usable `void(const
+/// ScanCore&, size_t pos, size_t live)` snapshot hook for shard s (hooks
+/// run concurrently, one per shard). Together the hooks see exactly the
+/// live positions the one-shard scan visits, each in its own shard, so
+/// hooks that snapshot by live ordinal alone keep the same checkpoints
+/// at every width.
 template <typename Db, typename MakeCheckpointFn>
 size_t RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
                             const PsrOptions& options, ThreadPool* pool,
-                            const ScanCore& start_state,
+                            ScanCore* start,
                             const std::vector<PsrOutput*>& outs,
                             bool track_best,
                             MakeCheckpointFn&& make_checkpoint_fn,
                             const RestorePoints* restores = nullptr) {
-  if (pool == nullptr || pool->num_threads() < 2 || ThreadPool::InWorker() ||
-      outs.empty()) {
-    return 0;
-  }
   const size_t n = db.num_tuples();
-  const std::vector<ShardCut> cuts =
-      PlanCuts(db, begin, live_at_begin, start_state, outs.back()->k,
-               options.early_termination, restores, pool->num_threads());
-  if (cuts.empty()) return 0;
+  std::vector<ShardCut> cuts;
+  if (pool != nullptr && pool->num_threads() > 1 && !ThreadPool::InWorker() &&
+      !outs.empty()) {
+    cuts = PlanCuts(db, begin, live_at_begin, *start, outs.back()->k,
+                    options.early_termination, restores, pool->num_threads());
+  }
+  if (cuts.empty()) {
+    RunLadderScan(db, begin, n, live_at_begin, /*emit_base=*/0,
+                  options.early_termination, *start, outs, /*first_active=*/0,
+                  track_best, make_checkpoint_fn(0, 1, live_at_begin));
+    return 1;
+  }
   const size_t num_shards = cuts.size() - 1;
   const size_t rungs = outs.size();
 
   std::vector<ShardResult> results(num_shards);
   {
     ThreadPool::TaskGroup group(pool);
-    ScanCore walk = start_state;  // prewalk bookkeeping; c valid at begin
+    ScanCore walk = *start;  // prewalk bookkeeping; c valid at begin
     size_t walked = begin;
     for (size_t s = 0; s < num_shards; ++s) {
       const ShardCut& cut = cuts[s];
       ScanCore core;
       if (cut.restore != ShardCut::kGridCut) {
-        core.kernel = start_state.kernel;  // the shard task restores it
+        core.kernel = start->kernel;  // the shard task restores it
       } else {
         // Hand-off: advance the cheap mass bookkeeping to this cut while
         // the already dispatched shards scan their ranges. The count
@@ -402,7 +413,7 @@ size_t RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
       result.live_at_begin = cut.live;
       group.Run([&db, &options, track_best, &result, restores,
                  restore = cut.restore, core = std::move(core),
-                 checkpoint = make_checkpoint_fn(s, num_shards),
+                 checkpoint = make_checkpoint_fn(s, num_shards, cut.live),
                  &outs]() mutable {
         // The sequential loop over the shard's range from the state at
         // its cut -- a restored checkpoint, or the mass bookkeeping at a
@@ -461,7 +472,7 @@ size_t RunShardedLadderScan(const Db& db, size_t begin, size_t live_at_begin,
 /// One ladder scan from rank 0 over `db` into a fresh ScanResult: the
 /// body of ComputePsrLadder and PsrEngine::ScanLadder. Sharded over
 /// `exec`'s pool when the cut plan pays (at `restores` too, when given),
-/// sequential otherwise; ScanResult::threads records which.
+/// one inline shard otherwise; ScanResult::threads records which.
 template <typename Db>
 ScanResult ScanLadderFromRank0(const Db& db, const KLadder& ladder,
                                const PsrOptions& psr, const ExecOptions& exec,
@@ -479,24 +490,14 @@ ScanResult ScanLadderFromRank0(const Db& db, const KLadder& ladder,
 
   ScanCore core;
   core.Init(db.num_xtuples(), kernel);
-  size_t shards = 0;
-  if (exec.parallel()) {
-    // Scans from rank 0 keep no checkpoints: the snapshot hook is a
-    // no-op.
-    const auto no_checkpoints = [](size_t, size_t) {
-      return [](const ScanCore&, size_t, size_t) {};
-    };
-    shards = RunShardedLadderScan(db, 0, 0, psr, exec.pool.get(), core, outs,
-                                  /*track_best=*/true, no_checkpoints,
-                                  restores);
-  }
-  if (shards == 0) {
-    RunLadderScan(db, 0, db.num_tuples(), 0, /*emit_base=*/0,
-                  psr.early_termination, core, outs, /*first_active=*/0,
-                  /*track_best=*/true, [](const ScanCore&, size_t, size_t) {});
-  }
-  result.threads =
-      shards == 0 ? 1 : std::min(shards, exec.pool->num_threads());
+  // Scans from rank 0 keep no checkpoints: the snapshot hook is a no-op.
+  const size_t shards = RunShardedLadderScan(
+      db, 0, 0, psr, exec.pool.get(), &core, outs, /*track_best=*/true,
+      [](size_t, size_t, size_t) {
+        return [](const ScanCore&, size_t, size_t) {};
+      },
+      restores);
+  result.threads = shards > 1 ? std::min(shards, exec.pool->num_threads()) : 1;
   for (PsrOutput& out : result.outputs) {
     for (double p : out.topk_prob) out.num_nonzero += p > 0.0;
   }

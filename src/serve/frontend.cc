@@ -73,7 +73,8 @@ void Frontend::FillTopk(const PsrOutput& psr, Reply* reply) const {
     }
   }
   if (reply->top_index >= 0) {
-    reply->top_id = pool_.base().tuple(static_cast<size_t>(reply->top_index)).id;
+    reply->top_id =
+        pool_.base().tuple(static_cast<size_t>(reply->top_index)).id;
   }
 }
 

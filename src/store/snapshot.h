@@ -354,8 +354,9 @@ class SnapshotAccess {
   /// bitwise -- since scans restore them (PsrEngine::ReplaySession and
   /// ScanLadder).
   template <typename Db>
-  static void CheckCheckpointWalk(store::BinReader& r, const Db& db,
-                                  const std::vector<PsrEngine::Checkpoint>& cps);
+  static void CheckCheckpointWalk(
+      store::BinReader& r, const Db& db,
+      const std::vector<PsrEngine::Checkpoint>& cps);
   /// The sessions section: base TP ladder, slot table, free list.
   template <typename C>
   static void Transfer(C& c, store::Io<C, SessionPool>& pool);

@@ -334,9 +334,9 @@ template <typename T, typename U>
   for (size_t i = 0; i < db.num_tuples(); ++i) {
     const Tuple& a = db.tuple(i);
     const Tuple& b = want->tuples[i];
-    if (a.id != b.id || a.xtuple != b.xtuple || Bits(a.score) != Bits(b.score) ||
-        Bits(a.prob) != Bits(b.prob) || a.is_null != b.is_null ||
-        a.label != b.label) {
+    if (a.id != b.id || a.xtuple != b.xtuple ||
+        Bits(a.score) != Bits(b.score) || Bits(a.prob) != Bits(b.prob) ||
+        a.is_null != b.is_null || a.label != b.label) {
       return ::testing::AssertionFailure()
              << "tuple " << i << ": id " << a.id << " vs " << b.id;
     }
@@ -402,8 +402,8 @@ const std::vector<std::string>& EdgeTokens() {
       "1e-310", "-1e-310", "1e-320", "4.9e-324", "2.4703282292062327e-324",
       "2.2250738585072011e-308", "2.2250738585072012e-308",
       "2.22507385850720125e-308", "2.2250738585072013e-308",
-      "2.2250738585072014e-308", "-2.2250738585072012e-308", "1e-400", "1e309", "-1e309",
-      "1.7976931348623157e308", "1.7976931348623158e308",
+      "2.2250738585072014e-308", "-2.2250738585072012e-308", "1e-400",
+      "1e309", "-1e309", "1.7976931348623157e308", "1.7976931348623158e308",
       "1.7976931348623159e308", "1e308", "inf", "-inf", "+inf", "INF",
       "infinity", "-Infinity", "infin", "nan", "-nan", "NaN", "nan(0x1)",
       "nan()", "nan(", "1e", "1e+", "1e-", "e5", ".", "-", "+", "", " ",
@@ -630,7 +630,8 @@ class Mutator {
  private:
   double Unit() { return std::ldexp(static_cast<double>(rng_() >> 11), -53); }
 
-  std::string Assemble(const char* header, const std::vector<std::string>& rows) {
+  std::string Assemble(const char* header,
+                       const std::vector<std::string>& rows) {
     std::string text;
     if (Chance(10)) text += "# generated\n\n";
     text += header;
@@ -713,7 +714,8 @@ TEST(CsvDifferential, EdgeFiles) {
       "\r\n# c\n\n" + header + "0,1,2.5,0.5,a\n",
       header + "0,1,2.5,0.5," + big_label + "\n0,2,1,0.25,b",
       header + "0,1,-0,0.5,a\n1,2,0,0.5,b\n2,3,-0.0,1,c\n",
-      header + "0,1,1e-310,0.5,a\n", header + "0,1,1,2.2250738585072012e-308,a\n",
+      header + "0,1,1e-310,0.5,a\n",
+      header + "0,1,1,2.2250738585072012e-308,a\n",
       header + "0,1,1,+0.5,a\n0,2,0x1p3,0x1p-2,b\n",
       header + "0,1,1,0.5,a\n0,1,2,0.5,b\n",
       header + "0,1,1,0.75,a\n0,2,2,0.5,b\n1,1,1,0.5,c\n",

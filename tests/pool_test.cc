@@ -496,7 +496,8 @@ std::vector<SessionPool::SessionId> OpenColdScanViews(SessionPool* pool,
     ids.push_back(id);
     if (depth == 0) continue;
     size_t i = depth;
-    while (db.xtuple_members(db.tuple(i).xtuple)[0] != static_cast<int32_t>(i)) {
+    while (db.xtuple_members(db.tuple(i).xtuple)[0] !=
+           static_cast<int32_t>(i)) {
       ++i;
     }
     UCLEAN_CHECK(
@@ -586,7 +587,8 @@ TEST(SessionPoolColdScan, MatchesAtCheckpointIntervalFourWithStoredMatrix) {
            std::vector<std::vector<size_t>>{{3}, {12}, {30}, {45}, {3, 45}}) {
         const ScanResult got = ExpectColdScanMatches(
             *pool, ids[v], ks, options.psr,
-            "threads=" + std::to_string(threads) + " view=" + std::to_string(v));
+            "threads=" + std::to_string(threads) +
+                " view=" + std::to_string(v));
         EXPECT_TRUE(got.outputs.back().has_rank_probabilities);
         cut += got.threads > 1;
       }

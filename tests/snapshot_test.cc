@@ -33,11 +33,14 @@
 
 #include "clean/fault.h"
 #include "clean/pipeline.h"
+#include "clean/session.h"
 #include "clean/session_pool.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "model/database.h"
+#include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/psr_scan_core.h"
 #include "store/binstream.h"
 #include "store/crc32.h"
 #include "store/snapshot.h"
@@ -1288,6 +1291,201 @@ TEST(SnapshotCorruptionTest, CraftedCheckpointIsDataLoss) {
   const auto one_less_live = [](WireCheckpoint& cp) { --cp.live; };
   ExpectDataLoss(WithCheckpoint(good, store::kSectionEngine, 1, one_less_live),
                  "live rank");
+}
+
+// ---------------------------------------------------- checkpoint placement
+
+/// 20,000 tuples of sub-unit mass: a k = 400 scan runs past two
+/// count-refresh grid points, so Create and shallow replays shard.
+ProbabilisticDatabase MakeDeepScanDb() {
+  SyntheticOptions opts;
+  opts.num_xtuples = 2000;
+  opts.tuples_per_xtuple = 10;
+  opts.real_mass_min = 0.3;
+  opts.real_mass_max = 0.6;
+  opts.seed = 20261019;
+  Result<ProbabilisticDatabase> db = GenerateSynthetic(opts);
+  UCLEAN_CHECK(db.ok());
+  return std::move(db).value();
+}
+
+/// The first rank at or below `rank` that is its x-tuple's best member.
+size_t BestMemberAtOrBelow(const ProbabilisticDatabase& db, size_t rank) {
+  while (db.xtuple_members(db.tuple(rank).xtuple)[0] !=
+         static_cast<int32_t>(rank)) {
+    ++rank;
+  }
+  return rank;
+}
+
+/// What a pool built and refreshed at one width leaves behind: the
+/// engine's checkpoint ranks, every session's after each refresh round,
+/// and the snapshot's database, engine and sessions sections (the meta
+/// section records the width itself).
+struct WidthRun {
+  std::vector<size_t> engine;
+  std::vector<std::vector<size_t>> sessions;
+  std::vector<std::string> sections;
+};
+
+WidthRun RunPoolAtWidth(const ProbabilisticDatabase& db,
+                        const KLadder& ladder, size_t interval,
+                        size_t threads) {
+  SessionPool::Options options;
+  options.exec.num_threads = threads;
+  options.checkpoint_interval = interval;
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder, options);
+  UCLEAN_CHECK(pool.ok());
+  WidthRun run;
+  run.engine = SnapshotAccess::EngineCheckpointPositions(*pool);
+  std::vector<SessionPool::SessionId> ids;
+  for (size_t s = 0; s < 3; ++s) ids.push_back(pool->OpenSession());
+  // Each round cleans shallow and deep ranks (a null outcome among
+  // them), refreshes one session alone -- its replay shards on the
+  // caller's thread -- and the rest through RefreshAll, whose fan-out
+  // runs each replay as one shard on a pool worker.
+  const struct {
+    size_t session;
+    size_t rank;
+    bool null;
+  } rounds[3][3] = {
+      {{0, 40, false}, {1, 3000, false}, {2, 700, true}},
+      {{0, 9000, false}, {1, 15, true}, {2, 120, false}},
+      {{0, 5, false}, {1, 5000, false}, {2, 60, false}},
+  };
+  for (size_t r = 0; r < 3; ++r) {
+    for (const auto& clean : rounds[r]) {
+      const XTupleId x = db.tuple(BestMemberAtOrBelow(db, clean.rank)).xtuple;
+      const TupleId resolved = clean.null ? -1 : FirstMemberId(db, x);
+      UCLEAN_CHECK(
+          pool->ApplyCleanOutcome(ids[clean.session], x, resolved).ok());
+    }
+    UCLEAN_CHECK(pool->Refresh(ids[r]).ok());
+    UCLEAN_CHECK(pool->RefreshAll().ok());
+    for (SessionPool::SessionId id : ids) {
+      run.sessions.push_back(
+          SnapshotAccess::SessionCheckpointPositions(*pool, id));
+    }
+  }
+  Result<store::SnapshotFile> file =
+      store::SnapshotFile::Parse(SerializedPool(*pool));
+  UCLEAN_CHECK(file.ok());
+  for (uint32_t id : {store::kSectionDatabase, store::kSectionEngine,
+                      store::kSectionSessions}) {
+    run.sections.emplace_back(file->payload(*file->Find(id)));
+  }
+  return run;
+}
+
+/// One checkpoint rule at every width: a pool built and refreshed on 1,
+/// 2 or 4 threads keeps the same checkpoints and writes the same
+/// snapshot sections, and so does a CleaningSession, at intervals that
+/// thin (4), sit off the count-refresh grid (7) and the default (64).
+TEST(CheckpointPlacementTest, ListsAndSectionsDoNotDependOnWidth) {
+  const ProbabilisticDatabase db = MakeDeepScanDb();
+  const KLadder ladder = MakeLadder({10, 100, 400});
+  for (const size_t interval : {4u, 7u, 64u}) {
+    SCOPED_TRACE("interval=" + std::to_string(interval));
+    const WidthRun want = RunPoolAtWidth(db, ladder, interval, 1);
+    ASSERT_GT(want.engine.back(), 2 * psr_internal::kCountRefreshGridLive);
+    for (const size_t threads : {2u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const WidthRun got = RunPoolAtWidth(db, ladder, interval, threads);
+      EXPECT_EQ(got.engine, want.engine);
+      EXPECT_EQ(got.sessions, want.sessions);
+      ASSERT_EQ(got.sections.size(), want.sections.size());
+      for (size_t i = 0; i < want.sections.size(); ++i) {
+        EXPECT_TRUE(got.sections[i] == want.sections[i]) << "section " << i;
+      }
+    }
+
+    std::vector<std::vector<size_t>> lists[2];
+    for (const size_t threads : {1u, 4u}) {
+      CleaningSession::Options options;
+      options.exec.num_threads = threads;
+      options.checkpoint_interval = interval;
+      Result<CleaningSession> session =
+          CleaningSession::Start(ProbabilisticDatabase(db), ladder, options);
+      ASSERT_TRUE(session.ok()) << session.status();
+      std::vector<std::vector<size_t>>& list = lists[threads > 1];
+      list.push_back(session->checkpoint_positions());
+      for (const size_t rank : {3000u, 40u, 9000u}) {
+        const XTupleId x = db.tuple(BestMemberAtOrBelow(db, rank)).xtuple;
+        ASSERT_TRUE(session->ApplyCleanOutcome(x, FirstMemberId(db, x)).ok());
+        ASSERT_TRUE(session->Refresh().ok());
+        list.push_back(session->checkpoint_positions());
+      }
+    }
+    EXPECT_EQ(lists[1], lists[0]);
+  }
+}
+
+/// Snapshots a sharded build wrote before checkpoints followed one rule
+/// hold lists off it. The reader checks checkpoint states, not their
+/// placement, so such a file loads, its sessions refresh bitwise to a
+/// fresh scan of their views, and their new checkpoints follow the rule.
+TEST(CheckpointPlacementTest, OffRuleListsFromOlderWritersLoad) {
+  const ProbabilisticDatabase db = MakeDb(400);
+  const KLadder ladder = MakeLadder({5, 60});
+  SessionPool::Options options;
+  options.checkpoint_interval = 16;
+  options.psr.store_rank_probabilities = true;  // replays rebuild argmaxes
+  Result<SessionPool> built =
+      SessionPool::Create(ProbabilisticDatabase(db), ladder, options);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const SessionPool::SessionId id = built->OpenSession();
+  const std::vector<size_t> engine_cps =
+      SnapshotAccess::EngineCheckpointPositions(*built);
+  ASSERT_GE(engine_cps.size(), 6u);
+  // Raising the engine's stored interval 16 -> 32 (the section's last
+  // varint) leaves every odd multiple of 16 off the rule.
+  const std::string crafted = WithPayload(
+      SerializedPool(*built), store::kSectionEngine, [](std::string payload) {
+        UCLEAN_CHECK(payload.back() == 16);
+        payload.back() = 32;
+        return payload;
+      });
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(crafted, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  SessionPool& pool = loaded->pool;
+  EXPECT_EQ(SnapshotAccess::EngineCheckpointPositions(pool), engine_cps);
+
+  // A clean whose deepest valid shared checkpoint is an odd multiple of
+  // 16: the replay restores it and checkpoints on past it.
+  size_t rank = 16;
+  do {
+    rank = BestMemberAtOrBelow(db, rank + 1);
+  } while (rank / 16 % 2 == 0);
+  const XTupleId x = db.tuple(rank).xtuple;
+  ASSERT_TRUE(pool.ApplyCleanOutcome(id, x, FirstMemberId(db, x)).ok());
+  ASSERT_TRUE(pool.Refresh(id).ok());
+
+  const DatabaseOverlay& view = pool.overlay(id);
+  ScanRequest request;
+  request.ladder = ladder;
+  request.psr = options.psr;
+  request.overlay = &view;
+  Result<ScanResult> psr = ComputePsrLadder(view.base(), request);
+  ASSERT_TRUE(psr.ok()) << psr.status();
+  Result<std::vector<TpOutput>> tps =
+      ComputeTpQualityLadder(view, psr->outputs);
+  ASSERT_TRUE(tps.ok()) << tps.status();
+  for (size_t rung = 0; rung < ladder.size(); ++rung) {
+    EXPECT_EQ(RungBitsDiffer(pool.psr(id, rung), psr->output(rung)), "");
+    EXPECT_EQ(pool.tp(id, rung).omega, (*tps)[rung].omega);
+    EXPECT_EQ(pool.tp(id, rung).xtuple_gain, (*tps)[rung].xtuple_gain);
+    EXPECT_EQ(pool.quality(id, rung), (*tps)[rung].quality);
+  }
+  const std::vector<size_t> own =
+      SnapshotAccess::SessionCheckpointPositions(pool, id);
+  ASSERT_FALSE(own.empty());
+  for (const size_t pos : own) {
+    size_t live = 0;
+    for (size_t i = 0; i < pos; ++i) live += !view.is_tombstone(i);
+    EXPECT_EQ(live % 32, 0u) << "checkpoint at rank " << pos;
+  }
 }
 
 TEST(SnapshotCorruptionTest, OutOfRangeInjectorSourceIsDataLoss) {

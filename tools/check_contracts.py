@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project contract linter: the invariants the compiler cannot see.
 
-Seven rules, each guarding a determinism or portability contract the
+Eight rules, each guarding a determinism or portability contract the
 codebase documents but no compiler flag enforces on its own:
 
  1. AVX CONTAINMENT. AVX intrinsics (immintrin.h, __m256*, _mm256_*,
@@ -47,6 +47,11 @@ codebase documents but no compiler flag enforces on its own:
     per-connection reply ordering the serving tests pin. tests/ and
     bench/ are exempt: driving a server end-to-end over a socketpair
     is exactly their job.
+ 8. COLUMN LIMIT. No line of the files CI's clang-format job formats
+    (.h/.cc under src/, tests/ and bench/, .cc under tools/) is wider
+    than the 80 columns .clang-format sets. clang-format itself is not
+    needed to run this rule, so an over-long line fails offline too;
+    every other layout difference is still clang-format's to find.
 
 Pure stdlib. Run from the repo root (or pass it):
 
@@ -83,6 +88,11 @@ BINSTREAM_TOKEN_RE = re.compile(
     r"(?<![\w:])f(?:write|read)\s*\(|reinterpret_cast|std::ios::binary"
 )
 BINSTREAM_SIMD_EXEMPT = {AVX_ALLOWED: re.compile(r"reinterpret_cast")}
+COLUMN_LIMIT = 80
+# The file set of CI's `clang-format --dry-run -Werror` step: git's
+# 'src/**/*.h', 'tests/*.cc', ... pathspecs, whose '*' crosses '/'.
+FORMATTED_FILES = [(["src", "tests", "bench"], {".cc", ".h"}),
+                   (["tools"], {".cc"})]
 FD_SERVE_PREFIX = "src/serve/"
 # Bare POSIX calls only: the lookbehind keeps member calls
 # (stream.read(...), obj->write(...)) and qualified names out.
@@ -291,6 +301,22 @@ def check_fd_containment(root):
     return failures
 
 
+def check_column_limit(root):
+    failures = []
+    for subdirs, exts in FORMATTED_FILES:
+        for rel in iter_source_files(root, subdirs, exts):
+            with open(os.path.join(root, rel), encoding="utf-8") as f:
+                for lineno, line in enumerate(f, 1):
+                    width = len(line.rstrip("\r\n"))
+                    if width > COLUMN_LIMIT:
+                        failures.append(
+                            f"{rel}:{lineno}: {width} columns, over the "
+                            f"{COLUMN_LIMIT} of .clang-format (CI's "
+                            f"clang-format --dry-run -Werror rejects it)"
+                        )
+    return failures
+
+
 RULES = [
     ("avx-containment", check_avx_containment),
     ("kernel-fp-pinning", check_kernel_flags),
@@ -299,6 +325,7 @@ RULES = [
     ("threading-contracts", check_threading_contracts),
     ("binstream-containment", check_binstream_containment),
     ("fd-containment", check_fd_containment),
+    ("column-limit", check_column_limit),
 ]
 
 
@@ -389,6 +416,9 @@ def _build_good_tree(root):
         "void Load() { stream.read(buf, n); out->write(buf, n); }\n",
     )
     _write(root, "tests/shuffle_test.cc", "std::mt19937 rng(7);\n")
+    # Exactly at the column limit, and wider where no rule formats.
+    _write(root, "src/model/wide.h", "// " + "w" * (COLUMN_LIMIT - 3) + "\n")
+    _write(root, "tools/wide.py", "# " + "w" * COLUMN_LIMIT + "\n")
     _write(
         root,
         "tests/wire_test.cc",
@@ -464,6 +494,11 @@ def self_test():
             "tools/netcat.cc",
             "int s = socket(AF_INET, SOCK_STREAM, 0);\n"
             "connect(s, addr, len);\n",
+        ),
+        (
+            "column-limit",
+            "tests/compile_fail/wide.cc",
+            "int ok = 0;\n// " + "w" * (COLUMN_LIMIT - 2) + "\n",
         ),
     ]
     for rule_name, rel, text in violations:

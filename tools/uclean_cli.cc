@@ -61,7 +61,8 @@
 namespace uclean {
 namespace {
 
-constexpr char kUsage[] = R"(uclean_cli -- probabilistic top-k queries, quality and cleaning
+constexpr char kUsage[] =
+    R"(uclean_cli -- probabilistic top-k queries, quality and cleaning
 
 usage: uclean_cli <command> [--flag value ...]
 
