@@ -128,14 +128,11 @@ class BinWriter {
     Doubles(values);
   }
 
-  /// `values` padded with +0.0 to `size` entries: the wire form of a
-  /// vector that memory holds as its prefix before an all-zero tail. The
-  /// bytes are F64Array's of the padded vector.
-  void PaddedF64Array(const std::vector<double>& values, uint64_t size,
-                      uint64_t /*min*/ = 0, uint64_t /*max*/ = 0) {
-    Varint(size);
-    Doubles(values);
-    bytes_.append((size - values.size()) * 8, '\0');  // +0.0 is all zeros
+  /// F64Array for a vector whose length an earlier field fixed; the
+  /// reader holds the count to `count`. The bytes are F64Array's.
+  void F64ArrayOfSize(const std::vector<double>& values, uint64_t /*count*/,
+                      const char* /*what*/) {
+    F64Array(values);
   }
 
   void VarintArray(const std::vector<size_t>& values) {
@@ -258,24 +255,19 @@ class BinReader {
     uint64_t count = 0;
     if (!ReadVarint(&count)) return;
     if (count > remaining() / 8) return Truncated("double array");
-    if (!InRange(count, min, max)) return;
-    v.resize(count);
-    if (count == 0) return;
-    if (IsLittleEndianHost()) {
-      std::memcpy(v.data(), pos_, count * 8);
-      pos_ += count * 8;
-    } else {
-      for (double& d : v) F64(d);
-    }
+    if (InRange(count, min, max)) Doubles(v, count);
   }
 
-  /// PaddedF64Array's wire form read whole, as F64Array reads it (its
-  /// count in [min, max]; `size` is the writer's): the caller checks and
-  /// drops the zero tail once it has decoded where that tail starts.
-  void PaddedF64Array(std::vector<double>& v, uint64_t /*size*/,
-                      uint64_t min = 0,
-                      uint64_t max = std::numeric_limits<uint64_t>::max()) {
-    F64Array(v, min, max);
+  /// An F64Array whose count must be exactly `count`, a length an earlier
+  /// field fixed: any other count fails with `what` before anything is
+  /// allocated.
+  void F64ArrayOfSize(std::vector<double>& v, uint64_t count,
+                      const char* what) {
+    uint64_t got = 0;
+    if (!ReadVarint(&got)) return;
+    if (got != count) return Fail(what);
+    if (count > remaining() / 8) return Truncated("double array");
+    Doubles(v, count);
   }
 
   void VarintArray(std::vector<size_t>& v) {
@@ -339,6 +331,18 @@ class BinReader {
   [[gnu::cold, gnu::noinline]] bool OutOfRange(V v) {
     Fail("value " + std::to_string(v) + " out of range" + At());
     return false;
+  }
+
+  // `count` doubles, already held to the bytes left.
+  void Doubles(std::vector<double>& v, uint64_t count) {
+    v.resize(count);
+    if (count == 0) return;
+    if (IsLittleEndianHost()) {
+      std::memcpy(v.data(), pos_, count * 8);
+      pos_ += count * 8;
+    } else {
+      for (double& d : v) F64(d);
+    }
   }
 
   template <typename U>

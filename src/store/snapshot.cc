@@ -9,17 +9,20 @@
 // directions cannot drift apart; a layout change still needs a section
 // version bump. Checks live on the read side only: every malformed byte
 // -- bad magic, checksum mismatch, truncation, out-of-range value,
-// inconsistent cross-section shape, a rung that breaks Lemma 2's zero
-// tail -- surfaces as Status::DataLoss, and the reader never
+// inconsistent cross-section shape, a rung prefix longer or shorter
+// than its scan_end -- surfaces as Status::DataLoss, and the reader never
 // reconstructs a pool it cannot prove bitwise-faithful to the writer's.
-// Rung vectors are the one place memory and wire differ: memory holds a
-// rung's live prefix [0, scan_end), the wire its n entries, zero-padded
-// (PaddedF64Array; the reader checks the tail, then drops it).
+// Rungs are written as memory holds them, their live prefix
+// [0, scan_end). The one layout the writer no longer writes, version 1
+// of the engine and sessions sections, has a reader of its own
+// (ReadPaddedRung, ReadPaddedTp): its rungs are n entries, and it checks
+// that the tail past scan_end is +0.0, then drops it.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
@@ -61,6 +64,11 @@ const char* SectionName(uint32_t id) {
     default:
       return "unknown";
   }
+}
+
+uint32_t SectionVersion(uint32_t id) {
+  return id == kSectionEngine || id == kSectionSessions ? kRungSectionVersion
+                                                        : kSectionVersion;
 }
 
 // ---------------------------------------------------------------------------
@@ -189,23 +197,6 @@ const SectionEntry* SnapshotFile::Find(uint32_t id) const {
 
 namespace {
 
-/// The reader's half of a PaddedF64Array: every entry of `v` at or past
-/// `end` must be +0.0 bits (the wire can carry any tail; a scan writes
-/// none), and memory keeps only [0, end), its tail's memory released.
-void DropZeroTail(BinReader& c, std::vector<double>* v, size_t end,
-                  const char* what) {
-  if (!c.ok()) return;
-  uint64_t bits = 0;
-  for (size_t i = std::min(end, v->size()); i < v->size(); ++i) {
-    uint64_t b = 0;
-    std::memcpy(&b, &(*v)[i], sizeof(b));
-    bits |= b;
-  }
-  c.Check(bits == 0, what);
-  v->resize(std::min(end, v->size()));
-  v->shrink_to_fit();
-}
-
 bool AllFinite(const std::vector<double>& v) {
   return std::all_of(v.begin(), v.end(),
                      [](double x) { return std::isfinite(x); });
@@ -230,6 +221,100 @@ Result<std::string> ReadFileBytes(const std::string& path) {
   return bytes;
 }
 
+/// rows * k entries of a rank matrix, or SIZE_MAX when that overflows (no
+/// file holds so many, so a count held to it fails).
+size_t MatrixEntries(size_t rows, size_t k) {
+  return rows != 0 && k > SIZE_MAX / rows ? SIZE_MAX : rows * k;
+}
+
+/// What every loaded PSR rung must hold, in either section version:
+/// finite entries, and num_nonzero counting the positive top-k entries.
+void CheckRung(BinReader& c, PsrOutput& out, size_t n) {
+  out.num_tuples = n;
+  c.Check(AllFinite(out.topk_prob), "PSR top-k entry is not finite");
+  size_t positive = 0;
+  for (double p : out.topk_prob) positive += p > 0.0;
+  c.Check(positive == out.num_nonzero,
+          "PSR nonzero count does not match its top-k vector");
+  c.Check(AllFinite(out.rank_prob), "PSR rank probability is not finite");
+}
+
+/// What every loaded TP rung must hold, in either section version.
+void CheckTp(BinReader& c, TpOutput& tp, size_t n) {
+  tp.num_tuples = n;
+  c.Check(std::isfinite(tp.quality), "TP quality is not finite");
+  c.Check(AllFinite(tp.omega), "TP omega entry is not finite");
+  c.Check(AllFinite(tp.xtuple_gain), "TP x-tuple gain is not finite");
+  c.Check(AllFinite(tp.xtuple_topk_mass),
+          "TP x-tuple top-k mass is not finite");
+}
+
+/// A PSR rung's per-rank argmaxes, laid out alike in both versions.
+template <typename C>
+void TransferArgmaxes(C& c, Io<C, PsrOutput>& out, size_t n) {
+  c.F64Array(out.best_rank_prob, out.k, out.k);
+  c.Size(out.best_rank_index, out.k, out.k);
+  for (auto& index : out.best_rank_index) {
+    c.Zigzag(index, -1, static_cast<int64_t>(n) - 1);
+  }
+}
+
+/// A version-1 rung vector: every entry of `v` at or past `end` must be
+/// +0.0 bits (the wire can carry any tail; a scan writes none), and
+/// memory keeps only [0, end), its tail's memory released.
+void DropZeroTail(BinReader& c, std::vector<double>* v, size_t end,
+                  const char* what) {
+  if (!c.ok()) return;
+  uint64_t bits = 0;
+  for (size_t i = std::min(end, v->size()); i < v->size(); ++i) {
+    uint64_t b = 0;
+    std::memcpy(&b, &(*v)[i], sizeof(b));
+    bits |= b;
+  }
+  c.Check(bits == 0, what);
+  v->resize(std::min(end, v->size()));
+  v->shrink_to_fit();
+}
+
+/// A version-1 PSR rung over `n` tuples: k, n top-k entries, num_nonzero,
+/// scan_end, the argmaxes, then n * k matrix entries (or none) before the
+/// matrix flag. A scan never writes at or past its stop, so every entry
+/// there is +0.0 bits; memory keeps the prefix before it.
+void ReadPaddedRung(BinReader& c, PsrOutput& out, size_t n) {
+  c.Varint(out.k, 1, SIZE_MAX);
+  c.F64Array(out.topk_prob, n, n);
+  c.Varint(out.num_nonzero, n);
+  c.Varint(out.scan_end, n);
+  DropZeroTail(c, &out.topk_prob, out.scan_end,
+               "PSR top-k entry at or past scan_end is not +0.0");
+  TransferArgmaxes(c, out, n);
+  c.F64Array(out.rank_prob);
+  c.Bool(out.has_rank_probabilities);
+  c.Check(out.rank_prob.size() ==
+              (out.has_rank_probabilities ? MatrixEntries(n, out.k) : 0),
+          "rank-probability matrix size mismatch");
+  DropZeroTail(c, &out.rank_prob, MatrixEntries(out.scan_end, out.k),
+               "PSR rank probability at or past scan_end is not +0.0");
+  CheckRung(c, out, n);
+}
+
+/// A version-1 TP rung: quality, n omega entries, scan_end, then the
+/// per-x-tuple gains and masses; omega is +0.0 past scan_end, which is
+/// its PSR rung's.
+void ReadPaddedTp(BinReader& c, TpOutput& tp, const PsrOutput& rung, size_t n,
+                  size_t nx) {
+  c.F64(tp.quality);
+  c.F64Array(tp.omega, n, n);
+  c.Varint(tp.scan_end, n);
+  c.F64Array(tp.xtuple_gain, nx, nx);
+  c.F64Array(tp.xtuple_topk_mass, nx, nx);
+  c.Check(tp.scan_end == rung.scan_end,
+          "TP scan_end does not match its PSR rung");
+  DropZeroTail(c, &tp.omega, tp.scan_end,
+               "TP omega at or past scan_end is not +0.0");
+  CheckTp(c, tp, n);
+}
+
 }  // namespace
 
 template <typename C>
@@ -243,73 +328,63 @@ void Transfer(C& c, Io<C, SnapshotMeta>& meta) {
   c.VarintArray(meta.ladder);
 }
 
-/// One PSR rung over `n` tuples. Memory holds the rung's live prefix
-/// [0, scan_end) (Lemma 2); the wire holds n top-k entries (n * k for a
-/// stored matrix), zero-padded.
+/// One PSR rung over `n` tuples in a section of `version`. Version 2
+/// writes scan_end before the vectors it sizes, and the reader holds
+/// each vector's count to it before allocating: topk_prob[0, scan_end),
+/// and rank_prob[0, scan_end * k) behind the matrix flag.
 template <typename C>
-void Transfer(C& c, Io<C, PsrOutput>& out, size_t n) {
+void Transfer(C& c, Io<C, PsrOutput>& out, size_t n, uint32_t version) {
+  if constexpr (C::kReads) {
+    if (version < kRungSectionVersion) return ReadPaddedRung(c, out, n);
+  }
   c.Varint(out.k, 1, SIZE_MAX);
-  c.PaddedF64Array(out.topk_prob, n, n, n);
+  c.Varint(out.scan_end);
+  c.Check(out.scan_end <= n, "PSR scan_end is past the last tuple");
+  c.F64ArrayOfSize(out.topk_prob, out.scan_end,
+                   "PSR top-k prefix is not scan_end entries");
   c.Varint(out.num_nonzero, n);
-  c.Varint(out.scan_end, n);
-  if constexpr (C::kReads) {
-    // A scan never writes at or past its stop point, so every top-k
-    // entry there is +0.0 bits, and num_nonzero counts the positive
-    // entries before it.
-    out.num_tuples = n;
-    DropZeroTail(c, &out.topk_prob, out.scan_end,
-                 "PSR top-k entry at or past scan_end is not +0.0");
-    c.Check(AllFinite(out.topk_prob), "PSR top-k entry is not finite");
-    size_t positive = 0;
-    for (double p : out.topk_prob) positive += p > 0.0;
-    c.Check(positive == out.num_nonzero,
-            "PSR nonzero count does not match its top-k vector");
-  }
-  c.F64Array(out.best_rank_prob, out.k, out.k);
-  c.Size(out.best_rank_index, out.k, out.k);
-  for (auto& index : out.best_rank_index) {
-    c.Zigzag(index, -1, static_cast<int64_t>(n) - 1);
-  }
-  c.PaddedF64Array(out.rank_prob, out.has_rank_probabilities ? n * out.k : 0);
+  TransferArgmaxes(c, out, n);
   c.Bool(out.has_rank_probabilities);
-  const size_t matrix = out.has_rank_probabilities ? n * out.k : 0;
-  c.Check(out.rank_prob.size() == matrix,
-          "rank-probability matrix size mismatch");
-  if constexpr (C::kReads) {
-    DropZeroTail(c, &out.rank_prob, out.scan_end * out.k,
-                 "PSR rank probability at or past scan_end is not +0.0");
-  }
+  c.F64ArrayOfSize(
+      out.rank_prob,
+      out.has_rank_probabilities ? MatrixEntries(out.scan_end, out.k) : 0,
+      "PSR rank-probability prefix is not scan_end * k entries");
+  if constexpr (C::kReads) CheckRung(c, out, n);
 }
 
-/// A TP ladder, one entry per PSR rung of `rungs` (the engine's for the
-/// base ladder, a session's own for its ladder). Memory holds each
-/// omega's [0, scan_end); the wire holds n entries, zero-padded.
+/// One TP rung over `db`, paired with PSR rung `rung`, in a section of
+/// `version`. Version 2 writes scan_end, which must be the PSR rung's,
+/// before omega[0, scan_end).
+template <typename C>
+void Transfer(C& c, Io<C, TpOutput>& tp, const PsrOutput& rung,
+              const ProbabilisticDatabase& db, uint32_t version) {
+  const size_t n = db.num_tuples();
+  const size_t nx = db.num_xtuples();
+  if constexpr (C::kReads) {
+    if (version < kRungSectionVersion) {
+      return ReadPaddedTp(c, tp, rung, n, nx);
+    }
+  }
+  c.F64(tp.quality);
+  c.Varint(tp.scan_end);
+  c.Check(tp.scan_end == rung.scan_end,
+          "TP scan_end does not match its PSR rung");
+  c.F64ArrayOfSize(tp.omega, tp.scan_end,
+                   "TP omega prefix is not scan_end entries");
+  c.F64Array(tp.xtuple_gain, nx, nx);
+  c.F64Array(tp.xtuple_topk_mass, nx, nx);
+  if constexpr (C::kReads) CheckTp(c, tp, n);
+}
+
+/// A TP ladder, one rung per PSR rung of `rungs` (the engine's for the
+/// base ladder, a session's own for its ladder).
 template <typename C>
 void Transfer(C& c, Io<C, std::vector<TpOutput>>& tps,
               const std::vector<PsrOutput>& rungs,
-              const ProbabilisticDatabase& db) {
-  const size_t n = db.num_tuples();
-  const size_t nx = db.num_xtuples();
+              const ProbabilisticDatabase& db, uint32_t version) {
   c.Size(tps, rungs.size(), rungs.size());
   for (size_t j = 0; j < tps.size(); ++j) {
-    auto& tp = tps[j];
-    c.F64(tp.quality);
-    c.PaddedF64Array(tp.omega, n, n, n);
-    c.Varint(tp.scan_end, n);
-    c.F64Array(tp.xtuple_gain, nx, nx);
-    c.F64Array(tp.xtuple_topk_mass, nx, nx);
-    c.Check(tp.scan_end == rungs[j].scan_end,
-            "TP scan_end does not match its PSR rung");
-    if constexpr (C::kReads) {
-      tp.num_tuples = n;
-      DropZeroTail(c, &tp.omega, tp.scan_end,
-                   "TP omega at or past scan_end is not +0.0");
-      c.Check(std::isfinite(tp.quality), "TP quality is not finite");
-      c.Check(AllFinite(tp.omega), "TP omega entry is not finite");
-      c.Check(AllFinite(tp.xtuple_gain), "TP x-tuple gain is not finite");
-      c.Check(AllFinite(tp.xtuple_topk_mass),
-              "TP x-tuple top-k mass is not finite");
-    }
+    Transfer(c, tps[j], rungs[j], db, version);
   }
 }
 
@@ -379,14 +454,23 @@ Status WriteSnapshot(const SessionPool& pool, const std::string& path,
                      const CampaignSnapshot* campaign) {
   std::string bytes;
   UCLEAN_RETURN_IF_ERROR(SnapshotAccess::Serialize(pool, campaign, &bytes));
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  // A save that fails midway must not tear the file already at `path`:
+  // the bytes go to a temp file, which replaces it only whole.
+  const std::string temp = path + ".tmp";
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
   if (!out) {
-    return Status::IOError("cannot open '" + path + "' for writing");
+    return Status::IOError("cannot open '" + temp + "' for writing");
   }
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
+  out.close();
   if (!out) {
-    return Status::IOError("short write to '" + path + "'");
+    std::remove(temp.c_str());
+    return Status::IOError("short write to '" + temp + "'");
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return Status::IOError("cannot replace '" + path + "' with '" + temp +
+                           "'");
   }
   return Status::OK();
 }
@@ -413,7 +497,7 @@ Result<SnapshotInfo> InspectSnapshot(const std::string& path) {
                              entry.crc, SectionName(entry.id)});
   }
   const SectionEntry* meta = file->Find(kSectionMeta);
-  if (meta != nullptr && meta->version <= kSectionVersion) {
+  if (meta != nullptr && meta->version <= SectionVersion(kSectionMeta)) {
     BinReader r(file->payload(*meta));
     Transfer(r, info.meta);
     UCLEAN_RETURN_IF_ERROR(r.ExpectEnd("meta section"));
@@ -575,11 +659,12 @@ void SnapshotAccess::TransferScan(C& c,
                                   store::Io<C, PsrEngine::SessionState>& scan,
                                   const KLadder& ladder,
                                   const ProbabilisticDatabase& db,
-                                  const psr_internal::ScanKernel* kernel) {
+                                  const psr_internal::ScanKernel* kernel,
+                                  uint32_t version) {
   const size_t n = db.num_tuples();
   c.Size(scan.outputs_, ladder.size(), ladder.size());
   for (size_t j = 0; j < scan.outputs_.size(); ++j) {
-    store::Transfer(c, scan.outputs_[j], n);
+    store::Transfer(c, scan.outputs_[j], n, version);
     c.Check(scan.outputs_[j].k == ladder[j],
             "rung k does not match the ladder");
   }
@@ -601,7 +686,8 @@ void SnapshotAccess::TransferScan(C& c,
 template <typename C>
 void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
                               const ProbabilisticDatabase& db,
-                              const psr_internal::ScanKernel* kernel) {
+                              const psr_internal::ScanKernel* kernel,
+                              uint32_t version) {
   c.Bool(engine.options_.early_termination);
   c.Bool(engine.options_.store_rank_probabilities);
   c.VarintArray(engine.ladder_.ks);
@@ -609,7 +695,7 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
     const Status valid = engine.ladder_.Validate();
     if (!valid.ok()) c.Fail("snapshot ladder invalid: " + valid.message());
   }
-  TransferScan(c, engine.base_, engine.ladder_, db, kernel);
+  TransferScan(c, engine.base_, engine.ladder_, db, kernel, version);
   if constexpr (C::kReads) {
     // The base database has no dead slots, so every engine rank is live.
     // Session checkpoints run over an overlay and may lag.
@@ -621,10 +707,11 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
 }
 
 template <typename C>
-void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool) {
+void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool,
+                              uint32_t version) {
   const ProbabilisticDatabase& db = *pool.base_;
   const PsrEngine& engine = pool.engine_;
-  store::Transfer(c, pool.base_tps_, engine.outputs(), db);
+  store::Transfer(c, pool.base_tps_, engine.outputs(), db, version);
   c.Size(pool.sessions_);
   size_t open_count = 0;
   for (auto& session : pool.sessions_) {
@@ -662,11 +749,11 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool) {
             "session state presence inconsistent with its outcomes");
     if (has_state) {
       TransferScan(c, session.scan, engine.ladder_, db,
-                   engine.base_.core_.kernel);
+                   engine.base_.core_.kernel, version);
       if constexpr (C::kReads) {
         CheckCheckpointWalk(c, session.overlay, session.scan.checkpoints_);
       }
-      store::Transfer(c, session.tps, session.scan.outputs_, db);
+      store::Transfer(c, session.tps, session.scan.outputs_, db, version);
     } else if constexpr (C::kReads) {
       pool.ForkBase(&session);
     }
@@ -715,15 +802,16 @@ Status SnapshotAccess::Serialize(const SessionPool& pool,
                                                 : 0);
   store::BinWriter w;
   const auto add = [&](uint32_t id) {
-    builder.AddSection(id, store::kSectionVersion, w.Take());
+    builder.AddSection(id, store::SectionVersion(id), w.Take());
   };
   store::Transfer(w, meta);
   add(store::kSectionMeta);
   Transfer(w, pool.base());
   add(store::kSectionDatabase);
-  Transfer(w, pool.engine_, pool.base(), pool.engine_.base_.core_.kernel);
+  Transfer(w, pool.engine_, pool.base(), pool.engine_.base_.core_.kernel,
+           store::kRungSectionVersion);
   add(store::kSectionEngine);
-  Transfer(w, pool);
+  Transfer(w, pool, store::kRungSectionVersion);
   add(store::kSectionSessions);
   if (campaign != nullptr) {
     store::Transfer(w, *campaign);
@@ -754,7 +842,7 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
                               std::string(store::SectionName(id)) +
                               "' section");
     }
-    if (entry->version > store::kSectionVersion) {
+    if (entry->version > store::SectionVersion(id)) {
       return Status::DataLoss(
           "section '" + std::string(store::SectionName(id)) + "' version " +
           std::to_string(entry->version) +
@@ -763,6 +851,9 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
   }
   const auto payload = [&file](uint32_t id) {
     return file->payload(*file->Find(id));
+  };
+  const auto version = [&file](uint32_t id) {
+    return file->Find(id)->version;
   };
 
   store::SnapshotMeta meta;
@@ -791,13 +882,14 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
     return Status::DataLoss("meta section disagrees with the database");
   }
   store::BinReader engine_reader(payload(store::kSectionEngine));
-  Transfer(engine_reader, pool.engine_, *pool.base_, *kernel);
+  Transfer(engine_reader, pool.engine_, *pool.base_, *kernel,
+           version(store::kSectionEngine));
   UCLEAN_RETURN_IF_ERROR(engine_reader.ExpectEnd("engine section"));
   if (meta.ladder != pool.engine_.ladder().ks) {
     return Status::DataLoss("meta section disagrees with the engine ladder");
   }
   store::BinReader sessions_reader(payload(store::kSectionSessions));
-  Transfer(sessions_reader, pool);
+  Transfer(sessions_reader, pool, version(store::kSectionSessions));
   UCLEAN_RETURN_IF_ERROR(sessions_reader.ExpectEnd("sessions section"));
   if (meta.num_sessions != pool.num_open_) {
     return Status::DataLoss("meta section disagrees with the session count");
@@ -811,7 +903,7 @@ Result<store::LoadedSnapshot> SnapshotAccess::Deserialize(
       return Status::DataLoss(
           "campaign feature flag set but no campaign section present");
     }
-    if (entry->version > store::kSectionVersion) {
+    if (entry->version > store::SectionVersion(store::kSectionCampaign)) {
       return Status::DataLoss("campaign section is newer than this reader");
     }
     store::BinReader campaign_reader(file->payload(*entry));

@@ -36,7 +36,9 @@
 //    never guesses.
 //  * Each section carries its own version; a reader rejects section
 //    versions above the one it implements (DataLoss), so sections evolve
-//    independently of the container.
+//    independently of the container. Meta, database and campaign are at
+//    version 1; engine and sessions, the sections that hold rungs, are at
+//    version 2 and still load at version 1.
 //  * UNKNOWN SECTION IDS ARE SKIPPED (their CRC is still verified): a
 //    newer writer may append sections an older reader ignores.
 //  * UNKNOWN FEATURE FLAGS ARE FATAL (DataLoss): a flag marks a semantic
@@ -45,6 +47,16 @@
 //  * Every corruption -- bit flip (section, table or header CRC
 //    mismatch), truncation at any boundary, malformed payload -- is
 //    Status::DataLoss, which the CLI maps to its own exit code.
+//
+// RUNGS ON THE WIRE. By Lemma 2 a rung is +0.0 at and past its scan's
+// stop, and memory holds only its live prefix [0, scan_end). Version 2
+// writes exactly that: a PSR rung is k, scan_end, topk_prob[0, scan_end),
+// num_nonzero, the per-rank argmaxes, the matrix flag and, when set,
+// rank_prob[0, scan_end * k); a TP rung is quality, scan_end (its PSR
+// rung's), omega[0, scan_end) and the per-x-tuple gains and masses. Each
+// prefix carries its count, which the reader holds to scan_end before it
+// allocates. Version 1 held n entries per vector (n * k for a matrix),
+// zero-padded; its reader checks that tail is +0.0 bits and drops it.
 //
 // WHAT IS CAPTURED: the base ProbabilisticDatabase (tuples, members,
 // masses; format v1's tombstone field is always written empty), the
@@ -106,8 +118,14 @@ inline constexpr uint32_t kSectionEngine = 3;
 inline constexpr uint32_t kSectionSessions = 4;
 inline constexpr uint32_t kSectionCampaign = 5;
 
-/// Per-section versions this reader implements.
+/// The version the writer gives a section and the newest the reader
+/// implements (see VERSIONING above): engine and sessions are at
+/// kRungSectionVersion, the other sections at kSectionVersion.
 inline constexpr uint32_t kSectionVersion = 1;
+inline constexpr uint32_t kRungSectionVersion = 2;
+
+/// kRungSectionVersion for engine and sessions, else kSectionVersion.
+uint32_t SectionVersion(uint32_t id);
 
 /// "meta" / "database" / ... / "unknown" for display (inspect CLI).
 const char* SectionName(uint32_t id);
@@ -243,7 +261,9 @@ struct CampaignSnapshot {
 
 /// Serializes `pool` (and optionally a campaign) to `path`. Fails with
 /// FailedPrecondition when any open session is dirty, IOError when the
-/// file cannot be written.
+/// file cannot be written. The bytes go to `<path>.tmp`, renamed over
+/// `path` only once written and flushed, so a failed save leaves any
+/// earlier file at `path` as it was and no temp file behind.
 Status WriteSnapshot(const SessionPool& pool, const std::string& path,
                      const CampaignSnapshot* campaign = nullptr);
 
@@ -337,17 +357,19 @@ class SnapshotAccess {
   static void Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
                        size_t num_tuples, size_t num_xtuples);
   /// The scan state an engine's base and every session hold alike --
-  /// per-rung outputs, checkpoints, cadence; the reader sets its
-  /// scratch's kernel to `kernel`.
+  /// per-rung outputs, checkpoints, cadence -- in a section of `version`;
+  /// the reader sets its scratch's kernel to `kernel`.
   template <typename C>
   static void TransferScan(C& c, store::Io<C, PsrEngine::SessionState>& scan,
                            const KLadder& ladder,
                            const ProbabilisticDatabase& db,
-                           const psr_internal::ScanKernel* kernel);
+                           const psr_internal::ScanKernel* kernel,
+                           uint32_t version);
   template <typename C>
   static void Transfer(C& c, store::Io<C, PsrEngine>& engine,
                        const ProbabilisticDatabase& db,
-                       const psr_internal::ScanKernel* kernel);
+                       const psr_internal::ScanKernel* kernel,
+                       uint32_t version);
   /// Read side: one mass walk over `db` (the base, or a session's
   /// replayed overlay) must reproduce every checkpoint of `cps` --
   /// live rank, active and saturated counts, each x-tuple's state and q,
@@ -359,7 +381,8 @@ class SnapshotAccess {
       const std::vector<PsrEngine::Checkpoint>& cps);
   /// The sessions section: base TP ladder, slot table, free list.
   template <typename C>
-  static void Transfer(C& c, store::Io<C, SessionPool>& pool);
+  static void Transfer(C& c, store::Io<C, SessionPool>& pool,
+                       uint32_t version);
 };
 
 }  // namespace uclean

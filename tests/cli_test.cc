@@ -198,6 +198,33 @@ TEST_F(CliTest, FullWorkflow) {
     EXPECT_EQ(piped->tuple(i).id, pooled->tuple(i).id);
     EXPECT_EQ(piped->tuple(i).prob, pooled->tuple(i).prob);
   }
+
+  // snapshot save + inspect: the sections that hold rungs are at version
+  // 2, and inspect reports the file's bytes per tuple.
+  ASSERT_EQ(Run("snapshot save --db " + Path("db.csv") + " --out " +
+                    Path("full.snap") + " --k-ladder 5,20",
+                &out),
+            0)
+      << out;
+  ASSERT_EQ(Run("snapshot inspect --snapshot " + Path("full.snap"), &out), 0)
+      << out;
+  const std::string bytes = ReadFile(Path("full.snap"));
+  char per_tuple[96];
+  std::snprintf(per_tuple, sizeof(per_tuple),
+                "  %.1f bytes per tuple (%zu bytes over %zu tuples)\n",
+                static_cast<double>(bytes.size()) /
+                    static_cast<double>(db->num_tuples()),
+                bytes.size(), db->num_tuples());
+  EXPECT_NE(out.find(per_tuple), std::string::npos) << per_tuple << out;
+  for (const char* section : {"engine", "sessions"}) {
+    const size_t row = out.find(std::string("  ") + section + " ");
+    ASSERT_NE(row, std::string::npos) << section << ":\n" << out;
+    unsigned id = 0;
+    unsigned version = 0;
+    ASSERT_EQ(std::sscanf(out.c_str() + row, " %*s %u %u", &id, &version), 2)
+        << out.substr(row, out.find('\n', row) - row);
+    EXPECT_EQ(version, 2u) << section;
+  }
 }
 
 TEST_F(CliTest, FaultFlagsValidationAndFaultedRun) {

@@ -7,13 +7,17 @@
 //    (the strongest round-trip statement: load == built, byte for byte);
 //  * post-load serving behaves identically: the same cleans produce the
 //    same refreshed state on the original and the reloaded pool;
+//  * format-v1 files, kept as fixtures under tests/data/, load into
+//    pools bitwise equal to freshly built ones and re-serialize to the
+//    current writer's bytes;
 //  * every corruption mode -- a bit flip inside each section, truncation
 //    at every section boundary, unknown feature flags, future section
 //    versions, missing sections, a database that claims tombstoned
-//    slots, an engine or session rung that is not +0.0 past its Lemma-2
-//    stop or miscounts its nonzero entries -- fails with
-//    Status::DataLoss, while the all-zero tombstone bitmap older writers
-//    could leave still loads;
+//    slots, a rung prefix whose length is not its scan_end's, a v1 rung
+//    that is not +0.0 past its Lemma-2 stop, a rung that miscounts its
+//    nonzero entries -- fails with Status::DataLoss, while the all-zero
+//    tombstone bitmap older writers could leave still loads;
+//  * a save that fails midway leaves the previous file in place;
 //  * a mid-campaign save (adaptive cleaning with faults, serial AND
 //    pipelined) resumes in a fresh pool and finishes with qualities,
 //    spend, probe logs, fault counters, Rng engines and FaultInjector
@@ -21,9 +25,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <fstream>
 #include <iterator>
@@ -48,10 +56,21 @@
 #include "workload/cleaning_profile_gen.h"
 #include "workload/synthetic.h"
 
+#ifndef UCLEAN_TEST_DATA_DIR
+#define UCLEAN_TEST_DATA_DIR ""
+#endif
+
 namespace uclean {
 namespace {
 
 constexpr uint64_t kRngBase = 4000;
+
+/// Format-v1 files the store wrote before rungs went on the wire as their
+/// Lemma-2 prefix (engine and sessions sections at version 1): the
+/// campaign-bearing MakeFormatPool(120), and MakeCraftingPool with
+/// MatrixOptions().
+constexpr char kFormatV1File[] = "snapshot_format_v1.snap";
+constexpr char kMatrixV1File[] = "snapshot_matrix_v1.snap";
 
 KLadder MakeLadder(std::vector<size_t> ks) {
   Result<KLadder> ladder = KLadder::Of(std::move(ks));
@@ -82,6 +101,18 @@ CleaningProfile MakeProfile(size_t xtuples) {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot read " << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// A committed file under tests/data/.
+std::string Fixture(const std::string& name) {
+  return FileBytes(std::string(UCLEAN_TEST_DATA_DIR) + "/" + name);
 }
 
 /// Resolves x-tuple `l` to its best-ranked member's tuple id.
@@ -119,6 +150,26 @@ void ExpectInjectorStateEq(const FaultInjectorState& a,
     EXPECT_EQ(a.down[i].source, b.down[i].source);
     EXPECT_EQ(a.down[i].down, b.down[i].down);
   }
+}
+
+/// Empty when `got` holds `want`'s bits in every field, otherwise the
+/// fields that differ.
+std::string TpBitsDiffer(const TpOutput& got, const TpOutput& want) {
+  const auto same_bits = [](const std::vector<double>& a,
+                            const std::vector<double>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), 8 * a.size()) == 0);
+  };
+  std::string error;
+  if (std::memcmp(&got.quality, &want.quality, 8) != 0) error += "quality; ";
+  if (got.num_tuples != want.num_tuples) error += "num_tuples; ";
+  if (!same_bits(got.omega, want.omega)) error += "omega; ";
+  if (got.scan_end != want.scan_end) error += "scan_end; ";
+  if (!same_bits(got.xtuple_gain, want.xtuple_gain)) error += "xtuple_gain; ";
+  if (!same_bits(got.xtuple_topk_mass, want.xtuple_topk_mass)) {
+    error += "xtuple_topk_mass; ";
+  }
+  return error;
 }
 
 /// A pool with three sessions: two carrying cleans (one real resolution,
@@ -400,37 +451,74 @@ FormatPool MakeFormatPool(size_t xtuples) {
   return fp;
 }
 
+/// A pool whose TP ladders and checkpoint lists each occur once in its
+/// file: ladder {5} at a checkpoint cadence of 4 live tuples, session 0
+/// holding rung state of its own (the top x-tuple nulled) and session 1
+/// pristine, so stored without state. `options` sets the rest.
+TestPool MakeCraftingPool(SessionPool::Options options = {}) {
+  const ProbabilisticDatabase db = MakeDb(120);
+  options.checkpoint_interval = 4;
+  Result<SessionPool> pool =
+      SessionPool::Create(ProbabilisticDatabase(db), MakeLadder({5}), options);
+  UCLEAN_CHECK(pool.ok());
+  TestPool tp{std::move(pool).value(), {}};
+  for (size_t s = 0; s < 2; ++s) tp.ids.push_back(tp.pool.OpenSession());
+  UCLEAN_CHECK(
+      tp.pool.ApplyCleanOutcome(tp.ids[0], db.tuple(0).xtuple, -1).ok());
+  UCLEAN_CHECK(tp.pool.Refresh(tp.ids[0]).ok());
+  return tp;
+}
+
+/// The stored-matrix fixture's options: a rank matrix per rung, the
+/// scalar kernel on one thread.
+SessionPool::Options MatrixOptions() {
+  SessionPool::Options options = ScalarOptions();
+  options.psr.store_rank_probabilities = true;
+  return options;
+}
+
+/// A section-table row as a pin holds it.
+struct PinnedSection {
+  uint32_t id;
+  uint32_t version;
+  uint64_t size;
+  uint32_t crc;
+};
+
+/// Expects `bytes` to be exactly the pinned image: its size, whole-file
+/// CRC and section table.
+void ExpectPinned(const std::string& bytes, uint64_t size, uint32_t crc,
+                  const std::vector<PinnedSection>& sections) {
+  EXPECT_EQ(bytes.size(), size);
+  EXPECT_EQ(store::Crc32(bytes.data(), bytes.size()), crc);
+  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(bytes);
+  ASSERT_TRUE(file.ok()) << file.status().message();
+  ASSERT_EQ(file->sections().size(), sections.size());
+  for (size_t i = 0; i < sections.size(); ++i) {
+    const store::SectionEntry& entry = file->sections()[i];
+    EXPECT_EQ(entry.id, sections[i].id) << i;
+    EXPECT_EQ(entry.version, sections[i].version) << i;
+    EXPECT_EQ(entry.size, sections[i].size) << i;
+    EXPECT_EQ(entry.crc, sections[i].crc) << i;
+  }
+}
+
 TEST(SnapshotFormatTest, PinnedSectionTable) {
-  // Format-v1 bytes, captured from the store before its codec was
-  // rewritten: a field moved on the writer and the reader at once passes
-  // every round trip but fails here.
+  // The current writer's bytes: a field moved on the writer and the
+  // reader at once passes every round trip but fails here. The format-v1
+  // bytes of the same pool are pinned on their fixture below.
   const FormatPool built = MakeFormatPool(120);
   std::string bytes;
   ASSERT_TRUE(
       SnapshotAccess::Serialize(built.pool, &built.campaign, &bytes).ok());
-  EXPECT_EQ(bytes.size(), 107707u);
-  EXPECT_EQ(store::Crc32(bytes.data(), bytes.size()), 0xe44998a5u);
-  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(bytes);
-  ASSERT_TRUE(file.ok()) << file.status().message();
-  const struct {
-    uint32_t id;
-    uint64_t size;
-    uint32_t crc;
-  } expected[] = {
-      {store::kSectionMeta, 22, 0xfab7c64bu},
-      {store::kSectionDatabase, 14631, 0x97c4f3ceu},
-      {store::kSectionEngine, 11725, 0xc7a11cdau},
-      {store::kSectionSessions, 62013, 0xaa7e9964u},
-      {store::kSectionCampaign, 19140, 0xf1c8c6bdu},
-  };
-  ASSERT_EQ(file->sections().size(), std::size(expected));
-  for (size_t i = 0; i < std::size(expected); ++i) {
-    const store::SectionEntry& entry = file->sections()[i];
-    EXPECT_EQ(entry.id, expected[i].id) << i;
-    EXPECT_EQ(entry.version, store::kSectionVersion) << i;
-    EXPECT_EQ(entry.size, expected[i].size) << i;
-    EXPECT_EQ(entry.crc, expected[i].crc) << i;
-  }
+  ExpectPinned(bytes, 66101, 0x3db3637du,
+               {
+                   {store::kSectionMeta, 1, 22, 0xfab7c64bu},
+                   {store::kSectionDatabase, 1, 14631, 0x97c4f3ceu},
+                   {store::kSectionEngine, 2, 4764, 0x1d9cb01du},
+                   {store::kSectionSessions, 2, 27368, 0x59710434u},
+                   {store::kSectionCampaign, 1, 19140, 0xf1c8c6bdu},
+               });
 
   Result<store::LoadedSnapshot> loaded =
       SnapshotAccess::Deserialize(bytes, ScalarOptions());
@@ -442,6 +530,106 @@ TEST(SnapshotFormatTest, PinnedSectionTable) {
   EXPECT_EQ(again, bytes);
 }
 
+/// Expects `got` to hold `want`'s state bitwise: every base and session
+/// rung and TP ladder, the overlays, the checkpoint ranks and which of
+/// the first `slots` slots are open. (Checkpoint contents show in the
+/// callers' byte comparisons of the re-serialized pools.)
+void ExpectPoolsBitwiseEqual(const SessionPool& got, const SessionPool& want,
+                             size_t slots) {
+  ASSERT_EQ(got.ladder().ks, want.ladder().ks);
+  EXPECT_EQ(got.num_open(), want.num_open());
+  EXPECT_EQ(SnapshotAccess::EngineCheckpointPositions(got),
+            SnapshotAccess::EngineCheckpointPositions(want));
+  for (size_t rung = 0; rung < want.num_rungs(); ++rung) {
+    EXPECT_EQ(RungBitsDiffer(got.base_psr(rung), want.base_psr(rung)), "")
+        << "base rung " << rung;
+    EXPECT_EQ(TpBitsDiffer(got.base_tp(rung), want.base_tp(rung)), "")
+        << "base TP rung " << rung;
+  }
+  for (SessionPool::SessionId id = 0; id < slots; ++id) {
+    ASSERT_EQ(got.is_open(id), want.is_open(id)) << "slot " << id;
+    if (!want.is_open(id)) continue;
+    EXPECT_EQ(got.overlay(id).outcomes(), want.overlay(id).outcomes());
+    EXPECT_EQ(SnapshotAccess::SessionCheckpointPositions(got, id),
+              SnapshotAccess::SessionCheckpointPositions(want, id))
+        << "session " << id;
+    for (size_t rung = 0; rung < want.num_rungs(); ++rung) {
+      EXPECT_EQ(RungBitsDiffer(got.psr(id, rung), want.psr(id, rung)), "")
+          << "session " << id << " rung " << rung;
+      EXPECT_EQ(TpBitsDiffer(got.tp(id, rung), want.tp(id, rung)), "")
+          << "session " << id << " TP rung " << rung;
+    }
+  }
+}
+
+void ExpectCampaignEq(const store::CampaignSnapshot& got,
+                      const store::CampaignSnapshot& want) {
+  EXPECT_EQ(got.budget, want.budget);
+  ASSERT_EQ(got.sessions.size(), want.sessions.size());
+  for (size_t s = 0; s < want.sessions.size(); ++s) {
+    const store::CampaignSessionSnapshot& a = got.sessions[s];
+    const store::CampaignSessionSnapshot& b = want.sessions[s];
+    EXPECT_EQ(a.session_id, b.session_id) << s;
+    EXPECT_EQ(a.spent, b.spent) << s;
+    EXPECT_EQ(a.leftover, b.leftover) << s;
+    EXPECT_EQ(a.successes, b.successes) << s;
+    EXPECT_EQ(a.rounds, b.rounds) << s;
+    EXPECT_EQ(a.log, b.log) << s;
+    EXPECT_TRUE(a.faults == b.faults) << s;
+    EXPECT_EQ(a.rng_state, b.rng_state) << s;
+    ASSERT_EQ(a.has_injector, b.has_injector) << s;
+    if (b.has_injector) ExpectInjectorStateEq(a.injector, b.injector);
+  }
+}
+
+// The format-v1 fixture is what MakeFormatPool(120) serialized to before
+// the engine and sessions sections moved to version 2: every rung and
+// omega n entries long, zero-padded. It still loads, into a pool and a
+// campaign bitwise equal to a fresh build's, and the loaded pool writes
+// the fresh pool's version-2 bytes.
+TEST(SnapshotCompatTest, FormatV1FileLoadsAsTheFreshPool) {
+  const std::string v1 = Fixture(kFormatV1File);
+  ExpectPinned(v1, 107707, 0xe44998a5u,
+               {
+                   {store::kSectionMeta, 1, 22, 0xfab7c64bu},
+                   {store::kSectionDatabase, 1, 14631, 0x97c4f3ceu},
+                   {store::kSectionEngine, 1, 11725, 0xc7a11cdau},
+                   {store::kSectionSessions, 1, 62013, 0xaa7e9964u},
+                   {store::kSectionCampaign, 1, 19140, 0xf1c8c6bdu},
+               });
+  const FormatPool fresh = MakeFormatPool(120);
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(v1, ScalarOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ExpectPoolsBitwiseEqual(loaded->pool, fresh.pool, 4);
+  ASSERT_TRUE(loaded->has_campaign);
+  ExpectCampaignEq(loaded->campaign, fresh.campaign);
+
+  std::string again;
+  std::string want;
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(loaded->pool, &loaded->campaign, &again).ok());
+  ASSERT_TRUE(
+      SnapshotAccess::Serialize(fresh.pool, &fresh.campaign, &want).ok());
+  EXPECT_EQ(again, want);
+}
+
+// The stored-matrix fixture, MakeCraftingPool(MatrixOptions()) in format
+// v1: each rank matrix is n * k entries on the wire, zero-padded past
+// scan_end * k, and loads as its live prefix too.
+TEST(SnapshotCompatTest, FormatV1MatrixFileLoadsAsTheFreshPool) {
+  const std::string v1 = Fixture(kMatrixV1File);
+  EXPECT_EQ(v1.size(), 102534u);
+  EXPECT_EQ(store::Crc32(v1.data(), v1.size()), 0x717a197fu);
+  const TestPool fresh = MakeCraftingPool(MatrixOptions());
+  ASSERT_TRUE(fresh.pool.base_psr(0).has_rank_probabilities);
+  Result<store::LoadedSnapshot> loaded =
+      SnapshotAccess::Deserialize(v1, MatrixOptions());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ExpectPoolsBitwiseEqual(loaded->pool, fresh.pool, 2);
+  EXPECT_EQ(SerializedPool(loaded->pool), SerializedPool(fresh.pool));
+}
+
 TEST(SnapshotWriteTest, DirtySessionIsRejected) {
   const ProbabilisticDatabase db = MakeDb(120);
   TestPool built = MakeServingPool(db, MakeLadder({5}));
@@ -451,6 +639,42 @@ TEST(SnapshotWriteTest, DirtySessionIsRejected) {
   const std::string path = TempPath("dirty.snap");
   Status status = store::WriteSnapshot(built.pool, path);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+// A save that fails midway -- here the process's file-size limit stops
+// it partway through the new bytes -- is IOError and leaves the snapshot
+// already at its path as it was, with no temp file beside it.
+TEST(SnapshotWriteTest, FailedSaveKeepsThePreviousFile) {
+  const ProbabilisticDatabase db = MakeDb(120);
+  TestPool saved = MakeServingPool(db, MakeLadder({5}));
+  const std::string path = TempPath("kept.snap");
+  ASSERT_TRUE(store::WriteSnapshot(saved.pool, path).ok());
+  const std::string before = FileBytes(path);
+  TestPool next = MakeServingPool(db, MakeLadder({5, 20}));
+  const uint64_t next_size = SerializedPool(next.pool).size();
+
+  rlimit old_limit{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &old_limit), 0);
+  rlimit low = old_limit;
+  low.rlim_cur = std::min<rlim_t>(old_limit.rlim_cur, next_size / 2);
+  // Past the limit, write() fails with EFBIG instead of raising SIGXFSZ.
+  // Both are restored before anything can end the test.
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  const bool lowered = setrlimit(RLIMIT_FSIZE, &low) == 0;
+  const Status status =
+      lowered ? store::WriteSnapshot(next.pool, path) : Status::OK();
+  const bool restored = setrlimit(RLIMIT_FSIZE, &old_limit) == 0;
+  std::signal(SIGXFSZ, old_handler);
+  ASSERT_TRUE(lowered && restored);
+
+  EXPECT_EQ(status.code(), StatusCode::kIOError) << status;
+  EXPECT_EQ(FileBytes(path), before);
+  SessionPool::Options options;
+  options.exec.num_threads = 1;  // the writer's, which the meta records
+  Result<store::LoadedSnapshot> loaded = store::ReadSnapshot(path, options);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(SerializedPool(loaded->pool), before);
+  EXPECT_FALSE(std::ifstream(path + ".tmp").good());
 }
 
 TEST(SnapshotReadTest, MissingFileIsIOError) {
@@ -578,7 +802,7 @@ TEST(SnapshotCorruptionTest, FutureSectionVersionIsDataLoss) {
     store::SnapshotFileBuilder builder;
     for (const store::SectionEntry& entry : file->sections()) {
       const uint32_t version = entry.id == bump.id
-                                   ? store::kSectionVersion + 1
+                                   ? store::SectionVersion(entry.id) + 1
                                    : entry.version;
       builder.AddSection(entry.id, version,
                          std::string(file->payload(entry)));
@@ -838,36 +1062,41 @@ TEST(SnapshotCorruptionTest, DatabaseBreakingBuilderInvariantsIsDataLoss) {
   }
 }
 
-// ------------------------------------------------------ Lemma-2 zero tail
+// ------------------------------------------- format-v1 Lemma-2 zero tail
 
-/// Re-encodes one rung's top-k vector and nonzero count -- the run
-/// `topk_prob, num_nonzero, scan_end` of `rung`, found exactly once in
-/// section `section_id` of `good` -- from `crafted`, with every CRC
+/// `values` padded with +0.0 to `size` entries: how format v1 held a
+/// rung vector.
+std::vector<double> ZeroPadded(std::vector<double> values, size_t size) {
+  values.resize(size, 0.0);
+  return values;
+}
+
+/// Re-encodes one format-v1 rung's top-k vector and nonzero count -- the
+/// run `topk_prob, num_nonzero, scan_end` of `rung`, found exactly once
+/// in section `section_id` of `good` -- from `crafted`, with every CRC
 /// recomputed: a file whose checksums hold but whose rung breaks the
-/// zero tail the reader promises. Both encode as the wire holds a rung,
+/// zero tail the reader promises. Both encode as format v1 held a rung,
 /// its top-k vector zero-padded to the database's `n` entries.
-std::string WithRung(const std::string& good, uint32_t section_id, size_t n,
-                     const PsrOutput& rung, const PsrOutput& crafted) {
+std::string WithPaddedRung(const std::string& good, uint32_t section_id,
+                           size_t n, const PsrOutput& rung,
+                           const PsrOutput& crafted) {
   const auto encode = [n](const PsrOutput& out) {
     store::BinWriter w;
-    w.PaddedF64Array(out.topk_prob, n);
+    w.F64Array(ZeroPadded(out.topk_prob, n));
     w.Varint(out.num_nonzero);
     w.Varint(out.scan_end);
-    return w.bytes();
+    return w.Take();
   };
   return WithRun(good, section_id, encode(rung), encode(crafted));
 }
 
 TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
-  TestPool built = MakeServingPool(MakeDb(120), MakeLadder({5}));
-  // The pool's cleans all rank past the k = 5 stop; nulling the top
-  // x-tuple gives session 0 a rung of its own, unlike any other.
-  const XTupleId top = built.pool.base().tuple(0).xtuple;
-  ASSERT_TRUE(built.pool.ApplyCleanOutcome(built.ids[0], top, -1).ok());
-  ASSERT_TRUE(built.pool.Refresh(built.ids[0]).ok());
+  // The stored-matrix v1 fixture: nulling the top x-tuple gave session 0
+  // a rung of its own, unlike the engine's.
+  const TestPool built = MakeCraftingPool(MatrixOptions());
   ASSERT_NE(built.pool.psr(built.ids[0], 0).topk_prob,
             built.pool.base_psr(0).topk_prob);
-  const std::string good = SerializedPool(built.pool);
+  const std::string good = Fixture(kMatrixV1File);
   const size_t n = built.pool.base().num_tuples();
   const struct {
     const char* name;
@@ -883,7 +1112,7 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
     ASSERT_LT(rung.scan_end, n);  // the rung stopped early: a tail exists
     ASSERT_GT(rung.num_nonzero, 0u);
     // Re-encoding the rung unchanged reproduces the file.
-    ASSERT_EQ(WithRung(good, r.section, n, rung, rung), good);
+    ASSERT_EQ(WithPaddedRung(good, r.section, n, rung, rung), good);
 
     // The crafted rungs carry the wire's n entries, their tails edited.
     PsrOutput wire = rung;
@@ -908,7 +1137,7 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
     };
     for (const auto& c : cases) {
       Result<store::LoadedSnapshot> loaded = SnapshotAccess::Deserialize(
-          WithRung(good, r.section, n, rung, c.crafted),
+          WithPaddedRung(good, r.section, n, rung, c.crafted),
           SessionPool::Options());
       EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss) << c.name;
       EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
@@ -919,25 +1148,6 @@ TEST(SnapshotCorruptionTest, BrokenZeroTailIsDataLoss) {
 
 // ------------------------------------------------ crafted semantic checks
 
-/// A pool whose TP ladders and checkpoint lists each occur once in its
-/// file: ladder {5} at a checkpoint cadence of 4 live tuples, session 0
-/// holding rung state of its own (the top x-tuple nulled) and session 1
-/// pristine, so stored without state.
-TestPool MakeCraftingPool() {
-  const ProbabilisticDatabase db = MakeDb(120);
-  SessionPool::Options options;
-  options.checkpoint_interval = 4;
-  Result<SessionPool> pool =
-      SessionPool::Create(ProbabilisticDatabase(db), MakeLadder({5}), options);
-  UCLEAN_CHECK(pool.ok());
-  TestPool tp{std::move(pool).value(), {}};
-  for (size_t s = 0; s < 2; ++s) tp.ids.push_back(tp.pool.OpenSession());
-  UCLEAN_CHECK(
-      tp.pool.ApplyCleanOutcome(tp.ids[0], db.tuple(0).xtuple, -1).ok());
-  UCLEAN_CHECK(tp.pool.Refresh(tp.ids[0]).ok());
-  return tp;
-}
-
 /// Deserializes `bytes` and expects DataLoss with `message` in it.
 void ExpectDataLoss(const std::string& bytes, const char* message) {
   Result<store::LoadedSnapshot> loaded =
@@ -947,15 +1157,16 @@ void ExpectDataLoss(const std::string& bytes, const char* message) {
       << loaded.status().message();
 }
 
-/// Re-encodes the run `quality, omega, scan_end` of TP rung `tp`, found
-/// once in the sessions section of `good`, from `crafted`, each omega
-/// zero-padded to the database's `n` entries as the wire holds it.
-std::string WithTp(const std::string& good, size_t n, const TpOutput& tp,
-                   const TpOutput& crafted) {
+/// Re-encodes the run `quality, omega, scan_end` of format-v1 TP rung
+/// `tp`, found once in the sessions section of `good`, from `crafted`,
+/// each omega zero-padded to the database's `n` entries as format v1
+/// held it.
+std::string WithPaddedTp(const std::string& good, size_t n, const TpOutput& tp,
+                         const TpOutput& crafted) {
   const auto encode = [n](const TpOutput& t) {
     store::BinWriter w;
     w.F64(t.quality);
-    w.PaddedF64Array(t.omega, n);
+    w.F64Array(ZeroPadded(t.omega, n));
     w.Varint(t.scan_end);
     return w.Take();
   };
@@ -963,8 +1174,8 @@ std::string WithTp(const std::string& good, size_t n, const TpOutput& tp,
 }
 
 TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
-  TestPool built = MakeCraftingPool();
-  const std::string good = SerializedPool(built.pool);
+  const TestPool built = MakeCraftingPool(MatrixOptions());
+  const std::string good = Fixture(kMatrixV1File);
   const size_t n = built.pool.base().num_tuples();
   // A base TP rung pairs with its engine rung, a session's with its own.
   const struct {
@@ -977,7 +1188,7 @@ TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
   for (const auto& l : ladders) {
     SCOPED_TRACE(l.name);
     ASSERT_LT(l.tp.scan_end, n);
-    ASSERT_EQ(WithTp(good, n, l.tp, l.tp), good);
+    ASSERT_EQ(WithPaddedTp(good, n, l.tp, l.tp), good);
     TpOutput wire = l.tp;  // the wire's n omegas, tails edited below
     wire.omega.resize(n, 0.0);
     TpOutput nonzero_tail = wire;
@@ -986,22 +1197,37 @@ TEST(SnapshotCorruptionTest, BrokenTpZeroTailIsDataLoss) {
     negative_zero.omega[n - 1] = -0.0;
     TpOutput one_deeper = wire;
     ++one_deeper.scan_end;
-    ExpectDataLoss(WithTp(good, n, l.tp, nonzero_tail), "TP omega");
-    ExpectDataLoss(WithTp(good, n, l.tp, negative_zero), "TP omega");
-    ExpectDataLoss(WithTp(good, n, l.tp, one_deeper), "TP scan_end");
+    ExpectDataLoss(WithPaddedTp(good, n, l.tp, nonzero_tail), "TP omega");
+    ExpectDataLoss(WithPaddedTp(good, n, l.tp, negative_zero), "TP omega");
+    ExpectDataLoss(WithPaddedTp(good, n, l.tp, one_deeper), "TP scan_end");
   }
 }
 
-/// Re-encodes TP rung `tp`'s whole record -- quality, omega, scan_end and
+/// Re-encodes the run `scan_end, topk_prob, num_nonzero` of PSR rung
+/// `rung`, found exactly once in section `section_id` of `good`, from
+/// `crafted`, with every CRC recomputed: version 2's layout of a rung.
+std::string WithRung(const std::string& good, uint32_t section_id,
+                     const PsrOutput& rung, const PsrOutput& crafted) {
+  const auto encode = [](const PsrOutput& out) {
+    store::BinWriter w;
+    w.Varint(out.scan_end);
+    w.F64Array(out.topk_prob);
+    w.Varint(out.num_nonzero);
+    return w.Take();
+  };
+  return WithRun(good, section_id, encode(rung), encode(crafted));
+}
+
+/// Re-encodes TP rung `tp`'s whole record -- quality, scan_end, omega and
 /// the per-x-tuple gains and top-k masses, found once in the sessions
-/// section of `good` -- from `crafted`, omega zero-padded to `n` entries.
-std::string WithTpRecord(const std::string& good, size_t n, const TpOutput& tp,
+/// section of `good` -- from `crafted`.
+std::string WithTpRecord(const std::string& good, const TpOutput& tp,
                          const TpOutput& crafted) {
-  const auto encode = [n](const TpOutput& t) {
+  const auto encode = [](const TpOutput& t) {
     store::BinWriter w;
     w.F64(t.quality);
-    w.PaddedF64Array(t.omega, n);
     w.Varint(t.scan_end);
+    w.F64Array(t.omega);
     w.F64Array(t.xtuple_gain);
     w.F64Array(t.xtuple_topk_mass);
     return w.Take();
@@ -1017,7 +1243,6 @@ TEST(SnapshotCorruptionTest, NonFiniteScanValuesAreDataLoss) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   TestPool built = MakeCraftingPool();
   const std::string good = SerializedPool(built.pool);
-  const size_t n = built.pool.base().num_tuples();
   const struct {
     const char* name;
     const TpOutput& tp;
@@ -1029,7 +1254,7 @@ TEST(SnapshotCorruptionTest, NonFiniteScanValuesAreDataLoss) {
     SCOPED_TRACE(l.name);
     ASSERT_GT(l.tp.scan_end, 0u);
     ASSERT_FALSE(l.tp.xtuple_gain.empty());
-    ASSERT_EQ(WithTpRecord(good, n, l.tp, l.tp), good);
+    ASSERT_EQ(WithTpRecord(good, l.tp, l.tp), good);
     TpOutput nan_quality = l.tp;
     nan_quality.quality = nan;
     TpOutput infinite_quality = l.tp;
@@ -1040,15 +1265,15 @@ TEST(SnapshotCorruptionTest, NonFiniteScanValuesAreDataLoss) {
     nan_gain.xtuple_gain[0] = nan;
     TpOutput infinite_mass = l.tp;
     infinite_mass.xtuple_topk_mass.back() = inf;
-    ExpectDataLoss(WithTpRecord(good, n, l.tp, nan_quality),
+    ExpectDataLoss(WithTpRecord(good, l.tp, nan_quality),
                    "TP quality is not finite");
-    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_quality),
+    ExpectDataLoss(WithTpRecord(good, l.tp, infinite_quality),
                    "TP quality is not finite");
-    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_omega),
+    ExpectDataLoss(WithTpRecord(good, l.tp, infinite_omega),
                    "TP omega entry is not finite");
-    ExpectDataLoss(WithTpRecord(good, n, l.tp, nan_gain),
+    ExpectDataLoss(WithTpRecord(good, l.tp, nan_gain),
                    "TP x-tuple gain is not finite");
-    ExpectDataLoss(WithTpRecord(good, n, l.tp, infinite_mass),
+    ExpectDataLoss(WithTpRecord(good, l.tp, infinite_mass),
                    "TP x-tuple top-k mass is not finite");
   }
   const struct {
@@ -1062,22 +1287,129 @@ TEST(SnapshotCorruptionTest, NonFiniteScanValuesAreDataLoss) {
   for (const auto& r : rungs) {
     SCOPED_TRACE(r.name);
     ASSERT_GT(r.rung.scan_end, 0u);
-    ASSERT_EQ(WithRung(good, r.section, n, r.rung, r.rung), good);
+    ASSERT_EQ(WithRung(good, r.section, r.rung, r.rung), good);
     PsrOutput nan_entry = r.rung;
     nan_entry.topk_prob[0] = nan;
     PsrOutput infinite_entry = r.rung;
     infinite_entry.topk_prob[r.rung.scan_end - 1] = inf;
-    ExpectDataLoss(WithRung(good, r.section, n, r.rung, nan_entry),
+    ExpectDataLoss(WithRung(good, r.section, r.rung, nan_entry),
                    "PSR top-k entry is not finite");
-    ExpectDataLoss(WithRung(good, r.section, n, r.rung, infinite_entry),
+    ExpectDataLoss(WithRung(good, r.section, r.rung, infinite_entry),
                    "PSR top-k entry is not finite");
   }
 }
 
-// Memory holds each rung's live prefix [0, scan_end); the wire holds its
-// n entries (n * k for a stored matrix), zero-padded. A load checks the
-// tail and drops it, so every loaded rung is sized as the writer's was,
-// and the loaded pool writes the same bytes.
+// Version 2 writes each rung's scan_end and then exactly its live
+// prefix. Every way a CRC-valid file can break that is DataLoss with its
+// own message, in the engine's rung and in a session's own.
+TEST(SnapshotCorruptionTest, CraftedV2RungsAreDataLoss) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const TestPool built = MakeCraftingPool(MatrixOptions());
+  const std::string good = SerializedPool(built.pool);
+  const size_t n = built.pool.base().num_tuples();
+  // The run `has_rank_probabilities, rank_prob` of a rung with a matrix.
+  const auto with_matrix = [&good](uint32_t section, const PsrOutput& rung,
+                                   bool has, const std::vector<double>& m) {
+    const auto encode = [](bool flag, const std::vector<double>& matrix) {
+      store::BinWriter w;
+      w.Bool(flag);
+      w.F64Array(matrix);
+      return w.Take();
+    };
+    return WithRun(good, section, encode(true, rung.rank_prob),
+                   encode(has, m));
+  };
+  const struct {
+    const char* name;
+    uint32_t section;
+    const PsrOutput& rung;
+  } rungs[] = {
+      {"engine", store::kSectionEngine, built.pool.base_psr(0)},
+      {"session", store::kSectionSessions, built.pool.psr(built.ids[0], 0)},
+  };
+  for (const auto& r : rungs) {
+    SCOPED_TRACE(r.name);
+    const PsrOutput& rung = r.rung;
+    ASSERT_GT(rung.scan_end, 0u);
+    ASSERT_LT(rung.scan_end, n);
+    ASSERT_EQ(rung.rank_prob.size(), rung.scan_end * rung.k);
+    ASSERT_EQ(WithRung(good, r.section, rung, rung), good);
+    ASSERT_EQ(with_matrix(r.section, rung, true, rung.rank_prob), good);
+
+    PsrOutput short_prefix = rung;
+    short_prefix.topk_prob.pop_back();
+    PsrOutput long_prefix = rung;
+    long_prefix.topk_prob.push_back(0.0);
+    PsrOutput past_n = rung;
+    past_n.scan_end = n + 1;
+    past_n.topk_prob.resize(n + 1, 0.0);
+    PsrOutput nan_entry = rung;
+    nan_entry.topk_prob.back() = nan;
+    PsrOutput one_high = rung;
+    ++one_high.num_nonzero;
+    const char* prefix = "PSR top-k prefix is not scan_end entries";
+    ExpectDataLoss(WithRung(good, r.section, rung, short_prefix), prefix);
+    ExpectDataLoss(WithRung(good, r.section, rung, long_prefix), prefix);
+    ExpectDataLoss(WithRung(good, r.section, rung, past_n),
+                   "PSR scan_end is past the last tuple");
+    ExpectDataLoss(WithRung(good, r.section, rung, nan_entry),
+                   "PSR top-k entry is not finite");
+    ExpectDataLoss(WithRung(good, r.section, rung, one_high),
+                   "PSR nonzero count does not match");
+
+    const std::vector<double>& m = rung.rank_prob;
+    const std::vector<double> entry_short(m.begin(), m.end() - 1);
+    const std::vector<double> row_short(m.begin(), m.end() - rung.k);
+    std::vector<double> entry_long = m;
+    entry_long.push_back(0.0);
+    std::vector<double> nan_matrix = m;
+    nan_matrix[0] = nan;
+    const char* matrix = "PSR rank-probability prefix is not scan_end * k";
+    ExpectDataLoss(with_matrix(r.section, rung, true, entry_short), matrix);
+    ExpectDataLoss(with_matrix(r.section, rung, true, row_short), matrix);
+    ExpectDataLoss(with_matrix(r.section, rung, true, entry_long), matrix);
+    ExpectDataLoss(with_matrix(r.section, rung, false, m), matrix);
+    ExpectDataLoss(with_matrix(r.section, rung, true, nan_matrix),
+                   "PSR rank probability is not finite");
+  }
+
+  // Both TP ladders live in the sessions section: the base one pairs with
+  // the engine's rung, the session's with its own.
+  const struct {
+    const char* name;
+    const TpOutput& tp;
+  } ladders[] = {
+      {"base", built.pool.base_tp(0)},
+      {"session", built.pool.tp(built.ids[0], 0)},
+  };
+  for (const auto& l : ladders) {
+    SCOPED_TRACE(l.name);
+    ASSERT_GT(l.tp.scan_end, 0u);
+    ASSERT_EQ(WithTpRecord(good, l.tp, l.tp), good);
+    TpOutput short_omega = l.tp;
+    short_omega.omega.pop_back();
+    TpOutput long_omega = l.tp;
+    long_omega.omega.push_back(0.0);
+    TpOutput one_deeper = l.tp;
+    ++one_deeper.scan_end;
+    one_deeper.omega.push_back(0.0);
+    TpOutput nan_omega = l.tp;
+    nan_omega.omega.back() = nan;
+    const char* prefix = "TP omega prefix is not scan_end entries";
+    ExpectDataLoss(WithTpRecord(good, l.tp, short_omega), prefix);
+    ExpectDataLoss(WithTpRecord(good, l.tp, long_omega), prefix);
+    ExpectDataLoss(WithTpRecord(good, l.tp, one_deeper),
+                   "TP scan_end does not match its PSR rung");
+    ExpectDataLoss(WithTpRecord(good, l.tp, nan_omega),
+                   "TP omega entry is not finite");
+  }
+}
+
+// Memory holds each rung's live prefix [0, scan_end), and so does the
+// wire: every loaded rung is sized as the writer's was, and the loaded
+// pool writes the same bytes. Format v1 held n entries per rung (n * k
+// for a stored matrix), zero-padded; its load checks the tail and drops
+// it.
 TEST(SnapshotRoundTripTest, RungsLoadAsTheirLivePrefix) {
   const ProbabilisticDatabase db = MakeDb(120);
   const size_t n = db.num_tuples();
@@ -1113,24 +1445,26 @@ TEST(SnapshotRoundTripTest, RungsLoadAsTheirLivePrefix) {
       }
     }
     EXPECT_EQ(SerializedPool(back), bytes);
-
-    if (!matrix) continue;
-    // A stored matrix's zero tail is checked like the top-k vector's.
-    const PsrOutput& rung = pool->base_psr(0);
-    ASSERT_LT(rung.scan_end, n);
-    const auto encode = [&rung, n](const std::vector<double>& m) {
-      store::BinWriter w;
-      w.PaddedF64Array(m, n * rung.k);
-      w.Bool(true);
-      return w.Take();
-    };
-    std::vector<double> wire = rung.rank_prob;
-    wire.resize(n * rung.k, 0.0);
-    wire[rung.scan_end * rung.k] = 1e-300;
-    ExpectDataLoss(WithRun(bytes, store::kSectionEngine,
-                           encode(rung.rank_prob), encode(wire)),
-                   "rank probability at or past scan_end");
   }
+
+  // A format-v1 matrix's zero tail is checked like the top-k vector's.
+  const TestPool built = MakeCraftingPool(MatrixOptions());
+  const std::string v1 = Fixture(kMatrixV1File);
+  ASSERT_EQ(built.pool.base().num_tuples(), n);
+  const PsrOutput& rung = built.pool.base_psr(0);
+  ASSERT_LT(rung.scan_end, n);
+  const auto encode = [&rung, n](const std::vector<double>& m) {
+    store::BinWriter w;
+    w.F64Array(ZeroPadded(m, n * rung.k));
+    w.Bool(true);
+    return w.Take();
+  };
+  std::vector<double> wire = rung.rank_prob;
+  wire.resize(n * rung.k, 0.0);
+  wire[rung.scan_end * rung.k] = 1e-300;
+  ExpectDataLoss(WithRun(v1, store::kSectionEngine, encode(rung.rank_prob),
+                         encode(wire)),
+                 "rank probability at or past scan_end");
 }
 
 /// A checkpoint as the format spec lays it out: the test's own mirror of
@@ -1171,14 +1505,14 @@ void SkipRung(store::BinReader& r) {
   std::vector<int32_t> index;
   bool b = false;
   r.Varint(u);  // k
+  r.Varint(u);  // scan_end
   r.F64Array(v);
   r.Varint(u);  // num_nonzero
-  r.Varint(u);  // scan_end
   r.F64Array(v);
   r.Size(index);
   for (int32_t& i : index) r.Zigzag(i);
-  r.F64Array(v);
   r.Bool(b);
+  r.F64Array(v);
 }
 
 /// `good` with checkpoint `index` of the engine's list, or of session
@@ -1205,8 +1539,8 @@ std::string WithCheckpoint(const std::string& good, uint32_t section_id,
         uint64_t scan_end = 0;
         std::vector<double> v;
         r.F64(quality);
-        r.F64Array(v);
         r.Varint(scan_end);
+        r.F64Array(v);
         r.F64Array(v);
         r.F64Array(v);
       });
@@ -1533,47 +1867,56 @@ TEST(SnapshotCorruptionTest, CrcValidPayloadCutsAndFlipsNeverCrash) {
   // CRC. Here every section payload is rewrapped with valid CRCs after a
   // cut inside it or a flipped byte, so the decoder's own bounds are the
   // only line of defense: every cut is DataLoss, every flip loads or is
-  // DataLoss, and nothing crashes.
+  // DataLoss, and nothing crashes -- in the current writer's bytes and
+  // in the format-v1 fixture's.
   const FormatPool built = MakeFormatPool(40);
-  std::string good;
+  std::string current;
   ASSERT_TRUE(
-      SnapshotAccess::Serialize(built.pool, &built.campaign, &good).ok());
-  Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
-  ASSERT_TRUE(file.ok());
+      SnapshotAccess::Serialize(built.pool, &built.campaign, &current).ok());
+  const struct {
+    const char* name;
+    std::string bytes;
+  } images[] = {{"current", current}, {"format v1", Fixture(kFormatV1File)}};
   Rng rng(20261017);
-  for (const store::SectionEntry& entry : file->sections()) {
-    SCOPED_TRACE(store::SectionName(entry.id));
-    const int64_t size = static_cast<int64_t>(entry.size);
-    std::vector<int64_t> cuts;
-    for (int64_t cut = 0; cut < std::min<int64_t>(size, 512); ++cut) {
-      cuts.push_back(cut);
-    }
-    for (int i = 0; i < 128 && size > 512; ++i) {
-      cuts.push_back(rng.UniformInt(512, size - 1));
-    }
-    for (int64_t cut : cuts) {
-      const std::string bad =
-          WithPayload(good, entry.id, [cut](std::string payload) {
-            payload.resize(static_cast<size_t>(cut));
-            return payload;
-          });
-      const Status status =
-          SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
-      EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "cut at " << cut;
-    }
-    for (int i = 0; i < 600; ++i) {
-      const size_t at = static_cast<size_t>(rng.UniformInt(0, size - 1));
-      const char mask = static_cast<char>(rng.UniformInt(1, 255));
-      const std::string bad =
-          WithPayload(good, entry.id, [at, mask](std::string payload) {
-            payload[at] = static_cast<char>(payload[at] ^ mask);
-            return payload;
-          });
-      const Status status =
-          SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
-      EXPECT_TRUE(status.ok() || status.code() == StatusCode::kDataLoss)
-          << "byte " << at << " ^ " << int{static_cast<uint8_t>(mask)}
-          << ": " << status;
+  for (const auto& image : images) {
+    SCOPED_TRACE(image.name);
+    const std::string& good = image.bytes;
+    Result<store::SnapshotFile> file = store::SnapshotFile::Parse(good);
+    ASSERT_TRUE(file.ok());
+    for (const store::SectionEntry& entry : file->sections()) {
+      SCOPED_TRACE(store::SectionName(entry.id));
+      const int64_t size = static_cast<int64_t>(entry.size);
+      std::vector<int64_t> cuts;
+      for (int64_t cut = 0; cut < std::min<int64_t>(size, 512); ++cut) {
+        cuts.push_back(cut);
+      }
+      for (int i = 0; i < 128 && size > 512; ++i) {
+        cuts.push_back(rng.UniformInt(512, size - 1));
+      }
+      for (int64_t cut : cuts) {
+        const std::string bad =
+            WithPayload(good, entry.id, [cut](std::string payload) {
+              payload.resize(static_cast<size_t>(cut));
+              return payload;
+            });
+        const Status status =
+            SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
+        EXPECT_EQ(status.code(), StatusCode::kDataLoss) << "cut at " << cut;
+      }
+      for (int i = 0; i < 600; ++i) {
+        const size_t at = static_cast<size_t>(rng.UniformInt(0, size - 1));
+        const char mask = static_cast<char>(rng.UniformInt(1, 255));
+        const std::string bad =
+            WithPayload(good, entry.id, [at, mask](std::string payload) {
+              payload[at] = static_cast<char>(payload[at] ^ mask);
+              return payload;
+            });
+        const Status status =
+            SnapshotAccess::Deserialize(bad, ScalarOptions()).status();
+        EXPECT_TRUE(status.ok() || status.code() == StatusCode::kDataLoss)
+            << "byte " << at << " ^ " << int{static_cast<uint8_t>(mask)}
+            << ": " << status;
+      }
     }
   }
 }

@@ -154,9 +154,10 @@ state, sessions) to a versioned, checksummed binary file. snapshot load
 warm-starts from that file with ZERO scans and bitwise-identical state;
 the k-ladder comes from the file, so --k/--k-ladder are rejected there.
 --threads/--kernel remain the LOADER's choice -- execution mode is never
-persisted. snapshot inspect prints the section table after verifying
-every checksum. Any corrupt, truncated or version-mismatched snapshot
-exits with code 3 (data loss) instead of the generic 1.
+persisted. snapshot inspect prints the section table and the file's
+bytes per tuple after verifying every checksum. Any corrupt, truncated
+or version-mismatched snapshot exits with code 3 (data loss) instead of
+the generic 1.
 
 serve turns stdin/stdout into one serving-protocol connection over a warm
 session pool: one request per line (`topk K`, `quality K`, `clean X`,
@@ -984,7 +985,8 @@ Status RunSnapshotLoad(const Flags& flags) {
 }
 
 /// `snapshot inspect`: container-level report -- verifies every CRC and
-/// prints the section table without reconstructing the pool.
+/// prints the section table and the file's bytes per tuple without
+/// reconstructing the pool.
 Status RunSnapshotInspect(const Flags& flags) {
   CLI_ASSIGN_OR_RETURN(path, flags.GetString("snapshot"));
   Result<store::SnapshotInfo> info = store::InspectSnapshot(path);
@@ -1001,6 +1003,13 @@ Status RunSnapshotInspect(const Flags& flags) {
                 static_cast<unsigned long long>(s.size), s.crc);
   }
   if (info->has_meta) {
+    if (info->meta.num_tuples > 0) {
+      std::printf("  %.1f bytes per tuple (%llu bytes over %llu tuples)\n",
+                  static_cast<double>(info->file_size) /
+                      static_cast<double>(info->meta.num_tuples),
+                  static_cast<unsigned long long>(info->file_size),
+                  static_cast<unsigned long long>(info->meta.num_tuples));
+    }
     std::printf("  meta: written by %s (%s kernel, %llu threads), %llu "
                 "x-tuples / %llu tuples, k-ladder %s, %llu sessions\n",
                 info->meta.tool.c_str(), info->meta.kernel.c_str(),
