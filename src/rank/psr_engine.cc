@@ -55,32 +55,22 @@ size_t PsrEngine::SnapshotInto(const psr_internal::ScanCore& core,
                                size_t* interval) {
   while (cps->size() >= kMaxCheckpoints) ThinCheckpoints(cps, interval);
   if (live % *interval == 0) {
-    Checkpoint cp;
-    cp.pos = pos;
-    cp.live = live;
-    cp.c.assign(core.c.begin(), core.c.end());
-    cp.active = core.active;
-    cp.saturated = core.saturated;
-    for (size_t l = 0; l < core.state.size(); ++l) {
-      if (core.state[l] == psr_internal::XTupleState::kInactive) continue;
-      cp.xs.push_back({static_cast<XTupleId>(l), core.state[l], core.q[l]});
-    }
-    cps->push_back(std::move(cp));
+    cps->push_back({pos, live,
+                    std::vector<double>(core.c.begin(), core.c.end()),
+                    core.active, core.saturated});
   }
   return (live / *interval + 1) * *interval;
 }
 
-void PsrEngine::RestoreInto(const Checkpoint& cp, size_t num_xtuples,
+void PsrEngine::RestoreInto(const Checkpoint& cp, const DatabaseOverlay& view,
                             psr_internal::ScanCore* core) {
+  core->Init(view.num_xtuples(), core->kernel);
+  psr_internal::ForwardMasses(view, 0, cp.pos, core);
+  // A walk that disagrees with the checkpoint means the view changed
+  // above it: the caller broke the validity rule, and the stored vector
+  // would be scanned against the wrong masses.
+  UCLEAN_CHECK(core->active == cp.active && core->saturated == cp.saturated);
   core->c.assign(cp.c.begin(), cp.c.end());
-  core->active = cp.active;
-  core->saturated = cp.saturated;
-  core->q.assign(num_xtuples, 0.0);
-  core->state.assign(num_xtuples, psr_internal::XTupleState::kInactive);
-  for (const Checkpoint::XEntry& x : cp.xs) {
-    core->q[x.xtuple] = x.q;
-    core->state[x.xtuple] = x.state;
-  }
 }
 
 template <typename Db>
@@ -263,7 +253,7 @@ Status PsrEngine::ReplaySession(const DatabaseOverlay& db,
   UCLEAN_CHECK(!valid.empty());
   const Checkpoint* restore = valid.back();
   const size_t replay_begin = restore->pos;
-  RestoreInto(*restore, db.num_xtuples(), &state->core_);
+  RestoreInto(*restore, db, &state->core_);
   ScanFrom(db, replay_begin, restore->live, options_, exec_, state);
   return Status::OK();
 }
@@ -317,9 +307,9 @@ Result<ScanResult> PsrEngine::ScanLadder(const DatabaseOverlay& view,
     if (!restores.cuts.empty() && restores.cuts.back().pos == cp.pos) continue;
     restores.cuts.push_back({cp.pos, cp.live, cp.active, i});
   }
-  restores.restore = [&valid, num_xtuples = view.num_xtuples()](
-                         size_t index, psr_internal::ScanCore* core) {
-    RestoreInto(*valid[index], num_xtuples, core);
+  restores.restore = [&valid, &view](size_t index,
+                                     psr_internal::ScanCore* core) {
+    RestoreInto(*valid[index], view, core);
   };
   // The scan's depth: the first checkpoint whose state already stops the
   // top k (the stop latches along the scan), else the view's own rung at

@@ -3,16 +3,19 @@
 //
 // A successful pclean collapses one x-tuple to a certain tuple and leaves
 // every other tuple's rank unchanged (DatabaseOverlay::ApplyCleanOutcome).
-// The engine scans the base database once and keeps the Poisson-binomial
-// scan state of psr_scan_core.h checkpointed at intervals along the rank
-// order; refreshing a session after a round of cleans restores the last
-// checkpoint at or before the first changed rank and replays only the
-// suffix of the scan, so a round costs O(m + suffix * (k_max + T))
-// instead of a database rebuild plus an O(k n) rescan per served k.
-// Replayed results are bitwise identical to running ComputePsrLadder
-// from scratch over the session's overlay: the restored state is the
-// exact state a fresh scan reaches at the checkpoint (the prefix is
-// untouched by the clean), and the suffix executes the same arithmetic.
+// The engine scans the base database once and checkpoints the count
+// vector of psr_scan_core.h's Poisson-binomial scan state at intervals
+// along the rank order; refreshing a session after a round of cleans
+// restores the last checkpoint at or before the first changed rank --
+// its count vector, plus the per-x-tuple masses re-walked from rank 0 --
+// and replays only the suffix of the scan, so a round costs O(p + m +
+// suffix * (k_max + T)), p the restore rank, instead of a database
+// rebuild plus an O(k n) rescan per served k. Replayed results are
+// bitwise identical to running ComputePsrLadder from scratch over the
+// session's overlay: the restored state is the exact state a fresh scan
+// reaches at the checkpoint (the prefix is untouched by the clean, and
+// the walk makes the scan's own mass additions), and the suffix executes
+// the same arithmetic.
 //
 // Multi-k: the scan state (count vector, per-x-tuple masses) is
 // k-independent, so ONE checkpoint set serves every rung; only the
@@ -39,11 +42,12 @@
 // Cold scans: a ladder off the engine's own (ScanLadder) is a fresh scan
 // of a session's view from rank 0, but every checkpoint valid for that
 // view -- the shared ones at or above its divergence rank and the
-// session's own -- already holds the exact state that scan reaches
+// session's own -- already holds the count vector that scan reaches
 // there, whatever its ks. The sharded driver may start a shard at any
-// of them by restoring it whole, so a scan that stops long before the
-// first count-refresh grid point still splits; its output is bitwise a
-// one-shot ComputePsrLadder over the view.
+// of them by restoring it (the vector, and a mass walk of the view above
+// it), so a scan that stops long before the first count-refresh grid
+// point still splits; its output is bitwise a one-shot ComputePsrLadder
+// over the view.
 //
 // Aggregate caveats after a replay:
 //  * num_nonzero and scan_end are always maintained, per rung.
@@ -93,10 +97,14 @@ namespace uclean {
 
 class PsrEngine {
  private:
-  /// Scan state snapshot taken just before processing rank `pos`. The
-  /// snapshot is k-independent, so one checkpoint set serves every rung;
-  /// it is also session-independent above the snapshotting session's own
-  /// changes, which is what lets pooled sessions share the base set.
+  /// The scan state just before processing rank `pos`, less what a walk
+  /// recomputes: the count vector and its active/saturated counts. Each
+  /// x-tuple's running mass and state are a prefix sum of the view above
+  /// `pos`, and RestoreInto re-walks them, so a checkpoint holds active +
+  /// 1 doubles however many x-tuples the scan has touched. The state is
+  /// k-independent, so one checkpoint set serves every rung; it is also
+  /// session-independent above the snapshotting session's own changes,
+  /// which is what lets pooled sessions share the base set.
   struct Checkpoint {
     size_t pos = 0;
     /// Live-tuple ordinal of `pos` (count of live tuples above it):
@@ -106,12 +114,6 @@ class PsrEngine {
     std::vector<double> c;
     size_t active = 0;
     size_t saturated = 0;
-    struct XEntry {
-      XTupleId xtuple;
-      psr_internal::XTupleState state;
-      double q;
-    };
-    std::vector<XEntry> xs;  // every non-inactive x-tuple
   };
 
  public:
@@ -222,9 +224,10 @@ class PsrEngine {
   /// session's ReplaySession is up to date with every outcome the overlay
   /// holds). The sharded driver may cut the scan at every checkpoint
   /// valid for the view -- the shared ones at or above its divergence
-  /// rank and the session's own -- restoring the whole checkpoint there,
-  /// as well as at grid points; the view's rung at or above the ladder's
-  /// top k bounds the depth its cut plan weighs (rank/sharded_scan.h).
+  /// rank and the session's own -- restoring the checkpoint there
+  /// (RestoreInto), as well as at grid points; the view's rung at or
+  /// above the ladder's top k bounds the depth its cut plan weighs
+  /// (rank/sharded_scan.h).
   /// Fails with InvalidArgument on an invalid ladder and
   /// FailedPrecondition when `state` is not this engine's or not over
   /// `view`'s base. Const and read-only: safe to call concurrently with
@@ -236,8 +239,9 @@ class PsrEngine {
   /// Checkpoint cadence: at every live ordinal that is a multiple of
   /// `checkpoint_interval_`, thinned (double the interval, keep its
   /// multiples) when the count exceeds kMaxCheckpoints so memory stays
-  /// O(kMaxCheckpoints * m). The default cadence is the request struct's,
-  /// spelled once for the whole library.
+  /// O(kMaxCheckpoints * T), T the largest active x-tuple count at a
+  /// checkpoint (a count vector holds T + 1 doubles). The default cadence
+  /// is the request struct's, spelled once for the whole library.
   static constexpr size_t kInitialCheckpointInterval =
       ScanRequest::kDefaultCheckpointInterval;
   static constexpr size_t kMaxCheckpoints = 160;
@@ -249,8 +253,8 @@ class PsrEngine {
   // satisfy (outputs consistent with the ladder, checkpoints ascending).
   friend class SnapshotAccess;
 
-  /// Thins `cps` at capacity (ThinCheckpoints), then copies the scan
-  /// state into a fresh checkpoint appended to it when `live`, pos's
+  /// Thins `cps` at capacity (ThinCheckpoints), then copies the count
+  /// vector into a fresh checkpoint appended to it when `live`, pos's
   /// live-tuple ordinal, is a multiple of `*interval`. Returns the next
   /// such multiple past `live`.
   static size_t SnapshotInto(const psr_internal::ScanCore& core, size_t pos,
@@ -268,10 +272,15 @@ class PsrEngine {
   std::vector<const Checkpoint*> ValidCheckpoints(
       size_t divergence, const SessionState& state) const;
 
-  /// Sets `core` to the scan state `cp` holds, sizing its per-x-tuple
-  /// arrays to `num_xtuples` (a forked session's first replay allocates
-  /// its scratch here).
-  static void RestoreInto(const Checkpoint& cp, size_t num_xtuples,
+  /// Sets `core` to the scan state at `cp` over `view`, a view `cp` is
+  /// valid for: from the all-inactive state, one mass walk over [0,
+  /// cp.pos) (psr_internal::ForwardMasses) -- the scan's own additions in
+  /// the scan's order, chain advances included, so every mass and state
+  /// is the scan's, bitwise -- then `cp`'s count vector. Checks in every
+  /// build that the walk's active and saturated counts are `cp`'s. Sizes
+  /// the per-x-tuple arrays (a forked session's first replay allocates
+  /// its scratch here); O(cp.pos + num_xtuples).
+  static void RestoreInto(const Checkpoint& cp, const DatabaseOverlay& view,
                           psr_internal::ScanCore* core);
 
   /// Cuts each of `scan`'s rungs that re-emits back to `begin` and runs

@@ -229,12 +229,28 @@ struct ScanCore {
 
   /// ShouldStop on a stored state: the count vector c[0..len) and the
   /// saturated count of a checkpoint, say.
+  ///
+  /// The rule compares the head mass, the left-to-right sum of the
+  /// window c[0, k - saturated), with kNegligibleHeadMass, but it returns
+  /// false as soon as one entry of the window reaches the bound, and
+  /// runs the sum only when none does. That is exact, not an estimate:
+  /// the entries are non-negative (the scan clamps every exclusion at 0,
+  /// and the snapshot reader rejects a negative count), and since
+  /// rounding is monotone, each partial sum fl(s + c[j]) is at least
+  /// fl(c[j]) = c[j], so the sum is at least its largest term. A NaN
+  /// entry never exits early, and the sum it poisons fails the compare
+  /// as before. Every verdict, and hence every stop, is the sum's. The
+  /// window is searched from its top: past the first few positions the
+  /// count distribution has moved up, and its mass sits there.
   static bool StopRuleFires(const double* c, size_t len, size_t saturated,
                             size_t k) {
     if (saturated >= k) return true;  // Lemma 2 proper
     // Head mass: Pr[fewer than k x-tuples contribute above the position].
-    double head = 0.0;
     const size_t head_top = std::min(k - saturated, len);
+    for (size_t j = head_top; j > 0; --j) {
+      if (c[j - 1] >= kNegligibleHeadMass) return false;
+    }
+    double head = 0.0;
     for (size_t j = 0; j < head_top; ++j) head += c[j];
     return head < kNegligibleHeadMass;
   }

@@ -586,34 +586,107 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, ProbabilisticDatabase>& db) {
   c.Check(db.num_real_ == num_real, "real-tuple count disagrees");
 }
 
+/// One mass walk from rank 0 over the view a checkpoint list is valid
+/// for: the scan's own mass additions (rank/sharded_scan.h's
+/// ForwardMasses), so at each checkpoint's position its state is, bitwise,
+/// the x-tuple entries the wire carries for that checkpoint.
+struct SnapshotAccess::CheckpointWalk {
+  explicit CheckpointWalk(const DatabaseOverlay& v) : view(v) {
+    core.Init(view.num_xtuples());
+  }
+
+  /// Walks on to `pos`; false, without moving, when `pos` lies behind.
+  bool To(size_t pos) {
+    if (pos < walked) return false;
+    psr_internal::ForwardMasses(view, walked, pos, &core);
+    for (; walked < pos; ++walked) live += !view.is_tombstone(walked);
+    return true;
+  }
+
+  const DatabaseOverlay& view;
+  psr_internal::ScanCore core;
+  size_t walked = 0;
+  size_t live = 0;  // live tuples in [0, walked)
+  /// Reader: every checkpoint decoded so far is the walk's state at its
+  /// position -- live rank, counts, and each entry's state and mass.
+  bool same = true;
+};
+
+namespace {
+
+constexpr char kWalkMismatch[] =
+    "checkpoint masses differ from a walk of the database";
+
+/// A list's element count, for a list that memory does not keep: the
+/// Transfer visits each element as it is written or read.
+struct ElementCount {
+  size_t n = 0;
+  size_t size() const { return n; }
+  void resize(size_t count) { n = count; }
+};
+
+}  // namespace
+
 template <typename C>
 void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
-                              size_t num_tuples, size_t num_xtuples) {
+                              size_t num_tuples, CheckpointWalk& walk) {
   using psr_internal::XTupleState;
+  const size_t num_xtuples = walk.view.num_xtuples();
   c.Varint(cp.pos, num_tuples);
   c.Varint(cp.live, cp.pos);
   c.F64Array(cp.c);
   c.Varint(cp.active, num_xtuples);
   c.Varint(cp.saturated, num_xtuples);
   c.Check(cp.c.size() == cp.active + 1, "checkpoint count vector inconsistent");
-  c.Size(cp.xs, 0, num_xtuples);
-  for (auto& x : cp.xs) {
-    c.Zigzag(x.xtuple, 0, static_cast<int64_t>(num_xtuples) - 1);
-    // Only non-inactive x-tuples are checkpointed.
-    c.U8(x.state, static_cast<uint8_t>(XTupleState::kActive),
+  // Then every non-inactive x-tuple's id, state and mass, ascending. They
+  // exist only on the wire: they are the walk's state at cp.pos, which
+  // the writer emits and the reader checks entry by entry as it decodes.
+  const psr_internal::ScanCore& at = walk.core;
+  ElementCount entries;
+  bool same = false;
+  if constexpr (C::kReads) {
+    same = c.ok() && walk.same && walk.To(cp.pos);
+  } else {
+    walk.To(cp.pos);
+    UCLEAN_CHECK(at.active == cp.active && at.saturated == cp.saturated);
+    entries.n = cp.active + cp.saturated;
+  }
+  c.Size(entries, 0, num_xtuples);
+  bool ascending = true;
+  size_t active = 0;
+  size_t saturated = 0;
+  const XTupleState* walk_state = at.state.data();
+  const double* walk_q = at.q.data();
+  // The writer steps l onto each touched x-tuple in turn. The reader's
+  // starts in range and a failed read assigns nothing, so it indexes the
+  // walk safely without testing the reader's status per entry.
+  XTupleId l = C::kReads ? 0 : -1;
+  for (size_t i = 0; i < entries.n; ++i) {
+    const XTupleId last = l;
+    XTupleState state = XTupleState::kInactive;
+    double q = 0.0;
+    if constexpr (!C::kReads) {
+      do {
+        ++l;
+      } while (walk_state[l] == XTupleState::kInactive);
+      state = walk_state[l];
+      q = walk_q[l];
+    }
+    c.Zigzag(l, 0, static_cast<int64_t>(num_xtuples) - 1);
+    // Only non-inactive x-tuples have an entry.
+    c.U8(state, static_cast<uint8_t>(XTupleState::kActive),
          static_cast<uint8_t>(XTupleState::kSaturated));
-    c.F64(x.q);
+    c.F64(q);
+    if constexpr (C::kReads) {
+      ascending = ascending && (i == 0 || l > last);
+      active += state == XTupleState::kActive;
+      saturated += state == XTupleState::kSaturated;
+      same = same && state == walk_state[l] &&
+             std::memcmp(&q, &walk_q[l], sizeof(double)) == 0;
+    }
   }
   if constexpr (C::kReads) {
-    size_t active = 0;
-    size_t saturated = 0;
-    for (size_t i = 0; i < cp.xs.size(); ++i) {
-      const auto& x = cp.xs[i];
-      active += x.state == XTupleState::kActive;
-      saturated += x.state == XTupleState::kSaturated;
-      c.Check(i == 0 || x.xtuple > cp.xs[i - 1].xtuple,
-              "checkpoint x-tuple entries not ascending");
-    }
+    c.Check(ascending, "checkpoint x-tuple entries not ascending");
     c.Check(active == cp.active && saturated == cp.saturated,
             "checkpoint active/saturated counts differ from its x-tuples");
     // A restored vector feeds every later position of a scan, which
@@ -623,45 +696,23 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
       c.Check(std::isfinite(count) && count >= 0.0,
               "checkpoint count vector entry is negative or not finite");
     }
-  }
-}
-
-template <typename Db>
-void SnapshotAccess::CheckCheckpointWalk(
-    store::BinReader& r, const Db& db,
-    const std::vector<PsrEngine::Checkpoint>& cps) {
-  if (!r.ok() || cps.empty()) return;
-  // One mass prewalk from rank 0 (rank/sharded_scan.h), checked at each
-  // checkpoint: the same additions the scan made, so every q matches
-  // bitwise, and a crafted q, state, count or live rank shows.
-  psr_internal::ScanCore walk;
-  walk.Init(db.num_xtuples());
-  size_t walked = 0;
-  size_t live = 0;
-  for (const PsrEngine::Checkpoint& cp : cps) {
-    psr_internal::ForwardMasses(db, walked, cp.pos, &walk);
-    for (; walked < cp.pos; ++walked) live += !db.is_tombstone(walked);
-    bool same = cp.live == live && cp.active == walk.active &&
-                cp.saturated == walk.saturated &&
-                cp.xs.size() == walk.active + walk.saturated;
-    for (size_t i = 0; same && i < cp.xs.size(); ++i) {
-      const auto& x = cp.xs[i];
-      same = x.state == walk.state[x.xtuple] &&
-             std::memcmp(&x.q, &walk.q[x.xtuple], sizeof(double)) == 0;
-    }
-    r.Check(same, "checkpoint masses differ from a walk of the database");
-    if (!same) return;
+    // Restores re-walk the masses (PsrEngine::RestoreInto), so a
+    // checkpoint is sound only where it is the walk's state; the caller
+    // reports a mismatch after its own checks.
+    walk.same = same && cp.live == walk.live && cp.active == at.active &&
+                cp.saturated == at.saturated &&
+                entries.n == at.active + at.saturated;
   }
 }
 
 template <typename C>
-void SnapshotAccess::TransferScan(C& c,
+bool SnapshotAccess::TransferScan(C& c,
                                   store::Io<C, PsrEngine::SessionState>& scan,
                                   const KLadder& ladder,
-                                  const ProbabilisticDatabase& db,
+                                  const DatabaseOverlay& view,
                                   const psr_internal::ScanKernel* kernel,
                                   uint32_t version) {
-  const size_t n = db.num_tuples();
+  const size_t n = view.num_tuples();
   c.Size(scan.outputs_, ladder.size(), ladder.size());
   for (size_t j = 0; j < scan.outputs_.size(); ++j) {
     store::Transfer(c, scan.outputs_[j], n, version);
@@ -669,9 +720,10 @@ void SnapshotAccess::TransferScan(C& c,
             "rung k does not match the ladder");
   }
   c.Size(scan.checkpoints_);
+  CheckpointWalk walk(view);
   for (size_t i = 0; i < scan.checkpoints_.size(); ++i) {
     auto& cp = scan.checkpoints_[i];
-    Transfer(c, cp, n, db.num_xtuples());
+    Transfer(c, cp, n, walk);
     c.Check(i == 0 || cp.pos > scan.checkpoints_[i - 1].pos,
             "checkpoint positions not ascending");
   }
@@ -681,6 +733,7 @@ void SnapshotAccess::TransferScan(C& c,
   // first, which sizes and fills that scratch, so only its kernel is set
   // here.
   if constexpr (C::kReads) scan.core_.kernel = kernel;
+  return walk.same;
 }
 
 template <typename C>
@@ -695,14 +748,15 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, PsrEngine>& engine,
     const Status valid = engine.ladder_.Validate();
     if (!valid.ok()) c.Fail("snapshot ladder invalid: " + valid.message());
   }
-  TransferScan(c, engine.base_, engine.ladder_, db, kernel, version);
+  const bool walked = TransferScan(c, engine.base_, engine.ladder_,
+                                   DatabaseOverlay(&db), kernel, version);
   if constexpr (C::kReads) {
     // The base database has no dead slots, so every engine rank is live.
     // Session checkpoints run over an overlay and may lag.
     for (const auto& cp : engine.base_.checkpoints_) {
       c.Check(cp.live == cp.pos, "engine checkpoint live rank is not its pos");
     }
-    CheckCheckpointWalk(c, db, engine.base_.checkpoints_);
+    c.Check(walked, kWalkMismatch);
   }
 }
 
@@ -748,11 +802,10 @@ void SnapshotAccess::Transfer(C& c, store::Io<C, SessionPool>& pool,
     c.Check(has_state == !outcomes.empty(),
             "session state presence inconsistent with its outcomes");
     if (has_state) {
-      TransferScan(c, session.scan, engine.ladder_, db,
-                   engine.base_.core_.kernel, version);
-      if constexpr (C::kReads) {
-        CheckCheckpointWalk(c, session.overlay, session.scan.checkpoints_);
-      }
+      const bool walked =
+          TransferScan(c, session.scan, engine.ladder_, session.overlay,
+                       engine.base_.core_.kernel, version);
+      c.Check(walked, kWalkMismatch);
       store::Transfer(c, session.tps, session.scan.outputs_, db, version);
     } else if constexpr (C::kReads) {
       pool.ForkBase(&session);
@@ -930,6 +983,15 @@ std::vector<size_t> SnapshotAccess::EngineCheckpointPositions(
 std::vector<size_t> SnapshotAccess::SessionCheckpointPositions(
     const SessionPool& pool, SessionPool::SessionId id) {
   return pool.Slot(id).scan.checkpoint_positions();
+}
+
+size_t SnapshotAccess::SessionCheckpointDoubles(const SessionPool& pool,
+                                                SessionPool::SessionId id) {
+  size_t doubles = 0;
+  for (const PsrEngine::Checkpoint& cp : pool.Slot(id).scan.checkpoints_) {
+    doubles += cp.c.capacity();
+  }
+  return doubles;
 }
 
 // The warm-start tier's front door, declared on SessionPool so callers

@@ -58,6 +58,15 @@
 // allocates. Version 1 held n entries per vector (n * k for a matrix),
 // zero-padded; its reader checks that tail is +0.0 bits and drops it.
 //
+// CHECKPOINTS ON THE WIRE. A checkpoint is pos, live, its count vector,
+// its active and saturated counts, then one entry (id, state, q) per
+// x-tuple the scan has touched, ascending. Memory holds no such entries
+// (PsrEngine::RestoreInto re-walks the masses), so they exist only on
+// the wire: the writer emits them from one mass walk over the list's
+// view -- the base for the engine's list, the session's overlay for a
+// session's -- and the reader checks each one against its own walk as
+// it decodes, bitwise, and keeps none.
+//
 // WHAT IS CAPTURED: the base ProbabilisticDatabase (tuples, members,
 // masses; format v1's tombstone field is always written empty), the
 // PsrEngine's logical state (ladder, PSR options, outputs, checkpoint
@@ -346,6 +355,12 @@ class SnapshotAccess {
   static std::vector<size_t> SessionCheckpointPositions(
       const SessionPool& pool, SessionPool::SessionId id);
 
+  /// The doubles session `id`'s private checkpoint list has allocated:
+  /// its count vectors' capacities, since a checkpoint keeps no
+  /// per-x-tuple state.
+  static size_t SessionCheckpointDoubles(const SessionPool& pool,
+                                         SessionPool::SessionId id);
+
  private:
   // The section codec (store/snapshot.cc): one Transfer per private-state
   // type, run over a store::BinWriter to write and a store::BinReader to
@@ -353,16 +368,27 @@ class SnapshotAccess {
   // classes' private nested types in these declarations.
   template <typename C>
   static void Transfer(C& c, store::Io<C, ProbabilisticDatabase>& db);
+  /// One mass walk from rank 0 over the view a checkpoint list is valid
+  /// for: a checkpoint's x-tuple entries are its state at the
+  /// checkpoint's position.
+  struct CheckpointWalk;
+  /// A checkpoint: its count vector and counts from memory, its x-tuple
+  /// entries from `walk`, advanced to its position.
   template <typename C>
   static void Transfer(C& c, store::Io<C, PsrEngine::Checkpoint>& cp,
-                       size_t num_tuples, size_t num_xtuples);
+                       size_t num_tuples, CheckpointWalk& walk);
   /// The scan state an engine's base and every session hold alike --
-  /// per-rung outputs, checkpoints, cadence -- in a section of `version`;
-  /// the reader sets its scratch's kernel to `kernel`.
+  /// per-rung outputs, checkpoints, cadence -- over `view`, the base or
+  /// the session's (replayed) overlay, in a section of `version`; the
+  /// reader sets its scratch's kernel to `kernel`. Returns false when the
+  /// reader found a checkpoint that one mass walk of `view` does not
+  /// reproduce -- live rank, active and saturated counts, each x-tuple's
+  /// state and q, bitwise -- which the caller reports after its own
+  /// checks: scans restore checkpoints by that walk
+  /// (PsrEngine::RestoreInto).
   template <typename C>
-  static void TransferScan(C& c, store::Io<C, PsrEngine::SessionState>& scan,
-                           const KLadder& ladder,
-                           const ProbabilisticDatabase& db,
+  static bool TransferScan(C& c, store::Io<C, PsrEngine::SessionState>& scan,
+                           const KLadder& ladder, const DatabaseOverlay& view,
                            const psr_internal::ScanKernel* kernel,
                            uint32_t version);
   template <typename C>
@@ -370,15 +396,6 @@ class SnapshotAccess {
                        const ProbabilisticDatabase& db,
                        const psr_internal::ScanKernel* kernel,
                        uint32_t version);
-  /// Read side: one mass walk over `db` (the base, or a session's
-  /// replayed overlay) must reproduce every checkpoint of `cps` --
-  /// live rank, active and saturated counts, each x-tuple's state and q,
-  /// bitwise -- since scans restore them (PsrEngine::ReplaySession and
-  /// ScanLadder).
-  template <typename Db>
-  static void CheckCheckpointWalk(
-      store::BinReader& r, const Db& db,
-      const std::vector<PsrEngine::Checkpoint>& cps);
   /// The sessions section: base TP ladder, slot table, free list.
   template <typename C>
   static void Transfer(C& c, store::Io<C, SessionPool>& pool,

@@ -10,13 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "clean/planners.h"
 #include "common/check.h"
+#include "common/rng.h"
 #include "quality/pwr.h"
 #include "quality/tp.h"
 #include "rank/psr.h"
+#include "rank/psr_scan_core.h"
 #include "test_util.h"
 #include "workload/synthetic.h"
 
@@ -200,6 +206,97 @@ TEST(Numerics, ProbabilisticEarlyStopErrorIsBounded) {
   Result<TpOutput> q_full = ComputeTpQuality(*db, *full);
   ASSERT_TRUE(q_fast.ok() && q_full.ok());
   EXPECT_NEAR(q_fast->quality, q_full->quality, 1e-9);
+}
+
+/// The Lemma-2 test as a plain left-to-right head sum, with no early
+/// exit: the oracle ScanCore::StopRuleFires must agree with.
+bool HeadSumStops(const std::vector<double>& c, size_t saturated, size_t k) {
+  if (saturated >= k) return true;
+  double head = 0.0;
+  for (size_t j = 0; j < std::min(k - saturated, c.size()); ++j) head += c[j];
+  return head < psr_internal::kNegligibleHeadMass;
+}
+
+/// Empty when the stop rule and the head sum agree on (c, saturated, k).
+std::string StopVerdictsDiffer(const std::vector<double>& c,
+                               size_t saturated, size_t k) {
+  const bool fires = psr_internal::ScanCore::StopRuleFires(
+      c.data(), c.size(), saturated, k);
+  if (fires == HeadSumStops(c, saturated, k)) return "";
+  return "len " + std::to_string(c.size()) + " saturated " +
+         std::to_string(saturated) + " k " + std::to_string(k) +
+         (fires ? ": fires, the sum does not" : ": the sum fires, it does not");
+}
+
+TEST(Numerics, StopRuleEarlyExitAgreesWithTheHeadSum) {
+  constexpr double kBound = psr_internal::kNegligibleHeadMass;
+  const double below = std::nextafter(kBound, 0.0);
+  const double above = std::nextafter(kBound, 1.0);
+  const double ulp = above - kBound;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<std::vector<double>> cases = {
+      // One entry at the bound, one an ulp below, alone or among zeros.
+      {kBound}, {below}, {0.0, kBound, 0.0}, {0.0, below, 0.0},
+      {below, below}, {kBound, 0.0, below},
+      // 16 entries of 1e-16: each below the bound, their sum above it.
+      std::vector<double>(16, 1e-16),
+      // Sums within an ulp of the bound: exactly on it, an ulp below, a
+      // tie between the two, an ulp above, and ten inexact tenths.
+      {kBound / 2, kBound / 2}, {below / 2, below / 2}, {below, ulp / 2},
+      {below, ulp / 4}, {below, ulp}, {kBound / 2, kBound / 2, ulp},
+      std::vector<double>(10, kBound / 10),
+      std::vector<double>(10, below / 10),
+      // Subnormals and signed zeros.
+      {tiny}, {-0.0}, {0.0, -0.0, tiny}, {-0.0, kBound}, {tiny, below},
+      std::vector<double>(600, tiny), {-0.0, -0.0, 0.0},
+      // A mass past the window must not count.
+      {1e-16, 1e-16, 1.0}, {0.0, 0.0, 0.0, kBound}};
+  for (const std::vector<double>& c : cases) {
+    for (size_t k = 1; k <= c.size() + 2; ++k) {
+      // saturated >= k (Lemma 2 proper), and windows longer than c.
+      for (size_t saturated = 0; saturated <= k + 1; ++saturated) {
+        EXPECT_EQ(StopVerdictsDiffer(c, saturated, k), "");
+      }
+    }
+  }
+
+  // A seeded sweep: entries log-uniform over [1e-30, 1], and again over
+  // [1e-30, 10^e] for e in [-18, -13], where head sums straddle the bound.
+  // Exponents come from the engine's raw 53-bit draws: the sweep makes
+  // ~60 million of them, and the distribution wrappers dominate an
+  // unoptimized build.
+  Rng rng(20261020);
+  const auto unit = [&engine = rng.engine()] {
+    return static_cast<double>(engine() >> 11) * 0x1.0p-53;
+  };
+  const double ln10 = std::log(10.0);
+  size_t fires = 0;
+  size_t goes_on = 0;
+  std::string first_difference;
+  std::vector<double> c;
+  for (int vector = 0; vector < 200000; ++vector) {
+    const double top = vector < 100000 ? 0.0 : rng.Uniform(-18.0, -13.0);
+    c.resize(static_cast<size_t>(rng.UniformInt(1, 600)));
+    for (double& entry : c) {
+      entry = std::exp((-30.0 + (top + 30.0) * unit()) * ln10);
+    }
+    const auto k = static_cast<size_t>(rng.UniformInt(1, 700));
+    const auto saturated = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(k)));
+    const bool stops = HeadSumStops(c, saturated, k);
+    if (psr_internal::ScanCore::StopRuleFires(c.data(), c.size(), saturated,
+                                              k) != stops &&
+        first_difference.empty()) {
+      first_difference = "vector " + std::to_string(vector) + ": " +
+                         StopVerdictsDiffer(c, saturated, k);
+    }
+    (stops ? fires : goes_on)++;
+  }
+  EXPECT_EQ(first_difference, "");
+  // Both verdicts occur often, so the sweep reaches the sum as well as
+  // the early exit.
+  EXPECT_GT(fires, 10000u);
+  EXPECT_GT(goes_on, 10000u);
 }
 
 TEST(Numerics, CleaningObjectiveStableUnderTinyGains) {

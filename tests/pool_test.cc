@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "quality/tp.h"
 #include "rank/psr.h"
 #include "rank/psr_scan_core.h"
+#include "store/snapshot.h"
 #include "tests/test_util.h"
 #include "workload/synthetic.h"
 
@@ -595,6 +597,125 @@ TEST(SessionPoolColdScan, MatchesAtCheckpointIntervalFourWithStoredMatrix) {
     }
     if (threads > 1) {
       EXPECT_GE(cut, 6u) << "threads=" << threads;
+    }
+  }
+}
+
+/// Active x-tuples of `view` just before rank `pos`: those whose mass
+/// over the live tuples above it is positive and short of saturation,
+/// tallied here from scratch.
+size_t ActiveAt(const DatabaseOverlay& view, size_t pos) {
+  std::vector<double> q(view.num_xtuples(), 0.0);
+  for (size_t i = 0; i < pos; ++i) {
+    if (view.is_tombstone(i)) continue;
+    const Tuple& t = view.tuple(i);
+    if (q[t.xtuple] < psr_internal::kSaturationThreshold) q[t.xtuple] += t.prob;
+  }
+  size_t active = 0;
+  for (double mass : q) {
+    active += mass > 0.0 && mass < psr_internal::kSaturationThreshold;
+  }
+  return active;
+}
+
+/// The first rank at or past `from` holding the first live member of an
+/// x-tuple that is not yet certain in `view`.
+size_t FirstUncertainMemberAtOrPast(const DatabaseOverlay& view,
+                                    size_t from) {
+  for (size_t i = from; i < view.num_tuples(); ++i) {
+    if (view.is_tombstone(i)) continue;
+    const Tuple& t = view.tuple(i);
+    const std::vector<int32_t>& members = view.xtuple_members(t.xtuple);
+    if (!t.is_null && t.prob < 1.0 && members[0] == static_cast<int32_t>(i)) {
+      return i;
+    }
+  }
+  return view.num_tuples();
+}
+
+// A checkpoint keeps only its count vector; restoring it re-walks the
+// masses over the view (PsrEngine::RestoreInto). Here the session's
+// first clean tombstones slots and leaves a certain tuple, which
+// saturates on contact, above its private checkpoints, so every later
+// restore -- a refresh's, and each cold-scan shard's -- walks across
+// them.
+TEST(SessionPoolColdScan, WalkRestoredCheckpointsOverCleanedViews) {
+  const ProbabilisticDatabase db = MakeColdScanDb(1500);
+  const KLadder ladder = MakeLadder({5, 40, 150});
+  for (size_t interval : {4, 7}) {
+    for (size_t threads : {1, 2}) {
+      const std::string label = "interval=" + std::to_string(interval) +
+                                " threads=" + std::to_string(threads);
+      SCOPED_TRACE(label);
+      SessionPool::Options options;
+      options.exec.num_threads = threads;
+      options.checkpoint_interval = interval;
+      Result<SessionPool> pool =
+          SessionPool::Create(ProbabilisticDatabase(db), ladder, options);
+      ASSERT_TRUE(pool.ok()) << pool.status();
+      const SessionPool::SessionId id = pool->OpenSession();
+      const DatabaseOverlay& view = pool->overlay(id);
+      // The rank-0 x-tuple resolves to its second member: its first is
+      // tombstoned, and so are the members past the certain one. No
+      // shared checkpoint but rank 0's stays valid for the view.
+      const XTupleId cleaned = db.tuple(0).xtuple;
+      const std::vector<int32_t> members = db.xtuple_members(cleaned);
+      ASSERT_GE(members.size(), 3u);
+      ASSERT_TRUE(pool->ApplyCleanOutcome(id, cleaned,
+                                          db.tuple(members[1]).id)
+                      .ok());
+      ASSERT_TRUE(pool->Refresh(id).ok());
+      ASSERT_EQ(view.divergence_rank(), 0u);
+      size_t past = 0;  // the deepest real member of the cleaned x-tuple
+      for (int32_t member : members) {
+        if (!db.tuple(member).is_null) past = static_cast<size_t>(member);
+      }
+      size_t cut = 0;
+      for (int round = 0; round < 4; ++round) {
+        // A private checkpoint a few past the previous clean, and an
+        // x-tuple whose first member lies at or past it but before the
+        // next one: the deepest valid checkpoint at or above the clean,
+        // so the refresh restores exactly that one.
+        const std::vector<size_t> cps =
+            SnapshotAccess::SessionCheckpointPositions(*pool, id);
+        auto next = std::upper_bound(cps.begin(), cps.end(), past);
+        ASSERT_GT(cps.end() - next, 4) << "round " << round;
+        next += 3;
+        size_t rank = view.num_tuples();
+        for (; next + 1 < cps.end(); ++next) {
+          rank = FirstUncertainMemberAtOrPast(view, *next);
+          if (rank < *(next + 1)) break;
+        }
+        ASSERT_LT(next + 1, cps.end()) << "round " << round;
+        const XTupleId x = view.tuple(rank).xtuple;
+        ASSERT_TRUE(
+            pool->ApplyCleanOutcome(id, x, view.tuple(rank).id).ok());
+        ASSERT_TRUE(pool->RefreshAll().ok());
+        past = rank;
+
+        ExpectMatchesFromScratch(*pool, id);
+        // A checkpoint list holds its count vectors and nothing else.
+        size_t doubles = 0;
+        for (size_t pos :
+             SnapshotAccess::SessionCheckpointPositions(*pool, id)) {
+          doubles += ActiveAt(view, pos) + 1;
+        }
+        EXPECT_EQ(SnapshotAccess::SessionCheckpointDoubles(*pool, id),
+                  doubles)
+            << "round " << round;
+        for (const std::vector<size_t>& ks : std::vector<std::vector<size_t>>{
+                 {20}, {100}, {200}, {3, 60, 200}}) {
+          const ScanResult got = ExpectColdScanMatches(
+              *pool, id, ks, options.psr,
+              label + " round=" + std::to_string(round));
+          cut += got.threads > 1;
+        }
+      }
+      // Scans that stop short of the grid point split only at restore
+      // points, and every valid one past rank 0 is the session's own.
+      if (threads > 1) {
+        EXPECT_GE(cut, 8u);
+      }
     }
   }
 }
